@@ -19,22 +19,19 @@
 //!   the way a real shard bug would. [`NoopInjector`] keeps the wrapper
 //!   zero-cost when no faults are armed.
 //! * **Checkpoint I/O faults** ([`CheckpointSink`]) — an injectable
-//!   write layer for periodic checkpoints;
-//!   [`ReplayEngine::run_checkpointed_with`](crate::ReplayEngine::run_checkpointed_with)
-//!   threads any sink through the replay loop, and
-//!   [`FaultingCheckpointSink`] fails writes on the injector's schedule.
+//!   write layer for periodic checkpoints; [`FaultingCheckpointSink`]
+//!   fails writes on the injector's schedule.
 //!
-//! [`run_faulted_pipeline`] composes all three against the supervised
-//! sharded pipeline, which is what the CI chaos matrix drives.
+//! [`PipelineRunner::fault_plan`](crate::PipelineRunner::fault_plan)
+//! composes all three: [`run`](crate::PipelineRunner::run) distorts the
+//! stream and arms every shard of the supervised pool, and
+//! [`measure`](crate::PipelineRunner::measure) writes its checkpoints
+//! through a sink armed from the same plan. That is what the CI chaos
+//! matrix drives.
 
-use crate::pipeline::{PipelineConfig, SupervisedResult};
 use std::path::Path;
-use std::sync::Arc;
-use upbound_core::{
-    snapshot, BitmapFilter, BitmapFilterConfig, FailMode, FlowHash, PacketFilter, ShardedFilter,
-    SnapshotError, Snapshottable,
-};
-use upbound_net::{Cidr, Direction, Packet, TimeDelta, Timestamp};
+use upbound_core::{snapshot, PacketFilter, SnapshotError};
+use upbound_net::{Direction, Packet, TimeDelta, Timestamp};
 
 /// Error parsing a [`FaultPlan`] spec string.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -459,85 +456,6 @@ impl<S: CheckpointSink, J: FaultInjector> CheckpointSink for FaultingCheckpointS
     }
 }
 
-/// [`run_supervised_pipeline`](crate::run_supervised_pipeline) under a
-/// [`FaultPlan`]: the stream is distorted first (corruption, reorder,
-/// skew), every shard filter is wrapped in a [`FaultingFilter`] armed
-/// with the plan's panic budget, and rebuilt shards come back disarmed
-/// and fail-open exactly like the production rebuild policy. Returns the
-/// supervised result plus what the distortion pass touched.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `PipelineRunner::new(inside, config).shards(n).fault_plan(plan).run(packets)`"
-)]
-pub fn run_faulted_pipeline<I>(
-    packets: I,
-    inside: Cidr,
-    filter_config: BitmapFilterConfig,
-    shards: usize,
-    pipeline_config: PipelineConfig,
-    plan: &FaultPlan,
-) -> (SupervisedResult, DistortionReport)
-where
-    I: IntoIterator<Item = Packet>,
-{
-    faulted_pipeline_impl(
-        packets,
-        inside,
-        filter_config,
-        shards,
-        pipeline_config,
-        plan,
-        &crate::PipelineObservability::default(),
-    )
-}
-
-pub(crate) fn faulted_pipeline_impl<I>(
-    packets: I,
-    inside: Cidr,
-    filter_config: BitmapFilterConfig,
-    shards: usize,
-    pipeline_config: PipelineConfig,
-    plan: &FaultPlan,
-    obs: &crate::PipelineObservability,
-) -> (SupervisedResult, DistortionReport)
-where
-    I: IntoIterator<Item = Packet>,
-{
-    let (packets, report) = plan.distort_stream(packets.into_iter().collect());
-    let uplink = Arc::new(filter_config.uplink_monitor());
-    let filters = (0..shards.max(1))
-        .map(|_| {
-            FaultingFilter::new(
-                BitmapFilter::new(filter_config.clone()).with_shared_uplink(Arc::clone(&uplink)),
-                plan.injector(),
-            )
-        })
-        .collect();
-    let sharded = ShardedFilter::from_shards(
-        FlowHash::new(filter_config.hole_punching()),
-        Arc::clone(&uplink),
-        filters,
-    );
-    let quarantine = filter_config.expiry_timer();
-    let rebuild_config = filter_config.with_fail_mode(FailMode::Open);
-    let rebuild = move |_shard: usize, at: Timestamp| {
-        let mut fresh =
-            BitmapFilter::new(rebuild_config.clone()).with_shared_uplink(Arc::clone(&uplink));
-        fresh.start_cold_at(at);
-        FaultingFilter::new(fresh, PlannedInjector::disarmed())
-    };
-    let result = crate::pipeline::supervised_pipeline_impl(
-        packets,
-        inside,
-        sharded,
-        rebuild,
-        quarantine,
-        pipeline_config,
-        obs,
-    );
-    (result, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -607,32 +525,6 @@ mod tests {
         assert_eq!(first, second);
         assert_eq!(first.len(), 2, "budget of 2 panics: {first:?}");
         assert!(probe(PlannedInjector::disarmed()).is_empty());
-    }
-
-    #[test]
-    fn faulted_pipeline_quarantines_and_drains_everything() {
-        let stream = packets(23);
-        let inside: Cidr = "10.0.0.0/16".parse().unwrap();
-        let plan = FaultPlan::parse("seed=11,corrupt=10,reorder=2,panics=1").unwrap();
-        let (result, report) = faulted_pipeline_impl(
-            stream.iter().cloned(),
-            inside,
-            BitmapFilterConfig::paper_evaluation(),
-            4,
-            PipelineConfig::default(),
-            &plan,
-            &crate::PipelineObservability::default(),
-        );
-        assert!(report.corrupted > 0);
-        // Every packet drained through the merge stage despite the
-        // injected panics, and the supervisor caught each one.
-        assert_eq!(result.pipeline.ingested as usize, stream.len());
-        assert_eq!(
-            result.pipeline.passed + result.pipeline.dropped,
-            result.pipeline.ingested
-        );
-        assert!(result.supervisor.panics >= 1);
-        assert_eq!(result.supervisor.panics, result.supervisor.restarts);
     }
 
     #[test]

@@ -19,24 +19,22 @@
 //! * [`sweep`] — a small crossbeam-based parallel runner for parameter
 //!   sweeps (ablations).
 //! * [`PipelineRunner`] — the builder-style front door composing every
-//!   dataplane axis (sharding, supervision, overload policy, fault
-//!   plans, observability, checkpointing) with every execution engine:
-//!   the threaded pipeline ([`run`](PipelineRunner::run)), the replay
-//!   engine ([`measure`](PipelineRunner::measure)), streaming
+//!   dataplane axis (sharding, overload policy, fault plans,
+//!   observability, checkpointing) with every execution engine: the
+//!   supervised threaded pipeline ([`run`](PipelineRunner::run)), the
+//!   replay engine ([`measure`](PipelineRunner::measure)), streaming
 //!   [`PacketSource`](upbound_net::PacketSource) backends
 //!   ([`run_source`](PipelineRunner::run_source) /
 //!   [`measure_source`](PipelineRunner::measure_source)) and the
 //!   long-running, runtime-reconfigurable live loop
 //!   ([`serve`](PipelineRunner::serve)).
-//! * [`pipeline`] — a deployment-shaped three-stage threaded pipeline
-//!   (ingest → filter → account) over bounded crossbeam channels, with
-//!   verdicts proven identical to a sequential run; sharded and
-//!   supervised variants scale the filter stage out to one worker per
-//!   shard of a [`ShardedFilter`](upbound_core::ShardedFilter),
-//!   catching worker panics and quarantining/rebuilding the poisoned
-//!   shard fail-open while the surviving shards keep filtering. The
-//!   historical `run_*` free functions remain as deprecated shims over
-//!   [`PipelineRunner`].
+//! * [`pipeline`] — the deployment-shaped threaded pipeline (ingest →
+//!   one worker per shard of a
+//!   [`ShardedFilter`](upbound_core::ShardedFilter) → merge → account)
+//!   over bounded crossbeam channels, with verdicts proven identical to
+//!   a sequential run. Worker panics are caught: the poisoned shard is
+//!   quarantined and rebuilt fail-open while the surviving shards keep
+//!   filtering.
 //! * [`fault`] — deterministic fault injection: a seeded [`FaultPlan`]
 //!   describing stream corruption, reorder bursts, clock-skew spikes,
 //!   decide-path shard panics, and checkpoint I/O failures, applied via
@@ -78,21 +76,14 @@ pub mod runner;
 pub mod sweep;
 
 pub use compare::{compare, ComparisonResult};
-#[allow(deprecated)]
-pub use fault::run_faulted_pipeline;
 pub use fault::{
     AtomicCheckpointSink, CheckpointSink, DistortionReport, FaultInjector, FaultPlan,
     FaultPlanError, FaultingCheckpointSink, FaultingFilter, NoopInjector, PlannedInjector,
 };
 pub use oracle::OracleFilter;
-#[allow(deprecated)]
 pub use pipeline::{
-    run_pipeline, run_sharded_pipeline, run_subscriber_pipeline, run_supervised_pipeline,
-    run_supervised_pipeline_observed, run_supervised_pipeline_with,
-};
-pub use pipeline::{
-    run_pipeline_instrumented, PipelineConfig, PipelineObservability, PipelineResult,
-    PipelineTelemetry, ShardIncident, SupervisedResult, SupervisorReport, SupervisorTelemetry,
+    PipelineConfig, PipelineObservability, PipelineResult, ShardIncident, SupervisorReport,
+    SupervisorTelemetry,
 };
 pub use replay::{ReplayConfig, ReplayEngine, ReplayResult};
 pub use runner::{

@@ -1,42 +1,47 @@
-//! A multi-threaded edge-router pipeline.
+//! The multi-threaded edge-router pipeline behind
+//! [`PipelineRunner::run`](crate::PipelineRunner::run).
 //!
 //! The replay engine is single-threaded by design (deterministic
-//! measurement); this module is the deployment-shaped variant: a
-//! three-stage pipeline over bounded crossbeam channels, the way a
-//! software edge router would actually run the filter —
+//! measurement); this module is the deployment-shaped variant — one
+//! supervised shard pool over bounded crossbeam channels:
 //!
 //! ```text
-//! ingest (parse/classify) ──► filter (bitmap decide) ──► account (stats)
+//! ingest ──► worker 0 (shard 0) ──┐
+//!        ──► worker 1 (shard 1) ──┼──► merge (reorder) ──► account
+//!        ──► …                  ──┘
 //! ```
 //!
-//! The filter stage owns the [`BitmapFilter`] exclusively (no locking on
-//! the hot path); bounded channels provide backpressure; dropping the
-//! upstream sender shuts the pipeline down cleanly. Because exactly one
-//! thread touches the filter in packet order, the pipeline's verdicts
-//! are **identical** to a sequential run — asserted by tests.
+//! The ingest stage (the calling thread) classifies each packet, tags it
+//! with a sequence number and the running *maximum* timestamp seen so
+//! far (the watermark), and routes it by [`ShardedFilter::shard_of`], so
+//! each worker only ever touches its own shard. Workers decide via
+//! [`ShardedFilter::process_packet_at`], which first advances the shard
+//! to the watermark: on a trace with non-monotonic timestamps this pins
+//! every shard to the tick phase a sequential filter would hold. The
+//! merge stage restores sequence order before accounting. One shard is
+//! simply a pool of one worker.
 //!
-//! [`run_sharded_pipeline`] is the scaled-out variant: the filter stage
-//! fans out to one worker per shard of a [`ShardedFilter`], packets are
-//! partitioned by the same direction-symmetric flow hash the shards use
-//! (so workers never contend on a shard lock), and verdicts are
-//! re-merged in timestamp order by sequence number before accounting.
-//! With the paper-default `P_d ≡ 1` policy, verdicts are again identical
-//! to a sequential run — asserted by tests.
+//! Every decision runs under `catch_unwind`: a panic inside a shard's
+//! decision path quarantines that shard — it is rebuilt **empty and
+//! fail-open** by the caller's rebuild policy — and the packet that
+//! triggered it passes fail-open, so its sequence number still reaches
+//! the merge stage and the other `N − 1` shards keep filtering.
 //!
-//! [`BitmapFilter`]: upbound_core::BitmapFilter
+//! With the paper-default `P_d ≡ 1` policy the verdicts (and the merged
+//! [`FilterStats`]) are identical to a sequential run — asserted by
+//! tests. Under a rate-dependent RED policy, concurrent uplink recording
+//! can skew individual `P_d` reads by a packet or two, so only
+//! statistical — not bit-exact — equivalence is guaranteed.
+//!
 //! [`ShardedFilter`]: upbound_core::ShardedFilter
 
-use crossbeam::channel::{bounded, Receiver, SendError, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::sync::Mutex;
-use upbound_core::observe::FilterObserver;
-use upbound_core::{
-    BitmapFilter, BitmapFilterConfig, FailMode, FilterStats, PacketFilter, ShardedFilter,
-    Snapshottable, SubscriberTable, Verdict,
-};
+use upbound_core::{FilterStats, PacketFilter, ShardedFilter, SubscriberTable, Verdict};
 use upbound_net::{Cidr, Direction, Packet, TimeDelta, Timestamp};
 use upbound_telemetry::{
     Counter, DumpTrigger, FlightRecorder, Gauge, HealthState, Registry, ShardStatus, Stage,
@@ -54,12 +59,12 @@ fn join_or_propagate<T>(joined: std::thread::Result<T>) -> T {
 pub struct PipelineConfig {
     /// Capacity of each inter-stage channel (backpressure bound).
     pub channel_capacity: usize,
-    /// Maximum packets a filter worker pulls per batch before deciding
-    /// them in one [`PacketFilter::decide_batch`] call (sharded workers
-    /// additionally take their shard lock once per batch). Workers never
-    /// wait to fill a batch — they drain whatever is queued, up to this
-    /// bound — so latency under light load is unchanged. `1` restores
-    /// the per-packet path; `0` is treated as `1`.
+    /// Maximum packets decided per batch: the poll size of
+    /// [`serve`](crate::PipelineRunner::serve) and the
+    /// [`PacketFilter::decide_batch`] bound of the subscriber pipeline.
+    /// The supervised shard pool decides packet by packet (each decision
+    /// is its own panic boundary), so batching never changes its
+    /// verdicts. `1` restores the per-packet path; `0` is treated as `1`.
     pub batch_size: usize,
 }
 
@@ -79,7 +84,7 @@ impl Default for PipelineConfig {
 }
 
 /// Aggregate output of a pipeline run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PipelineResult {
     /// Packets that entered the pipeline.
     pub ingested: u64,
@@ -95,267 +100,10 @@ pub struct PipelineResult {
     pub filter_stats: FilterStats,
 }
 
-/// Per-stage pipeline instrumentation published into an
-/// [`upbound_telemetry::Registry`] under `upbound_sim_*`.
-///
-/// For each stage it tracks throughput (packets and wire bytes), and for
-/// each inter-stage channel the live queue depth plus the number of
-/// backpressure stalls (sends that found the channel full and had to
-/// block).
-#[derive(Debug, Clone)]
-pub struct PipelineTelemetry {
-    ingest_packets: Arc<Counter>,
-    ingest_bytes: Arc<Counter>,
-    ingest_stalls: Arc<Counter>,
-    ingest_queue_depth: Arc<Gauge>,
-    filter_packets: Arc<Counter>,
-    filter_bytes: Arc<Counter>,
-    filter_stalls: Arc<Counter>,
-    filter_queue_depth: Arc<Gauge>,
-    account_packets: Arc<Counter>,
-    account_forwarded_bytes: Arc<Counter>,
-}
-
-impl PipelineTelemetry {
-    /// Registers the pipeline's stage metrics in `registry`.
-    pub fn new(registry: &Registry) -> Self {
-        Self {
-            ingest_packets: registry.counter(
-                "upbound_sim_ingest_packets_total",
-                "Packets classified by the ingest stage",
-            ),
-            ingest_bytes: registry.counter(
-                "upbound_sim_ingest_bytes_total",
-                "Wire bytes entering the pipeline",
-            ),
-            ingest_stalls: registry.counter(
-                "upbound_sim_ingest_backpressure_stalls_total",
-                "Ingest sends that blocked on a full ingest->filter channel",
-            ),
-            ingest_queue_depth: registry.gauge(
-                "upbound_sim_ingest_queue_depth",
-                "Occupancy of the ingest->filter channel after the last send",
-            ),
-            filter_packets: registry.counter(
-                "upbound_sim_filter_packets_total",
-                "Packets decided by the filter stage",
-            ),
-            filter_bytes: registry.counter(
-                "upbound_sim_filter_bytes_total",
-                "Wire bytes decided by the filter stage",
-            ),
-            filter_stalls: registry.counter(
-                "upbound_sim_filter_backpressure_stalls_total",
-                "Filter sends that blocked on a full filter->account channel",
-            ),
-            filter_queue_depth: registry.gauge(
-                "upbound_sim_filter_queue_depth",
-                "Occupancy of the filter->account channel after the last send",
-            ),
-            account_packets: registry.counter(
-                "upbound_sim_account_packets_total",
-                "Packets tallied by the accounting stage",
-            ),
-            account_forwarded_bytes: registry.counter(
-                "upbound_sim_account_forwarded_bytes_total",
-                "Wire bytes of packets that passed the filter",
-            ),
-        }
-    }
-}
-
-/// Sends on `tx`, counting a backpressure stall (and falling back to a
-/// blocking send) when the channel is full.
-fn send_counting_stalls<T>(tx: &Sender<T>, value: T, stalls: &Counter) -> Result<(), SendError<T>> {
-    match tx.try_send(value) {
-        Ok(()) => Ok(()),
-        Err(TrySendError::Full(value)) => {
-            stalls.inc();
-            tx.send(value)
-        }
-        Err(TrySendError::Disconnected(value)) => Err(SendError(value)),
-    }
-}
-
-/// Runs `packets` through a freshly-built filter on a three-stage
-/// threaded pipeline and returns the aggregate result.
-///
-/// `packets` is consumed on the caller's thread (stage 1); stages 2 and
-/// 3 run on scoped worker threads. The function returns once every
-/// packet has drained through all stages.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `PipelineRunner::new(inside, filter_config).run(packets)`"
-)]
-pub fn run_pipeline<I>(
-    packets: I,
-    inside: Cidr,
-    filter_config: BitmapFilterConfig,
-    pipeline_config: PipelineConfig,
-) -> PipelineResult
-where
-    I: IntoIterator<Item = Packet>,
-{
-    run_pipeline_with(
-        packets,
-        inside,
-        BitmapFilter::new(filter_config),
-        pipeline_config,
-        None,
-    )
-    .0
-}
-
-/// [`run_pipeline`] with a caller-supplied filter (typically carrying a
-/// [`TelemetryObserver`](upbound_core::TelemetryObserver)) and per-stage
-/// pipeline metrics. Returns the aggregate result together with the
-/// filter, so observer state (e.g. the event journal) survives the run.
-pub fn run_pipeline_instrumented<I, O>(
-    packets: I,
-    inside: Cidr,
-    filter: BitmapFilter<O>,
-    pipeline_config: PipelineConfig,
-    telemetry: &PipelineTelemetry,
-) -> (PipelineResult, BitmapFilter<O>)
-where
-    I: IntoIterator<Item = Packet>,
-    O: FilterObserver + Send,
-{
-    run_pipeline_with(packets, inside, filter, pipeline_config, Some(telemetry))
-}
-
-pub(crate) fn run_pipeline_with<I, O>(
-    packets: I,
-    inside: Cidr,
-    mut filter: BitmapFilter<O>,
-    pipeline_config: PipelineConfig,
-    telemetry: Option<&PipelineTelemetry>,
-) -> (PipelineResult, BitmapFilter<O>)
-where
-    I: IntoIterator<Item = Packet>,
-    O: FilterObserver + Send,
-{
-    let (to_filter_tx, to_filter_rx): (Sender<(Packet, Direction)>, Receiver<_>) =
-        bounded(pipeline_config.channel_capacity);
-    let (to_stats_tx, to_stats_rx): (Sender<(Packet, Direction, Verdict)>, Receiver<_>) =
-        bounded(pipeline_config.channel_capacity);
-
-    let batch_size = pipeline_config.batch_size.max(1);
-    let scope_result = crossbeam::thread::scope(|scope| {
-        // Stage 2: the filter thread — exclusive owner of the bitmap.
-        // Packets are pulled in batches of up to `batch_size` (blocking
-        // only for the first of each batch) and decided via
-        // `decide_batch`, which amortizes the rotation check; verdict
-        // order is the channel's FIFO order, so the stream downstream is
-        // identical to the per-packet path.
-        let filter_handle = scope.spawn(move |_| {
-            let mut batch: Vec<(Packet, Direction)> = Vec::with_capacity(batch_size);
-            let mut verdicts: Vec<Verdict> = Vec::with_capacity(batch_size);
-            'stream: while let Ok(first) = to_filter_rx.recv() {
-                batch.clear();
-                verdicts.clear();
-                batch.push(first);
-                while batch.len() < batch_size {
-                    match to_filter_rx.try_recv() {
-                        Ok(message) => batch.push(message),
-                        Err(_) => break,
-                    }
-                }
-                filter.decide_batch(&batch, &mut verdicts);
-                for ((packet, direction), verdict) in batch.drain(..).zip(verdicts.drain(..)) {
-                    if let Some(t) = telemetry {
-                        t.filter_packets.inc();
-                        t.filter_bytes.add(packet.wire_len() as u64);
-                    }
-                    // A closed stats stage means shutdown was requested.
-                    let sent = match telemetry {
-                        Some(t) => {
-                            let sent = send_counting_stalls(
-                                &to_stats_tx,
-                                (packet, direction, verdict),
-                                &t.filter_stalls,
-                            );
-                            t.filter_queue_depth.set_u64(to_stats_tx.len() as u64);
-                            sent
-                        }
-                        None => to_stats_tx.send((packet, direction, verdict)),
-                    };
-                    if sent.is_err() {
-                        break 'stream;
-                    }
-                }
-            }
-            filter
-        });
-
-        // Stage 3: accounting.
-        let stats_handle = scope.spawn(move |_| {
-            let mut result = PipelineResult {
-                ingested: 0,
-                passed: 0,
-                dropped: 0,
-                uplink_bytes: 0,
-                downlink_bytes: 0,
-                filter_stats: FilterStats::default(),
-            };
-            for (packet, direction, verdict) in to_stats_rx {
-                result.ingested += 1;
-                if let Some(t) = telemetry {
-                    t.account_packets.inc();
-                }
-                match verdict {
-                    Verdict::Pass => {
-                        result.passed += 1;
-                        if let Some(t) = telemetry {
-                            t.account_forwarded_bytes.add(packet.wire_len() as u64);
-                        }
-                        match direction {
-                            Direction::Outbound => {
-                                result.uplink_bytes += packet.wire_len() as u64;
-                            }
-                            Direction::Inbound => {
-                                result.downlink_bytes += packet.wire_len() as u64;
-                            }
-                        }
-                    }
-                    Verdict::Drop => result.dropped += 1,
-                }
-            }
-            result
-        });
-
-        // Stage 1: ingest — parse/classify on the calling thread.
-        for packet in packets {
-            let direction = inside.direction_of(&packet.tuple());
-            let sent = match telemetry {
-                Some(t) => {
-                    t.ingest_packets.inc();
-                    t.ingest_bytes.add(packet.wire_len() as u64);
-                    let sent =
-                        send_counting_stalls(&to_filter_tx, (packet, direction), &t.ingest_stalls);
-                    t.ingest_queue_depth.set_u64(to_filter_tx.len() as u64);
-                    sent
-                }
-                None => to_filter_tx.send((packet, direction)),
-            };
-            if sent.is_err() {
-                break;
-            }
-        }
-        drop(to_filter_tx); // signal end-of-stream downstream
-
-        let filter = join_or_propagate(filter_handle.join());
-        let mut result = join_or_propagate(stats_handle.join());
-        result.filter_stats = filter.stats();
-        (result, filter)
-    });
-    join_or_propagate(scope_result)
-}
-
-/// Runs `packets` through a multi-tenant [`SubscriberTable`] on the
-/// three-stage pipeline and returns the aggregate result together with
-/// the table (so per-subscriber statistics, arena counters and
-/// checkpoint state survive the run).
+/// Runs `packets` through a multi-tenant [`SubscriberTable`] on a
+/// three-stage pipeline (ingest → filter → account) and returns the
+/// aggregate result together with the table (so per-subscriber
+/// statistics, arena counters and checkpoint state survive the run).
 ///
 /// The ingest stage classifies each packet's accounting direction with
 /// a [`SubscriberClassifier`] cloned from the table (source inside any
@@ -367,24 +115,7 @@ where
 /// sequential [`SubscriberTable::process_packet`] loop — asserted by
 /// tests.
 ///
-/// [`SubscriberTable`]: upbound_core::SubscriberTable
 /// [`SubscriberClassifier`]: upbound_core::SubscriberClassifier
-#[deprecated(
-    since = "0.1.0",
-    note = "use `PipelineRunner::new(inside, filter_config).run_subscribers(packets, table)`"
-)]
-pub fn run_subscriber_pipeline<I, F>(
-    packets: I,
-    table: SubscriberTable<F>,
-    pipeline_config: PipelineConfig,
-) -> (PipelineResult, SubscriberTable<F>)
-where
-    I: IntoIterator<Item = Packet>,
-    F: PacketFilter<Stats = FilterStats> + Send + Sync,
-{
-    subscriber_pipeline_impl(packets, table, pipeline_config)
-}
-
 pub(crate) fn subscriber_pipeline_impl<I, F>(
     packets: I,
     mut table: SubscriberTable<F>,
@@ -428,14 +159,7 @@ where
 
         // Stage 3: accounting.
         let stats_handle = scope.spawn(move |_| {
-            let mut result = PipelineResult {
-                ingested: 0,
-                passed: 0,
-                dropped: 0,
-                uplink_bytes: 0,
-                downlink_bytes: 0,
-                filter_stats: FilterStats::default(),
-            };
+            let mut result = PipelineResult::default();
             for (packet, direction, verdict) in to_stats_rx {
                 account(&mut result, &packet, direction, verdict);
             }
@@ -474,156 +198,6 @@ fn account(result: &mut PipelineResult, packet: &Packet, direction: Direction, v
     }
 }
 
-/// Runs `packets` through a [`ShardedFilter`] with one filter worker per
-/// shard:
-///
-/// ```text
-/// ingest ──► worker 0 (shard 0) ──┐
-///        ──► worker 1 (shard 1) ──┼──► merge (reorder) ──► account
-///        ──► …                  ──┘
-/// ```
-///
-/// The ingest stage tags each packet with a sequence number and the
-/// running *maximum* timestamp seen so far (the watermark), and routes
-/// it by [`ShardedFilter::shard_of`], so each worker only ever touches
-/// its own shard's state. Workers decide via
-/// [`ShardedFilter::process_packet_at`] — for the concurrent bitmap
-/// filter that is a shard *read* lock around lock-free atomic marks and
-/// lookups, so workers never serialize against each other — which first
-/// advances the shard to the watermark: on a trace with non-monotonic
-/// timestamps this pins every shard to the tick phase a sequential
-/// filter would hold, instead of each shard drifting on its own packets'
-/// clocks. The merge stage restores sequence order before accounting, so
-/// downstream consumers see the same stream a sequential run would
-/// produce.
-///
-/// With the paper-default `P_d ≡ 1` policy the verdicts (and the merged
-/// [`FilterStats`]) are identical to a sequential [`run_pipeline`] run.
-/// Under a rate-dependent RED policy, concurrent uplink recording can
-/// skew individual `P_d` reads by a packet or two, so only statistical —
-/// not bit-exact — equivalence is guaranteed.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `PipelineRunner::new(inside, filter_config).shards(n).run(packets)`"
-)]
-pub fn run_sharded_pipeline<I>(
-    packets: I,
-    inside: Cidr,
-    filter_config: BitmapFilterConfig,
-    shards: usize,
-    pipeline_config: PipelineConfig,
-) -> PipelineResult
-where
-    I: IntoIterator<Item = Packet>,
-{
-    let sharded = match ShardedFilter::builder(filter_config).shards(shards).build() {
-        Ok(sharded) => sharded,
-        Err(err) => panic!("{err}"),
-    };
-    sharded_pipeline_impl(packets, inside, &sharded, pipeline_config)
-}
-
-pub(crate) fn sharded_pipeline_impl<I, F>(
-    packets: I,
-    inside: Cidr,
-    sharded: &ShardedFilter<F>,
-    pipeline_config: PipelineConfig,
-) -> PipelineResult
-where
-    I: IntoIterator<Item = Packet>,
-    F: PacketFilter<Stats = FilterStats> + Send + Sync,
-{
-    let shards = sharded.shards();
-    let batch_size = pipeline_config.batch_size.max(1);
-    let (worker_txs, worker_rxs): (Vec<_>, Vec<_>) = (0..shards)
-        .map(|_| bounded::<(u64, Packet, Direction, Timestamp)>(pipeline_config.channel_capacity))
-        .unzip();
-    let (merge_tx, merge_rx): (Sender<(u64, Packet, Direction, Verdict)>, Receiver<_>) =
-        bounded(pipeline_config.channel_capacity);
-
-    let scope_result = crossbeam::thread::scope(|scope| {
-        // Filter workers: one per shard. Each pulls up to `batch_size`
-        // queued packets (blocking only for the first, to amortize the
-        // channel wakeup), then decides them one by one through
-        // `process_packet_at` — the bitmap filter's shared path, which
-        // marks and looks up the atomic bitmap under a shard read lock
-        // instead of serializing the batch behind a write lock.
-        for rx in worker_rxs {
-            let handle = sharded.clone();
-            let merge_tx = merge_tx.clone();
-            scope.spawn(move |_| {
-                let mut batch: Vec<(u64, Packet, Direction, Timestamp)> =
-                    Vec::with_capacity(batch_size);
-                'stream: while let Ok(first) = rx.recv() {
-                    batch.clear();
-                    batch.push(first);
-                    while batch.len() < batch_size {
-                        match rx.try_recv() {
-                            Ok(message) => batch.push(message),
-                            Err(_) => break,
-                        }
-                    }
-                    for (seq, packet, direction, watermark) in batch.drain(..) {
-                        let verdict = handle.process_packet_at(&packet, direction, watermark);
-                        if merge_tx.send((seq, packet, direction, verdict)).is_err() {
-                            break 'stream;
-                        }
-                    }
-                }
-            });
-        }
-        drop(merge_tx); // workers hold the only remaining senders
-
-        // Merge + account: restore sequence (= timestamp) order.
-        let merge_handle = scope.spawn(move |_| {
-            let mut result = PipelineResult {
-                ingested: 0,
-                passed: 0,
-                dropped: 0,
-                uplink_bytes: 0,
-                downlink_bytes: 0,
-                filter_stats: FilterStats::default(),
-            };
-            let mut next_seq = 0u64;
-            let mut pending: BTreeMap<u64, (Packet, Direction, Verdict)> = BTreeMap::new();
-            for (seq, packet, direction, verdict) in merge_rx {
-                pending.insert(seq, (packet, direction, verdict));
-                while let Some((packet, direction, verdict)) = pending.remove(&next_seq) {
-                    account(&mut result, &packet, direction, verdict);
-                    next_seq += 1;
-                }
-            }
-            // If the ingest stage stopped early, tail sequence numbers
-            // may be sparse; drain whatever arrived.
-            for (_, (packet, direction, verdict)) in pending {
-                account(&mut result, &packet, direction, verdict);
-            }
-            result
-        });
-
-        // Ingest on the calling thread: classify, tag with the running
-        // max-timestamp watermark, route by flow.
-        let mut watermark = Timestamp::ZERO;
-        for (seq, packet) in packets.into_iter().enumerate() {
-            let direction = inside.direction_of(&packet.tuple());
-            let shard = sharded.shard_of(&packet.tuple(), direction);
-            watermark = watermark.max(packet.ts());
-            if worker_txs[shard]
-                .send((seq as u64, packet, direction, watermark))
-                .is_err()
-            {
-                break;
-            }
-        }
-        drop(worker_txs); // signal end-of-stream to every worker
-
-        let mut result = join_or_propagate(merge_handle.join());
-        result.filter_stats = sharded.stats();
-        result
-    });
-    join_or_propagate(scope_result)
-}
-
 /// One quarantine event recorded by the shard supervisor: worker
 /// `shard` panicked while deciding a packet at watermark `at`, its
 /// filter was rebuilt empty, and the rebuilt memory is not trustworthy
@@ -639,7 +213,8 @@ pub struct ShardIncident {
 }
 
 /// Aggregate record of everything the shard supervisor had to do during
-/// a [`run_supervised_pipeline`] run. All zeros/empty on a clean run.
+/// a [`PipelineRunner::run`](crate::PipelineRunner::run). All
+/// zeros/empty on a clean run.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SupervisorReport {
     /// Worker panics caught.
@@ -648,16 +223,6 @@ pub struct SupervisorReport {
     pub restarts: u64,
     /// Per-event detail, in watermark order.
     pub incidents: Vec<ShardIncident>,
-}
-
-/// Output of [`run_supervised_pipeline`]: the pipeline aggregate plus
-/// the supervisor's incident record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SupervisedResult {
-    /// The usual pipeline aggregate.
-    pub pipeline: PipelineResult,
-    /// What the supervisor caught and rebuilt.
-    pub supervisor: SupervisorReport,
 }
 
 /// Registry-backed export of the shard supervisor's state
@@ -749,11 +314,13 @@ impl SupervisorTelemetry {
     }
 }
 
-/// Optional observability hooks threaded through
-/// [`run_supervised_pipeline_observed`]: per-stage latency tracing,
-/// supervisor metric export, flight-recorder mirroring, and `/health`
-/// state. Every part is independent; [`Default`] is fully disabled
-/// (zero overhead beyond an `Option` check per hook site).
+/// Optional observability hooks threaded through the supervised shard
+/// pool by
+/// [`PipelineRunner::observability`](crate::PipelineRunner::observability):
+/// per-stage latency tracing, supervisor metric export, flight-recorder
+/// mirroring, and `/health` state. Every part is independent;
+/// [`Default`] is fully disabled (zero overhead beyond an `Option` check
+/// per hook site).
 #[derive(Debug, Clone, Default)]
 pub struct PipelineObservability {
     /// Shard supervisor metric export.
@@ -809,133 +376,23 @@ impl PipelineObservability {
     }
 }
 
-/// [`run_sharded_pipeline`] with supervised workers: a panic inside a
-/// shard's decision path is caught, the poisoned shard is quarantined
-/// and rebuilt **empty and fail-open** (so its warm-up never falsely
-/// drops), and the packet that triggered the panic passes fail-open.
-/// The other `N − 1` shards keep filtering untouched, and because every
-/// sequence number still reaches the merge stage, a poisoned shard can
-/// never wedge the reorder buffer.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `PipelineRunner::new(inside, filter_config).shards(n).supervised(true).run(packets)`"
-)]
-pub fn run_supervised_pipeline<I>(
-    packets: I,
-    inside: Cidr,
-    filter_config: BitmapFilterConfig,
-    shards: usize,
-    pipeline_config: PipelineConfig,
-) -> SupervisedResult
-where
-    I: IntoIterator<Item = Packet>,
-{
-    let sharded = match ShardedFilter::builder(filter_config.clone())
-        .shards(shards)
-        .build()
-    {
-        Ok(sharded) => sharded,
-        Err(err) => panic!("{err}"),
-    };
-    let uplink = Arc::clone(sharded.uplink());
-    let quarantine = filter_config.expiry_timer();
-    let rebuild_config = filter_config.with_fail_mode(FailMode::Open);
-    let rebuild = move |_shard: usize, at: Timestamp| {
-        let mut fresh =
-            BitmapFilter::new(rebuild_config.clone()).with_shared_uplink(Arc::clone(&uplink));
-        fresh.start_cold_at(at);
-        fresh
-    };
-    supervised_pipeline_impl(
-        packets,
-        inside,
-        sharded,
-        rebuild,
-        quarantine,
-        pipeline_config,
-        &PipelineObservability::default(),
-    )
-}
+/// How many packets the ingest loop admits between `/health` watermark
+/// refreshes. Coarse on purpose: the watermark is diagnostic, and the
+/// hot loop should not take the health lock per packet.
+const HEALTH_WATERMARK_STRIDE: u64 = 1024;
 
-/// [`run_supervised_pipeline`] over a caller-built [`ShardedFilter`]
-/// and rebuild policy.
+/// Runs `packets` through the supervised shard pool described in the
+/// [module docs](self), with one worker per shard of `sharded`.
 ///
 /// `rebuild(shard, at)` must produce a replacement filter ready to take
 /// over shard `shard` at watermark `at` — typically empty, sharing the
 /// sharded filter's uplink monitor, and fail-open until it has observed
 /// `quarantine` worth of traffic. The caller keeps (a clone of)
 /// `sharded`, so per-shard state remains inspectable after the run.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `PipelineRunner` (the fault plan and supervision options cover the common \
-            cases); caller-built shard banks keep working through this shim"
-)]
-pub fn run_supervised_pipeline_with<I, F, R>(
-    packets: I,
-    inside: Cidr,
-    sharded: ShardedFilter<F>,
-    rebuild: R,
-    quarantine: TimeDelta,
-    pipeline_config: PipelineConfig,
-) -> SupervisedResult
-where
-    I: IntoIterator<Item = Packet>,
-    F: PacketFilter<Stats = FilterStats> + Send + Sync,
-    R: Fn(usize, Timestamp) -> F + Sync,
-{
-    supervised_pipeline_impl(
-        packets,
-        inside,
-        sharded,
-        rebuild,
-        quarantine,
-        pipeline_config,
-        &PipelineObservability::default(),
-    )
-}
-
-/// How many packets the ingest loop admits between `/health` watermark
-/// refreshes. Coarse on purpose: the watermark is diagnostic, and the
-/// hot loop should not take the health lock per packet.
-const HEALTH_WATERMARK_STRIDE: u64 = 1024;
-
-/// [`run_supervised_pipeline_with`] plus observability hooks: per-stage
-/// latency scopes (ingest → dispatch → decide → merge → emit),
-/// supervisor metric export, flight-recorder mirroring (with an
-/// automatic dump on each caught worker panic), and live `/health`
-/// watermark + shard state. Every hook is optional; a default
-/// [`PipelineObservability`] makes this identical to the unobserved
-/// variant.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `PipelineRunner::new(inside, filter_config).shards(n).supervised(true)\
-            .observability(obs).run(packets)`"
-)]
-pub fn run_supervised_pipeline_observed<I, F, R>(
-    packets: I,
-    inside: Cidr,
-    sharded: ShardedFilter<F>,
-    rebuild: R,
-    quarantine: TimeDelta,
-    pipeline_config: PipelineConfig,
-    obs: &PipelineObservability,
-) -> SupervisedResult
-where
-    I: IntoIterator<Item = Packet>,
-    F: PacketFilter<Stats = FilterStats> + Send + Sync,
-    R: Fn(usize, Timestamp) -> F + Sync,
-{
-    supervised_pipeline_impl(
-        packets,
-        inside,
-        sharded,
-        rebuild,
-        quarantine,
-        pipeline_config,
-        obs,
-    )
-}
-
+/// Every `obs` hook is optional: per-stage latency scopes (ingest →
+/// dispatch → decide → merge → emit), supervisor metric export,
+/// flight-recorder mirroring (with a dump on each caught panic) and live
+/// `/health` watermark + shard state.
 pub(crate) fn supervised_pipeline_impl<I, F, R>(
     packets: I,
     inside: Cidr,
@@ -944,7 +401,7 @@ pub(crate) fn supervised_pipeline_impl<I, F, R>(
     quarantine: TimeDelta,
     pipeline_config: PipelineConfig,
     obs: &PipelineObservability,
-) -> SupervisedResult
+) -> (PipelineResult, SupervisorReport)
 where
     I: IntoIterator<Item = Packet>,
     F: PacketFilter<Stats = FilterStats> + Send + Sync,
@@ -1017,16 +474,9 @@ where
             .collect();
         drop(merge_tx); // workers hold the only remaining senders
 
-        // Merge + account: identical to the unsupervised variant.
+        // Merge + account: restore sequence (= ingest) order.
         let merge_handle = scope.spawn(move |_| {
-            let mut result = PipelineResult {
-                ingested: 0,
-                passed: 0,
-                dropped: 0,
-                uplink_bytes: 0,
-                downlink_bytes: 0,
-                filter_stats: FilterStats::default(),
-            };
+            let mut result = PipelineResult::default();
             let mut next_seq = 0u64;
             let mut pending: BTreeMap<u64, (Packet, Direction, Verdict)> = BTreeMap::new();
             for (seq, packet, direction, verdict) in merge_rx {
@@ -1040,6 +490,8 @@ where
                     next_seq += 1;
                 }
             }
+            // If the ingest stage stopped early, tail sequence numbers
+            // may be sparse; drain whatever arrived.
             for (_, (packet, direction, verdict)) in pending {
                 let _t = obs.tracer.as_ref().map(|t| t.scope(Stage::Emit));
                 account(&mut result, &packet, direction, verdict);
@@ -1047,6 +499,8 @@ where
             result
         });
 
+        // Ingest on the calling thread: classify, tag with the running
+        // max-timestamp watermark, route by flow.
         let mut watermark = Timestamp::ZERO;
         let mut admitted = 0u64;
         for (seq, packet) in packets.into_iter().enumerate() {
@@ -1095,14 +549,12 @@ where
                 }
             }
         }
-        SupervisedResult {
-            pipeline,
-            supervisor: SupervisorReport {
-                panics: incidents.len() as u64,
-                restarts: incidents.len() as u64,
-                incidents,
-            },
-        }
+        let supervisor = SupervisorReport {
+            panics: incidents.len() as u64,
+            restarts: incidents.len() as u64,
+            incidents,
+        };
+        (pipeline, supervisor)
     });
     join_or_propagate(scope_result)
 }
@@ -1111,6 +563,7 @@ where
 mod tests {
     use super::*;
     use crate::runner::PipelineRunner;
+    use upbound_core::{BitmapFilter, BitmapFilterConfig, FailMode, Snapshottable};
     use upbound_traffic::{generate, TraceConfig};
 
     fn trace() -> upbound_traffic::SyntheticTrace {
@@ -1128,121 +581,59 @@ mod tests {
         "10.0.0.0/16".parse().expect("cidr")
     }
 
-    /// The single-filter pipeline, driven through the internal impl so
-    /// these tests keep exercising the engine directly (the public
-    /// surface is [`PipelineRunner`], covered in `runner.rs`).
-    fn run_plain(
-        packets: impl IntoIterator<Item = Packet>,
-        config: BitmapFilterConfig,
-        pipeline_config: PipelineConfig,
-    ) -> PipelineResult {
-        run_pipeline_with(
-            packets,
-            inside(),
-            BitmapFilter::new(config),
-            pipeline_config,
-            None,
-        )
-        .0
-    }
-
-    /// The sharded pipeline over a freshly-built shard bank — keeps the
-    /// `shards == 1` sharded path testable (the runner routes 1 shard to
-    /// the single-filter pipeline instead).
-    fn run_sharded(
+    /// The one threaded pipeline, through its public front door.
+    fn run_pool(
         packets: impl IntoIterator<Item = Packet>,
         config: BitmapFilterConfig,
         shards: usize,
         pipeline_config: PipelineConfig,
     ) -> PipelineResult {
-        let sharded = ShardedFilter::builder(config)
+        let report = PipelineRunner::new(inside(), config)
             .shards(shards)
-            .build()
-            .expect("shard bank");
-        sharded_pipeline_impl(packets, inside(), &sharded, pipeline_config)
+            .pipeline_config(pipeline_config)
+            .run(packets)
+            .expect("runner");
+        assert_eq!(report.supervisor, SupervisorReport::default());
+        report.pipeline
+    }
+
+    /// A sequential filter over the same stream, accounted the same way.
+    fn sequential(packets: &[Packet], config: BitmapFilterConfig) -> PipelineResult {
+        let mut reference = BitmapFilter::new(config);
+        let mut result = PipelineResult::default();
+        for packet in packets {
+            let direction = inside().direction_of(&packet.tuple());
+            let verdict = reference.process_packet(packet, direction);
+            account(&mut result, packet, direction, verdict);
+        }
+        result.filter_stats = reference.stats();
+        result
+    }
+
+    fn packets() -> Vec<Packet> {
+        trace().packets.iter().map(|lp| lp.packet.clone()).collect()
     }
 
     #[test]
     fn pipeline_matches_sequential_run() {
-        let trace = trace();
+        let packets = packets();
         let config = BitmapFilterConfig::paper_evaluation();
-
-        // Sequential reference.
-        let mut reference = BitmapFilter::new(config.clone());
-        let mut seq_passed = 0u64;
-        let mut seq_dropped = 0u64;
-        for lp in &trace.packets {
-            match reference.process_packet(&lp.packet, lp.direction) {
-                Verdict::Pass => seq_passed += 1,
-                Verdict::Drop => seq_dropped += 1,
-            }
+        let reference = sequential(&packets, config.clone());
+        assert_eq!(reference.ingested as usize, packets.len());
+        for shards in [1usize, 4] {
+            let result = run_pool(
+                packets.iter().cloned(),
+                config.clone(),
+                shards,
+                PipelineConfig::default(),
+            );
+            assert_eq!(result, reference, "shards = {shards}");
         }
-
-        let result = run_plain(
-            trace.packets.iter().map(|lp| lp.packet.clone()),
-            config,
-            PipelineConfig::default(),
-        );
-        assert_eq!(result.ingested as usize, trace.packets.len());
-        assert_eq!(result.passed, seq_passed);
-        assert_eq!(result.dropped, seq_dropped);
-        assert_eq!(result.filter_stats, reference.stats());
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_runner() {
-        // The `run_*` free functions are thin shims over the same impls
-        // `PipelineRunner` drives; keep them verdict-identical until
-        // they are removed.
-        let trace = trace();
-        let config = BitmapFilterConfig::paper_evaluation();
-        let packets = || trace.packets.iter().map(|lp| lp.packet.clone());
-
-        let shim = run_pipeline(
-            packets(),
-            inside(),
-            config.clone(),
-            PipelineConfig::default(),
-        );
-        let runner = PipelineRunner::new(inside(), config.clone())
-            .run(packets())
-            .expect("runner");
-        assert_eq!(shim, runner.pipeline);
-
-        let shim = run_sharded_pipeline(
-            packets(),
-            inside(),
-            config.clone(),
-            4,
-            PipelineConfig::default(),
-        );
-        let runner = PipelineRunner::new(inside(), config.clone())
-            .shards(4)
-            .run(packets())
-            .expect("runner");
-        assert_eq!(shim, runner.pipeline);
-
-        let shim = run_supervised_pipeline(
-            packets(),
-            inside(),
-            config.clone(),
-            4,
-            PipelineConfig::default(),
-        );
-        let runner = PipelineRunner::new(inside(), config)
-            .shards(4)
-            .supervised(true)
-            .run(packets())
-            .expect("runner");
-        assert_eq!(shim.pipeline, runner.pipeline);
-        assert_eq!(shim.supervisor, runner.supervisor);
-        assert_eq!(runner.distortion, None);
-    }
-
-    #[test]
-    fn instrumented_pipeline_matches_sequential_with_observer() {
-        use upbound_core::TelemetryObserver;
+    fn observed_filter_journal_matches_sequential() {
+        use upbound_core::{FlowHash, TelemetryObserver};
 
         let trace = trace();
         let config = BitmapFilterConfig::paper_evaluation();
@@ -1257,37 +648,48 @@ mod tests {
             reference.process_packet(&lp.packet, lp.direction);
         }
 
-        // Pipeline run with its own observer plus stage metrics.
-        let pipe_registry = Registry::new();
-        let telemetry = PipelineTelemetry::new(&pipe_registry);
+        // A one-shard pool over an observed filter.
+        let pool_registry = Registry::new();
+        let uplink = Arc::new(config.uplink_monitor());
         let observed = BitmapFilter::with_observer(
-            config,
-            TelemetryObserver::new(&pipe_registry, "core", 256),
+            config.clone(),
+            TelemetryObserver::new(&pool_registry, "core", 256),
+        )
+        .with_shared_uplink(Arc::clone(&uplink));
+        let sharded = ShardedFilter::from_shards(
+            FlowHash::new(config.hole_punching()),
+            uplink,
+            vec![observed],
         );
-        let (result, filter) = run_pipeline_instrumented(
+        let (result, supervisor) = supervised_pipeline_impl(
             trace.packets.iter().map(|lp| lp.packet.clone()),
             inside(),
-            observed,
+            sharded.clone(),
+            |_, _| unreachable!("no shard panics"),
+            config.expiry_timer(),
             PipelineConfig {
-                // A tiny channel forces backpressure, exercising the
-                // stall-counting send path without changing verdicts.
+                // A tiny channel forces backpressure without changing
+                // verdicts.
                 channel_capacity: 2,
                 ..PipelineConfig::default()
             },
-            &telemetry,
+            &PipelineObservability::default(),
         );
+        assert_eq!(supervisor, SupervisorReport::default());
 
         // Verdict-for-verdict determinism: same filter counters and the
         // exact same journal (events carry P_d and uplink estimates, so
         // this checks the full observed operating-point sequence too).
         assert_eq!(result.filter_stats, reference.stats());
         let seq_events: Vec<_> = reference.observer().journal().iter().copied().collect();
-        let pipe_events: Vec<_> = filter.observer().journal().iter().copied().collect();
-        assert_eq!(seq_events, pipe_events);
-        assert!(!pipe_events.is_empty(), "trace should produce events");
+        let pool_events: Vec<_> = sharded
+            .with_shard(0, |f| f.observer().journal().iter().copied().collect())
+            .expect("shard 0");
+        assert_eq!(seq_events, pool_events);
+        assert!(!pool_events.is_empty(), "trace should produce events");
 
         let seq_snap = seq_registry.snapshot();
-        let pipe_snap = pipe_registry.snapshot();
+        let pool_snap = pool_registry.snapshot();
         for name in [
             "upbound_core_outbound_packets_total",
             "upbound_core_inbound_pass_total",
@@ -1295,107 +697,63 @@ mod tests {
             "upbound_core_drops_red_total",
             "upbound_core_rotations_total",
         ] {
-            assert_eq!(seq_snap.counter(name), pipe_snap.counter(name), "{name}");
+            assert_eq!(seq_snap.counter(name), pool_snap.counter(name), "{name}");
         }
-
-        // Stage metrics are internally consistent.
-        assert_eq!(
-            pipe_snap.counter("upbound_sim_ingest_packets_total"),
-            Some(result.ingested)
-        );
-        assert_eq!(
-            pipe_snap.counter("upbound_sim_filter_packets_total"),
-            Some(result.ingested)
-        );
-        assert_eq!(
-            pipe_snap.counter("upbound_sim_account_packets_total"),
-            Some(result.ingested)
-        );
-        assert_eq!(
-            pipe_snap.counter("upbound_sim_account_forwarded_bytes_total"),
-            Some(result.uplink_bytes + result.downlink_bytes)
-        );
     }
 
     #[test]
     fn tiny_channels_still_drain_everything() {
-        let trace = trace();
-        let result = run_plain(
-            trace.packets.iter().map(|lp| lp.packet.clone()),
-            BitmapFilterConfig::paper_evaluation(),
-            PipelineConfig {
-                channel_capacity: 1,
-                ..PipelineConfig::default()
-            },
-        );
-        assert_eq!(result.ingested as usize, trace.packets.len());
-        assert_eq!(result.passed + result.dropped, result.ingested);
+        let packets = packets();
+        for shards in [1usize, 3] {
+            let result = run_pool(
+                packets.iter().cloned(),
+                BitmapFilterConfig::paper_evaluation(),
+                shards,
+                PipelineConfig {
+                    channel_capacity: 1,
+                    ..PipelineConfig::default()
+                },
+            );
+            assert_eq!(result.ingested as usize, packets.len(), "shards = {shards}");
+            assert_eq!(result.passed + result.dropped, result.ingested);
+        }
     }
 
     #[test]
     fn empty_input_shuts_down_cleanly() {
-        let result = run_plain(
-            std::iter::empty(),
-            BitmapFilterConfig::paper_evaluation(),
-            PipelineConfig::default(),
-        );
-        assert_eq!(result.ingested, 0);
-        assert_eq!(result.passed, 0);
-        assert_eq!(result.dropped, 0);
-    }
-
-    #[test]
-    fn sharded_pipeline_matches_sequential_run() {
-        let trace = trace();
-        let config = BitmapFilterConfig::paper_evaluation();
-
-        let reference = run_plain(
-            trace.packets.iter().map(|lp| lp.packet.clone()),
-            config.clone(),
-            PipelineConfig::default(),
-        );
-
         for shards in [1usize, 4] {
-            let result = run_sharded(
-                trace.packets.iter().map(|lp| lp.packet.clone()),
-                config.clone(),
+            let result = run_pool(
+                std::iter::empty(),
+                BitmapFilterConfig::paper_evaluation(),
                 shards,
                 PipelineConfig::default(),
             );
-            assert_eq!(result, reference, "shards = {shards}");
+            assert_eq!(result, PipelineResult::default(), "shards = {shards}");
         }
     }
 
     #[test]
     fn batch_size_does_not_change_results() {
-        let trace = trace();
+        let packets = packets();
         let config = BitmapFilterConfig::paper_evaluation();
-        let reference = run_plain(
-            trace.packets.iter().map(|lp| lp.packet.clone()),
-            config.clone(),
-            PipelineConfig {
-                batch_size: 1,
-                ..PipelineConfig::default()
-            },
-        );
+        let reference = sequential(&packets, config.clone());
         for batch_size in [0usize, 3, 64, 4096] {
             let pipeline_config = PipelineConfig {
                 batch_size,
                 ..PipelineConfig::default()
             };
-            let single = run_plain(
-                trace.packets.iter().map(|lp| lp.packet.clone()),
-                config.clone(),
-                pipeline_config,
-            );
-            assert_eq!(single, reference, "batch_size = {batch_size}");
-            let sharded = run_sharded(
-                trace.packets.iter().map(|lp| lp.packet.clone()),
-                config.clone(),
-                4,
-                pipeline_config,
-            );
-            assert_eq!(sharded, reference, "sharded batch_size = {batch_size}");
+            for shards in [1usize, 4] {
+                let result = run_pool(
+                    packets.iter().cloned(),
+                    config.clone(),
+                    shards,
+                    pipeline_config,
+                );
+                assert_eq!(
+                    result, reference,
+                    "shards {shards}, batch_size {batch_size}"
+                );
+            }
         }
     }
 
@@ -1403,11 +761,10 @@ mod tests {
     fn sharded_pipeline_matches_sequential_on_nonmonotonic_trace() {
         // Deterministically scramble the trace's timestamp order (swap
         // timestamps pairwise within a stride) and inject a far-future
-        // outlier, then assert the sharded pipeline still produces the
-        // sequential verdict stream for shards ∈ {1, 4}.
-        let trace = trace();
+        // outlier, then assert the pool still produces the sequential
+        // verdict stream for shards ∈ {1, 4}.
         let config = BitmapFilterConfig::paper_evaluation();
-        let mut packets: Vec<Packet> = trace.packets.iter().map(|lp| lp.packet.clone()).collect();
+        let mut packets = packets();
         for i in (0..packets.len().saturating_sub(7)).step_by(7) {
             let a = packets[i].ts();
             let b = packets[i + 6].ts();
@@ -1418,77 +775,18 @@ mod tests {
         let far = packets[mid].ts() + upbound_net::TimeDelta::from_secs(40_000.0);
         packets[mid] = packets[mid].clone().with_ts(far);
 
-        // Sequential reference over the scrambled stream.
-        let mut reference = BitmapFilter::new(config.clone());
-        let mut seq_passed = 0u64;
-        let mut seq_dropped = 0u64;
-        for packet in &packets {
-            let direction = inside().direction_of(&packet.tuple());
-            match reference.process_packet(packet, direction) {
-                Verdict::Pass => seq_passed += 1,
-                Verdict::Drop => seq_dropped += 1,
-            }
-        }
-
+        let reference = sequential(&packets, config.clone());
         for shards in [1usize, 4] {
-            let result = run_sharded(
+            let result = run_pool(
                 packets.iter().cloned(),
                 config.clone(),
                 shards,
                 PipelineConfig::default(),
             );
             assert_eq!(result.ingested as usize, packets.len());
-            assert_eq!(result.passed, seq_passed, "shards = {shards}");
-            assert_eq!(result.dropped, seq_dropped, "shards = {shards}");
+            assert_eq!(result.passed, reference.passed, "shards = {shards}");
+            assert_eq!(result.dropped, reference.dropped, "shards = {shards}");
         }
-    }
-
-    #[test]
-    fn sharded_pipeline_tiny_channels_still_drain_everything() {
-        let trace = trace();
-        let result = run_sharded(
-            trace.packets.iter().map(|lp| lp.packet.clone()),
-            BitmapFilterConfig::paper_evaluation(),
-            3,
-            PipelineConfig {
-                channel_capacity: 1,
-                ..PipelineConfig::default()
-            },
-        );
-        assert_eq!(result.ingested as usize, trace.packets.len());
-        assert_eq!(result.passed + result.dropped, result.ingested);
-    }
-
-    #[test]
-    fn sharded_pipeline_empty_input_shuts_down_cleanly() {
-        let result = run_sharded(
-            std::iter::empty(),
-            BitmapFilterConfig::paper_evaluation(),
-            4,
-            PipelineConfig::default(),
-        );
-        assert_eq!(result.ingested, 0);
-        assert_eq!(result.passed, 0);
-        assert_eq!(result.dropped, 0);
-    }
-
-    #[test]
-    fn supervised_pipeline_without_panics_matches_sharded() {
-        let trace = trace();
-        let config = BitmapFilterConfig::paper_evaluation();
-        let reference = run_sharded(
-            trace.packets.iter().map(|lp| lp.packet.clone()),
-            config.clone(),
-            4,
-            PipelineConfig::default(),
-        );
-        let supervised = PipelineRunner::new(inside(), config)
-            .shards(4)
-            .supervised(true)
-            .run(trace.packets.iter().map(|lp| lp.packet.clone()))
-            .expect("runner");
-        assert_eq!(supervised.pipeline, reference);
-        assert_eq!(supervised.supervisor, SupervisorReport::default());
     }
 
     /// A filter that delegates to an inner [`BitmapFilter`] but panics
@@ -1584,7 +882,7 @@ mod tests {
                     trip_port: None,
                 }
             };
-            let result = supervised_pipeline_impl(
+            let (pipeline, supervisor) = supervised_pipeline_impl(
                 packets.iter().cloned(),
                 inside(),
                 sharded.clone(),
@@ -1596,33 +894,25 @@ mod tests {
             let shard_stats: Vec<FilterStats> = (0..shards)
                 .map(|i| sharded.with_shard(i, |f| f.stats()).unwrap())
                 .collect();
-            (result, shard_stats)
+            (pipeline, supervisor, shard_stats)
         };
 
-        let (clean, clean_stats) = run(None);
-        let (faulted, faulted_stats) = run(Some(trip_port));
+        let (_, clean, clean_stats) = run(None);
+        let (pipeline, faulted, faulted_stats) = run(Some(trip_port));
 
         // The supervisor caught at least one panic, quarantined only
         // the victim shard, and every packet still drained through the
         // merge stage (nothing wedged, nothing lost).
-        assert!(faulted.supervisor.panics >= 1);
-        assert_eq!(faulted.supervisor.panics, faulted.supervisor.restarts);
+        assert!(faulted.panics >= 1);
+        assert_eq!(faulted.panics, faulted.restarts);
+        assert!(faulted.incidents.iter().all(|i| i.shard == victim));
         assert!(faulted
-            .supervisor
-            .incidents
-            .iter()
-            .all(|i| i.shard == victim));
-        assert!(faulted
-            .supervisor
             .incidents
             .iter()
             .all(|i| i.quarantined_until == i.at + config.expiry_timer()));
-        assert_eq!(faulted.pipeline.ingested as usize, packets.len());
-        assert_eq!(
-            faulted.pipeline.passed + faulted.pipeline.dropped,
-            faulted.pipeline.ingested
-        );
-        assert_eq!(clean.supervisor, SupervisorReport::default());
+        assert_eq!(pipeline.ingested as usize, packets.len());
+        assert_eq!(pipeline.passed + pipeline.dropped, pipeline.ingested);
+        assert_eq!(clean, SupervisorReport::default());
 
         // Sequential-equivalence for survivors: every shard except the
         // victim ends with byte-identical counters to the clean run.
@@ -1675,7 +965,7 @@ mod tests {
                 trip_port: None,
             }
         };
-        let result = supervised_pipeline_impl(
+        let (_, supervisor) = supervised_pipeline_impl(
             packets.iter().cloned(),
             inside(),
             sharded,
@@ -1684,7 +974,7 @@ mod tests {
             PipelineConfig::default(),
             &obs,
         );
-        assert!(result.supervisor.panics >= 1);
+        assert!(supervisor.panics >= 1);
 
         // Supervisor counters mirror the in-memory report.
         let snapshot = registry.snapshot();
@@ -1692,17 +982,14 @@ mod tests {
             Some(MetricValue::Counter(v)) => *v,
             other => panic!("{name} missing or not a counter: {other:?}"),
         };
-        assert_eq!(
-            counter("upbound_sim_shard_panics_total"),
-            result.supervisor.panics
-        );
+        assert_eq!(counter("upbound_sim_shard_panics_total"), supervisor.panics);
         assert_eq!(
             counter("upbound_sim_shard_restarts_total"),
-            result.supervisor.restarts
+            supervisor.restarts
         );
         assert_eq!(
             counter("upbound_sim_shard_incidents_total"),
-            result.supervisor.incidents.len() as u64
+            supervisor.incidents.len() as u64
         );
 
         // Stage tracing recorded latency for every stage that saw work.
@@ -1755,14 +1042,7 @@ mod tests {
         let mut reference = SubscriberTable::new();
         provision(&mut reference);
         let classifier = reference.classifier();
-        let mut seq = PipelineResult {
-            ingested: 0,
-            passed: 0,
-            dropped: 0,
-            uplink_bytes: 0,
-            downlink_bytes: 0,
-            filter_stats: FilterStats::default(),
-        };
+        let mut seq = PipelineResult::default();
         for packet in &packets {
             let direction = classifier.direction_of(packet);
             let verdict = reference.process_packet(packet);
@@ -1798,13 +1078,14 @@ mod tests {
     #[test]
     fn byte_accounting_matches_directions() {
         let trace = trace();
-        let result = run_plain(
+        let result = run_pool(
             trace.packets.iter().map(|lp| lp.packet.clone()),
             // Pd = 0 under no load (high thresholds): everything passes.
             BitmapFilterConfig::builder()
                 .drop_policy(upbound_core::DropPolicy::new(1e12, 2e12).expect("valid"))
                 .build()
                 .expect("valid"),
+            1,
             PipelineConfig::default(),
         );
         assert_eq!(result.dropped, 0);

@@ -1,12 +1,10 @@
 //! The trace-replay engine.
 
-use crate::fault::{AtomicCheckpointSink, CheckpointSink};
 use crate::{OracleFilter, PacketFilter};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::collections::HashSet;
-use std::path::Path;
-use upbound_core::{SnapshotError, Snapshottable, SubscriberTable, Verdict};
+use upbound_core::{SubscriberTable, Verdict};
 use upbound_net::pcap::{IngestStats, PcapReader};
 use upbound_net::{
     Cidr, Direction, FiveTuple, NetError, Packet, PacketSource, SourcePoll, TimeDelta, Timestamp,
@@ -157,110 +155,6 @@ impl ReplayEngine {
         )
     }
 
-    /// Like [`run`](Self::run), but additionally writes an atomic
-    /// checkpoint of `filter` to `path` every `every` of **trace time**
-    /// (the cadence a crash-safe deployment would use), plus one final
-    /// checkpoint at end-of-trace. Returns the replay metrics and how
-    /// many checkpoints were written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first checkpoint write failure as
-    /// [`SnapshotError::Io`]; the replay stops at the failing packet.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PipelineRunner::new(inside, config).checkpoint(path, every).measure(trace)`"
-    )]
-    pub fn run_checkpointed<F>(
-        &self,
-        trace: &SyntheticTrace,
-        filter: &mut F,
-        path: &Path,
-        every: TimeDelta,
-    ) -> Result<(ReplayResult, u64), SnapshotError>
-    where
-        F: PacketFilter + Snapshottable,
-    {
-        self.checkpointed_impl(trace, filter, path, every, &mut AtomicCheckpointSink)
-    }
-
-    /// [`run_checkpointed`](Self::run_checkpointed) through a
-    /// caller-supplied [`CheckpointSink`] — the injectable write layer
-    /// the fault-injection subsystem uses to exercise checkpoint I/O
-    /// failure without touching the filesystem's failure modes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first checkpoint write failure from the sink; the
-    /// replay stops at the failing packet.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PipelineRunner::new(inside, config).checkpoint(path, every).measure(trace)`; \
-                fault-injection tests that need a custom sink call the internal impl"
-    )]
-    pub fn run_checkpointed_with<F, S>(
-        &self,
-        trace: &SyntheticTrace,
-        filter: &mut F,
-        path: &Path,
-        every: TimeDelta,
-        sink: &mut S,
-    ) -> Result<(ReplayResult, u64), SnapshotError>
-    where
-        F: PacketFilter + Snapshottable,
-        S: CheckpointSink,
-    {
-        self.checkpointed_impl(trace, filter, path, every, sink)
-    }
-
-    pub(crate) fn checkpointed_impl<F, S>(
-        &self,
-        trace: &SyntheticTrace,
-        filter: &mut F,
-        path: &Path,
-        every: TimeDelta,
-        sink: &mut S,
-    ) -> Result<(ReplayResult, u64), SnapshotError>
-    where
-        F: PacketFilter + Snapshottable,
-        S: CheckpointSink,
-    {
-        let mut written = 0u64;
-        let mut failure: Option<SnapshotError> = None;
-        let mut next_due: Option<Timestamp> = None;
-        let mut watermark = Timestamp::ZERO;
-        let result = self.run_iter_with(
-            filter,
-            trace.packets.iter().map(|lp| (&lp.packet, lp.direction)),
-            |f, now| {
-                if failure.is_some() {
-                    return false;
-                }
-                watermark = watermark.max(now);
-                let due = *next_due.get_or_insert(watermark + every);
-                if watermark >= due {
-                    match sink.write(path, &f.snapshot_bytes(watermark)) {
-                        Ok(()) => {
-                            written += 1;
-                            next_due = Some(due + every);
-                        }
-                        Err(e) => {
-                            failure = Some(e);
-                            return false;
-                        }
-                    }
-                }
-                true
-            },
-        );
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        sink.write(path, &filter.snapshot_bytes(watermark))?;
-        written += 1;
-        Ok((result, written))
-    }
-
     /// Replays `trace` through a multi-tenant [`SubscriberTable`].
     ///
     /// The trace's own direction labels are ignored: each packet's
@@ -271,18 +165,6 @@ impl ReplayEngine {
     /// once. Per-tenant results remain available from the table
     /// afterwards via
     /// [`per_subscriber_stats`](SubscriberTable::per_subscriber_stats).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PipelineRunner::new(inside, config).measure_subscribers(trace, table)`"
-    )]
-    pub fn run_subscribers<F: PacketFilter>(
-        &self,
-        trace: &SyntheticTrace,
-        table: &mut SubscriberTable<F>,
-    ) -> ReplayResult {
-        self.subscribers_impl(trace, table)
-    }
-
     pub(crate) fn subscribers_impl<F: PacketFilter>(
         &self,
         trace: &SyntheticTrace,
@@ -360,7 +242,8 @@ impl ReplayEngine {
         F: PacketFilter,
         S: PacketSource + ?Sized,
     {
-        self.run_source_with(source, filter, |_, _| true)
+        let result = self.run_source_with(source, filter, |_, _| true)?;
+        Ok((result, source.stats()))
     }
 
     /// [`run_source`](Self::run_source) with the flush hook of
@@ -371,22 +254,16 @@ impl ReplayEngine {
         source: &mut S,
         filter: &mut F,
         tick: impl FnMut(&mut F, Timestamp) -> bool,
-    ) -> Result<(ReplayResult, IngestStats), NetError>
+    ) -> Result<ReplayResult, NetError>
     where
         F: PacketFilter,
         S: PacketSource + ?Sized,
     {
         let mut error = None;
-        let iter = SourceIter {
-            source: &mut *source,
-            chunk: Vec::with_capacity(SOURCE_CHUNK),
-            buf: Vec::new(),
-            error: &mut error,
-        };
-        let result = self.run_iter_with(filter, iter, tick);
+        let result = self.run_iter_with(filter, SourceIter::new(source, &mut error), tick);
         match error {
             Some(err) => Err(err),
-            None => Ok((result, source.stats())),
+            None => Ok(result),
         }
     }
 
@@ -413,7 +290,7 @@ impl ReplayEngine {
     /// pre-filter accounting at staging time, both independent of the
     /// filter) makes the batched loop byte-identical to the per-packet
     /// loop at every batch size.
-    fn run_iter_with<F, P, I>(
+    pub(crate) fn run_iter_with<F, P, I>(
         &self,
         filter: &mut F,
         packets: I,
@@ -586,14 +463,27 @@ const SOURCE_CHUNK: usize = 256;
 /// [`SourcePoll::Idle`].
 const IDLE_SLEEP: std::time::Duration = std::time::Duration::from_millis(1);
 
-/// Adapts a [`PacketSource`] to the `(Packet, Direction)` iterator the
-/// replay loop consumes. A source error ends the iteration and is parked
-/// in `error` for the caller to surface.
-struct SourceIter<'a, S: PacketSource + ?Sized> {
+/// Adapts a [`PacketSource`] to a `(Packet, Direction)` iterator — the
+/// shape both the replay loop and the threaded pipeline consume. A
+/// source error ends the iteration and is parked in `error` for the
+/// caller to surface.
+pub(crate) struct SourceIter<'a, S: PacketSource + ?Sized> {
     source: &'a mut S,
     chunk: Vec<(Packet, Direction)>,
     buf: Vec<(Packet, Direction)>,
     error: &'a mut Option<NetError>,
+}
+
+impl<'a, S: PacketSource + ?Sized> SourceIter<'a, S> {
+    /// Streams `source`, parking its first error in `error`.
+    pub(crate) fn new(source: &'a mut S, error: &'a mut Option<NetError>) -> Self {
+        Self {
+            source,
+            chunk: Vec::with_capacity(SOURCE_CHUNK),
+            buf: Vec::new(),
+            error,
+        }
+    }
 }
 
 impl<S: PacketSource + ?Sized> Iterator for SourceIter<'_, S> {
@@ -626,7 +516,7 @@ impl<S: PacketSource + ?Sized> Iterator for SourceIter<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use upbound_core::{BitmapFilter, BitmapFilterConfig};
+    use upbound_core::{BitmapFilter, BitmapFilterConfig, Snapshottable};
     use upbound_spi::{SpiConfig, SpiFilter};
     use upbound_traffic::{generate, TraceConfig};
 
@@ -758,28 +648,26 @@ mod tests {
     #[test]
     fn checkpointed_replay_matches_plain_and_restores() {
         let trace = trace(9);
-        let engine = ReplayEngine::new(ReplayConfig::default());
-        let expected = engine.run(&trace, &mut bitmap());
+        let expected = ReplayEngine::new(ReplayConfig::default()).run(&trace, &mut bitmap());
 
         let dir = std::env::temp_dir().join(format!("upbound-replay-ckpt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("filter.snap");
 
-        let mut filter = bitmap();
-        let (result, written) = engine
-            .checkpointed_impl(
-                &trace,
-                &mut filter,
-                &path,
-                TimeDelta::from_secs(10.0),
-                &mut AtomicCheckpointSink,
-            )
+        let net: Cidr = "10.0.0.0/16".parse().unwrap();
+        let measured = crate::PipelineRunner::new(net, BitmapFilterConfig::paper_evaluation())
+            .checkpoint(&path, TimeDelta::from_secs(10.0))
+            .measure(&trace)
             .unwrap();
         // The checkpoint hook must not perturb the replay itself.
-        assert_eq!(result, expected);
+        assert_eq!(measured.replay, expected);
         // A 60 s trace at a 10 s cadence: several periodic checkpoints
         // plus the final one.
-        assert!(written >= 4, "only {written} checkpoints written");
+        assert!(
+            measured.checkpoints >= 4,
+            "only {} checkpoints written",
+            measured.checkpoints
+        );
 
         // The final checkpoint restores to the exact end-of-trace state.
         let bytes = std::fs::read(&path).unwrap();
@@ -789,7 +677,7 @@ mod tests {
             .restore_bytes(&bytes, end, TimeDelta::from_secs(3600.0))
             .unwrap();
         assert_eq!(outcome, upbound_core::RestoreOutcome::Warm);
-        assert_eq!(restored.stats(), filter.stats());
+        assert_eq!(restored.stats(), bitmap_reference_stats(&trace));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,17 +1,11 @@
 //! [`PipelineRunner`] — the one front door to every dataplane shape.
 //!
-//! Historically each deployment shape had its own free function
-//! (`run_pipeline`, `run_sharded_pipeline`, `run_supervised_pipeline`,
-//! `run_faulted_pipeline`, …) and each acquisition path its own engine
-//! entry point (`ReplayEngine::run`, `run_capture`, `run_checkpointed`).
-//! Every new axis (shards, supervision, fault plans, checkpoints,
-//! observability) multiplied the function count. The runner collapses
-//! the matrix into one builder:
+//! Every axis (shards, overload policy, fault plans, observability,
+//! checkpoints) is a builder option instead of a function of its own:
 //!
 //! ```text
 //! PipelineRunner::new(inside, filter_config)
 //!     .shards(4)                 // scale the filter stage out
-//!     .supervised(true)          // catch + quarantine worker panics
 //!     .overload_policy(policy)   // degradation ladder
 //!     .fault_plan(plan)          // deterministic chaos
 //!     .observability(obs)        // tracing / flight recorder / health
@@ -22,7 +16,9 @@
 //! Terminal methods pick the execution engine:
 //!
 //! * [`run`](PipelineRunner::run) / [`run_source`](PipelineRunner::run_source)
-//!   — the threaded deployment pipeline ([`PipelineResult`] semantics).
+//!   — the threaded deployment pipeline, a supervised shard pool that
+//!   quarantines a panicking shard instead of failing the run
+//!   ([`PipelineResult`] semantics).
 //! * [`measure`](PipelineRunner::measure) /
 //!   [`measure_source`](PipelineRunner::measure_source) — the
 //!   paper-faithful [`ReplayEngine`] with oracle scoring and the
@@ -44,12 +40,15 @@
 //! a final checkpoint if checkpointing is configured, and returns — the
 //! same graceful path end-of-stream takes.
 
-use crate::fault::{faulted_pipeline_impl, AtomicCheckpointSink, DistortionReport, FaultPlan};
-use crate::pipeline::{
-    run_pipeline_with, sharded_pipeline_impl, subscriber_pipeline_impl, supervised_pipeline_impl,
-    PipelineConfig, PipelineObservability, PipelineResult, PipelineTelemetry, SupervisorReport,
+use crate::fault::{
+    AtomicCheckpointSink, CheckpointSink, DistortionReport, FaultPlan, FaultingCheckpointSink,
+    FaultingFilter, PlannedInjector,
 };
-use crate::replay::{ReplayConfig, ReplayEngine, ReplayResult};
+use crate::pipeline::{
+    subscriber_pipeline_impl, supervised_pipeline_impl, PipelineConfig, PipelineObservability,
+    PipelineResult, SupervisorReport,
+};
+use crate::replay::{ReplayConfig, ReplayEngine, ReplayResult, SourceIter};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,8 +56,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use upbound_core::{
     BitmapFilter, BitmapFilterConfig, ConfigCell, ConfigError, DropPolicy, FailMode, FilterStats,
-    OverloadPolicy, PacketFilter, RuntimeOverrides, ShardedFilter, SnapshotError, Snapshottable,
-    SubscriberTable, Verdict,
+    FlowHash, OverloadPolicy, PacketFilter, RuntimeOverrides, ShardedFilter, SnapshotError,
+    Snapshottable, SubscriberTable, ThroughputMonitor, Verdict,
 };
 use upbound_net::pcap::IngestStats;
 use upbound_net::{
@@ -66,9 +65,6 @@ use upbound_net::{
 };
 use upbound_telemetry::{Counter, Gauge, Registry};
 use upbound_traffic::SyntheticTrace;
-
-/// Packets pulled from a [`PacketSource`] per drain poll.
-const DRAIN_CHUNK: usize = 256;
 
 /// Why a [`PipelineRunner`] terminal method failed.
 #[derive(Debug)]
@@ -126,8 +122,7 @@ impl From<SnapshotError> for RunnerError {
 pub struct RunReport {
     /// The usual pipeline aggregate.
     pub pipeline: PipelineResult,
-    /// What the supervisor caught and rebuilt. All zeros unless
-    /// supervision (or a fault plan) was enabled.
+    /// What the supervisor caught and rebuilt. All zeros on a clean run.
     pub supervisor: SupervisorReport,
     /// What the fault plan's distortion pass touched; `None` without a
     /// fault plan.
@@ -363,19 +358,17 @@ pub struct PipelineRunner {
     replay: ReplayConfig,
     pipeline: PipelineConfig,
     shards: usize,
-    supervised: bool,
     overload: OverloadPolicy,
     fault: FaultPlan,
     obs: PipelineObservability,
-    telemetry: Option<PipelineTelemetry>,
     checkpoint: Option<(PathBuf, TimeDelta)>,
 }
 
 impl PipelineRunner {
     /// A runner over `filter_config`, classifying direction against the
-    /// client network `inside`. Defaults: 1 shard, unsupervised, no
-    /// overload ladder, no fault plan, no checkpointing, default replay
-    /// and pipeline tuning.
+    /// client network `inside`. Defaults: 1 shard, no overload ladder,
+    /// no fault plan, no observability hooks, no checkpointing, default
+    /// replay and pipeline tuning.
     pub fn new(inside: Cidr, filter_config: BitmapFilterConfig) -> Self {
         Self {
             inside,
@@ -383,11 +376,9 @@ impl PipelineRunner {
             replay: ReplayConfig::default(),
             pipeline: PipelineConfig::default(),
             shards: 1,
-            supervised: false,
             overload: OverloadPolicy::off(),
             fault: FaultPlan::none(),
             obs: PipelineObservability::default(),
-            telemetry: None,
             checkpoint: None,
         }
     }
@@ -407,17 +398,9 @@ impl PipelineRunner {
     }
 
     /// Scales the filter stage to `shards` workers over a
-    /// [`ShardedFilter`]. `0` is treated as `1`; `1` keeps the
-    /// single-filter stage.
+    /// [`ShardedFilter`]. `0` is treated as `1`.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Catches filter-worker panics, quarantining and rebuilding the
-    /// poisoned shard fail-open while the survivors keep filtering.
-    pub fn supervised(mut self, supervised: bool) -> Self {
-        self.supervised = supervised;
         self
     }
 
@@ -427,25 +410,20 @@ impl PipelineRunner {
         self
     }
 
-    /// Applies a deterministic fault plan: the stream is distorted and
-    /// the decide path panics on the plan's schedule, under supervision.
-    /// Implies the supervised sharded pipeline for [`run`](Self::run).
+    /// Applies a deterministic fault plan. [`run`](Self::run) distorts
+    /// the stream and lets each shard panic on the plan's schedule;
+    /// [`measure`](Self::measure) and
+    /// [`measure_source`](Self::measure_source) fail checkpoint writes
+    /// on it.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = plan;
         self
     }
 
     /// Observability hooks (latency tracing, supervisor export, flight
-    /// recorder, `/health` state) for the supervised pipeline.
+    /// recorder, `/health` state) for [`run`](Self::run).
     pub fn observability(mut self, obs: PipelineObservability) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Per-stage pipeline metrics for the single-filter
-    /// [`run`](Self::run) path.
-    pub fn telemetry(mut self, telemetry: PipelineTelemetry) -> Self {
-        self.telemetry = Some(telemetry);
         self
     }
 
@@ -476,114 +454,107 @@ impl PipelineRunner {
         builder.build().map_err(RunnerError::Config)
     }
 
-    /// Runs `packets` through the configured threaded pipeline.
-    ///
-    /// Dispatch: a non-empty fault plan takes the supervised chaos path;
-    /// `supervised(true)` the supervised sharded path; `shards(n > 1)`
-    /// the plain sharded path; otherwise the three-stage single-filter
-    /// pipeline (with per-stage metrics when [`telemetry`](Self::telemetry)
-    /// is set).
+    /// One shard filter built from the runner's full configuration —
+    /// the overload policy included — measuring upload through the
+    /// pool's shared `uplink` monitor.
+    fn shard(&self, config: BitmapFilterConfig, uplink: &Arc<ThroughputMonitor>) -> BitmapFilter {
+        BitmapFilter::new(config)
+            .with_shared_uplink(Arc::clone(uplink))
+            .with_overload_policy(self.overload.clone())
+    }
+
+    /// Runs `packets` through the threaded pipeline: a supervised pool
+    /// with one worker per shard (see [`pipeline`](crate::pipeline)). A
+    /// panic in a shard's decide path quarantines that shard — it is
+    /// rebuilt empty and fail-open — while the other shards keep
+    /// filtering. A non-empty fault plan first distorts the stream (which
+    /// collects it) and arms every initial shard with the plan's panic
+    /// budget; rebuilt shards come back disarmed.
     ///
     /// # Errors
     ///
-    /// [`RunnerError::Config`] when the filter configuration cannot
-    /// build a shard bank.
+    /// None today: the shard count is clamped to at least 1, so the
+    /// pool always builds.
     pub fn run<I>(&self, packets: I) -> Result<RunReport, RunnerError>
     where
         I: IntoIterator<Item = Packet>,
     {
-        if !self.fault.is_none() {
-            let (result, distortion) = faulted_pipeline_impl(
-                packets,
-                self.inside,
-                self.filter.clone(),
-                self.shards,
-                self.pipeline,
-                &self.fault,
-                &self.obs,
-            );
-            return Ok(RunReport {
-                pipeline: result.pipeline,
-                supervisor: result.supervisor,
-                distortion: Some(distortion),
-            });
-        }
-        if self.supervised {
-            let sharded = self.build_sharded()?;
-            let uplink = Arc::clone(sharded.uplink());
-            let quarantine = self.filter.expiry_timer();
-            let rebuild_config = self.filter.clone().with_fail_mode(FailMode::Open);
-            let rebuild = move |_shard: usize, at: Timestamp| {
-                let mut fresh = BitmapFilter::new(rebuild_config.clone())
-                    .with_shared_uplink(Arc::clone(&uplink));
-                fresh.start_cold_at(at);
-                fresh
-            };
-            let result = supervised_pipeline_impl(
-                packets,
-                self.inside,
-                sharded,
-                rebuild,
-                quarantine,
-                self.pipeline,
-                &self.obs,
-            );
-            return Ok(RunReport {
-                pipeline: result.pipeline,
-                supervisor: result.supervisor,
-                distortion: None,
-            });
-        }
-        if self.shards > 1 {
-            let sharded = self.build_sharded()?;
-            let pipeline = sharded_pipeline_impl(packets, self.inside, &sharded, self.pipeline);
+        if self.fault.is_none() {
+            let (pipeline, supervisor) = self.pool(packets);
             return Ok(RunReport {
                 pipeline,
-                supervisor: SupervisorReport::default(),
+                supervisor,
                 distortion: None,
             });
         }
-        let filter =
-            BitmapFilter::new(self.filter.clone()).with_overload_policy(self.overload.clone());
-        let (pipeline, _filter) = run_pipeline_with(
-            packets,
-            self.inside,
-            filter,
-            self.pipeline,
-            self.telemetry.as_ref(),
-        );
+        let (packets, distortion) = self.fault.distort_stream(packets.into_iter().collect());
+        let (pipeline, supervisor) = self.pool(packets);
         Ok(RunReport {
             pipeline,
-            supervisor: SupervisorReport::default(),
-            distortion: None,
+            supervisor,
+            distortion: Some(distortion),
         })
     }
 
-    /// Drains a **finite** [`PacketSource`] and runs the result through
-    /// [`run`](Self::run). For endless live sources use
-    /// [`serve`](Self::serve), which polls incrementally and can be
-    /// drained on request.
+    /// The supervised shard pool behind [`run`](Self::run). Initial
+    /// shards and the supervisor's rebuilds both come from
+    /// [`shard`](Self::shard), wrapped in a [`FaultingFilter`] armed from
+    /// the fault plan (disarmed for [`FaultPlan::none`] and for rebuilds).
+    fn pool<I>(&self, packets: I) -> (PipelineResult, SupervisorReport)
+    where
+        I: IntoIterator<Item = Packet>,
+    {
+        let uplink = Arc::new(self.filter.uplink_monitor());
+        let shards = (0..self.shards)
+            .map(|_| {
+                FaultingFilter::new(
+                    self.shard(self.filter.clone(), &uplink),
+                    self.fault.injector(),
+                )
+            })
+            .collect();
+        let sharded = ShardedFilter::from_shards(
+            FlowHash::new(self.filter.hole_punching()),
+            Arc::clone(&uplink),
+            shards,
+        );
+        let rebuild_config = self.filter.clone().with_fail_mode(FailMode::Open);
+        let rebuild = |_shard: usize, at: Timestamp| {
+            let mut fresh = self.shard(rebuild_config.clone(), &uplink);
+            fresh.start_cold_at(at);
+            FaultingFilter::new(fresh, PlannedInjector::disarmed())
+        };
+        supervised_pipeline_impl(
+            packets,
+            self.inside,
+            sharded,
+            rebuild,
+            self.filter.expiry_timer(),
+            self.pipeline,
+            &self.obs,
+        )
+    }
+
+    /// Streams a **finite** [`PacketSource`] through [`run`](Self::run)
+    /// (a fault plan still collects it first, to distort it). For endless
+    /// live sources use [`serve`](Self::serve), which can be drained on
+    /// request.
     ///
     /// # Errors
     ///
-    /// [`RunnerError::Net`] on the first unrecoverable source error,
-    /// plus everything [`run`](Self::run) can return.
+    /// [`RunnerError::Net`] on the first unrecoverable source error (the
+    /// packets before it have run), plus everything [`run`](Self::run)
+    /// can return.
     pub fn run_source<S>(&self, source: &mut S) -> Result<(RunReport, IngestStats), RunnerError>
     where
         S: PacketSource + ?Sized,
     {
-        let mut packets: Vec<Packet> = Vec::new();
-        let mut chunk: Vec<(Packet, Direction)> = Vec::with_capacity(DRAIN_CHUNK);
-        loop {
-            chunk.clear();
-            match source.next_batch(&mut chunk, DRAIN_CHUNK)? {
-                SourcePoll::Batch(_) => packets.extend(chunk.drain(..).map(|(p, _)| p)),
-                SourcePoll::Idle => std::thread::sleep(Duration::from_millis(1)),
-                SourcePoll::End => break,
-            }
+        let mut error = None;
+        let report = self.run(SourceIter::new(source, &mut error).map(|(packet, _)| packet))?;
+        match error {
+            Some(err) => Err(RunnerError::Net(err)),
+            None => Ok((report, source.stats())),
         }
-        let report = self.run(packets)?;
-        Ok((report, source.stats()))
     }
 
     /// Runs `packets` through a multi-tenant [`SubscriberTable`] on the
@@ -609,26 +580,15 @@ impl PipelineRunner {
     ///
     /// [`RunnerError::Snapshot`] on the first checkpoint write failure.
     pub fn measure(&self, trace: &SyntheticTrace) -> Result<Measurement, RunnerError> {
-        let engine = ReplayEngine::new(self.replay.clone());
-        let mut filter =
-            BitmapFilter::new(self.filter.clone()).with_overload_policy(self.overload.clone());
-        match &self.checkpoint {
-            Some((path, every)) => {
-                let (replay, checkpoints) = engine
-                    .checkpointed_impl(trace, &mut filter, path, *every, &mut AtomicCheckpointSink)
-                    .map_err(RunnerError::Snapshot)?;
-                Ok(Measurement {
-                    replay,
-                    ingest: IngestStats::default(),
-                    checkpoints,
-                })
-            }
-            None => Ok(Measurement {
-                replay: engine.run(trace, &mut filter),
-                ingest: IngestStats::default(),
-                checkpoints: 0,
-            }),
-        }
+        let (replay, checkpoints) = self.replay(|engine, filter, tick| {
+            let packets = trace.packets.iter().map(|lp| (&lp.packet, lp.direction));
+            Ok(engine.run_iter_with(filter, packets, tick))
+        })?;
+        Ok(Measurement {
+            replay,
+            ingest: IngestStats::default(),
+            checkpoints,
+        })
     }
 
     /// [`measure`](Self::measure) over a [`PacketSource`]: pcap replay,
@@ -643,57 +603,67 @@ impl PipelineRunner {
     where
         S: PacketSource + ?Sized,
     {
+        let (replay, checkpoints) =
+            self.replay(|engine, filter, tick| engine.run_source_with(source, filter, tick))?;
+        Ok(Measurement {
+            replay,
+            ingest: source.stats(),
+            checkpoints,
+        })
+    }
+
+    /// The replay loop behind [`measure`](Self::measure) and
+    /// [`measure_source`](Self::measure_source), with the checkpoint
+    /// cadence. `replay(engine, filter, tick)` feeds the packets and
+    /// calls `tick(filter, last_ts)` after every decided batch. With
+    /// checkpointing configured, `tick` writes a checkpoint every `every`
+    /// of trace time (stopping the replay on the first failure) and a
+    /// final checkpoint follows a clean end. Writes go through a
+    /// [`FaultingCheckpointSink`] armed from the runner's fault plan,
+    /// which is disarmed for [`FaultPlan::none`]. Returns the metrics
+    /// and the number of checkpoints written.
+    fn replay<R>(&self, replay: R) -> Result<(ReplayResult, u64), RunnerError>
+    where
+        R: FnOnce(
+            &ReplayEngine,
+            &mut BitmapFilter,
+            &mut dyn FnMut(&mut BitmapFilter, Timestamp) -> bool,
+        ) -> Result<ReplayResult, NetError>,
+    {
         let engine = ReplayEngine::new(self.replay.clone());
         let mut filter =
             BitmapFilter::new(self.filter.clone()).with_overload_policy(self.overload.clone());
-        let Some((path, every)) = self.checkpoint.clone() else {
-            let (replay, ingest) = engine.run_source(source, &mut filter)?;
-            return Ok(Measurement {
-                replay,
-                ingest,
-                checkpoints: 0,
-            });
+        let Some((path, every)) = &self.checkpoint else {
+            return Ok((replay(&engine, &mut filter, &mut |_, _| true)?, 0));
         };
-        let mut sink = AtomicCheckpointSink;
+        let mut sink = FaultingCheckpointSink::new(AtomicCheckpointSink, self.fault.injector());
         let mut written = 0u64;
         let mut failure: Option<SnapshotError> = None;
         let mut next_due: Option<Timestamp> = None;
         let mut watermark = Timestamp::ZERO;
-        let outcome = engine.run_source_with(source, &mut filter, |f, now| {
-            if failure.is_some() {
-                return false;
-            }
+        let result = replay(&engine, &mut filter, &mut |f, now| {
             watermark = watermark.max(now);
-            let due = *next_due.get_or_insert(watermark + every);
-            if watermark >= due {
-                match crate::fault::CheckpointSink::write(
-                    &mut sink,
-                    &path,
-                    &f.snapshot_bytes(watermark),
-                ) {
-                    Ok(()) => {
-                        written += 1;
-                        next_due = Some(due + every);
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        return false;
-                    }
+            let due = *next_due.get_or_insert(watermark + *every);
+            if watermark < due {
+                return true;
+            }
+            match sink.write(path, &f.snapshot_bytes(watermark)) {
+                Ok(()) => {
+                    written += 1;
+                    next_due = Some(due + *every);
+                    true
+                }
+                Err(e) => {
+                    failure = Some(e);
+                    false
                 }
             }
-            true
-        });
-        let (replay, ingest) = outcome?;
+        })?;
         if let Some(e) = failure {
             return Err(RunnerError::Snapshot(e));
         }
-        crate::fault::CheckpointSink::write(&mut sink, &path, &filter.snapshot_bytes(watermark))?;
-        written += 1;
-        Ok(Measurement {
-            replay,
-            ingest,
-            checkpoints: written,
-        })
+        sink.write(path, &filter.snapshot_bytes(watermark))?;
+        Ok((result, written + 1))
     }
 
     /// Replays `trace` through a multi-tenant [`SubscriberTable`] on the
@@ -959,6 +929,22 @@ mod tests {
     }
 
     #[test]
+    fn run_source_surfaces_source_errors() {
+        use upbound_net::pcap::{to_bytes, PcapReader};
+        use upbound_net::PcapSource;
+        let trace = trace(39);
+        let bytes = to_bytes(trace.packets.iter().map(|lp| &lp.packet), 65535).expect("pcap");
+        // Cut into the last record's body: a strict reader fails there.
+        let cut = &bytes[..bytes.len() - 9];
+        let mut source = PcapSource::new(PcapReader::new(cut).expect("header"), inside());
+        let runner = PipelineRunner::new(inside(), BitmapFilterConfig::paper_evaluation());
+        assert!(matches!(
+            runner.run_source(&mut source),
+            Err(RunnerError::Net(_))
+        ));
+    }
+
+    #[test]
     fn serve_drains_source_and_reports() {
         let trace = trace(34);
         let runner = PipelineRunner::new(inside(), BitmapFilterConfig::paper_evaluation());
@@ -1066,10 +1052,14 @@ mod tests {
             .expect("run");
         let distortion = report.distortion.expect("distortion report");
         assert!(distortion.corrupted > 0);
-        assert!(report.supervisor.panics >= 1);
+        // Every packet drained through the merge stage despite the
+        // injected panics, and the supervisor caught each one.
+        assert_eq!(report.pipeline.ingested as usize, trace.packets.len());
         assert_eq!(
             report.pipeline.passed + report.pipeline.dropped,
             report.pipeline.ingested
         );
+        assert!(report.supervisor.panics >= 1);
+        assert_eq!(report.supervisor.panics, report.supervisor.restarts);
     }
 }

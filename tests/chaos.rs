@@ -2,8 +2,9 @@
 //!
 //! Every run replays the same fixed-seed [`FaultPlan`] combinations —
 //! stream corruption, reorder bursts, clock-skew spikes, decide-path
-//! panics, checkpoint write failures — against the supervised sharded
-//! pipeline and a ladder-armed sequential filter, asserting:
+//! panics, checkpoint write failures — against the supervised shard
+//! pool of [`PipelineRunner::run`], the live [`PipelineRunner::serve`]
+//! loop and a ladder-armed sequential filter, asserting:
 //!
 //! * the pipeline drains every packet (nothing lost, nothing invented)
 //!   and the supervisor accounts for every injected panic with a
@@ -12,9 +13,14 @@
 //!   sent an outbound packet within the documented rotation bound
 //!   (`⌊(k−1)/2⌋·Δt` of *watermark* time) is ever dropped, whatever the
 //!   fault plan does to the stream;
-//! * checkpoint I/O faults surface through
-//!   [`ReplayEngine::run_checkpointed_with`] as errors instead of
-//!   corrupting state, and a disarmed sink checkpoints normally.
+//! * `serve` fed the distorted stream reaches exactly the verdict counts
+//!   and filter counters `run` reaches under the same plan, with the
+//!   overload ladder off and on — including on a flood heavy enough to
+//!   engage the ladder (plans with decide-path panics are left out:
+//!   `serve` has no supervisor);
+//! * checkpoint I/O faults armed by the plan surface through
+//!   [`PipelineRunner::measure`] as errors instead of corrupting state,
+//!   and a disarmed plan checkpoints normally.
 //!
 //! The solicited check is deliberately watermark-relative rather than
 //! packet-time-relative: clock-skew spikes legitimately divorce packet
@@ -29,11 +35,8 @@ use std::path::PathBuf;
 use upbound::core::{
     BitmapFilter, BitmapFilterConfig, OverloadPolicy, PacketFilter, SnapshotError, Verdict,
 };
-use upbound::net::{Cidr, Direction, FiveTuple, Packet, TimeDelta, Timestamp};
-use upbound::sim::{
-    AtomicCheckpointSink, FaultPlan, FaultingCheckpointSink, PipelineRunner, ReplayConfig,
-    ReplayEngine,
-};
+use upbound::net::{BufferedSource, Cidr, Direction, FiveTuple, Packet, TimeDelta, Timestamp};
+use upbound::sim::{FaultPlan, PipelineRunner, RunnerError, ServeControl, ServeExit};
 use upbound::traffic::{attack, generate, AttackConfig, SyntheticTrace, TraceConfig};
 
 /// The fixed-seed plan matrix: each axis alone, then combinations.
@@ -53,6 +56,11 @@ fn inside() -> Cidr {
 /// Benign client traffic with a mid-trace SYN flood riding on top, so
 /// the faults land on a stream that also stresses the overload ladder.
 fn chaos_trace() -> SyntheticTrace {
+    flood_trace(300.0)
+}
+
+/// [`chaos_trace`]'s background under a SYN flood of `rate_per_sec`.
+fn flood_trace(rate_per_sec: f64) -> SyntheticTrace {
     let background = generate(
         &TraceConfig::builder()
             .duration_secs(30.0)
@@ -65,7 +73,7 @@ fn chaos_trace() -> SyntheticTrace {
         seed: 2007,
         start: Timestamp::from_secs(8.0),
         duration: TimeDelta::from_secs(15.0),
-        rate_per_sec: 300.0,
+        rate_per_sec,
         victim: "10.0.0.9:6881".parse().expect("static addr"),
     });
     attack::merge(vec![background, flood])
@@ -108,8 +116,8 @@ fn check_pipeline_accounting(spec: &str, stream: &[Packet]) {
         .fault_plan(plan.clone())
         .run(stream.iter().cloned())
         .expect("fault-plan runs never hit config/IO errors");
-    // A non-empty plan routes through the chaos path and yields a
-    // distortion report; an empty one falls back to the plain pipeline.
+    // A non-empty plan yields a distortion report; an empty one does
+    // not distort the stream at all.
     let report = result.distortion.unwrap_or_default();
     assert_eq!(
         result.pipeline.ingested as usize,
@@ -191,6 +199,38 @@ fn check_no_solicited_flips(spec: &str, stream: &[Packet]) {
     );
 }
 
+/// The serve-equals-run property for one plan and ladder: `serve` over
+/// the plan's distorted stream accounts for every packet and reaches the
+/// same verdict counts and filter counters as `run` under the plan.
+fn check_serve_matches_run(spec: &str, stream: &[Packet], overload: &OverloadPolicy) {
+    let plan = FaultPlan::parse(spec).expect("matrix plans parse");
+    let runner = PipelineRunner::new(inside(), filter_config())
+        .shards(2)
+        .overload_policy(overload.clone());
+    let run = runner
+        .clone()
+        .fault_plan(plan.clone())
+        .run(stream.iter().cloned())
+        .expect("run never hits config/IO errors");
+    let (distorted, _) = plan.distort_stream(stream.to_vec());
+    let mut source = BufferedSource::labeled(distorted, inside());
+    let served = runner
+        .serve(&mut source, &ServeControl::new())
+        .expect("serve over a buffered source");
+    assert_eq!(served.exit, ServeExit::SourceEnded);
+    assert_eq!(served.packets as usize, stream.len(), "every packet served");
+    assert_eq!(served.passed + served.dropped, served.packets);
+    assert_eq!(served.passed, run.pipeline.passed, "passed: serve vs run");
+    assert_eq!(
+        served.dropped, run.pipeline.dropped,
+        "dropped: serve vs run"
+    );
+    assert_eq!(
+        served.filter_stats, run.pipeline.filter_stats,
+        "filter stats: serve vs run"
+    );
+}
+
 /// Tentpole matrix: every plan upholds both properties, deterministically.
 #[test]
 fn fixed_seed_fault_matrix_holds_invariants() {
@@ -209,43 +249,66 @@ fn fixed_seed_fault_matrix_holds_invariants() {
     }
 }
 
-/// Checkpoint I/O faults surface as [`SnapshotError`] from the replay
-/// engine, and the same engine with a disarmed sink checkpoints fine.
-///
-/// Deliberately stays on the deprecated `run_checkpointed_with`: the
-/// sink-injection seam is exactly what this test exercises, and
-/// [`PipelineRunner::checkpoint`] hard-wires the atomic sink.
+/// `serve` and `run` agree under every plan `serve` can take (no
+/// decide-path panics: it has no supervisor), with the ladder off and
+/// on, on the matrix trace and on a flood heavy enough to engage the
+/// ladder.
 #[test]
-#[allow(deprecated)]
+fn serve_matches_run_under_stream_faults() {
+    let ladders = [OverloadPolicy::off(), OverloadPolicy::balanced()];
+    for (trace_label, trace) in [("chaos", chaos_trace()), ("flood", flood_trace(3_000.0))] {
+        let stream: Vec<Packet> = trace.packets.iter().map(|lp| lp.packet.clone()).collect();
+        for (i, spec) in PLANS.iter().enumerate() {
+            if FaultPlan::parse(spec).expect("matrix plans parse").panics() > 0 {
+                continue;
+            }
+            for (ladder, overload) in ["off", "balanced"].into_iter().zip(&ladders) {
+                let label = format!("plan-{i}-serve-{trace_label}-ladder-{ladder}");
+                with_plan_artifact(&label, spec, {
+                    let stream = stream.clone();
+                    let overload = overload.clone();
+                    move || check_serve_matches_run(spec, &stream, &overload)
+                });
+            }
+        }
+    }
+}
+
+/// Checkpoint I/O faults armed by the runner's fault plan surface as
+/// [`SnapshotError`] from [`PipelineRunner::measure`], and the same
+/// runner with a disarmed plan checkpoints fine.
+#[test]
 fn checkpoint_faults_surface_and_disarmed_sink_recovers() {
     let trace = chaos_trace();
-    let engine = ReplayEngine::new(ReplayConfig::default());
     let dir = failure_dir().join(format!("ckpt-scratch-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     let path = dir.join("chaos.snap");
     let every = TimeDelta::from_secs(5.0);
+    let runner = PipelineRunner::new(inside(), filter_config()).checkpoint(&path, every);
 
     let armed = FaultPlan::parse("seed=9,ckpt=1").expect("plan parses");
-    let mut filter = BitmapFilter::new(filter_config());
-    let mut sink = FaultingCheckpointSink::new(AtomicCheckpointSink, armed.injector());
-    let err = engine
-        .run_checkpointed_with(&trace, &mut filter, &path, every, &mut sink)
+    let err = runner
+        .clone()
+        .fault_plan(armed)
+        .measure(&trace)
         .expect_err("the armed sink must fail the first periodic write");
-    assert!(matches!(err, SnapshotError::Io(_)), "got {err:?}");
-    assert_eq!(
-        sink.writes(),
-        1,
-        "the engine must stop at the first failure"
+    assert!(
+        matches!(err, RunnerError::Snapshot(SnapshotError::Io(_))),
+        "got {err:?}"
     );
+    // The plan fails only the first write: had the replay gone on, a
+    // later periodic or the final write would have landed.
+    assert!(!path.exists(), "the replay must stop at the first failure");
 
     let disarmed = FaultPlan::parse("none").expect("plan parses");
-    let mut filter = BitmapFilter::new(filter_config());
-    let mut sink = FaultingCheckpointSink::new(AtomicCheckpointSink, disarmed.injector());
-    let (_, written) = engine
-        .run_checkpointed_with(&trace, &mut filter, &path, every, &mut sink)
-        .expect("a disarmed sink checkpoints normally");
-    assert!(written >= 1, "a 30s trace checkpoints at least once");
-    assert_eq!(written, sink.writes());
+    let measured = runner
+        .fault_plan(disarmed)
+        .measure(&trace)
+        .expect("a disarmed plan checkpoints normally");
+    assert!(
+        measured.checkpoints >= 2,
+        "a 30s trace at a 5s cadence checkpoints periodically plus once at the end"
+    );
     assert!(path.exists(), "the final checkpoint image must exist");
     std::fs::remove_dir_all(&dir).ok();
 }
