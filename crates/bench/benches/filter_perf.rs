@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use upbound_core::{AmortizedBitmap, Bitmap, BitmapFilter, BitmapFilterConfig, TelemetryObserver};
+use upbound_core::{AtomicBitmap, BitmapFilter, BitmapFilterConfig, TelemetryObserver};
 use upbound_net::{FiveTuple, Protocol, Timestamp};
 use upbound_telemetry::Registry;
 
@@ -77,60 +77,10 @@ fn per_packet_vs_m(c: &mut Criterion) {
 fn rotate_vs_n(c: &mut Criterion) {
     let mut group = c.benchmark_group("bitmap_rotate_vs_N");
     for &n in &[16u32, 20, 24] {
-        let mut bitmap = Bitmap::new(4, n, 3);
+        let bitmap = AtomicBitmap::new(4, n, 3);
         group.bench_with_input(BenchmarkId::new("rotate", format!("2^{n}")), &n, |b, _| {
             b.iter(|| black_box(bitmap.rotate()));
         });
-    }
-    group.finish();
-}
-
-/// The amortized variant's rotate is O(1): the spike the spare vector
-/// removes from the forwarding path. Mark pays a small constant extra
-/// (k+1 writes + a clearing chunk).
-fn amortized_rotate_vs_plain(c: &mut Criterion) {
-    let mut group = c.benchmark_group("amortized_vs_plain_rotate");
-    for &n in &[20u32, 24] {
-        let mut plain = Bitmap::new(4, n, 3);
-        group.bench_with_input(
-            BenchmarkId::new("plain_rotate", format!("2^{n}")),
-            &n,
-            |b, _| {
-                b.iter(|| black_box(plain.rotate()));
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("amortized_rotate", format!("2^{n}")),
-            &n,
-            |b, _| {
-                // Custom timing loop: only the rotate() call is timed; the
-                // background clearing (normally amortized across packet
-                // marks) runs between iterations, untimed.
-                let mut fast = AmortizedBitmap::new(4, n, 3);
-                b.iter_custom(|iters| {
-                    let mut total = std::time::Duration::ZERO;
-                    for _ in 0..iters {
-                        fast.clear_some(usize::MAX / 2); // untimed upkeep
-                        let start = std::time::Instant::now();
-                        black_box(fast.rotate());
-                        total += start.elapsed();
-                    }
-                    total
-                });
-            },
-        );
-        let mut fast2 = AmortizedBitmap::new(4, n, 3);
-        group.bench_with_input(
-            BenchmarkId::new("amortized_mark", format!("2^{n}")),
-            &n,
-            |b, _| {
-                let mut i = 0u32;
-                b.iter(|| {
-                    i = i.wrapping_add(1);
-                    fast2.mark(black_box(&i.to_le_bytes()));
-                });
-            },
-        );
     }
     group.finish();
 }
@@ -188,7 +138,6 @@ criterion_group!(
     per_packet_constant_time,
     per_packet_vs_m,
     rotate_vs_n,
-    amortized_rotate_vs_plain,
     observer_overhead
 );
 criterion_main!(benches);

@@ -7,7 +7,7 @@ use upbound_bench::{trace_from_args, TextTable};
 use upbound_core::params::{
     exact_false_positive, max_connections, optimal_hash_count, penetration_probability,
 };
-use upbound_core::Bitmap;
+use upbound_core::AtomicBitmap;
 use upbound_net::TimeDelta;
 
 fn main() {
@@ -70,7 +70,7 @@ fn main() {
         let approx = penetration_probability(c as f64, N, 3);
         let exact = exact_false_positive(c as f64, N, 3);
         // Monte-Carlo: insert c distinct keys, probe 20 000 disjoint keys.
-        let mut bitmap = Bitmap::new(4, N_BITS, 3);
+        let bitmap = AtomicBitmap::new(4, N_BITS, 3);
         for i in 0..c as u64 {
             bitmap.mark(&i.to_le_bytes());
         }

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// A fixed-size vector of bits backed by `AtomicU64` words — one column
 /// of the concurrent [`AtomicBitmap`](crate::AtomicBitmap).
 ///
-/// Unlike [`BitVec`](crate::BitVec), every operation takes `&self`:
+/// Every operation takes `&self`:
 /// [`set`](Self::set) is an `AtomicU64::fetch_or`, [`get`](Self::get) is
 /// a relaxed load, and [`clear`](Self::clear) swaps each word to zero.
 /// Any number of markers and readers may run concurrently with one
@@ -347,6 +347,31 @@ mod tests {
         assert_eq!(c, v);
         c.set(1);
         assert_ne!(c, v);
+    }
+
+    #[test]
+    fn utilization_is_fraction_of_ones() {
+        let v = AtomicBitVec::new(64);
+        for i in 0..16 {
+            v.set(i);
+        }
+        assert!((v.utilization() - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn memory_rounds_up_to_words() {
+        assert_eq!(AtomicBitVec::new(1).memory_bytes(), 8);
+        assert_eq!(AtomicBitVec::new(64).memory_bytes(), 8);
+        assert_eq!(AtomicBitVec::new(65).memory_bytes(), 16);
+        // The paper's 2^20-bit vector is 128 KiB.
+        assert_eq!(AtomicBitVec::new(1 << 20).memory_bytes(), 128 * 1024);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_get_panics() {
+        let v = AtomicBitVec::new(8);
+        let _ = v.get(8);
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! The shared timestamp-driven machinery behind the production filters.
+//! The timestamp-driven machinery behind the production filters.
 //!
-//! [`BitmapFilter`](crate::BitmapFilter) and the SPI baseline used to
-//! carry the same loop around their data structures: a tick timer driven
-//! by packet timestamps (bitmap rotation / flow-table purge), a windowed
-//! uplink [`ThroughputMonitor`], the [`DropPolicy`] → `P_d` derivation of
-//! the paper's Equation 1, per-packet drop draws, and
-//! [`FilterObserver`] dispatch. [`FilterEngine`] hoists that loop into
-//! one component both filters are rebuilt on.
+//! [`BitmapFilter`](crate::BitmapFilter) and the SPI baseline share the
+//! same loop around their data structures: a tick timer driven by packet
+//! timestamps (bitmap rotation / flow-table purge), a windowed uplink
+//! [`ThroughputMonitor`], the [`DropPolicy`] → `P_d` derivation of the
+//! paper's Equation 1, per-packet drop draws, and [`FilterObserver`]
+//! dispatch. [`FilterEngine`] is that loop; both filters embed one.
 //!
 //! # Deterministic, order-independent drop draws
 //!
@@ -29,8 +28,10 @@ use crate::hash::{fnv1a, splitmix64};
 use crate::observe::{FilterObserver, InboundDecision, RotationEvent};
 use crate::red::DropPolicy;
 use crate::{ThroughputMonitor, Verdict};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use upbound_net::{FiveTuple, TimeDelta, Timestamp};
+use upbound_net::{TimeDelta, Timestamp};
 
 /// Domain separator so drop draws never alias the bitmap's bit indexes,
 /// which are derived from the same FNV-1a base hash.
@@ -38,15 +39,14 @@ const DRAW_DOMAIN: u64 = 0xd509_7cc9_44a5_1a27;
 
 /// Where the engine's uplink measurement lives: owned by this filter, or
 /// shared with sibling shards that together bound one client network.
-/// Shared between [`FilterEngine`] and the crate-internal `SharedEngine`.
 #[derive(Debug, Clone)]
-pub(crate) enum Uplink {
+enum Uplink {
     Local(ThroughputMonitor),
     Shared(Arc<ThroughputMonitor>),
 }
 
 impl Uplink {
-    pub(crate) fn monitor(&self) -> &ThroughputMonitor {
+    fn monitor(&self) -> &ThroughputMonitor {
         match self {
             Uplink::Local(m) => m,
             Uplink::Shared(m) => m,
@@ -61,21 +61,38 @@ impl Uplink {
 /// The filter that embeds an engine keeps only its data structure (the
 /// rotating bitmap, the flow table) and passes a closure to
 /// [`advance`](Self::advance) describing what one tick does to it.
-#[derive(Debug, Clone)]
+///
+/// # Concurrency
+///
+/// Everything but the observer is usable through `&self`. The tick
+/// phase lives in two atomics (`ticks`, `next_tick`) guarded by a mutex
+/// that only the thread *performing* a due tick takes; the packet-rate
+/// fast path ([`tick_due`](Self::tick_due)) is a single `Acquire` load.
+/// Ticks come once per `Δt` (seconds) while packets come millions per
+/// second, so the lock is uncontended in any sane configuration and
+/// absent from the hot path entirely. Observer hooks take `&mut self`
+/// and run only on the exclusive paths
+/// ([`advance_observed`](Self::advance_observed), the `notify_*`
+/// methods), so observers never need to be `Sync`.
+#[derive(Debug)]
 pub struct FilterEngine<O: FilterObserver> {
     drop_policy: DropPolicy,
     seed: u64,
     tick_every: TimeDelta,
-    next_tick: Timestamp,
-    ticks: u64,
+    /// Microseconds of the next due tick.
+    next_tick: AtomicU64,
+    /// Ticks performed (the rotation epoch reported to observers).
+    ticks: AtomicU64,
+    /// Serializes tick execution; never taken between ticks.
+    tick_lock: Mutex<()>,
     uplink: Uplink,
     observer: O,
 }
 
 impl<O: FilterObserver> FilterEngine<O> {
     /// Creates an engine ticking every `tick_every`, measuring uplink
-    /// throughput with `monitor`, deriving `P_d` from `drop_policy`, and
-    /// seeding drop draws with `seed`.
+    /// throughput with `monitor`, deriving `P_d` from `drop_policy`,
+    /// seeding drop draws with `seed`, and reporting to `observer`.
     pub fn new(
         tick_every: TimeDelta,
         monitor: ThroughputMonitor,
@@ -87,8 +104,9 @@ impl<O: FilterObserver> FilterEngine<O> {
             drop_policy,
             seed,
             tick_every,
-            next_tick: Timestamp::ZERO + tick_every,
-            ticks: 0,
+            next_tick: AtomicU64::new((Timestamp::ZERO + tick_every).as_micros()),
+            ticks: AtomicU64::new(0),
+            tick_lock: Mutex::new(()),
             uplink: Uplink::Local(monitor),
             observer,
         }
@@ -118,7 +136,7 @@ impl<O: FilterObserver> FilterEngine<O> {
 
     /// Ticks performed so far (rotations or purge sweeps).
     pub fn ticks(&self) -> u64 {
-        self.ticks
+        self.ticks.load(Ordering::Acquire)
     }
 
     /// The drop policy in force.
@@ -126,14 +144,18 @@ impl<O: FilterObserver> FilterEngine<O> {
         self.drop_policy
     }
 
-    /// `true` when at least one tick is due at or before `now`.
-    ///
-    /// The cheap guard batched decision paths use to skip the full
-    /// [`advance`](Self::advance) bookkeeping between ticks: ticks come
-    /// once per `Δt` (seconds), packets come millions per second, so the
-    /// common case is a single comparison.
+    /// Replaces the drop policy (runtime reconfiguration). Exclusive
+    /// access guarantees no decider reads a half-swapped policy; the
+    /// dataplane applies this between batches at a rotation boundary.
+    pub(crate) fn set_drop_policy(&mut self, policy: DropPolicy) {
+        self.drop_policy = policy;
+    }
+
+    /// `true` when at least one tick is due at or before `now` — the
+    /// single-load guard the per-packet path pays between ticks.
+    #[inline]
     pub fn tick_due(&self, now: Timestamp) -> bool {
-        now >= self.next_tick
+        now.as_micros() >= self.next_tick.load(Ordering::Acquire)
     }
 
     /// Records `bytes` of uplink traffic at time `now`.
@@ -148,50 +170,81 @@ impl<O: FilterObserver> FilterEngine<O> {
             .drop_probability(self.uplink.monitor().rate_bps(now))
     }
 
-    /// The most ticks [`advance`](Self::advance) will *execute* for one
-    /// call. A far-future timestamp (clock glitch, corrupt trace record)
-    /// can put millions of ticks in arrears; executing each one would
-    /// stall the filter for minutes. After `k` consecutive rotations
-    /// every bitmap vector has been cleared once, so any state the
-    /// skipped ticks would have produced is already all-zero — the engine
-    /// jumps the tick counter and runs only the trailing
+    /// The most ticks one [`advance`](Self::advance) call will
+    /// *execute*. A far-future timestamp (clock glitch, corrupt trace
+    /// record) can put millions of ticks in arrears; executing each one
+    /// would stall the filter for minutes. After `k` consecutive
+    /// rotations every bitmap vector has been cleared once, so any state
+    /// the skipped ticks would have produced is already all-zero — the
+    /// engine jumps the tick counter and runs only the trailing
     /// `MAX_TICK_CATCHUP` ticks (enough for every practical `k`).
-    pub const MAX_TICK_CATCHUP: u64 = MAX_TICK_CATCHUP;
+    pub const MAX_TICK_CATCHUP: u64 = 64;
 
-    /// Applies every tick due at or before `now`, calling `on_tick` with
-    /// the tick's scheduled timestamp (the `b.rotate` timer of paper
-    /// Algorithm 1, or the SPI purge sweep), then notifying the observer.
+    /// Applies every tick due at or before `now` through `&self`,
+    /// calling `on_tick` with each tick's scheduled timestamp (the
+    /// `b.rotate` timer of paper Algorithm 1, or the SPI purge sweep).
+    /// The observer is not told; see
+    /// [`advance_observed`](Self::advance_observed).
     ///
-    /// Backward timestamps are a no-op (no tick is due), and far-future
-    /// timestamps are bounded by [`MAX_TICK_CATCHUP`](Self::MAX_TICK_CATCHUP):
-    /// the arrears beyond that bound are skipped in O(1) rather than
-    /// executed one by one.
-    pub fn advance(&mut self, now: Timestamp, mut on_tick: impl FnMut(Timestamp)) {
-        if now >= self.next_tick {
-            let every = self.tick_every.as_micros();
-            let due = (now.as_micros() - self.next_tick.as_micros()) / every + 1;
-            if due > Self::MAX_TICK_CATCHUP {
-                let skipped = due - Self::MAX_TICK_CATCHUP;
-                self.ticks += skipped;
-                self.next_tick += self.tick_every.times(skipped);
-            }
+    /// Concurrent callers race benignly: one thread takes the tick lock
+    /// and performs the due ticks, the rest re-check under the lock and
+    /// find nothing due. `next_tick` moves only after `on_tick` returns,
+    /// so a caller that sees no tick due also sees its effects. Backward
+    /// timestamps never tick, and far-future arrears beyond
+    /// [`MAX_TICK_CATCHUP`](Self::MAX_TICK_CATCHUP) are skipped in O(1).
+    #[inline]
+    pub fn advance(&self, now: Timestamp, mut on_tick: impl FnMut(Timestamp)) {
+        if self.tick_due(now) {
+            Self::run_due_ticks(
+                &self.next_tick,
+                &self.ticks,
+                &self.tick_lock,
+                self.tick_every,
+                now,
+                |at, _| on_tick(at),
+            );
         }
-        while now >= self.next_tick {
-            let at = self.next_tick;
-            on_tick(at);
-            self.ticks += 1;
-            self.next_tick += self.tick_every;
-            // Ticks are rare (once per Δt), so the operating point is
-            // computed eagerly for the observer.
-            let monitor = self.uplink.monitor();
-            let p_d = self.drop_policy.drop_probability(monitor.rate_bps(at));
-            self.observer.on_rotation(&RotationEvent {
-                now: at,
-                rotations: self.ticks,
-                monitor,
-                p_d,
-            });
+    }
+
+    /// [`advance`](Self::advance) with observer dispatch: each due tick
+    /// is first reported to the observer as a [`RotationEvent`], then
+    /// `on_tick` runs with the observer in hand, so events the tick
+    /// triggers (an overload transition) follow it in any journal.
+    #[inline]
+    pub fn advance_observed(&mut self, now: Timestamp, mut on_tick: impl FnMut(Timestamp, &mut O)) {
+        if !self.tick_due(now) {
+            return;
         }
+        let Self {
+            drop_policy,
+            tick_every,
+            next_tick,
+            ticks,
+            tick_lock,
+            uplink,
+            observer,
+            ..
+        } = self;
+        Self::run_due_ticks(
+            next_tick,
+            ticks,
+            tick_lock,
+            *tick_every,
+            now,
+            |at, rotations| {
+                // Ticks are rare (once per Δt), so the operating point is
+                // computed eagerly for the observer.
+                let monitor = uplink.monitor();
+                let p_d = drop_policy.drop_probability(monitor.rate_bps(at));
+                observer.on_rotation(&RotationEvent {
+                    now: at,
+                    rotations,
+                    monitor,
+                    p_d,
+                });
+                on_tick(at, observer);
+            },
+        );
     }
 
     /// One deterministic drop draw for the packet identified by
@@ -209,11 +262,6 @@ impl<O: FilterObserver> FilterEngine<O> {
             return true;
         }
         unit_draw(self.seed, key_bytes, now, draw) < p_d
-    }
-
-    /// Reports an outbound observation to the observer.
-    pub fn notify_outbound(&mut self, tuple: &FiveTuple, now: Timestamp) {
-        self.observer.on_outbound(tuple, now);
     }
 
     /// Reports an inbound decision to the observer. `fail_open` marks a
@@ -243,26 +291,18 @@ impl<O: FilterObserver> FilterEngine<O> {
             fail_open,
             warming,
             key,
-            rotation_epoch: self.ticks,
+            rotation_epoch: *self.ticks.get_mut(),
             monitor: self.uplink.monitor(),
         });
     }
 
-    /// Reports a cold start (fresh filter or stale-snapshot restart) to
-    /// the observer: the filter memory is empty and, under fail-open,
-    /// drops are suppressed until `armed_at`.
-    pub fn notify_cold_start(&mut self, now: Timestamp, armed_at: Timestamp) {
-        self.observer.on_cold_start(now, armed_at);
-    }
-
-    /// Reports that the warm-up grace period ended and drops are armed.
-    pub fn notify_armed(&mut self, now: Timestamp) {
-        self.observer.on_armed(now);
-    }
-
     /// Exports the tick phase `(ticks, next_tick)` for snapshot encoding.
     pub fn tick_phase(&self) -> (u64, Timestamp) {
-        (self.ticks, self.next_tick)
+        let _guard = self.tick_lock.lock();
+        (
+            self.ticks.load(Ordering::Relaxed),
+            Timestamp::from_micros(self.next_tick.load(Ordering::Relaxed)),
+        )
     }
 
     /// Restores a tick phase captured by [`tick_phase`](Self::tick_phase).
@@ -270,8 +310,8 @@ impl<O: FilterObserver> FilterEngine<O> {
     /// [`advance`](Self::advance) catches up in O(1) past
     /// [`MAX_TICK_CATCHUP`](Self::MAX_TICK_CATCHUP).
     pub fn restore_tick_phase(&mut self, ticks: u64, next_tick: Timestamp) {
-        self.ticks = ticks;
-        self.next_tick = next_tick;
+        *self.ticks.get_mut() = ticks;
+        *self.next_tick.get_mut() = next_tick.as_micros();
     }
 
     /// Clears tick phase and the uplink monitor.
@@ -279,20 +319,64 @@ impl<O: FilterObserver> FilterEngine<O> {
     /// Note that with a [shared](Self::share_uplink) uplink this resets
     /// the aggregate measurement for every sibling shard as well.
     pub fn reset(&mut self) {
-        self.ticks = 0;
-        self.next_tick = Timestamp::ZERO + self.tick_every;
+        *self.ticks.get_mut() = 0;
+        *self.next_tick.get_mut() = (Timestamp::ZERO + self.tick_every).as_micros();
         self.uplink.monitor().reset();
+    }
+
+    /// The one tick loop behind [`advance`](Self::advance) and
+    /// [`advance_observed`](Self::advance_observed), calling `on_tick(at, ticks)` with
+    /// each due tick's timestamp and the tick count *including* it. It takes
+    /// the clock fields rather than the engine so `advance_observed` can
+    /// lend the observer out mutably at the same time.
+    fn run_due_ticks(
+        next_tick: &AtomicU64,
+        ticks: &AtomicU64,
+        tick_lock: &Mutex<()>,
+        tick_every: TimeDelta,
+        now: Timestamp,
+        mut on_tick: impl FnMut(Timestamp, u64),
+    ) {
+        let _guard = tick_lock.lock();
+        let every = tick_every.as_micros();
+        let mut next = next_tick.load(Ordering::Acquire);
+        if now.as_micros() >= next {
+            let due = (now.as_micros() - next) / every + 1;
+            if due > Self::MAX_TICK_CATCHUP {
+                let skipped = due - Self::MAX_TICK_CATCHUP;
+                ticks.fetch_add(skipped, Ordering::Relaxed);
+                next += every * skipped;
+            }
+        }
+        while now.as_micros() >= next {
+            let at = Timestamp::from_micros(next);
+            let ticks_after = ticks.load(Ordering::Relaxed) + 1;
+            on_tick(at, ticks_after);
+            ticks.store(ticks_after, Ordering::Release);
+            next += every;
+            next_tick.store(next, Ordering::Release);
+        }
     }
 }
 
-/// Catch-up bound shared by [`FilterEngine`] and the crate-internal
-/// `SharedEngine` — see [`FilterEngine::MAX_TICK_CATCHUP`].
-pub(crate) const MAX_TICK_CATCHUP: u64 = 64;
+impl<O: FilterObserver + Clone> Clone for FilterEngine<O> {
+    fn clone(&self) -> Self {
+        let (ticks, next_tick) = self.tick_phase();
+        Self {
+            drop_policy: self.drop_policy,
+            seed: self.seed,
+            tick_every: self.tick_every,
+            next_tick: AtomicU64::new(next_tick.as_micros()),
+            ticks: AtomicU64::new(ticks),
+            tick_lock: Mutex::new(()),
+            uplink: self.uplink.clone(),
+            observer: self.observer.clone(),
+        }
+    }
+}
 
 /// Maps `(seed, key, now, draw)` to a uniform variate in `[0, 1)`.
-/// Shared with `SharedEngine` so concurrent and exclusive paths draw
-/// bit-identically.
-pub(crate) fn unit_draw(seed: u64, key: &[u8], now: Timestamp, draw: u32) -> f64 {
+fn unit_draw(seed: u64, key: &[u8], now: Timestamp, draw: u32) -> f64 {
     let mut h = fnv1a(seed ^ DRAW_DOMAIN, key);
     h = splitmix64(h ^ now.as_micros());
     h = splitmix64(h.wrapping_add(u64::from(draw).wrapping_mul(0x9e37_79b9_7f4a_7c15)));
@@ -304,6 +388,8 @@ pub(crate) fn unit_draw(seed: u64, key: &[u8], now: Timestamp, draw: u32) -> f64
 mod tests {
     use super::*;
     use crate::observe::NoopObserver;
+
+    const MAX_TICK_CATCHUP: u64 = FilterEngine::<NoopObserver>::MAX_TICK_CATCHUP;
 
     fn engine(seed: u64) -> FilterEngine<NoopObserver> {
         FilterEngine::new(
@@ -317,7 +403,7 @@ mod tests {
 
     #[test]
     fn advance_catches_up_all_due_ticks() {
-        let mut e = engine(0);
+        let e = engine(0);
         let mut fired = Vec::new();
         e.advance(Timestamp::from_secs(17.0), |at| fired.push(at));
         assert_eq!(e.ticks(), 3); // at 5, 10, 15 s
@@ -335,11 +421,11 @@ mod tests {
 
     #[test]
     fn far_future_advance_is_bounded() {
-        let mut e = engine(0); // ticks every 5 s
+        let e = engine(0); // ticks every 5 s
         let mut fired = 0u64;
         // 20 million ticks in arrears; only the trailing window executes.
         e.advance(Timestamp::from_secs(1e8), |_| fired += 1);
-        assert_eq!(fired, FilterEngine::<NoopObserver>::MAX_TICK_CATCHUP);
+        assert_eq!(fired, MAX_TICK_CATCHUP);
         // The tick counter still reflects every due tick.
         assert_eq!(e.ticks(), 20_000_000);
         // The phase is fully caught up afterwards.
@@ -351,13 +437,57 @@ mod tests {
 
     #[test]
     fn backward_now_never_ticks() {
-        let mut e = engine(0);
+        let e = engine(0);
         e.advance(Timestamp::from_secs(12.0), |_| {});
         assert_eq!(e.ticks(), 2);
         e.advance(Timestamp::from_secs(3.0), |_| {
             panic!("backward time must not tick")
         });
         assert_eq!(e.ticks(), 2);
+    }
+
+    #[test]
+    fn advance_observed_reports_each_tick_before_running_it() {
+        #[derive(Debug, Default)]
+        struct Log(Vec<String>);
+        impl FilterObserver for Log {
+            fn on_rotation(&mut self, rotation: &RotationEvent<'_>) {
+                self.0.push(format!("event {}", rotation.rotations));
+            }
+        }
+        let mut e = FilterEngine::new(
+            TimeDelta::from_secs(5.0),
+            ThroughputMonitor::new(TimeDelta::from_secs(1.0), 20),
+            DropPolicy::drop_all(),
+            0,
+            Log::default(),
+        );
+        e.advance_observed(Timestamp::from_secs(11.0), |at, log| {
+            log.0.push(format!("tick {}", at.as_micros() / 1_000_000));
+        });
+        assert_eq!(e.observer().0, ["event 1", "tick 5", "event 2", "tick 10"]);
+        e.advance_observed(Timestamp::from_secs(11.0), |_, _| panic!("no tick due"));
+    }
+
+    #[test]
+    fn concurrent_advance_ticks_exactly_once() {
+        let e = engine(0);
+        let fired = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                let (e, fired) = (&e, &fired);
+                scope.spawn(move || {
+                    for s in 1..=40u64 {
+                        e.advance(Timestamp::from_secs(s as f64), |_| {
+                            fired.fetch_add(1, Ordering::Relaxed);
+                        });
+                    }
+                });
+            }
+        });
+        // 40 s / 5 s = 8 due ticks, each performed by exactly one thread.
+        assert_eq!(fired.load(Ordering::Relaxed), 8);
+        assert_eq!(e.ticks(), 8);
     }
 
     #[test]
@@ -417,6 +547,18 @@ mod tests {
         assert_eq!(shared.total_bytes(), 1500);
         assert_eq!(a.monitor().total_bytes(), 1500);
         assert!((a.monitor().rate_bps(now) - b.monitor().rate_bps(now)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tick_phase_roundtrips() {
+        let e = engine(0);
+        e.advance(Timestamp::from_secs(12.0), |_| {});
+        let (ticks, next) = e.tick_phase();
+        assert_eq!(ticks, 2);
+        let mut restored = engine(0);
+        restored.restore_tick_phase(ticks, next);
+        assert_eq!(restored.ticks(), 2);
+        restored.advance(Timestamp::from_secs(12.0), |_| panic!("caught up"));
     }
 
     #[test]

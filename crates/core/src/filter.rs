@@ -1,13 +1,14 @@
 //! The complete bitmap filter: bitmap + timer + throughput-driven `P_d`.
 
 use crate::config::FailMode;
-use crate::observe::{FilterObserver, InboundDecision, NoopObserver, RotationEvent};
-use crate::overload::{OverloadLadder, OverloadPolicy, OverloadState};
+use crate::observe::{FilterObserver, NoopObserver};
+use crate::overload::{OverloadEvent, OverloadLadder, OverloadPolicy, OverloadState};
 use crate::pfilter::{MergeStats, PacketFilter};
 use crate::runtime::RuntimeOverrides;
-use crate::shared_engine::SharedEngine;
 use crate::snapshot::{self, ByteReader, ByteWriter, RestoreMode, SnapshotError, Snapshottable};
-use crate::{AtomicBitVec, AtomicBitmap, BitmapFilterConfig, DropPolicy, ThroughputMonitor};
+use crate::{
+    AtomicBitVec, AtomicBitmap, BitmapFilterConfig, DropPolicy, FilterEngine, ThroughputMonitor,
+};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -208,7 +209,8 @@ impl Clone for WarmupClock {
 ///
 /// All state except the observer is atomic: the bitmap is an
 /// [`AtomicBitmap`], counters and the warm-up clock are atomics, and the
-/// tick scheduler is the crate-internal `SharedEngine`. An unobserved
+/// tick scheduler is a [`FilterEngine`], whose clockwork works through
+/// `&self`. An unobserved
 /// filter (`O = NoopObserver`, [`PacketFilter::CONCURRENT`]) can
 /// therefore be driven through `&self` from many threads at once via
 /// [`process_packet_shared`](Self::process_packet_shared) /
@@ -221,8 +223,7 @@ impl Clone for WarmupClock {
 pub struct BitmapFilter<O: FilterObserver = NoopObserver> {
     config: BitmapFilterConfig,
     bitmap: AtomicBitmap,
-    engine: SharedEngine,
-    observer: O,
+    engine: FilterEngine<O>,
     stats: SharedStats,
     /// The warm-up clock. `arm_at`: under [`FailMode::Open`], the trace
     /// time at which drops arm (one expiry window past the cold start),
@@ -259,7 +260,6 @@ impl<O: FilterObserver + Clone> Clone for BitmapFilter<O> {
             config: self.config.clone(),
             bitmap: self.bitmap.clone(),
             engine: self.engine.clone(),
-            observer: self.observer.clone(),
             stats: self.stats.clone(),
             warmup: self.warmup.clone(),
             overload: self.overload.clone(),
@@ -286,16 +286,16 @@ impl BitmapFilter {
             config.vector_bits(),
             config.hash_functions(),
         );
-        let engine = SharedEngine::new(
+        let engine = FilterEngine::new(
             config.rotate_every(),
             config.uplink_monitor(),
             config.drop_policy(),
             config.rng_seed(),
+            NoopObserver,
         );
         Self {
             bitmap,
             engine,
-            observer: NoopObserver,
             config,
             stats: SharedStats::default(),
             warmup: WarmupClock::default(),
@@ -309,16 +309,16 @@ impl<O: FilterObserver> BitmapFilter<O> {
     /// `observer`.
     pub fn with_observer(config: BitmapFilterConfig, observer: O) -> Self {
         let bitmap = AtomicBitmap::new(config.vectors, config.vector_bits, config.hash_functions);
-        let engine = SharedEngine::new(
+        let engine = FilterEngine::new(
             config.rotate_every,
             config.uplink_monitor(),
             config.drop_policy,
             config.rng_seed,
+            observer,
         );
         Self {
             bitmap,
             engine,
-            observer,
             config,
             stats: SharedStats::default(),
             warmup: WarmupClock::default(),
@@ -378,12 +378,12 @@ impl<O: FilterObserver> BitmapFilter<O> {
 
     /// The installed observer.
     pub fn observer(&self) -> &O {
-        &self.observer
+        self.engine.observer()
     }
 
     /// The installed observer, mutably.
     pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.observer
+        self.engine.observer_mut()
     }
 
     /// The configuration the filter was built with.
@@ -415,42 +415,17 @@ impl<O: FilterObserver> BitmapFilter<O> {
     /// Applies every rotation due at or before `now` (the `b.rotate`
     /// timer, paper Algorithm 1).
     pub fn advance(&mut self, now: Timestamp) {
-        if !self.engine.tick_due(now) {
-            return;
-        }
         let BitmapFilter {
             engine,
             bitmap,
             stats,
-            observer,
             overload,
             ..
         } = self;
-        engine.advance(now, |at, ticks| {
-            bitmap.rotate();
-            stats.rotations.fetch_add(1, Ordering::Relaxed);
-            // Graceful degradation: a Saturated ladder sheds marks at
-            // twice the configured rate — one extra rotation per tick,
-            // never more, so the ⌊(k−1)/2⌋·Δt mark-survival floor the
-            // overload docs promise stays intact.
-            if overload.wants_early_rotation() {
-                bitmap.rotate();
-                stats.rotations.fetch_add(1, Ordering::Relaxed);
-                overload.note_early_rotation();
-            }
-            // Ticks are rare (once per Δt), so the operating point is
-            // computed eagerly for the observer.
-            let monitor = engine.monitor();
-            let p_d = engine.drop_policy().drop_probability(monitor.rate_bps(at));
-            observer.on_rotation(&RotationEvent {
-                now: at,
-                rotations: ticks,
-                monitor,
-                p_d,
-            });
+        engine.advance_observed(now, |at, observer| {
             // Rotations shed marks, so the ladder may de-escalate here
             // rather than waiting for the next inbound packet.
-            if let Some(event) = overload.evaluate(bitmap, at) {
+            if let Some(event) = Self::tick(bitmap, stats, overload, at) {
                 observer.on_overload(&event);
             }
         });
@@ -461,16 +436,31 @@ impl<O: FilterObserver> BitmapFilter<O> {
     /// ([`FilterObserver::IS_NOOP`]), so nothing observable is skipped.
     pub fn advance_shared(&self, now: Timestamp) {
         debug_assert!(O::IS_NOOP, "advance_shared requires a no-op observer");
-        self.engine.advance(now, |at, _ticks| {
-            self.bitmap.rotate();
-            self.stats.rotations.fetch_add(1, Ordering::Relaxed);
-            if self.overload.wants_early_rotation() {
-                self.bitmap.rotate();
-                self.stats.rotations.fetch_add(1, Ordering::Relaxed);
-                self.overload.note_early_rotation();
-            }
-            self.overload.evaluate(&self.bitmap, at);
+        self.engine.advance(now, |at| {
+            Self::tick(&self.bitmap, &self.stats, &self.overload, at);
         });
+    }
+
+    /// One timer tick: rotates the bitmap, then lets the ladder
+    /// re-evaluate the shed fill. Returns the ladder's transition, if any.
+    fn tick(
+        bitmap: &AtomicBitmap,
+        stats: &SharedStats,
+        overload: &OverloadLadder,
+        at: Timestamp,
+    ) -> Option<OverloadEvent> {
+        bitmap.rotate();
+        stats.rotations.fetch_add(1, Ordering::Relaxed);
+        // Graceful degradation: a Saturated ladder sheds marks at twice
+        // the configured rate — one extra rotation per tick, never more,
+        // so the ⌊(k−1)/2⌋·Δt mark-survival floor the overload docs
+        // promise stays intact.
+        if overload.wants_early_rotation() {
+            bitmap.rotate();
+            stats.rotations.fetch_add(1, Ordering::Relaxed);
+            overload.note_early_rotation();
+        }
+        overload.evaluate(bitmap, at)
     }
 
     /// `true` when drop verdicts apply at `now`. Always `true` under
@@ -499,7 +489,7 @@ impl<O: FilterObserver> BitmapFilter<O> {
     /// run during warm-up.
     fn anchor_warmup(&mut self, now: Timestamp) {
         if let Some(armed_at) = self.anchor_warmup_shared(now) {
-            self.observer.on_cold_start(now, armed_at);
+            self.engine.observer_mut().on_cold_start(now, armed_at);
         }
     }
 
@@ -551,7 +541,7 @@ impl<O: FilterObserver> BitmapFilter<O> {
             && self.warmup.arm_at().is_some_and(|at| now >= at)
         {
             *self.warmup.arm_notified.get_mut() = true;
-            self.observer.on_armed(now);
+            self.engine.observer_mut().on_armed(now);
         }
     }
 
@@ -564,11 +554,11 @@ impl<O: FilterObserver> BitmapFilter<O> {
         self.stats.outbound_packets.fetch_add(1, Ordering::Relaxed);
         let key = tuple.outbound_key(self.config.hole_punching());
         self.bitmap.mark(&key.to_bytes());
-        self.observer.on_outbound(tuple, now);
+        self.engine.observer_mut().on_outbound(tuple, now);
         // Outbound marks are what raise the fill (a SYN flood's elicited
         // RSTs arrive here), so the sentinel samples after each mark.
         if let Some(event) = self.overload.evaluate(&self.bitmap, now) {
-            self.observer.on_overload(&event);
+            self.engine.observer_mut().on_overload(&event);
         }
     }
 
@@ -587,7 +577,7 @@ impl<O: FilterObserver> BitmapFilter<O> {
         self.anchor_warmup(now);
         self.maybe_notify_armed(now);
         if let Some(event) = self.overload.evaluate(&self.bitmap, now) {
-            self.observer.on_overload(&event);
+            self.engine.observer_mut().on_overload(&event);
         }
         // Degradation clamp: while the ladder is engaged, unmarked
         // inbound packets face at least the rung's P_d. Applied before
@@ -601,18 +591,9 @@ impl<O: FilterObserver> BitmapFilter<O> {
         let (verdict, known, drop_draws, fail_open) =
             self.decide_inbound_core(&key_bytes, now, p_d);
         let warming = self.is_warming(now);
-        self.observer.on_inbound(&InboundDecision {
-            now,
-            verdict,
-            p_d,
-            known,
-            drop_draws,
-            fail_open,
-            warming,
-            key: &key_bytes,
-            rotation_epoch: self.engine.ticks(),
-            monitor: self.engine.monitor(),
-        });
+        self.engine.notify_inbound(
+            now, verdict, p_d, known, drop_draws, fail_open, warming, &key_bytes,
+        );
         verdict
     }
 
@@ -928,7 +909,7 @@ impl<O: FilterObserver> Snapshottable for BitmapFilter<O> {
         self.overload.reset();
         let armed_at = epoch + self.config.expiry_timer();
         self.warmup.set(Some(armed_at), Some(armed_at), false);
-        self.observer.on_cold_start(epoch, armed_at);
+        self.engine.observer_mut().on_cold_start(epoch, armed_at);
     }
 }
 

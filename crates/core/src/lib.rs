@@ -11,14 +11,15 @@
 //! recently sent an **outbound** packet:
 //!
 //! * a `{k × N}`-bitmap: `k` Bloom-filter bit vectors of `N = 2^n` bits
-//!   sharing `m` hash functions ([`Bitmap`]);
+//!   sharing `m` hash functions ([`AtomicBitmap`]);
 //! * outbound packets **mark** their [`FilterKey`] in *all* `k` vectors
 //!   (paper Algorithm 2);
 //! * inbound packets **look up** only the *current* vector; a miss means
 //!   the packet is unsolicited and is dropped with probability `P_d`;
-//! * every `Δt` seconds [`Bitmap::rotate`] advances the current vector
-//!   and zeroes the vector it left (paper Algorithm 1), expiring marks
-//!   after `T_e ≈ k·Δt` without per-flow timers.
+//! * every `Δt` seconds [`AtomicBitmap::rotate`] advances the current
+//!   vector and zeroes the vector it left (paper Algorithm 1), expiring
+//!   marks after `T_e ≈ k·Δt` without per-flow timers; the
+//!   [`FilterEngine`] drives that timer from packet timestamps.
 //!
 //! `P_d` follows the RED-style rule of the paper's Equation 1
 //! ([`DropPolicy`]): zero below an uplink-throughput threshold `L`,
@@ -62,12 +63,8 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-mod amortized;
 mod atomic_bitmap;
 mod atomic_bitvec;
-mod bitmap;
-mod bitvec;
-mod bloom;
 mod config;
 mod engine;
 mod filter;
@@ -79,17 +76,12 @@ mod pfilter;
 mod red;
 mod runtime;
 mod sharded;
-mod shared_engine;
 pub mod snapshot;
 mod subscriber;
 mod throughput;
 
-pub use amortized::{AmortizedBitmap, DEFAULT_CLEAR_CHUNK_WORDS};
 pub use atomic_bitmap::{AtomicBitmap, BitmapProbe};
 pub use atomic_bitvec::AtomicBitVec;
-pub use bitmap::Bitmap;
-pub use bitvec::BitVec;
-pub use bloom::BloomFilter;
 pub use config::{BitmapFilterConfig, BitmapFilterConfigBuilder, ConfigError, FailMode};
 pub use engine::FilterEngine;
 pub use filter::{BitmapFilter, FilterStats, Verdict};
@@ -114,3 +106,6 @@ pub use subscriber::{
 pub use throughput::ThroughputMonitor;
 
 pub use upbound_net::FilterKey;
+
+#[cfg(test)]
+include!("contract_tests.rs");

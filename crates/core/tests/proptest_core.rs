@@ -1,21 +1,22 @@
 //! Property tests on the bitmap filter's data structures and math.
 
 use proptest::prelude::*;
+use std::collections::HashSet;
 use upbound_core::params::{
     exact_false_positive, max_connections, optimal_hash_count, penetration_probability,
 };
-use upbound_core::{BitVec, Bitmap, BloomFilter, ThroughputMonitor};
+use upbound_core::{AtomicBitVec, AtomicBitmap, HashFamily, ThroughputMonitor};
 use upbound_net::{TimeDelta, Timestamp};
 
 proptest! {
-    /// BitVec: set/get/count coherence under arbitrary index sequences.
+    /// AtomicBitVec: set/get/count coherence under arbitrary index sequences.
     #[test]
     fn bitvec_set_get_count(
         len in 1usize..2000,
         indices in proptest::collection::vec(any::<usize>(), 0..200),
     ) {
-        let mut v = BitVec::new(len);
-        let mut reference = std::collections::HashSet::new();
+        let v = AtomicBitVec::new(len);
+        let mut reference = HashSet::new();
         for raw in indices {
             let i = raw % len;
             v.set(i);
@@ -28,18 +29,18 @@ proptest! {
         prop_assert!((v.utilization() - reference.len() as f64 / len as f64).abs() < 1e-12);
     }
 
-    /// Bloom filter: no false negatives, ever.
+    /// One bitmap vector as a Bloom filter: no false negatives, ever.
     #[test]
     fn bloom_no_false_negatives(
         keys in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..32), 0..100),
         m in 1usize..6,
     ) {
-        let mut b = BloomFilter::new(12, m);
+        let b = AtomicBitmap::new(2, 12, m);
         for k in &keys {
-            b.insert(k);
+            b.mark(k);
         }
         for k in &keys {
-            prop_assert!(b.contains(k));
+            prop_assert!(b.lookup(k));
         }
     }
 
@@ -51,7 +52,7 @@ proptest! {
         k in 2usize..8,
         pre_rotations in 0usize..10,
     ) {
-        let mut bm = Bitmap::new(k, 12, 3);
+        let bm = AtomicBitmap::new(k, 12, 3);
         for _ in 0..pre_rotations {
             bm.rotate(); // phase should not matter
         }
@@ -70,7 +71,7 @@ proptest! {
     fn bitmap_marking_is_monotone(
         keys in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..16), 1..50),
     ) {
-        let mut bm = Bitmap::new(4, 10, 2);
+        let bm = AtomicBitmap::new(4, 10, 2);
         let mut prev = 0.0;
         for key in &keys {
             bm.mark(key);
@@ -146,7 +147,7 @@ proptest! {
     fn measured_penetration_matches_prediction(seed_keys in 50usize..400) {
         let n_bits = 12u32;
         let m = 2usize;
-        let mut bm = Bitmap::new(4, n_bits, m);
+        let bm = AtomicBitmap::new(4, n_bits, m);
         for i in 0..seed_keys as u64 {
             bm.mark(&i.to_le_bytes());
         }
@@ -162,57 +163,139 @@ proptest! {
     }
 }
 
-mod amortized_equivalence {
-    use super::*;
-    use upbound_core::AmortizedBitmap;
+/// An executable spec of the paper's Algorithms 1 and 2: `k` sets of
+/// hashed bit positions, one of them current.
+struct BitmapSpec {
+    hashes: HashFamily,
+    sets: Vec<HashSet<usize>>,
+    current: usize,
+}
 
-    #[derive(Debug, Clone)]
-    enum Op {
-        Mark(Vec<u8>),
-        Rotate,
-        Lookup(Vec<u8>),
+impl BitmapSpec {
+    fn new(k: usize, n_bits: u32, m: usize) -> Self {
+        Self {
+            hashes: HashFamily::new(m, n_bits),
+            sets: vec![HashSet::new(); k],
+            current: 0,
+        }
     }
 
-    fn arb_op() -> impl Strategy<Value = Op> {
-        prop_oneof![
-            proptest::collection::vec(any::<u8>(), 1..12).prop_map(Op::Mark),
-            Just(Op::Rotate),
-            proptest::collection::vec(any::<u8>(), 1..12).prop_map(Op::Lookup),
-        ]
+    /// Algorithm 2, outbound: insert into all `k` sets.
+    fn mark(&mut self, key: &[u8]) {
+        for set in &mut self.sets {
+            set.extend(self.hashes.indexes(key));
+        }
     }
 
-    proptest! {
-        /// The amortized bitmap is observationally equivalent to the
-        /// plain bitmap under arbitrary mark/rotate/lookup interleavings
-        /// and arbitrary background-clearing chunk sizes.
-        #[test]
-        fn amortized_equals_plain(
-            ops in proptest::collection::vec(arb_op(), 0..120),
-            k in 2usize..6,
-            chunk in 1usize..64,
-        ) {
-            let mut plain = Bitmap::new(k, 8, 2);
-            let mut fast = AmortizedBitmap::with_chunk_words(k, 8, 2, chunk);
-            for op in &ops {
-                match op {
-                    Op::Mark(key) => {
-                        plain.mark(key);
-                        fast.mark(key);
-                    }
-                    Op::Rotate => {
-                        plain.rotate();
-                        fast.rotate();
-                    }
-                    Op::Lookup(key) => {
-                        prop_assert_eq!(
-                            plain.lookup(key),
-                            fast.lookup(key),
-                            "divergence on {:?}",
-                            key
-                        );
-                    }
+    /// Algorithm 2, inbound: hashed bits missing from the current set.
+    fn unmarked(&self, key: &[u8]) -> usize {
+        let current = &self.sets[self.current];
+        self.hashes
+            .indexes(key)
+            .filter(|b| !current.contains(b))
+            .count()
+    }
+
+    /// Algorithm 1: clear the departed set and advance.
+    fn rotate(&mut self) {
+        self.sets[self.current].clear();
+        self.current = (self.current + 1) % self.sets.len();
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    Mark(Vec<u8>),
+    Rotate,
+    Lookup(Vec<u8>),
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 1..12).prop_map(Op::Mark),
+        Just(Op::Rotate),
+        proptest::collection::vec(any::<u8>(), 1..12).prop_map(Op::Lookup),
+    ]
+}
+
+proptest! {
+    /// `AtomicBitmap` is observationally equal to the spec under
+    /// arbitrary mark/rotate/lookup interleavings: every lookup, its
+    /// unmarked-bit count, the current index and the current vector's
+    /// fill agree. This covers mark lifetime (a mark lives through
+    /// exactly `k − 1` rotations) and monotone, non-destructive marking.
+    #[test]
+    fn atomic_bitmap_matches_spec(
+        ops in proptest::collection::vec(arb_op(), 0..150),
+        k in 2usize..6,
+        m in 1usize..4,
+    ) {
+        let n_bits = 8;
+        let bitmap = AtomicBitmap::new(k, n_bits, m);
+        let mut spec = BitmapSpec::new(k, n_bits, m);
+        for op in &ops {
+            match op {
+                Op::Mark(key) => {
+                    bitmap.mark(key);
+                    spec.mark(key);
+                }
+                Op::Rotate => {
+                    bitmap.rotate();
+                    spec.rotate();
+                }
+                Op::Lookup(key) => {
+                    let probe = bitmap.probe(key);
+                    prop_assert_eq!(probe.unmarked, spec.unmarked(key), "key {:?}", key);
+                    prop_assert_eq!(probe.known, probe.unmarked == 0);
+                    prop_assert_eq!(bitmap.lookup(key), probe.known);
                 }
             }
+            prop_assert_eq!(bitmap.current_index(), spec.current);
+            let fill = spec.sets[spec.current].len() as f64 / (1u64 << n_bits) as f64;
+            prop_assert!((bitmap.utilization() - fill).abs() < 1e-12);
+        }
+    }
+}
+
+/// Eq. 2–3 conformance: fill a `2^14`-bit bitmap with `c` distinct keys
+/// at several loads `c·m/N`, probe `P` disjoint keys, and hold the
+/// measured penetration rate to binomial noise (4σ) around the exact
+/// Bloom probability, under the Eq. 3 approximation, and around the
+/// bitmap's own `U^m` estimate (Eq. 2). Keys are fixed, so the test is
+/// deterministic.
+#[test]
+fn penetration_matches_eq_2_and_3() {
+    const N_BITS: u32 = 14;
+    const N: usize = 1 << N_BITS;
+    const PROBES: u64 = 50_000;
+    for m in [2usize, 3, 4] {
+        for load in [0.1, 0.3, 0.6] {
+            let c = (load * N as f64 / m as f64).round() as u64;
+            let bitmap = AtomicBitmap::new(4, N_BITS, m);
+            for i in 0..c {
+                bitmap.mark(&i.to_le_bytes());
+            }
+            let hits = (0..PROBES)
+                .filter(|i| bitmap.lookup(&(i + 1_000_000_000).to_le_bytes()))
+                .count();
+            let measured = hits as f64 / PROBES as f64;
+            let exact = exact_false_positive(c as f64, N, m);
+            let bound = 4.0 * (exact * (1.0 - exact) / PROBES as f64).sqrt();
+            let at = format!("m = {m}, load = {load}, c = {c}");
+            assert!(
+                (measured - exact).abs() <= bound,
+                "{at}: measured {measured} vs exact {exact} (±{bound})"
+            );
+            let approx = penetration_probability(c as f64, N, m);
+            assert!(
+                measured <= approx + bound,
+                "{at}: measured {measured} above Eq. 3's {approx}"
+            );
+            let u_m = bitmap.penetration_probability();
+            assert!(
+                (u_m - measured).abs() <= bound,
+                "{at}: U^m {u_m} vs measured {measured} (±{bound})"
+            );
         }
     }
 }

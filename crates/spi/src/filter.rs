@@ -71,8 +71,9 @@ impl MergeStats for SpiStats {
 /// probability `P_d` — but the memory is an exact [`FlowTable`]: no false
 /// positives, precise close tracking, and O(flows) storage plus periodic
 /// O(flows) purge sweeps. Timer scheduling, uplink measurement, `P_d`
-/// derivation, and drop draws come from the shared
-/// [`FilterEngine`](upbound_core::FilterEngine).
+/// derivation, drop draws and observer dispatch come from the same
+/// [`FilterEngine`](upbound_core::FilterEngine) the bitmap filter
+/// embeds; a purge sweep is one engine tick.
 ///
 /// Like the bitmap filter, it is generic over a
 /// [`FilterObserver`](upbound_core::FilterObserver) (default
@@ -154,16 +155,13 @@ impl<O: FilterObserver> SpiFilter<O> {
 
     /// Runs any purge sweep that came due at or before `now`.
     pub fn advance(&mut self, now: Timestamp) {
-        if !self.engine.tick_due(now) {
-            return;
-        }
         let SpiFilter {
             engine,
             table,
             stats,
             config,
         } = self;
-        engine.advance(now, |at| {
+        engine.advance_observed(now, |at, _| {
             let removed = table.purge(at, config.idle_timeout);
             stats.purged_entries += removed as u64;
             stats.purge_sweeps += 1;
@@ -184,7 +182,7 @@ impl<O: FilterObserver> SpiFilter<O> {
             }
             None => self.table.touch_outbound(*tuple, flags, now),
         }
-        self.engine.notify_outbound(tuple, now);
+        self.engine.observer_mut().on_outbound(tuple, now);
     }
 
     /// Checks an inbound packet against the flow table with explicit drop
@@ -435,7 +433,7 @@ impl<O: FilterObserver> Snapshottable for SpiFilter<O> {
         // forgets pre-crash flows, and their responses are treated as
         // unsolicited — the bounded-false-drop cost of a stale snapshot.
         self.table.clear();
-        self.engine.notify_cold_start(epoch, epoch);
+        self.engine.observer_mut().on_cold_start(epoch, epoch);
     }
 }
 

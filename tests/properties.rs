@@ -2,8 +2,10 @@
 //! invariants.
 
 use proptest::prelude::*;
-use upbound::core::{Bitmap, BitmapFilter, BitmapFilterConfig, Verdict};
-use upbound::net::{wire, FiveTuple, Packet, Protocol, TcpFlags, TimeDelta, Timestamp};
+use upbound::core::{
+    AtomicBitmap, BitmapFilter, BitmapFilterConfig, DropPolicy, FailMode, Verdict,
+};
+use upbound::net::{wire, Direction, FiveTuple, Packet, Protocol, TcpFlags, TimeDelta, Timestamp};
 use upbound::stats::EmpiricalCdf;
 
 fn arb_tuple() -> impl Strategy<Value = FiveTuple> {
@@ -96,7 +98,7 @@ proptest! {
         keys in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..40), 1..50),
         rotations in 0usize..3,
     ) {
-        let mut bitmap = Bitmap::new(4, 12, 3);
+        let bitmap = AtomicBitmap::new(4, 12, 3);
         for key in &keys {
             bitmap.mark(key);
         }
@@ -113,7 +115,7 @@ proptest! {
     fn bitmap_forgets_after_k_rotations(
         keys in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..40), 1..20),
     ) {
-        let mut bitmap = Bitmap::new(3, 14, 2);
+        let bitmap = AtomicBitmap::new(3, 14, 2);
         for key in &keys {
             bitmap.mark(key);
         }
@@ -140,6 +142,48 @@ proptest! {
         filter.observe_outbound(&t, t0);
         let arrival = t0 + TimeDelta::from_micros(offset_ms * 1000);
         prop_assert_eq!(filter.check_inbound(&t.inverse(), arrival, p_d), Verdict::Pass);
+    }
+
+    /// Mark lifetime at the filter level (paper §4.2): with `P_d ≡ 1`,
+    /// fail-closed and no re-mark, a response `d` after its outbound
+    /// packet passes whenever `d < (k−1)·Δt` and drops whenever
+    /// `d ≥ k·Δt`, for any `k`, `Δt` and rotation phase of `t0`.
+    #[test]
+    fn marks_live_between_k_minus_one_and_k_rotations(
+        t in arb_tuple(),
+        k in 2usize..8,
+        dt_ms in 1u64..10_000,
+        t0_us in 0u64..100_000_000,
+        below in 0.0f64..1.0,
+        above_ms in 0u64..30_000,
+    ) {
+        let dt = TimeDelta::from_millis(dt_ms);
+        let config = BitmapFilterConfig::builder()
+            .vectors(k)
+            .vector_bits(12)
+            .rotate_every(dt)
+            .drop_policy(DropPolicy::drop_all())
+            .fail_mode(FailMode::Closed)
+            .build()
+            .expect("valid");
+        let t0 = Timestamp::from_micros(t0_us);
+        let verdict_after = |d_us: u64| {
+            let mut filter = BitmapFilter::new(config.clone());
+            filter.observe_outbound(&t, t0);
+            let at = t0 + TimeDelta::from_micros(d_us);
+            let reply = match t.protocol() {
+                Protocol::Tcp => Packet::tcp(at, t.inverse(), TcpFlags::ACK, Vec::new()),
+                Protocol::Udp => Packet::udp(at, t.inverse(), Vec::new()),
+            };
+            filter.process_packet(&reply, Direction::Inbound)
+        };
+        let dt_us = dt.as_micros();
+        let last_pass = (k as u64 - 1) * dt_us - 1;
+        let first_drop = k as u64 * dt_us;
+        prop_assert_eq!(verdict_after((below * last_pass as f64) as u64), Verdict::Pass);
+        prop_assert_eq!(verdict_after(last_pass), Verdict::Pass);
+        prop_assert_eq!(verdict_after(first_drop), Verdict::Drop);
+        prop_assert_eq!(verdict_after(first_drop + above_ms * 1000), Verdict::Drop);
     }
 
     /// Empirical CDFs are monotone with range [0, 1].

@@ -103,33 +103,6 @@ fn trace_config_and_replay_results_roundtrip() {
 }
 
 #[test]
-fn bitmap_snapshot_survives_warm_restart() {
-    // An operator can persist the bitmap mid-operation and restore it:
-    // marks, rotation phase, and utilization all survive.
-    use upbound::core::Bitmap;
-    let mut bitmap = Bitmap::new(4, 12, 3);
-    for i in 0..500u32 {
-        bitmap.mark(&i.to_le_bytes());
-    }
-    bitmap.rotate();
-    bitmap.mark(b"late-mark");
-
-    let restored: Bitmap = json_roundtrip(&bitmap);
-    assert_eq!(restored, bitmap);
-    assert_eq!(restored.current_index(), bitmap.current_index());
-    assert_eq!(restored.rotations(), bitmap.rotations());
-    assert!(restored.lookup(b"late-mark"));
-    assert!(restored.lookup(&42u32.to_le_bytes()));
-    assert!(!restored.lookup(b"never-marked"));
-    // Behaviour stays identical after restore.
-    let mut a = bitmap.clone();
-    let mut b = restored;
-    a.rotate();
-    b.rotate();
-    assert_eq!(a, b);
-}
-
-#[test]
 fn labeled_trace_roundtrips() {
     let config = TraceConfig::builder()
         .duration_secs(5.0)
