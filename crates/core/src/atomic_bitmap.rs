@@ -22,14 +22,16 @@ pub struct BitmapProbe {
 /// shared by reference across worker threads (its `&self` API serves
 /// single-threaded callers just as well):
 ///
-/// * **mark** is an `AtomicU64::fetch_or` per touched word, vector-outer
+/// * **mark** is a relaxed load per hashed bit, plus an
+///   `AtomicU64::fetch_or` only for a bit that reads as clear (a
+///   re-marked flow's bits are almost always set already), vector-outer
 ///   for cache locality;
 /// * **lookup**/**probe** are relaxed loads of the current vector;
 /// * **rotate** (every `Δt`) is an epoch/seqlock swap of the
 ///   current-vector index — readers retry the rare probe that overlaps a
 ///   rotation instead of every packet taking a lock, and the departed
 ///   vector is zeroed inside the (reader-excluded, lock-free for the
-///   rotator) epoch window.
+///   rotator) epoch window, swapping only its non-zero words.
 ///
 /// # Consistency contract
 ///
@@ -119,14 +121,16 @@ impl AtomicBitmap {
     }
 
     /// Marks `key` in **all** `k` vectors (Algorithm 2, outbound path) —
-    /// one `fetch_or` per touched word, no lock.
+    /// no lock, and a `fetch_or` only for a bit that is not already set
+    /// ([`AtomicBitVec::set`] skips the write for a set bit).
     ///
     /// The loop is vector-outer: all `m` bits of one vector are set
     /// before moving to the next, so each vector's cache lines are
     /// touched consecutively instead of striding across all `k` vectors
     /// per bit. If a rotation completes concurrently, the mark re-runs
-    /// (`fetch_or` is idempotent), so a mark that returns after
-    /// `rotate()` returned is fully present in the post-rotation bitmap.
+    /// (setting is idempotent), so a mark that returns after `rotate()`
+    /// returned is fully present in the post-rotation bitmap — whether
+    /// it wrote a bit or only read it as set.
     pub fn mark(&self, key: &[u8]) {
         // Hash once; the index iterator is cheap to clone per vector.
         let indexes = self.hashes.indexes(key);
@@ -141,10 +145,13 @@ impl AtomicBitmap {
                     v.set(bit);
                 }
             }
+            #[cfg(test)]
+            tests::rotate_if_armed(self);
             // SeqCst pairs with the rotator's fence: either our writes
-            // are ordered before the rotation (it re-zeroes only the
-            // departed vector — within the expiry contract), or we
-            // observe the epoch change here and re-mark.
+            // *and* our reads of already-set bits are ordered before the
+            // rotation (it re-zeroes only the departed vector — within
+            // the expiry contract), or we observe the epoch change here
+            // and re-mark.
             fence(Ordering::SeqCst);
             if self.epoch.load(Ordering::Relaxed) == e1 {
                 return;
@@ -413,6 +420,20 @@ impl PartialEq for AtomicBitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Arms one rotation inside the next `mark` on this thread,
+        /// between its bit accesses and its fence.
+        static ROTATE_IN_MARK: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Runs the rotation armed by `ROTATE_IN_MARK`, once.
+    pub(super) fn rotate_if_armed(bm: &AtomicBitmap) {
+        if ROTATE_IN_MARK.with(|armed| armed.replace(false)) {
+            bm.rotate();
+        }
+    }
 
     #[test]
     fn paper_configuration_memory() {
@@ -596,6 +617,28 @@ mod tests {
                 assert!(bm.lookup(&(t * 10_000 + i).to_le_bytes()));
             }
         }
+    }
+
+    #[test]
+    fn concurrent_rotation_after_a_skipped_mark_is_remarked() {
+        // A re-mark of a marked key reads every bit as set and writes
+        // none. A rotation landing between those reads and the mark's
+        // fence clears the oldest vector, which the mark read as
+        // marked; the epoch recheck must re-mark it so the key lives
+        // k − 1 further rotations.
+        let k = 4;
+        let bm = AtomicBitmap::new(k, 12, 3);
+        let key = b"remarked flow";
+        bm.mark(key);
+        ROTATE_IN_MARK.with(|armed| armed.set(true));
+        bm.mark(key);
+        assert_eq!(bm.rotations(), 1, "the armed rotation ran inside the mark");
+        for _ in 1..k {
+            bm.rotate();
+            assert!(bm.lookup(key), "re-mark lost inside the k−1 window");
+        }
+        bm.rotate();
+        assert!(!bm.lookup(key));
     }
 
     #[test]

@@ -7,8 +7,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// of the concurrent [`AtomicBitmap`](crate::AtomicBitmap).
 ///
 /// Every operation takes `&self`:
-/// [`set`](Self::set) is an `AtomicU64::fetch_or`, [`get`](Self::get) is
-/// a relaxed load, and [`clear`](Self::clear) swaps each word to zero.
+/// [`set`](Self::set) is a relaxed load, plus an `AtomicU64::fetch_or`
+/// only when the bit reads as clear; [`get`](Self::get) is a relaxed
+/// load; and [`clear`](Self::clear) swaps each non-zero word to zero.
 /// Any number of markers and readers may run concurrently with one
 /// clearer; the ones-count stays exact under every interleaving because
 /// each 0→1 transition is observed by exactly one `fetch_or` and each
@@ -70,9 +71,17 @@ impl AtomicBitVec {
         self.len == 0
     }
 
-    /// Sets bit `i` to one with a `fetch_or`; returns `true` when the
-    /// bit was newly set by this call. Safe to race with other setters,
-    /// readers, and [`clear`](Self::clear).
+    /// Sets bit `i` to one; returns `true` when the bit was newly set by
+    /// this call. Safe to race with other setters, readers, and
+    /// [`clear`](Self::clear).
+    ///
+    /// A bit that already reads as set is left alone: the relaxed load
+    /// skips the locked `fetch_or`, which would change nothing. Only
+    /// `clear` turns bits off, so a bit read as set stays set until a
+    /// clear — and a caller that must not lose the bit to a concurrent
+    /// clear re-checks for one afterwards, exactly as it would after a
+    /// write (the [`AtomicBitmap`](crate::AtomicBitmap) mark's epoch
+    /// recheck).
     ///
     /// # Panics
     ///
@@ -81,7 +90,11 @@ impl AtomicBitVec {
     pub fn set(&self, i: usize) -> bool {
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
         let mask = 1u64 << (i % 64);
-        let prev = self.words[i / 64].fetch_or(mask, Ordering::Relaxed);
+        let word = &self.words[i / 64];
+        if word.load(Ordering::Relaxed) & mask != 0 {
+            return false;
+        }
+        let prev = word.fetch_or(mask, Ordering::Relaxed);
         if prev & mask == 0 {
             self.ones.fetch_add(1, Ordering::Relaxed);
             true
@@ -101,14 +114,18 @@ impl AtomicBitVec {
         self.words[i / 64].load(Ordering::Relaxed) & (1u64 << (i % 64)) != 0
     }
 
-    /// Zeroes every bit (the `b.rotate` clean-up step). Each word is
-    /// `swap`ped to zero, so bits set concurrently are either cleared
-    /// and counted here or survive and stay counted by their setter —
-    /// the ones-count is exact either way.
+    /// Zeroes every bit (the `b.rotate` clean-up step). Each word that
+    /// loads as non-zero is `swap`ped to zero; a word that loads as zero
+    /// is skipped, since a rotation typically finds the vector sparse.
+    /// Bits set concurrently are either cleared and counted by the swap
+    /// or survive (set after the load or the swap) and stay counted by
+    /// their setter — the ones-count is exact either way.
     pub fn clear(&self) {
         let mut cleared = 0u64;
         for w in self.words.iter() {
-            cleared += w.swap(0, Ordering::Relaxed).count_ones() as u64;
+            if w.load(Ordering::Relaxed) != 0 {
+                cleared += w.swap(0, Ordering::Relaxed).count_ones() as u64;
+            }
         }
         if cleared != 0 {
             self.ones.fetch_sub(cleared, Ordering::Relaxed);
@@ -263,6 +280,39 @@ mod tests {
         assert!(v.set(3));
         assert!(!v.set(3));
         assert_eq!(v.count_ones(), 1);
+    }
+
+    #[test]
+    fn set_on_a_set_bit_is_a_no_op() {
+        let v = AtomicBitVec::new(128);
+        for i in [3, 64, 127] {
+            assert!(v.set(i));
+        }
+        let before = v.words_snapshot();
+        for _ in 0..3 {
+            for i in [3, 64, 127] {
+                assert!(!v.set(i), "bit {i} was already set");
+            }
+        }
+        assert_eq!(v.count_ones(), 3);
+        assert_eq!(v.words_snapshot(), before);
+    }
+
+    #[test]
+    fn sparse_clear_leaves_an_exact_zero_count() {
+        // A few bits in a mostly-zero vector: the clear skips the zero
+        // words and must still subtract every set bit.
+        let v = AtomicBitVec::new(1 << 14);
+        for i in [0, 1, 700, 701, 9_000, (1 << 14) - 1] {
+            v.set(i);
+        }
+        assert_eq!(v.count_ones(), 6);
+        v.clear();
+        assert_eq!(v.count_ones(), 0);
+        assert!(v.words_snapshot().iter().all(|&w| w == 0));
+        // And again on an already-empty vector.
+        v.clear();
+        assert_eq!(v.count_ones(), 0);
     }
 
     #[test]

@@ -496,16 +496,20 @@ impl<O: FilterObserver> BitmapFilter<O> {
     /// The anchoring itself, through `&self`: compare-exchange from the
     /// unset sentinel, so racing first packets anchor exactly once.
     /// Returns the arming time when *this call* won the fail-open
-    /// anchor (the `&mut` wrapper fires the observer then).
+    /// anchor (the `&mut` wrapper fires the observer then). Each anchor
+    /// is tested with a plain load first, so an anchored filter does no
+    /// read-modify-write per packet.
     fn anchor_warmup_shared(&self, now: Timestamp) -> Option<Timestamp> {
         // Telemetry-only warm-window anchor, kept for both fail modes.
-        let until = (now + self.config.expiry_timer()).as_micros();
-        let _ = self.warmup.warm_until.compare_exchange(
-            UNSET,
-            until,
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        );
+        if self.warmup.warm_until.load(Ordering::Relaxed) == UNSET {
+            let until = (now + self.config.expiry_timer()).as_micros();
+            let _ = self.warmup.warm_until.compare_exchange(
+                UNSET,
+                until,
+                Ordering::AcqRel,
+                Ordering::Relaxed,
+            );
+        }
         if self.config.fail_mode() == FailMode::Open
             && self.warmup.arm_at.load(Ordering::Acquire) == UNSET
         {
@@ -589,7 +593,7 @@ impl<O: FilterObserver> BitmapFilter<O> {
         let key = tuple.inbound_key(self.config.hole_punching());
         let key_bytes = key.to_bytes();
         let (verdict, known, drop_draws, fail_open) =
-            self.decide_inbound_core(&key_bytes, now, p_d);
+            self.decide_inbound_core(&key_bytes, now, || p_d);
         let warming = self.is_warming(now);
         self.engine.notify_inbound(
             now, verdict, p_d, known, drop_draws, fail_open, warming, &key_bytes,
@@ -600,13 +604,15 @@ impl<O: FilterObserver> BitmapFilter<O> {
     /// The verdict logic shared by the exclusive and concurrent inbound
     /// paths: one seqlock-consistent bitmap probe, then the per-bit drop
     /// draws of Algorithm 2 (lines 9–13) — every unmarked hashed bit
-    /// gives an independent chance `p_d` to drop. Returns
+    /// gives an independent chance `p_d` to drop. `p_d` is called only
+    /// on a miss, so a path that derives it lazily pays for it only
+    /// when a draw can consult it. Returns
     /// `(verdict, known, drop_draws, fail_open)`.
     fn decide_inbound_core(
         &self,
         key_bytes: &[u8],
         now: Timestamp,
-        p_d: f64,
+        p_d: impl FnOnce() -> f64,
     ) -> (Verdict, bool, usize, bool) {
         let probe = self.bitmap.probe(key_bytes);
         if probe.known {
@@ -614,6 +620,7 @@ impl<O: FilterObserver> BitmapFilter<O> {
             return (Verdict::Pass, true, 0, false);
         }
         self.stats.inbound_misses.fetch_add(1, Ordering::Relaxed);
+        let p_d = p_d();
         let unmarked = probe.unmarked;
         let mut would_drop = false;
         for draw in 0..unmarked {
@@ -687,17 +694,21 @@ impl<O: FilterObserver> BitmapFilter<O> {
                 Verdict::Pass
             }
             Direction::Inbound => {
-                // `P_d` is sampled before rotations are applied, exactly
-                // like the exclusive path (`process_packet` derives it
-                // before `check_inbound` advances the clock).
-                let p_d = self.drop_probability(now);
                 self.advance_shared(now);
                 self.anchor_warmup_shared(now);
                 self.overload.evaluate(&self.bitmap, now);
-                let p_d = p_d.max(self.overload.clamp(self.config.fail_mode()));
                 self.stats.inbound_packets.fetch_add(1, Ordering::Relaxed);
                 let key = packet.tuple().inbound_key(self.config.hole_punching());
-                self.decide_inbound_core(&key.to_bytes(), now, p_d).0
+                // `P_d` is derived only on a miss: a hit passes without
+                // consulting it. The value equals the exclusive path's
+                // eager one (`process_packet` derives it before
+                // `check_inbound` advances the clock) because it reads
+                // only the uplink monitor, which rotations never touch.
+                self.decide_inbound_core(&key.to_bytes(), now, || {
+                    self.drop_probability(now)
+                        .max(self.overload.clamp(self.config.fail_mode()))
+                })
+                .0
             }
         }
     }

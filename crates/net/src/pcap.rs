@@ -286,6 +286,9 @@ const REC_HDR_LEN: usize = 16;
 /// byte-at-a-time resync stays amortized O(1) per byte instead of
 /// re-shifting the buffer on every slide.
 const COMPACT_THRESHOLD: usize = 4096;
+/// Spare tail `fill` keeps in the buffer before each read, so one read
+/// call can bring in many records.
+const READ_CHUNK: usize = 8192;
 
 struct RecHeader {
     sec: u32,
@@ -313,8 +316,11 @@ pub struct PcapReader<R: Read> {
     records: u64,
     policy: RecoveryPolicy,
     stats: IngestStats,
+    /// `buf[pos..end]` is buffered input; `buf[end..]` is spare tail the
+    /// next read writes into (zeroed once, when the buffer grows).
     buf: Vec<u8>,
     pos: usize,
+    end: usize,
     eof: bool,
 }
 
@@ -352,6 +358,7 @@ impl<R: Read> PcapReader<R> {
             stats: IngestStats::default(),
             buf: Vec::new(),
             pos: 0,
+            end: 0,
             eof: false,
         };
         reader.fill(GLOBAL_HDR_LEN)?;
@@ -422,21 +429,32 @@ impl<R: Read> PcapReader<R> {
     }
 
     fn available(&self) -> usize {
-        self.buf.len() - self.pos
+        self.end - self.pos
     }
 
     /// Buffers input until at least `want` bytes are available or the
     /// input is exhausted. Callers re-check [`PcapReader::available`].
+    ///
+    /// Returns at once when `want` bytes are already buffered (the
+    /// common case: most records sit inside the last read). Otherwise
+    /// compacts the consumed prefix and reads straight into the spare
+    /// tail of the buffer.
     fn fill(&mut self, want: usize) -> Result<(), NetError> {
-        if self.pos >= COMPACT_THRESHOLD || self.pos == self.buf.len() {
-            self.buf.drain(..self.pos);
+        if self.available() >= want {
+            return Ok(());
+        }
+        if self.pos >= COMPACT_THRESHOLD || self.pos == self.end {
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
             self.pos = 0;
         }
-        let mut chunk = [0u8; 8192];
         while !self.eof && self.available() < want {
-            match self.input.read(&mut chunk) {
+            if self.buf.len() - self.end < READ_CHUNK {
+                self.buf.resize(self.end + READ_CHUNK, 0);
+            }
+            match self.input.read(&mut self.buf[self.end..]) {
                 Ok(0) => self.eof = true,
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.end += n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(NetError::Io(e)),
             }
@@ -999,6 +1017,77 @@ mod tests {
         assert_eq!(stats.records_ok, 3);
         assert_eq!(stats.records_skipped, 1);
         assert_eq!(stats.bytes_skipped, 33);
+    }
+
+    /// A `Read` that hands out 1–13 bytes per call and fails every fifth
+    /// call with `Interrupted`, so records straddle many short reads.
+    struct ChoppyReader<'a> {
+        data: &'a [u8],
+        calls: usize,
+    }
+
+    impl Read for ChoppyReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(5) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let n = (1 + self.calls * 7 % 13)
+                .min(buf.len())
+                .min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// `read_all` plus the final accounting; errors compared by `Debug`.
+    fn read_all_with_stats<R: Read>(
+        input: R,
+        policy: RecoveryPolicy,
+    ) -> (Result<Vec<Packet>, String>, IngestStats) {
+        let mut reader = PcapReader::with_policy(input, policy).unwrap();
+        let packets = reader.read_all().map_err(|e| format!("{e:?}"));
+        (packets, *reader.stats())
+    }
+
+    #[test]
+    fn short_interrupted_reads_match_the_slice_reader() {
+        // Enough varied records to span several read chunks and
+        // compactions.
+        let packets: Vec<Packet> = (0..400u16)
+            .map(|i| {
+                let tuple = FiveTuple::new(
+                    Protocol::Tcp,
+                    "10.0.0.1:1000".parse().unwrap(),
+                    std::net::SocketAddrV4::new([192, 0, 2, 1].into(), 1 + i),
+                );
+                let payload = vec![i as u8; usize::from(i % 7) * 41];
+                Packet::tcp(
+                    Timestamp::from_micros(u64::from(i) * 10),
+                    tuple,
+                    TcpFlags::ACK,
+                    payload,
+                )
+            })
+            .collect();
+        let clean = to_bytes(&packets, 65535).unwrap();
+        let mut corrupt_body = clean.clone();
+        let (rec, _) = record_offsets(&packets)[150];
+        corrupt_body[rec + 16 + 12] = 0xFF;
+        corrupt_body[rec + 16 + 13] = 0xFF;
+        let truncated = &clean[..clean.len() - 5];
+
+        for input in [&clean[..], &corrupt_body[..], truncated] {
+            for policy in [RecoveryPolicy::Strict, RecoveryPolicy::Skip] {
+                let expected = read_all_with_stats(input, policy);
+                let choppy = ChoppyReader {
+                    data: input,
+                    calls: 0,
+                };
+                assert_eq!(read_all_with_stats(choppy, policy), expected, "{policy:?}");
+            }
+        }
     }
 
     #[test]

@@ -3,10 +3,12 @@
 
 use proptest::prelude::*;
 use upbound::core::{
-    AtomicBitmap, BitmapFilter, BitmapFilterConfig, DropPolicy, FailMode, Verdict,
+    AtomicBitmap, BitmapFilter, BitmapFilterConfig, DropPolicy, FailMode, OverloadPolicy,
+    OverloadState, Verdict,
 };
 use upbound::net::{wire, Direction, FiveTuple, Packet, Protocol, TcpFlags, TimeDelta, Timestamp};
 use upbound::stats::EmpiricalCdf;
+use upbound::traffic::{attack, generate, AttackConfig, TraceConfig};
 
 fn arb_tuple() -> impl Strategy<Value = FiveTuple> {
     (
@@ -219,5 +221,69 @@ proptest! {
             prop_assert!(p >= prev);
             prev = p;
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The shared (`&self`) inbound path derives `P_d` only on a miss;
+    /// the exclusive path derives it eagerly. With a live `P_d` (mean
+    /// uplink between L and H) and the overload ladder clamping during a
+    /// SYN flood, both must still produce the same verdict for every
+    /// packet and the same counters.
+    #[test]
+    fn shared_path_matches_exclusive_with_live_pd_and_ladder(seed in any::<u64>()) {
+        let trace = generate(
+            &TraceConfig::builder()
+                .duration_secs(40.0)
+                .flow_rate_per_sec(10.0)
+                .seed(seed)
+                .build()
+                .expect("valid trace config"),
+        );
+        let flood = attack::syn_flood(&AttackConfig {
+            seed,
+            start: Timestamp::from_secs(10.0),
+            duration: TimeDelta::from_secs(20.0),
+            rate_per_sec: 400.0,
+            victim: "10.0.0.9:6881".parse().expect("static addr"),
+        });
+        let mut stream: Vec<(Packet, Direction)> = trace
+            .packets
+            .iter()
+            .chain(&flood.packets)
+            .map(|lp| (lp.packet.clone(), lp.direction))
+            .collect();
+        stream.sort_by_key(|(p, _)| p.ts());
+
+        let mean_uplink_bps = trace.upload_bytes() as f64 * 8.0 / 40.0;
+        let config = BitmapFilterConfig::builder()
+            .vector_bits(12)
+            .drop_policy(
+                DropPolicy::new(mean_uplink_bps / 2.0, mean_uplink_bps * 2.0).expect("L < H"),
+            )
+            .rng_seed(seed)
+            .build()
+            .expect("valid filter config");
+        let build = || {
+            BitmapFilter::new(config.clone()).with_overload_policy(OverloadPolicy::balanced())
+        };
+
+        let mut exclusive = build();
+        let shared = build();
+        let mut laddered = false;
+        let mut live_pd = false;
+        for (packet, direction) in &stream {
+            let p_d = exclusive.drop_probability(packet.ts());
+            live_pd |= p_d > 0.0 && p_d < 1.0;
+            let want = exclusive.process_packet(packet, *direction);
+            laddered |= exclusive.overload_state() != OverloadState::Normal;
+            prop_assert_eq!(shared.process_packet_shared(packet, *direction), want);
+        }
+        prop_assert_eq!(shared.stats(), exclusive.stats());
+        prop_assert!(live_pd, "P_d never strictly between 0 and 1");
+        prop_assert!(laddered, "the flood never engaged the ladder");
+        prop_assert!(exclusive.stats().dropped > 0);
     }
 }
