@@ -20,18 +20,22 @@
 //!   zero-cost when no faults are armed.
 //! * **Checkpoint I/O faults** ([`CheckpointSink`]) — an injectable
 //!   write layer for periodic checkpoints; [`FaultingCheckpointSink`]
-//!   fails writes on the injector's schedule.
+//!   fails writes on the injector's schedule, and
+//!   [`checkpoint_with_backoff`] retries them before giving up on
+//!   periodic checkpointing.
 //!
 //! [`PipelineRunner::fault_plan`](crate::PipelineRunner::fault_plan)
 //! composes all three: [`run`](crate::PipelineRunner::run) distorts the
 //! stream and arms every shard of the supervised pool, and
-//! [`measure`](crate::PipelineRunner::measure) writes its checkpoints
+//! [`measure`](crate::PipelineRunner::measure) and
+//! [`serve`](crate::PipelineRunner::serve) write their checkpoints
 //! through a sink armed from the same plan. That is what the CI chaos
 //! matrix drives.
 
 use std::path::Path;
 use upbound_core::{snapshot, PacketFilter, SnapshotError};
 use upbound_net::{Direction, Packet, TimeDelta, Timestamp};
+use upbound_telemetry::Registry;
 
 /// Error parsing a [`FaultPlan`] spec string.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -453,6 +457,60 @@ impl<S: CheckpointSink, J: FaultInjector> CheckpointSink for FaultingCheckpointS
             return Err(SnapshotError::Io(err));
         }
         self.inner.write(path, bytes)
+    }
+}
+
+/// Retries a *periodic* checkpoint write with bounded exponential
+/// backoff: 3 attempts, 50 ms then 200 ms apart, each retry counted in
+/// `upbound_cli_checkpoint_retries_total`. When all fail it sets
+/// `upbound_cli_checkpointing_disabled` to 1, says so on stderr and
+/// returns the last error; the caller stops periodic checkpoints and
+/// carries on. Final checkpoints do not come through here: exiting
+/// without durable state must never happen silently, so their failures
+/// stay fatal.
+///
+/// # Errors
+///
+/// The last attempt's error, once all three attempts failed.
+pub fn checkpoint_with_backoff(
+    registry: Option<&Registry>,
+    path: &Path,
+    mut attempt: impl FnMut() -> Result<(), SnapshotError>,
+) -> Result<(), SnapshotError> {
+    let mut delay = std::time::Duration::from_millis(50);
+    let mut retries = 0;
+    loop {
+        let Err(e) = attempt() else {
+            return Ok(());
+        };
+        if retries == 2 {
+            if let Some(registry) = registry {
+                let help =
+                    "1 when periodic checkpointing was disabled after repeated write failures";
+                registry
+                    .gauge("upbound_cli_checkpointing_disabled", help)
+                    .set(1.0);
+            }
+            eprintln!(
+                "{}: periodic checkpoint failed after retries ({e}); periodic checkpointing \
+                 disabled for the rest of the run (the final checkpoint will still be attempted)",
+                path.display()
+            );
+            return Err(e);
+        }
+        if let Some(registry) = registry {
+            let help = "Periodic checkpoint writes retried after a transient failure";
+            registry
+                .counter("upbound_cli_checkpoint_retries_total", help)
+                .inc();
+        }
+        eprintln!(
+            "checkpoint write failed ({e}); retrying in {} ms",
+            delay.as_millis()
+        );
+        std::thread::sleep(delay);
+        delay *= 4;
+        retries += 1;
     }
 }
 

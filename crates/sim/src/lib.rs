@@ -26,8 +26,9 @@
 //!   [`PacketSource`](upbound_net::PacketSource) backends
 //!   ([`run_source`](PipelineRunner::run_source) /
 //!   [`measure_source`](PipelineRunner::measure_source)) and the
-//!   long-running, runtime-reconfigurable live loop
-//!   ([`serve`](PipelineRunner::serve)).
+//!   runtime-reconfigurable dataplane loop
+//!   ([`serve`](PipelineRunner::serve)), which runs both live sources
+//!   and finite captures.
 //! * [`pipeline`] — the deployment-shaped threaded pipeline (ingest →
 //!   one worker per shard of a
 //!   [`ShardedFilter`](upbound_core::ShardedFilter) → merge → account)
@@ -77,15 +78,16 @@ pub mod sweep;
 
 pub use compare::{compare, ComparisonResult};
 pub use fault::{
-    AtomicCheckpointSink, CheckpointSink, DistortionReport, FaultInjector, FaultPlan,
-    FaultPlanError, FaultingCheckpointSink, FaultingFilter, NoopInjector, PlannedInjector,
+    checkpoint_with_backoff, AtomicCheckpointSink, CheckpointSink, DistortionReport, FaultInjector,
+    FaultPlan, FaultPlanError, FaultingCheckpointSink, FaultingFilter, NoopInjector,
+    PlannedInjector,
 };
 pub use oracle::OracleFilter;
 pub use pipeline::{
     PipelineConfig, PipelineObservability, PipelineResult, ShardIncident, SupervisorReport,
     SupervisorTelemetry,
 };
-pub use replay::{ReplayConfig, ReplayEngine, ReplayResult};
+pub use replay::{BlockedConnections, ReplayConfig, ReplayEngine, ReplayResult};
 pub use runner::{
     Measurement, PipelineRunner, RunReport, RunnerError, ServeControl, ServeExit, ServeReport,
     ServeTelemetry,

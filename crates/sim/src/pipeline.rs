@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::sync::Mutex;
-use upbound_core::{FilterStats, PacketFilter, ShardedFilter, SubscriberTable, Verdict};
+use upbound_core::{FilterStats, PacketFilter, ShardedFilter, Verdict};
 use upbound_net::{Cidr, Direction, Packet, TimeDelta, Timestamp};
 use upbound_telemetry::{
     Counter, DumpTrigger, FlightRecorder, Gauge, HealthState, Registry, ShardStatus, Stage,
@@ -60,9 +60,8 @@ pub struct PipelineConfig {
     /// Capacity of each inter-stage channel (backpressure bound).
     pub channel_capacity: usize,
     /// Maximum packets decided per batch: the poll size of
-    /// [`serve`](crate::PipelineRunner::serve) and the
-    /// [`PacketFilter::decide_batch`] bound of the subscriber pipeline.
-    /// The supervised shard pool decides packet by packet (each decision
+    /// [`serve`](crate::PipelineRunner::serve). The supervised shard
+    /// pool decides packet by packet (each decision
     /// is its own panic boundary), so batching never changes its
     /// verdicts. `1` restores the per-packet path; `0` is treated as `1`.
     pub batch_size: usize,
@@ -98,89 +97,6 @@ pub struct PipelineResult {
     pub downlink_bytes: u64,
     /// The filter's own counters at shutdown.
     pub filter_stats: FilterStats,
-}
-
-/// Runs `packets` through a multi-tenant [`SubscriberTable`] on a
-/// three-stage pipeline (ingest → filter → account) and returns the
-/// aggregate result together with the table (so per-subscriber
-/// statistics, arena counters and checkpoint state survive the run).
-///
-/// The ingest stage classifies each packet's accounting direction with
-/// a [`SubscriberClassifier`] cloned from the table (source inside any
-/// subscriber → outbound), while the filter stage owns the table
-/// exclusively and decides each pulled batch through the table's
-/// subscriber-grouped dispatch — packets are partitioned by
-/// longest-prefix match and each tenant's sub-batch goes through one
-/// [`PacketFilter::decide_batch`] call. Verdicts are identical to a
-/// sequential [`SubscriberTable::process_packet`] loop — asserted by
-/// tests.
-///
-/// [`SubscriberClassifier`]: upbound_core::SubscriberClassifier
-pub(crate) fn subscriber_pipeline_impl<I, F>(
-    packets: I,
-    mut table: SubscriberTable<F>,
-    pipeline_config: PipelineConfig,
-) -> (PipelineResult, SubscriberTable<F>)
-where
-    I: IntoIterator<Item = Packet>,
-    F: PacketFilter<Stats = FilterStats> + Send + Sync,
-{
-    let classifier = table.classifier();
-    let (to_filter_tx, to_filter_rx): (Sender<(Packet, Direction)>, Receiver<_>) =
-        bounded(pipeline_config.channel_capacity);
-    let (to_stats_tx, to_stats_rx): (Sender<(Packet, Direction, Verdict)>, Receiver<_>) =
-        bounded(pipeline_config.channel_capacity);
-
-    let batch_size = pipeline_config.batch_size.max(1);
-    let scope_result = crossbeam::thread::scope(|scope| {
-        // Stage 2: the filter thread — exclusive owner of the table.
-        let filter_handle = scope.spawn(move |_| {
-            let mut batch: Vec<(Packet, Direction)> = Vec::with_capacity(batch_size);
-            let mut verdicts: Vec<Verdict> = Vec::with_capacity(batch_size);
-            'stream: while let Ok(first) = to_filter_rx.recv() {
-                batch.clear();
-                verdicts.clear();
-                batch.push(first);
-                while batch.len() < batch_size {
-                    match to_filter_rx.try_recv() {
-                        Ok(message) => batch.push(message),
-                        Err(_) => break,
-                    }
-                }
-                table.process_batch(&batch, &mut verdicts);
-                for ((packet, direction), verdict) in batch.drain(..).zip(verdicts.drain(..)) {
-                    if to_stats_tx.send((packet, direction, verdict)).is_err() {
-                        break 'stream;
-                    }
-                }
-            }
-            table
-        });
-
-        // Stage 3: accounting.
-        let stats_handle = scope.spawn(move |_| {
-            let mut result = PipelineResult::default();
-            for (packet, direction, verdict) in to_stats_rx {
-                account(&mut result, &packet, direction, verdict);
-            }
-            result
-        });
-
-        // Stage 1: ingest — LPM classification on the calling thread.
-        for packet in packets {
-            let direction = classifier.direction_of(&packet);
-            if to_filter_tx.send((packet, direction)).is_err() {
-                break;
-            }
-        }
-        drop(to_filter_tx); // signal end-of-stream downstream
-
-        let table = join_or_propagate(filter_handle.join());
-        let mut result = join_or_propagate(stats_handle.join());
-        result.filter_stats = table.merged_stats();
-        (result, table)
-    });
-    join_or_propagate(scope_result)
 }
 
 /// Tallies one merged verdict into the aggregate result.
@@ -1020,59 +936,6 @@ mod tests {
             doc.contains("\"panics\":"),
             "health doc lacks shard state: {doc}"
         );
-    }
-
-    #[test]
-    fn subscriber_pipeline_matches_sequential_table() {
-        let trace = trace();
-        let config = BitmapFilterConfig::paper_evaluation();
-        let packets: Vec<Packet> = trace.packets.iter().map(|lp| lp.packet.clone()).collect();
-
-        // Two subscribers carved out of the trace's client network plus
-        // one that never sees traffic.
-        let provision = |table: &mut SubscriberTable| {
-            for cidr in ["10.0.0.0/17", "10.0.128.0/17", "172.16.0.0/16"] {
-                table
-                    .add_subscriber(cidr.parse().expect("cidr"), config.clone())
-                    .expect("provision");
-            }
-        };
-
-        // Sequential reference.
-        let mut reference = SubscriberTable::new();
-        provision(&mut reference);
-        let classifier = reference.classifier();
-        let mut seq = PipelineResult::default();
-        for packet in &packets {
-            let direction = classifier.direction_of(packet);
-            let verdict = reference.process_packet(packet);
-            account(&mut seq, packet, direction, verdict);
-        }
-        seq.filter_stats = reference.merged_stats();
-
-        for batch_size in [1usize, 64] {
-            let mut table = SubscriberTable::new();
-            provision(&mut table);
-            let (result, table) = subscriber_pipeline_impl(
-                packets.iter().cloned(),
-                table,
-                PipelineConfig {
-                    batch_size,
-                    ..PipelineConfig::default()
-                },
-            );
-            assert_eq!(result, seq, "batch_size = {batch_size}");
-            assert_eq!(
-                table.per_subscriber_stats(),
-                reference.per_subscriber_stats(),
-                "batch_size = {batch_size}"
-            );
-            // The untouched subscriber never materialized.
-            assert_eq!(
-                table.subscriber_state(2),
-                Some(upbound_core::SubscriberState::Dormant)
-            );
-        }
     }
 
     #[test]

@@ -45,6 +45,77 @@ impl Default for ReplayConfig {
     }
 }
 
+/// The blocked-σ store of the paper's Figure 9 setup, with the flush
+/// rule that keeps batched deciding identical to deciding one packet at
+/// a time.
+///
+/// Once an inbound packet of a connection is dropped, every later packet
+/// of that connection, in either direction, is dropped without
+/// consulting the filter. A caller staging packets for a batched decide
+/// must decide the staged batch before admitting a packet whose
+/// connection already has an inbound packet staged
+/// ([`must_flush`](Self::must_flush)): that staged packet's verdict may
+/// block the newcomer. Only inbound drops block, so only inbound packets
+/// are hazards.
+#[derive(Debug, Clone, Default)]
+pub struct BlockedConnections {
+    blocked: HashSet<FiveTuple>,
+    staged_inbound: HashSet<FiveTuple>,
+}
+
+impl BlockedConnections {
+    /// Whether an inbound packet of `tuple`'s connection is staged, so the
+    /// staged batch must be decided before `tuple`'s packet is looked up.
+    pub fn must_flush(&self, tuple: &FiveTuple) -> bool {
+        !self.staged_inbound.is_empty() && self.staged_inbound.contains(&tuple.canonical())
+    }
+
+    /// Whether `tuple`'s connection is blocked.
+    pub fn is_blocked(&self, tuple: &FiveTuple) -> bool {
+        !self.blocked.is_empty() && self.blocked.contains(&tuple.canonical())
+    }
+
+    /// Stages the longest prefix of `packets` that can be decided as one
+    /// batch after the packets already staged, and returns its length. It
+    /// stops before the first packet that [`must_flush`](Self::must_flush)
+    /// or [`is_blocked`](Self::is_blocked).
+    pub fn admit_run(&mut self, packets: &[(Packet, Direction)]) -> usize {
+        for (i, (packet, direction)) in packets.iter().enumerate() {
+            let tuple = packet.tuple();
+            if self.must_flush(&tuple) || self.is_blocked(&tuple) {
+                return i;
+            }
+            self.stage(&tuple, *direction);
+        }
+        packets.len()
+    }
+
+    /// Records a packet admitted to the staged batch.
+    pub fn stage(&mut self, tuple: &FiveTuple, direction: Direction) {
+        if direction == Direction::Inbound {
+            self.staged_inbound.insert(tuple.canonical());
+        }
+    }
+
+    /// Blocks the connection of a dropped inbound packet; `true` when it
+    /// was not blocked before.
+    pub fn block(&mut self, tuple: &FiveTuple) -> bool {
+        self.blocked.insert(tuple.canonical())
+    }
+
+    /// Marks the staged batch decided (every drop in it [`block`]ed).
+    ///
+    /// [`block`]: Self::block
+    pub fn flushed(&mut self) {
+        self.staged_inbound.clear();
+    }
+
+    /// Connections blocked so far.
+    pub fn connections(&self) -> usize {
+        self.blocked.len()
+    }
+}
+
 /// Everything measured during one replay.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplayResult {
@@ -284,12 +355,10 @@ impl ReplayEngine {
     /// Packets are staged into a batch and decided via
     /// [`PacketFilter::decide_batch`]. The blocked-σ store feeds back
     /// into which packets reach the filter at all, so the batch is
-    /// flushed early whenever an arriving packet's connection matches an
-    /// inbound packet already staged — the staged packet's verdict may
-    /// block the newcomer. That hazard rule (plus oracle scoring and
-    /// pre-filter accounting at staging time, both independent of the
-    /// filter) makes the batched loop byte-identical to the per-packet
-    /// loop at every batch size.
+    /// flushed early on [`BlockedConnections::must_flush`]. That hazard
+    /// rule (plus oracle scoring and pre-filter accounting at staging
+    /// time, both independent of the filter) makes the batched loop
+    /// byte-identical to the per-packet loop at every batch size.
     pub(crate) fn run_iter_with<F, P, I>(
         &self,
         filter: &mut F,
@@ -318,21 +387,23 @@ impl ReplayEngine {
             blocked_connections: 0,
         };
         let mut oracle = OracleFilter::new(self.config.oracle_expiry);
-        let mut blocked: HashSet<FiveTuple> = HashSet::new();
+        let mut store = self
+            .config
+            .block_connections
+            .then(BlockedConnections::default);
 
         let batch_limit = self.config.batch_size.max(1);
         let mut staged: Vec<(Packet, Direction)> = Vec::with_capacity(batch_limit);
-        let mut staged_oracle: Vec<Verdict> = Vec::with_capacity(batch_limit);
-        let mut staged_inbound: HashSet<FiveTuple> = HashSet::new();
+        // The oracle's verdicts on the staged packets, in staging order.
+        let mut oracles: Vec<Verdict> = Vec::with_capacity(batch_limit);
         let mut verdicts: Vec<Verdict> = Vec::with_capacity(batch_limit);
 
         // Decides and accounts everything staged; returns `false` when
         // the tick hook asks to stop.
         let mut flush = |filter: &mut F,
                          staged: &mut Vec<(Packet, Direction)>,
-                         staged_oracle: &mut Vec<Verdict>,
-                         staged_inbound: &mut HashSet<FiveTuple>,
-                         blocked: &mut HashSet<FiveTuple>,
+                         oracles: &mut Vec<Verdict>,
+                         store: &mut Option<BlockedConnections>,
                          result: &mut ReplayResult|
          -> bool {
             if staged.is_empty() {
@@ -343,7 +414,7 @@ impl ReplayEngine {
             let last_ts = staged[staged.len() - 1].0.ts();
             for ((packet, direction), (verdict, oracle_verdict)) in staged
                 .drain(..)
-                .zip(verdicts.drain(..).zip(staged_oracle.drain(..)))
+                .zip(verdicts.drain(..).zip(oracles.drain(..)))
             {
                 let t = packet.ts().as_secs_f64();
                 let bits = packet.wire_bits() as f64;
@@ -361,37 +432,24 @@ impl ReplayEngine {
                         if oracle_verdict == Verdict::Pass {
                             result.false_negatives += 1;
                         }
-                        if self.config.block_connections
-                            && blocked.insert(packet.tuple().canonical())
-                        {
+                        if store.as_mut().is_some_and(|s| s.block(&packet.tuple())) {
                             result.blocked_connections += 1;
                         }
                     }
                 }
             }
-            staged_inbound.clear();
+            if let Some(store) = store {
+                store.flushed();
+            }
             tick(filter, last_ts)
         };
 
         for (packet, direction) in packets {
             let packet = packet.borrow();
             let tuple = packet.tuple();
-            let canonical = tuple.canonical();
 
-            // Hazard: a staged inbound packet of this connection may be
-            // about to create the block that should suppress this
-            // packet. Flush so the blocked store is current.
-            if self.config.block_connections
-                && !staged.is_empty()
-                && staged_inbound.contains(&canonical)
-                && !flush(
-                    filter,
-                    &mut staged,
-                    &mut staged_oracle,
-                    &mut staged_inbound,
-                    &mut blocked,
-                    &mut result,
-                )
+            if store.as_ref().is_some_and(|s| s.must_flush(&tuple))
+                && !flush(filter, &mut staged, &mut oracles, &mut store, &mut result)
             {
                 return result;
             }
@@ -408,13 +466,10 @@ impl ReplayEngine {
                 }
             }
 
-            let is_blocked = self.config.block_connections
-                && (blocked.contains(&tuple) || blocked.contains(&tuple.inverse()));
-
             // The oracle scores every inbound packet, blocked or not.
             let oracle_verdict = oracle.decide(packet, direction);
 
-            if is_blocked {
+            if store.as_ref().is_some_and(|s| s.is_blocked(&tuple)) {
                 if direction == Direction::Inbound {
                     result.total_dropped_packets += 1;
                     result.inbound_dropped.add(t, 1.0);
@@ -425,33 +480,19 @@ impl ReplayEngine {
                 // Outbound packets of blocked connections are
                 // suppressed: they never reach the filter.
             } else {
-                if direction == Direction::Inbound {
-                    staged_inbound.insert(canonical);
+                if let Some(store) = store.as_mut() {
+                    store.stage(&tuple, direction);
                 }
                 staged.push((packet.clone(), direction));
-                staged_oracle.push(oracle_verdict);
+                oracles.push(oracle_verdict);
                 if staged.len() >= batch_limit
-                    && !flush(
-                        filter,
-                        &mut staged,
-                        &mut staged_oracle,
-                        &mut staged_inbound,
-                        &mut blocked,
-                        &mut result,
-                    )
+                    && !flush(filter, &mut staged, &mut oracles, &mut store, &mut result)
                 {
                     return result;
                 }
             }
         }
-        flush(
-            filter,
-            &mut staged,
-            &mut staged_oracle,
-            &mut staged_inbound,
-            &mut blocked,
-            &mut result,
-        );
+        flush(filter, &mut staged, &mut oracles, &mut store, &mut result);
         result
     }
 }

@@ -23,9 +23,17 @@
 //!   [`measure_source`](PipelineRunner::measure_source) — the
 //!   paper-faithful [`ReplayEngine`] with oracle scoring and the
 //!   blocked-σ store ([`ReplayResult`] semantics).
-//! * [`serve`](PipelineRunner::serve) — the long-running live loop: a
-//!   [`PacketSource`] polled forever, reconfigurable at runtime through
-//!   a [`ServeControl`] without restarting (see below).
+//! * [`serve`](PipelineRunner::serve) /
+//!   [`serve_with`](PipelineRunner::serve_with) — the one packet loop of
+//!   the dataplane: a [`PacketSource`] polled until it ends or is
+//!   drained, reconfigurable at runtime through a [`ServeControl`]
+//!   without restarting (see below). A finite source makes it a batch
+//!   run: `upbound filter` is `serve` over a pcap without a listener.
+//!
+//! Each setter says which terminal methods honour it: `serve` takes the
+//! checkpoint (restore, periodic writes with backoff, final write), the
+//! observability tracer and `/health` watermark, the fault plan's
+//! checkpoint faults and the blocked-σ store.
 //!
 //! # Runtime reconfiguration
 //!
@@ -41,29 +49,30 @@
 //! same graceful path end-of-stream takes.
 
 use crate::fault::{
-    AtomicCheckpointSink, CheckpointSink, DistortionReport, FaultPlan, FaultingCheckpointSink,
-    FaultingFilter, PlannedInjector,
+    checkpoint_with_backoff, AtomicCheckpointSink, CheckpointSink, DistortionReport, FaultPlan,
+    FaultingCheckpointSink, FaultingFilter, PlannedInjector,
 };
 use crate::pipeline::{
-    subscriber_pipeline_impl, supervised_pipeline_impl, PipelineConfig, PipelineObservability,
-    PipelineResult, SupervisorReport,
+    supervised_pipeline_impl, PipelineConfig, PipelineObservability, PipelineResult,
+    SupervisorReport,
 };
-use crate::replay::{ReplayConfig, ReplayEngine, ReplayResult, SourceIter};
+use crate::replay::{BlockedConnections, ReplayConfig, ReplayEngine, ReplayResult, SourceIter};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use upbound_core::{
-    BitmapFilter, BitmapFilterConfig, ConfigCell, ConfigError, DropPolicy, FailMode, FilterStats,
-    FlowHash, OverloadPolicy, PacketFilter, RuntimeOverrides, ShardedFilter, SnapshotError,
-    Snapshottable, SubscriberTable, ThroughputMonitor, Verdict,
+    BitmapFilter, BitmapFilterConfig, ConfigCell, ConfigError, DropPolicy, FailMode,
+    FilterObserver, FilterStats, FlowHash, OverloadPolicy, PacketFilter, RestoreOutcome,
+    RuntimeOverrides, ShardedFilter, SnapshotError, Snapshottable, SubscriberTable,
+    ThroughputMonitor, Verdict,
 };
 use upbound_net::pcap::IngestStats;
 use upbound_net::{
     Cidr, Direction, NetError, Packet, PacketSource, SourcePoll, TimeDelta, Timestamp,
 };
-use upbound_telemetry::{Counter, Gauge, Registry};
+use upbound_telemetry::{Counter, Gauge, Registry, Stage, StageTracer};
 use upbound_traffic::SyntheticTrace;
 
 /// Why a [`PipelineRunner`] terminal method failed.
@@ -157,14 +166,27 @@ pub enum ServeExit {
 pub struct ServeReport {
     /// Packets pulled from the source.
     pub packets: u64,
-    /// Packets forwarded (all outbound + passed inbound).
+    /// Packets forwarded (all decided outbound + passed inbound).
     pub passed: u64,
-    /// Inbound packets dropped by the filter.
+    /// Inbound packets dropped by the filter, plus every packet of a
+    /// blocked connection (either direction).
     pub dropped: u64,
+    /// Packets of blocked connections, dropped without reaching the
+    /// filter (0 unless blocking is on).
+    pub blocked_packets: u64,
+    /// Connections in the blocked store at shutdown.
+    pub blocked_connections: u64,
+    /// Wire bits of every outbound packet pulled from the source.
+    pub uplink_offered_bits: u64,
+    /// Wire bits of the outbound packets the filter passed.
+    pub uplink_kept_bits: u64,
     /// Runtime reconfigurations applied (not merely staged).
     pub reconfigs_applied: u64,
     /// Checkpoints written, final drain checkpoint included.
     pub checkpoints_written: u64,
+    /// How the bank was restored from the checkpoint file; `None` when
+    /// no checkpoint file existed (a cold start).
+    pub restored: Option<RestoreOutcome>,
     /// Why the loop ended.
     pub exit: ServeExit,
     /// The filter's own counters at shutdown.
@@ -243,6 +265,7 @@ impl ServeControl {
 /// the dataplane thread.
 #[derive(Debug, Clone)]
 pub struct ServeTelemetry {
+    registry: Registry,
     packets_total: Arc<Counter>,
     passed_total: Arc<Counter>,
     dropped_total: Arc<Counter>,
@@ -262,6 +285,7 @@ impl ServeTelemetry {
     /// Registers the serve metrics in `registry`.
     pub fn new(registry: &Registry) -> Self {
         Self {
+            registry: registry.clone(),
             packets_total: registry.counter(
                 "upbound_serve_packets_total",
                 "Packets pulled from the source by the serve loop",
@@ -317,31 +341,10 @@ impl ServeTelemetry {
         }
     }
 
-    fn record_batch(&self, packets: u64, passed: u64, dropped: u64) {
-        self.packets_total.add(packets);
+    fn record_batch(&self, packets: usize, passed: u64, dropped: u64) {
+        self.packets_total.add(packets as u64);
         self.passed_total.add(passed);
         self.dropped_total.add(dropped);
-    }
-
-    fn publish(
-        &self,
-        watermark: Timestamp,
-        stats: &FilterStats,
-        policy: DropPolicy,
-        batch_size: usize,
-        generation: u64,
-    ) {
-        self.watermark_secs.set(watermark.as_secs_f64());
-        self.rotations.set_u64(stats.rotations);
-        self.drop_low_bps.set(policy.low_bps());
-        self.drop_high_bps.set(policy.high_bps());
-        self.batch_size.set_u64(batch_size as u64);
-        self.config_generation.set_u64(generation);
-    }
-
-    fn publish_ingest(&self, ingest: &IngestStats) {
-        self.ingest_errors.set_u64(ingest.errors_total());
-        self.kernel_drops.set_u64(ingest.kernel_drops());
     }
 }
 
@@ -362,6 +365,7 @@ pub struct PipelineRunner {
     fault: FaultPlan,
     obs: PipelineObservability,
     checkpoint: Option<(PathBuf, TimeDelta)>,
+    block: bool,
 }
 
 impl PipelineRunner {
@@ -380,6 +384,7 @@ impl PipelineRunner {
             fault: FaultPlan::none(),
             obs: PipelineObservability::default(),
             checkpoint: None,
+            block: false,
         }
     }
 
@@ -412,38 +417,41 @@ impl PipelineRunner {
 
     /// Applies a deterministic fault plan. [`run`](Self::run) distorts
     /// the stream and lets each shard panic on the plan's schedule;
-    /// [`measure`](Self::measure) and
-    /// [`measure_source`](Self::measure_source) fail checkpoint writes
-    /// on it.
+    /// [`measure`](Self::measure),
+    /// [`measure_source`](Self::measure_source) and
+    /// [`serve`](Self::serve) fail checkpoint writes on it.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = plan;
         self
     }
 
-    /// Observability hooks (latency tracing, supervisor export, flight
-    /// recorder, `/health` state) for [`run`](Self::run).
+    /// Observability hooks. [`run`](Self::run) honours all of them
+    /// (latency tracing, supervisor export, flight recorder, `/health`
+    /// state); [`serve`](Self::serve) honours the tracer and the
+    /// `/health` watermark.
     pub fn observability(mut self, obs: PipelineObservability) -> Self {
         self.obs = obs;
         self
     }
 
     /// Writes an atomic checkpoint of the filter to `path` every `every`
-    /// of trace time, plus a final checkpoint at end-of-run. Honored by
+    /// of trace time, plus a final checkpoint at end-of-run. Honoured by
     /// [`measure`](Self::measure), [`measure_source`](Self::measure_source)
-    /// and [`serve`](Self::serve).
+    /// and [`serve`](Self::serve); `serve` also restores from `path`
+    /// before its first packet.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>, every: TimeDelta) -> Self {
         self.checkpoint = Some((path.into(), every));
         self
     }
 
-    /// The client network verdicts are classified against.
-    pub fn inside(&self) -> Cidr {
-        self.inside
-    }
-
-    /// The filter configuration the runner builds from.
-    pub fn filter_config(&self) -> &BitmapFilterConfig {
-        &self.filter
+    /// Keeps the blocked-σ store in [`serve`](Self::serve): once an
+    /// inbound packet is dropped, every later packet of its connection is
+    /// dropped without reaching the filter. Off by default; the replay
+    /// engine behind [`measure`](Self::measure) takes the same switch from
+    /// [`ReplayConfig::block_connections`].
+    pub fn block_connections(mut self, block: bool) -> Self {
+        self.block = block;
+        self
     }
 
     fn build_sharded(&self) -> Result<ShardedFilter<BitmapFilter>, RunnerError> {
@@ -557,21 +565,6 @@ impl PipelineRunner {
         }
     }
 
-    /// Runs `packets` through a multi-tenant [`SubscriberTable`] on the
-    /// threaded pipeline; returns the aggregate result together with the
-    /// table, so per-tenant state survives the run.
-    pub fn run_subscribers<I, F>(
-        &self,
-        packets: I,
-        table: SubscriberTable<F>,
-    ) -> (PipelineResult, SubscriberTable<F>)
-    where
-        I: IntoIterator<Item = Packet>,
-        F: PacketFilter<Stats = FilterStats> + Send + Sync,
-    {
-        subscriber_pipeline_impl(packets, table, self.pipeline)
-    }
-
     /// Replays `trace` through the paper-faithful [`ReplayEngine`]
     /// (oracle scoring, blocked-σ store, per-bin throughput series),
     /// writing checkpoints on the configured cadence.
@@ -677,18 +670,18 @@ impl PipelineRunner {
         ReplayEngine::new(self.replay.clone()).subscribers_impl(trace, table)
     }
 
-    /// The long-running live dataplane: polls `source` until it ends or
-    /// `control` requests a drain, filtering through a shard bank and
-    /// applying staged [`RuntimeOverrides`] at safe points (the first
-    /// batch boundary after a bitmap rotation, or immediately while
-    /// idle). See the [module docs](self) for the reconfiguration
-    /// contract.
+    /// The long-running dataplane: polls `source` until it ends or
+    /// `control` requests a drain, filtering through a shard bank built
+    /// from the runner's configuration and applying staged
+    /// [`RuntimeOverrides`] at safe points (the first batch boundary after
+    /// a bitmap rotation, or immediately while idle). See the
+    /// [module docs](self) for the reconfiguration contract and
+    /// [`serve_with`](Self::serve_with) for checkpoints and blocking.
     ///
     /// # Errors
     ///
-    /// [`RunnerError::Config`] if the shard bank cannot build,
-    /// [`RunnerError::Net`] on the first unrecoverable source error,
-    /// [`RunnerError::Snapshot`] on the first checkpoint write failure.
+    /// [`RunnerError::Config`] if the shard bank cannot build, plus
+    /// everything [`serve_with`](Self::serve_with) can return.
     pub fn serve<S>(
         &self,
         source: &mut S,
@@ -697,89 +690,104 @@ impl PipelineRunner {
     where
         S: PacketSource + ?Sized,
     {
-        let sharded = self.build_sharded()?;
-        let mut batch_size = self.pipeline.batch_size.max(1);
-        let mut policy = self.filter.drop_policy();
-        let mut seen_gen = 0u64;
+        self.serve_with(&self.build_sharded()?, source, control, |_, _| Ok(()))
+    }
+
+    /// [`serve`](Self::serve) over a prebuilt shard bank (one whose shards
+    /// carry an observer, say), handing every decided run of packets and
+    /// its verdicts to `sink` in stream order.
+    ///
+    /// * **Checkpoints.** The bank is restored from the
+    ///   [`checkpoint`](Self::checkpoint) file before the first packet is
+    ///   decided, judging staleness against that packet's trace time and
+    ///   `T_e`; a missing file is a cold start. Writes go through a
+    ///   [`FaultingCheckpointSink`] armed from the fault plan; periodic
+    ///   ones through [`checkpoint_with_backoff`], after whose last retry
+    ///   the session goes on without them. No final write follows a
+    ///   session that processed no packet.
+    /// * **Blocking.** With [`block_connections`](Self::block_connections)
+    ///   on, a batch is decided as the runs
+    ///   [`BlockedConnections::admit_run`] allows; packets of blocked
+    ///   connections are dropped between them, unseen by filter and sink.
+    /// * **Observability.** The tracer times ingest, decide and emit per
+    ///   batch; the health state gets the watermark after each batch.
+    ///
+    /// # Errors
+    ///
+    /// [`RunnerError::Net`] on the first unrecoverable source or sink
+    /// error, [`RunnerError::Snapshot`] if the restore or the final
+    /// checkpoint fails.
+    pub fn serve_with<O, S, F>(
+        &self,
+        sharded: &ShardedFilter<BitmapFilter<O>>,
+        source: &mut S,
+        control: &ServeControl,
+        sink: F,
+    ) -> Result<ServeReport, RunnerError>
+    where
+        O: FilterObserver + Send + Sync,
+        S: PacketSource + ?Sized,
+        F: FnMut(&[(Packet, Direction)], &[Verdict]) -> Result<(), NetError>,
+    {
+        let telemetry = control.telemetry.as_ref();
+        let mut session = Session {
+            sharded,
+            telemetry,
+            tracer: self.obs.tracer.as_ref(),
+            sink,
+            verdicts: Vec::new(),
+            blocked: self.block.then(BlockedConnections::default),
+            tally: Tally::default(),
+            batch_size: self.pipeline.batch_size.max(1),
+            policy: self.filter.drop_policy(),
+            seen_gen: 0,
+        };
         // (generation, overrides, filter rotations when staged)
         let mut pending: Option<(u64, RuntimeOverrides, u64)> = None;
-
-        let mut packets = 0u64;
-        let mut passed = 0u64;
-        let mut dropped = 0u64;
-        let mut reconfigs = 0u64;
-        let mut checkpoints = 0u64;
-        let mut watermark = Timestamp::ZERO;
+        let mut restore = self.checkpoint.as_ref().filter(|(path, _)| path.exists());
+        let mut restored = None;
+        let mut periodic = true;
         let mut next_due: Option<Timestamp> = None;
-
-        let mut buf: Vec<(Packet, Direction)> = Vec::with_capacity(batch_size);
-        let mut verdicts: Vec<Verdict> = Vec::with_capacity(batch_size);
-
-        let mut apply = |sharded: &ShardedFilter<BitmapFilter>,
-                         generation: u64,
-                         overrides: &RuntimeOverrides,
-                         batch_size: &mut usize,
-                         policy: &mut DropPolicy,
-                         seen_gen: &mut u64| {
-            sharded.apply_overrides(overrides);
-            if let Some(p) = overrides.drop_policy {
-                *policy = p;
-            }
-            if let Some(bs) = overrides.batch_size {
-                *batch_size = bs.max(1);
-            }
-            *seen_gen = generation;
-            reconfigs += 1;
-            if let Some(t) = &control.telemetry {
-                t.reconfigs_total.inc();
-            }
-        };
+        let mut ckpt_sink =
+            FaultingCheckpointSink::new(AtomicCheckpointSink, self.fault.injector());
+        let mut buf: Vec<(Packet, Direction)> = Vec::with_capacity(session.batch_size);
 
         let exit = loop {
             if control.drain_requested() {
                 break ServeExit::Drained;
             }
             if pending.is_none() {
-                if let Some((generation, overrides)) = control.cell.poll(seen_gen) {
+                if let Some((generation, overrides)) = control.cell.poll(session.seen_gen) {
                     pending = Some((generation, overrides, sharded.stats().rotations));
                 }
             }
             buf.clear();
-            match source.next_batch(&mut buf, batch_size)? {
+            let poll = {
+                let _t = session.tracer.map(|t| t.scope(Stage::Ingest));
+                source.next_batch(&mut buf, session.batch_size)?
+            };
+            match poll {
                 SourcePoll::End => break ServeExit::SourceEnded,
                 SourcePoll::Idle => {
                     // Idle is trivially a safe point: nothing is in
                     // flight, so staged overrides apply right away.
                     if let Some((generation, overrides, _)) = pending.take() {
-                        apply(
-                            &sharded,
-                            generation,
-                            &overrides,
-                            &mut batch_size,
-                            &mut policy,
-                            &mut seen_gen,
-                        );
+                        session.apply(generation, &overrides);
                     }
                     std::thread::sleep(control.idle_sleep);
                 }
                 SourcePoll::Batch(_) => {
-                    if buf.is_empty() {
+                    let Some((first, _)) = buf.first() else {
                         continue;
+                    };
+                    if let Some((path, _)) = restore.take() {
+                        let stale_after = self.filter.expiry_timer();
+                        restored = Some(sharded.restore_from(path, first.ts(), stale_after)?);
                     }
-                    verdicts.clear();
-                    sharded.process_batch(&buf, &mut verdicts);
-                    let mut batch_passed = 0u64;
-                    let mut batch_dropped = 0u64;
-                    for ((packet, direction), verdict) in buf.iter().zip(&verdicts) {
-                        match (*direction, *verdict) {
-                            (Direction::Inbound, Verdict::Drop) => batch_dropped += 1,
-                            _ => batch_passed += 1,
-                        }
-                        watermark = watermark.max(packet.ts());
-                    }
-                    packets += buf.len() as u64;
-                    passed += batch_passed;
-                    dropped += batch_dropped;
+                    let (passed, dropped) = (session.tally.passed, session.tally.dropped);
+                    session.batch(&buf)?;
+                    session.tally.packets += buf.len() as u64;
+                    let watermark = session.tally.watermark;
 
                     let stats = sharded.stats();
                     // A rotation has retired a vector since the
@@ -788,65 +796,205 @@ impl PipelineRunner {
                     if let Some((generation, overrides, _)) =
                         pending.take_if(|(_, _, staged_at)| stats.rotations > *staged_at)
                     {
-                        apply(
-                            &sharded,
-                            generation,
-                            &overrides,
-                            &mut batch_size,
-                            &mut policy,
-                            &mut seen_gen,
-                        );
+                        session.apply(generation, &overrides);
                     }
 
-                    if let Some((path, every)) = &self.checkpoint {
+                    if let Some((path, every)) = self.checkpoint.as_ref().filter(|_| periodic) {
                         let due = *next_due.get_or_insert(watermark + *every);
                         if watermark >= due {
-                            sharded
-                                .checkpoint_to(path, watermark)
-                                .map_err(RunnerError::Snapshot)?;
-                            checkpoints += 1;
-                            next_due = Some(due + *every);
-                            if let Some(t) = &control.telemetry {
-                                t.checkpoints_total.inc();
+                            let bytes = sharded.checkpoint_bytes(watermark);
+                            let registry = telemetry.map(|t| &t.registry);
+                            periodic = checkpoint_with_backoff(registry, path, || {
+                                ckpt_sink.write(path, &bytes)
+                            })
+                            .is_ok();
+                            if periodic {
+                                session.checkpointed();
+                                next_due = Some(due + *every);
                             }
                         }
                     }
 
-                    if let Some(t) = &control.telemetry {
-                        t.record_batch(buf.len() as u64, batch_passed, batch_dropped);
-                        t.publish(watermark, &stats, policy, batch_size, seen_gen);
-                        t.publish_ingest(&source.stats());
+                    if let Some(health) = &self.obs.health {
+                        health.set_watermark(watermark.as_micros());
+                    }
+                    if let Some(t) = telemetry {
+                        let tally = &session.tally;
+                        t.record_batch(buf.len(), tally.passed - passed, tally.dropped - dropped);
+                        session.publish(t, &stats, &source.stats());
                     }
                 }
             }
         };
 
         if let Some((path, _)) = &self.checkpoint {
-            sharded
-                .checkpoint_to(path, watermark)
-                .map_err(RunnerError::Snapshot)?;
-            checkpoints += 1;
-            if let Some(t) = &control.telemetry {
-                t.checkpoints_total.inc();
+            if session.tally.packets > 0 {
+                let bytes = sharded.checkpoint_bytes(session.tally.watermark);
+                ckpt_sink.write(path, &bytes)?;
+                session.checkpointed();
             }
         }
         let filter_stats = sharded.stats();
         let ingest = source.stats();
-        if let Some(t) = &control.telemetry {
-            t.publish(watermark, &filter_stats, policy, batch_size, seen_gen);
-            t.publish_ingest(&ingest);
+        if let Some(t) = telemetry {
+            session.publish(t, &filter_stats, &ingest);
         }
+        let tally = session.tally;
         Ok(ServeReport {
-            packets,
-            passed,
-            dropped,
-            reconfigs_applied: reconfigs,
-            checkpoints_written: checkpoints,
+            packets: tally.packets,
+            passed: tally.passed,
+            dropped: tally.dropped,
+            blocked_packets: tally.blocked_packets,
+            blocked_connections: session.blocked.map_or(0, |s| s.connections() as u64),
+            uplink_offered_bits: tally.uplink_offered_bits,
+            uplink_kept_bits: tally.uplink_kept_bits,
+            reconfigs_applied: tally.reconfigs,
+            checkpoints_written: tally.checkpoints,
+            restored,
             exit,
             filter_stats,
-            watermark,
+            watermark: tally.watermark,
             ingest,
         })
+    }
+}
+
+/// What one serve session has counted so far.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    packets: u64,
+    passed: u64,
+    dropped: u64,
+    blocked_packets: u64,
+    uplink_offered_bits: u64,
+    uplink_kept_bits: u64,
+    reconfigs: u64,
+    checkpoints: u64,
+    watermark: Timestamp,
+}
+
+/// The dataplane state of one [`PipelineRunner::serve_with`] session.
+struct Session<'a, O: FilterObserver + Send + Sync, F> {
+    sharded: &'a ShardedFilter<BitmapFilter<O>>,
+    telemetry: Option<&'a ServeTelemetry>,
+    tracer: Option<&'a StageTracer>,
+    sink: F,
+    verdicts: Vec<Verdict>,
+    blocked: Option<BlockedConnections>,
+    tally: Tally,
+    batch_size: usize,
+    policy: DropPolicy,
+    seen_gen: u64,
+}
+
+impl<O, F> Session<'_, O, F>
+where
+    O: FilterObserver + Send + Sync,
+    F: FnMut(&[(Packet, Direction)], &[Verdict]) -> Result<(), NetError>,
+{
+    /// Applies staged overrides of configuration `generation`.
+    fn apply(&mut self, generation: u64, overrides: &RuntimeOverrides) {
+        self.sharded.apply_overrides(overrides);
+        if let Some(policy) = overrides.drop_policy {
+            self.policy = policy;
+        }
+        if let Some(batch_size) = overrides.batch_size {
+            self.batch_size = batch_size.max(1);
+        }
+        self.seen_gen = generation;
+        self.tally.reconfigs += 1;
+        if let Some(t) = self.telemetry {
+            t.reconfigs_total.inc();
+        }
+    }
+
+    /// Sets the `upbound_serve_*` gauges to the session's live state.
+    fn publish(&self, t: &ServeTelemetry, stats: &FilterStats, ingest: &IngestStats) {
+        t.watermark_secs.set(self.tally.watermark.as_secs_f64());
+        t.rotations.set_u64(stats.rotations);
+        t.drop_low_bps.set(self.policy.low_bps());
+        t.drop_high_bps.set(self.policy.high_bps());
+        t.batch_size.set_u64(self.batch_size as u64);
+        t.config_generation.set_u64(self.seen_gen);
+        t.ingest_errors.set_u64(ingest.errors_total());
+        t.kernel_drops.set_u64(ingest.kernel_drops());
+    }
+
+    fn checkpointed(&mut self) {
+        self.tally.checkpoints += 1;
+        if let Some(t) = self.telemetry {
+            t.checkpoints_total.inc();
+        }
+    }
+
+    /// Decides a polled batch: whole without a blocked store, otherwise
+    /// as the runs the store admits, dropping the packets of blocked
+    /// connections between them.
+    fn batch(&mut self, mut rest: &[(Packet, Direction)]) -> Result<(), NetError> {
+        if self.blocked.is_none() {
+            return self.run(rest);
+        }
+        while let Some((packet, direction)) = rest.first() {
+            if self
+                .blocked
+                .as_ref()
+                .is_some_and(|s| s.is_blocked(&packet.tuple()))
+            {
+                let tally = &mut self.tally;
+                tally.blocked_packets += 1;
+                tally.dropped += 1;
+                tally.watermark = tally.watermark.max(packet.ts());
+                if *direction == Direction::Outbound {
+                    tally.uplink_offered_bits += packet.wire_bits();
+                }
+                rest = &rest[1..];
+                continue;
+            }
+            let len = self
+                .blocked
+                .as_mut()
+                .map_or(rest.len(), |s| s.admit_run(rest));
+            self.run(&rest[..len])?;
+            rest = &rest[len..];
+        }
+        Ok(())
+    }
+
+    /// Decides one run, blocks the connections of its inbound drops and
+    /// hands it to the sink.
+    fn run(&mut self, run: &[(Packet, Direction)]) -> Result<(), NetError> {
+        self.verdicts.clear();
+        {
+            let _t = self.tracer.map(|t| t.scope(Stage::Decide));
+            self.sharded.process_batch(run, &mut self.verdicts);
+        }
+        let _t = self.tracer.map(|t| t.scope(Stage::Emit));
+        let mut tally = self.tally;
+        for ((packet, direction), verdict) in run.iter().zip(&self.verdicts) {
+            tally.watermark = tally.watermark.max(packet.ts());
+            match (*direction, *verdict) {
+                (Direction::Inbound, Verdict::Drop) => tally.dropped += 1,
+                (Direction::Inbound, Verdict::Pass) => tally.passed += 1,
+                (Direction::Outbound, verdict) => {
+                    tally.passed += 1;
+                    let bits = packet.wire_bits();
+                    tally.uplink_offered_bits += bits;
+                    if verdict == Verdict::Pass {
+                        tally.uplink_kept_bits += bits;
+                    }
+                }
+            }
+        }
+        self.tally = tally;
+        if let Some(store) = self.blocked.as_mut() {
+            for ((packet, direction), verdict) in run.iter().zip(&self.verdicts) {
+                if (*direction, *verdict) == (Direction::Inbound, Verdict::Drop) {
+                    store.block(&packet.tuple());
+                }
+            }
+            store.flushed();
+        }
+        (self.sink)(run, &self.verdicts)
     }
 }
 

@@ -4,8 +4,10 @@
 //!
 //! * `generate` — synthesize a client-network workload and write a pcap.
 //! * `analyze`  — run the Section 3 traffic analyzer over a pcap.
-//! * `filter`   — replay a pcap through the bitmap filter, writing the
+//! * `filter`   — `serve` over a pcap without a listener, writing the
 //!   surviving packets to a new pcap and printing throughput/drop stats.
+//! * `serve`    — the long-lived dataplane over a pcap or a live
+//!   interface, reconfigurable over HTTP.
 //! * `params`   — capacity planning with the §5.1 equations.
 //! * `debug`    — operator tooling: pretty-print a flight-recorder dump
 //!   (`read-dump`) or validate a Prometheus exposition file
@@ -16,34 +18,33 @@
 //! Exit codes: `0` success, `1` runtime failure, `2` usage error,
 //! `130` clean shutdown after SIGINT/SIGTERM.
 
-use std::collections::HashSet;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use upbound::analyzer::Analyzer;
 use upbound::core::params::{max_connections, optimal_hash_count, penetration_probability};
 use upbound::core::{
     snapshot, BitmapFilter, BitmapFilterConfig, DropPolicy, FailMode, FlowHash, OverloadPolicy,
-    PacketFilter, RestoreOutcome, RuntimeOverrides, ShardedFilter, Snapshottable, SubscriberState,
+    RestoreOutcome, RuntimeOverrides, ShardedFilter, Snapshottable, SubscriberState,
     SubscriberTable, SubscriberTelemetry, TelemetryObserver, Verdict,
 };
 use upbound::net::pcap::{IngestStats, IngestTelemetry, PcapReader, PcapWriter, RecoveryPolicy};
 use upbound::net::{
-    BufferedSource, Cidr, Direction, FiveTuple, LiveCaptureError, LiveConfig, LiveSource, Packet,
-    TimeDelta,
+    BufferedSource, Cidr, Direction, LiveCaptureError, LiveConfig, LiveSource, NetError, Packet,
+    PacketSource, PcapSource, SourcePoll, TimeDelta, Timestamp,
 };
 use upbound::sim::{
-    FaultInjector, FaultPlan, PipelineConfig, PipelineRunner, PlannedInjector, ServeControl,
-    ServeExit,
+    checkpoint_with_backoff, BlockedConnections, FaultPlan, PipelineConfig, PipelineObservability,
+    PipelineRunner, ServeControl, ServeExit, ServeReport,
 };
 use upbound::telemetry::{
     export, ControlHandler, ControlResponse, DumpTrigger, FlightRecorder, HealthState,
-    MetricsServer, Registry, Snapshot, Stage, StageTracer,
+    MetricsServer, Registry, Snapshot, StageTracer,
 };
 use upbound::traffic::{generate, TraceConfig};
 
@@ -54,31 +55,32 @@ USAGE:
     upbound generate --out <FILE> [--duration <SECS>] [--rate <FLOWS/S>]
                      [--seed <N>] [--snaplen <BYTES>] [--inside <CIDR>]
     upbound analyze  --in <FILE> [--inside <CIDR>] [--on-corrupt strict|skip]
-    upbound filter   --in <FILE> [--out <FILE>] [--inside <CIDR>]
-                     [--low-mbps <F>] [--high-mbps <F>] [--vector-bits <N>]
-                     [--vectors <K>] [--rotate-secs <F>] [--hashes <M>]
-                     [--hole-punching] [--no-block] [--shards <N>]
-                     [--batch-size <N>] [--fail-mode open|closed]
-                     [--checkpoint <FILE>] [--checkpoint-interval <SECS>]
-                     [--on-corrupt strict|skip]
+    upbound filter   --in <FILE> [DATAPLANE] [--out <FILE>] [--no-block]
                      [--metrics <FILE.prom|FILE.json>]
                      [--metrics-interval <SECS>]
                      [--metrics-addr <HOST:PORT>] [--flight-dump <FILE>]
                      [--trace-latency] [--serve-grace <SECS>]
                      [--subscribers <SPEC>] [--evict-idle <SECS>]
-                     [--overload-policy <SPEC>] [--fault-plan <SPEC>]
-    upbound serve    (--in <FILE> [--loop] | --live <IFACE>)
-                     [--inside <CIDR>] [--listen <HOST:PORT>]
-                     [--low-mbps <F>] [--high-mbps <F>] [--vector-bits <N>]
-                     [--vectors <K>] [--rotate-secs <F>] [--hashes <M>]
-                     [--hole-punching] [--fail-mode open|closed]
-                     [--shards <N>] [--batch-size <N>]
-                     [--overload-policy <SPEC>]
-                     [--checkpoint <FILE>] [--checkpoint-interval <SECS>]
-                     [--on-corrupt strict|skip] [--fault-plan <SPEC>]
+    upbound serve    (--in <FILE> [--loop] | --live <IFACE>) [DATAPLANE]
+                     [--listen <HOST:PORT>]
     upbound params   [--connections <N>]
     upbound debug    read-dump <FILE> | parse-metrics <FILE>
     upbound help
+
+DATAPLANE (filter and serve):
+    [--inside <CIDR>] [--low-mbps <F>] [--high-mbps <F>]
+    [--vector-bits <N>] [--vectors <K>] [--rotate-secs <F>] [--hashes <M>]
+    [--hole-punching] [--fail-mode open|closed] [--shards <N>]
+    [--batch-size <N>] [--overload-policy <SPEC>] [--fault-plan <SPEC>]
+    [--checkpoint <FILE>] [--checkpoint-interval <SECS>]
+    [--on-corrupt strict|skip]
+    `filter` is `serve` without a listener over a finite capture: the
+    same loop decides every packet, with the blocked-connection store
+    of the paper's evaluation on (--no-block turns it off) and the
+    passed packets written to --out. Both restore from --checkpoint
+    before the first packet when the file exists, write one every
+    --checkpoint-interval seconds of trace time, and write a final one
+    unless no packet arrived.
 
 MULTI-TENANT (filter):
     --subscribers replays through a multi-tenant subscriber table
@@ -96,7 +98,7 @@ MULTI-TENANT (filter):
     --metrics-addr, --flight-dump, --trace-latency, --serve-grace,
     --overload-policy, --fault-plan.
 
-OVERLOAD RESILIENCE (filter):
+OVERLOAD RESILIENCE (filter and serve):
     --overload-policy arms the saturation sentinel and graceful-
     degradation ladder (Normal -> Pressure -> Saturated on bitmap
     fill, with hysteresis). <SPEC> is `off`, `balanced`, or `strict`,
@@ -113,8 +115,10 @@ OVERLOAD RESILIENCE (filter):
     (per-mille packet corruption), reorder (bursts), skew (spikes),
     skew-secs, ckpt (checkpoint write failures; periodic writes
     retry with bounded backoff, then degrade to checkpointing-
-    disabled — final checkpoints stay fatal). panics=N is reserved
-    for the supervised pipeline (chaos harness), which catches and
+    disabled — final checkpoints stay fatal). Stream faults distort
+    the replayed capture before it is served, so they are
+    incompatible with --live. panics=N is reserved for the
+    supervised pipeline (chaos harness), which catches and
     quarantines them. Same plan + same input => same faults.
     Incompatible with --subscribers.
 
@@ -146,9 +150,6 @@ LIVE DATAPLANE (serve):
       POST /drain     finish the in-flight batch, write the final
                       checkpoint, exit 0
     SIGINT/SIGTERM triggers the same graceful drain, then exits 130.
-    --fault-plan distorts a replayed stream deterministically before
-    serving (corrupt/reorder/skew only); it is incompatible with
-    --live — faults cannot be injected into a real interface.
 
 EXIT CODES:
     0 success; 1 runtime failure; 2 usage error;
@@ -242,9 +243,9 @@ mod signals {
 /// Flags each subcommand accepts; anything else is rejected up front.
 const GENERATE_FLAGS: &[&str] = &["out", "duration", "rate", "seed", "snaplen", "inside"];
 const ANALYZE_FLAGS: &[&str] = &["in", "inside", "on-corrupt"];
-const FILTER_FLAGS: &[&str] = &[
+/// The flags `filter` and `serve` share (see [`Dataplane`]).
+const DATAPLANE_FLAGS: &[&str] = &[
     "in",
-    "out",
     "inside",
     "low-mbps",
     "high-mbps",
@@ -253,13 +254,18 @@ const FILTER_FLAGS: &[&str] = &[
     "rotate-secs",
     "hashes",
     "hole-punching",
-    "no-block",
+    "fail-mode",
     "shards",
     "batch-size",
-    "fail-mode",
+    "overload-policy",
     "checkpoint",
     "checkpoint-interval",
     "on-corrupt",
+    "fault-plan",
+];
+const FILTER_FLAGS: &[&str] = &[
+    "out",
+    "no-block",
     "metrics",
     "metrics-interval",
     "metrics-addr",
@@ -268,32 +274,9 @@ const FILTER_FLAGS: &[&str] = &[
     "serve-grace",
     "subscribers",
     "evict-idle",
-    "overload-policy",
-    "fault-plan",
 ];
 const PARAMS_FLAGS: &[&str] = &["connections"];
-const SERVE_FLAGS: &[&str] = &[
-    "in",
-    "live",
-    "loop",
-    "inside",
-    "listen",
-    "low-mbps",
-    "high-mbps",
-    "vector-bits",
-    "vectors",
-    "rotate-secs",
-    "hashes",
-    "hole-punching",
-    "fail-mode",
-    "shards",
-    "batch-size",
-    "overload-policy",
-    "checkpoint",
-    "checkpoint-interval",
-    "on-corrupt",
-    "fault-plan",
-];
+const SERVE_FLAGS: &[&str] = &["live", "loop", "listen"];
 
 struct Args {
     flags: Vec<(String, Option<String>)>,
@@ -348,6 +331,28 @@ impl Args {
             }
         }
         Ok(())
+    }
+
+    /// The value of a flag that must carry one: `None` when the flag is
+    /// absent, the usage error `missing` when it is given bare.
+    fn value(&self, name: &str, missing: &str) -> Result<Option<String>, CliError> {
+        match self.get(name) {
+            None if self.has(name) => Err(usage(missing)),
+            other => Ok(other.map(str::to_owned)),
+        }
+    }
+
+    /// A number of seconds: finite and non-negative, and also non-zero
+    /// when `positive`.
+    fn secs(&self, name: &str, default: f64, positive: bool) -> Result<f64, CliError> {
+        let secs: f64 = self.parse_num(name, default).map_err(usage)?;
+        if !secs.is_finite() || secs < 0.0 || (positive && secs == 0.0) {
+            let kind = if positive { "positive" } else { "non-negative" };
+            return Err(usage(format!(
+                "--{name} expects a {kind} number of seconds, got {secs}"
+            )));
+        }
+        Ok(secs)
     }
 
     fn parse_num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
@@ -418,7 +423,7 @@ fn main() -> ExitCode {
             .map_err(usage)
             .and_then(|()| cmd_analyze(&args)),
         "filter" => args
-            .ensure_known(command, FILTER_FLAGS)
+            .ensure_known(command, &[DATAPLANE_FLAGS, FILTER_FLAGS].concat())
             .map_err(usage)
             .and_then(|()| cmd_filter(&args)),
         "params" => args
@@ -426,7 +431,7 @@ fn main() -> ExitCode {
             .map_err(usage)
             .and_then(|()| cmd_params(&args)),
         "serve" => args
-            .ensure_known(command, SERVE_FLAGS)
+            .ensure_known(command, &[DATAPLANE_FLAGS, SERVE_FLAGS].concat())
             .map_err(usage)
             .and_then(|()| cmd_serve(&args)),
         other => Err(usage(format!("unknown command {other:?}"))),
@@ -618,57 +623,6 @@ fn write_metrics(path: &str, format: &MetricsFormat, snapshot: &Snapshot) -> Res
     Ok(())
 }
 
-/// Runs everything staged through the sharded batch path, then applies
-/// the per-packet bookkeeping (connection blocking, uplink accounting,
-/// the output pcap) in input order. The caller guarantees no staged
-/// packet's verdict can depend on another staged packet's verdict (the
-/// hazard flush in `cmd_filter`), so this is byte-identical to deciding
-/// one packet at a time.
-#[allow(clippy::too_many_arguments)]
-fn flush_staged<F: PacketFilter + Send + Sync>(
-    filter: &ShardedFilter<F>,
-    staged: &mut Vec<(Packet, Direction)>,
-    staged_conns: &mut HashSet<FiveTuple>,
-    verdicts: &mut Vec<Verdict>,
-    block: bool,
-    blocked: &mut HashSet<FiveTuple>,
-    dropped: &mut u64,
-    up_kept: &mut u64,
-    writer: &mut Option<PcapWriter<BufWriter<File>>>,
-    tracer: Option<&StageTracer>,
-) -> Result<(), CliError> {
-    if staged.is_empty() {
-        return Ok(());
-    }
-    verdicts.clear();
-    {
-        let _t = tracer.map(|t| t.scope(Stage::Decide));
-        filter.process_batch(staged, verdicts);
-    }
-    let _t = tracer.map(|t| t.scope(Stage::Emit));
-    for ((packet, direction), verdict) in staged.drain(..).zip(verdicts.drain(..)) {
-        match verdict {
-            Verdict::Pass => {
-                if direction == Direction::Outbound {
-                    *up_kept += packet.wire_bits();
-                }
-                if let Some(w) = writer.as_mut() {
-                    w.write_packet(&packet)
-                        .map_err(|e| runtime(e.to_string()))?;
-                }
-            }
-            Verdict::Drop => {
-                if block {
-                    blocked.insert(packet.tuple().canonical());
-                }
-                *dropped += 1;
-            }
-        }
-    }
-    staged_conns.clear();
-    Ok(())
-}
-
 /// Per-tenant defaults taken from the command-line filter flags; a spec
 /// line's `key=value` tokens override them for that subscriber only.
 #[derive(Clone)]
@@ -785,47 +739,113 @@ fn parse_subscriber_spec(text: &str, defaults: &TenantDefaults) -> Result<Vec<Te
     Ok(specs)
 }
 
-/// Same contract as `flush_staged`, against the subscriber table: the
-/// staged batch is decided via grouped per-tenant dispatch, then the
-/// per-packet bookkeeping is applied in input order.
-#[allow(clippy::too_many_arguments)]
-fn flush_staged_subscribers(
-    table: &mut SubscriberTable<BitmapFilter>,
-    staged: &mut Vec<(Packet, Direction)>,
-    staged_conns: &mut HashSet<FiveTuple>,
-    verdicts: &mut Vec<Verdict>,
-    block: bool,
-    blocked: &mut HashSet<FiveTuple>,
-    dropped: &mut u64,
-    up_kept: &mut u64,
+/// Opens the `--out` capture, if one was asked for.
+fn out_writer(args: &Args) -> Result<Option<PcapWriter<BufWriter<File>>>, CliError> {
+    let Some(path) = args.get("out") else {
+        return Ok(None);
+    };
+    let file = File::create(path).map_err(|e| runtime(format!("{path}: {e}")))?;
+    let writer =
+        PcapWriter::new(BufWriter::new(file), 65_535).map_err(|e| runtime(e.to_string()))?;
+    Ok(Some(writer))
+}
+
+/// The first `interval` boundary after trace time `t`, which has crossed
+/// `boundary`. A single far-future timestamp (corrupt trace clock) may
+/// land millions of intervals ahead; this jumps straight past it instead
+/// of firing once per skipped interval.
+fn next_boundary(boundary: f64, t: f64, interval: f64) -> f64 {
+    boundary + (((t - boundary) / interval).floor() + 1.0) * interval
+}
+
+/// A registry carrying the build-info gauge.
+fn new_registry() -> Registry {
+    let registry = Registry::new();
+    registry.build_info(
+        env!("CARGO_PKG_VERSION"),
+        option_env!("UPBOUND_GIT_DESCRIBE"),
+    );
+    registry
+}
+
+/// Prints `filter`'s end-of-run summary: `[packets, dropped, blocked
+/// connections]` and the uplink bits offered and kept over the trace
+/// span ending at `last_ts`.
+fn print_summary(
+    [packets, dropped, blocked]: [u64; 3],
+    (offered, kept): (u64, u64),
+    last_ts: Timestamp,
+) {
+    let span = last_ts.as_secs_f64().max(1e-9);
+    let percent = dropped as f64 / packets.max(1) as f64 * 100.0;
+    println!("{packets} packets; dropped {dropped} ({percent:.2}%); blocked {blocked} connections");
+    println!(
+        "uplink: {:.2} Mbps offered -> {:.2} Mbps after filtering",
+        offered as f64 / span / 1e6,
+        kept as f64 / span / 1e6
+    );
+}
+
+/// Writes the packets the filter passed to the `--out` capture, if any.
+fn write_passed(
     writer: &mut Option<PcapWriter<BufWriter<File>>>,
-) -> Result<(), CliError> {
-    if staged.is_empty() {
+    packets: &[(Packet, Direction)],
+    verdicts: &[Verdict],
+) -> Result<(), NetError> {
+    let Some(writer) = writer else {
         return Ok(());
-    }
-    verdicts.clear();
-    table.process_batch(staged, verdicts);
-    for ((packet, direction), verdict) in staged.drain(..).zip(verdicts.drain(..)) {
-        match verdict {
-            Verdict::Pass => {
-                if direction == Direction::Outbound {
-                    *up_kept += packet.wire_bits();
-                }
-                if let Some(w) = writer.as_mut() {
-                    w.write_packet(&packet)
-                        .map_err(|e| runtime(e.to_string()))?;
-                }
-            }
-            Verdict::Drop => {
-                if block {
-                    blocked.insert(packet.tuple().canonical());
-                }
-                *dropped += 1;
-            }
+    };
+    for ((packet, _), verdict) in packets.iter().zip(verdicts) {
+        if *verdict == Verdict::Pass {
+            writer.write_packet(packet)?;
         }
     }
-    staged_conns.clear();
     Ok(())
+}
+
+/// The decide state of a multi-tenant replay: the subscriber table, the
+/// staged batch and the bookkeeping applied once it is decided.
+struct TenantReplay {
+    table: SubscriberTable<BitmapFilter>,
+    staged: Vec<(Packet, Direction)>,
+    verdicts: Vec<Verdict>,
+    blocked: Option<BlockedConnections>,
+    dropped: u64,
+    up_kept: u64,
+    writer: Option<PcapWriter<BufWriter<File>>>,
+}
+
+impl TenantReplay {
+    /// Decides the staged batch through the table's grouped dispatch,
+    /// then applies connection blocking, uplink accounting and the output
+    /// pcap in input order.
+    fn flush(&mut self) -> Result<(), CliError> {
+        if self.staged.is_empty() {
+            return Ok(());
+        }
+        self.verdicts.clear();
+        self.table.process_batch(&self.staged, &mut self.verdicts);
+        write_passed(&mut self.writer, &self.staged, &self.verdicts)
+            .map_err(|e| runtime(e.to_string()))?;
+        for ((packet, direction), verdict) in self.staged.drain(..).zip(self.verdicts.drain(..)) {
+            match verdict {
+                Verdict::Pass if direction == Direction::Outbound => {
+                    self.up_kept += packet.wire_bits();
+                }
+                Verdict::Pass => {}
+                Verdict::Drop => {
+                    if let Some(blocked) = self.blocked.as_mut() {
+                        blocked.block(&packet.tuple());
+                    }
+                    self.dropped += 1;
+                }
+            }
+        }
+        if let Some(blocked) = self.blocked.as_mut() {
+            blocked.flushed();
+        }
+        Ok(())
+    }
 }
 
 fn tenant_state_label(state: SubscriberState) -> &'static str {
@@ -873,59 +893,6 @@ fn print_tenant_table(table: &SubscriberTable<BitmapFilter>) {
 /// is longest prefix match over the spec's CIDRs; tenant filters
 /// materialize lazily on first packet and (with `--evict-idle`) recycle
 /// their bit storage through the shared arena while idle.
-/// Retries a *periodic* checkpoint write with bounded exponential
-/// backoff (3 attempts, 50 ms then 200 ms between them), counting every
-/// retry in `upbound_cli_checkpoint_retries_total`. Returns the last
-/// error when all attempts failed; the caller then degrades to
-/// "checkpointing disabled" instead of aborting the replay. Final and
-/// shutdown checkpoints do not pass through here — their failures stay
-/// fatal (exit 1), because exiting without durable state is the one
-/// thing a crash-safe deployment must never do silently.
-fn checkpoint_with_backoff(
-    registry: &Registry,
-    mut attempt: impl FnMut() -> Result<(), String>,
-) -> Result<(), String> {
-    const ATTEMPTS: u32 = 3;
-    let mut delay = Duration::from_millis(50);
-    for remaining in (0..ATTEMPTS).rev() {
-        match attempt() {
-            Ok(()) => return Ok(()),
-            Err(e) if remaining == 0 => return Err(e),
-            Err(e) => {
-                registry
-                    .counter(
-                        "upbound_cli_checkpoint_retries_total",
-                        "Periodic checkpoint writes retried after a transient failure",
-                    )
-                    .inc();
-                eprintln!(
-                    "checkpoint write failed ({e}); retrying in {} ms",
-                    delay.as_millis()
-                );
-                std::thread::sleep(delay);
-                delay *= 4;
-            }
-        }
-    }
-    unreachable!("the final attempt returns above")
-}
-
-/// Records that periodic checkpointing has been disabled for the rest
-/// of the run (gauge + stderr); the replay itself continues.
-fn checkpointing_disabled(registry: &Registry, path: &str, error: &str) {
-    registry
-        .gauge(
-            "upbound_cli_checkpointing_disabled",
-            "1 when periodic checkpointing was disabled after repeated write failures",
-        )
-        .set(1.0);
-    eprintln!(
-        "{path}: periodic checkpoint failed after retries ({error}); \
-         periodic checkpointing disabled for the rest of the run \
-         (the final checkpoint will still be attempted)"
-    );
-}
-
 fn cmd_filter_subscribers(args: &Args) -> Result<Outcome, CliError> {
     let spec_path = args
         .get("subscribers")
@@ -949,52 +916,21 @@ fn cmd_filter_subscribers(args: &Args) -> Result<Outcome, CliError> {
             )));
         }
     }
-    match args.get("fail-mode") {
-        None if args.has("fail-mode") => {
-            return Err(usage("--fail-mode expects `open` or `closed`"));
-        }
-        None | Some("closed") => {}
-        Some(v) => match FailMode::parse(v) {
-            Some(FailMode::Open) => {
-                return Err(usage(
-                    "--fail-mode open cannot be combined with --subscribers \
-                     (idle tenants park only when their bitmaps are provably empty)",
-                ));
-            }
-            _ => {
-                return Err(usage(format!(
-                    "--fail-mode expects `open` or `closed`, got {v:?}"
-                )));
-            }
-        },
+    let Dataplane {
+        config,
+        batch_size,
+        checkpoint,
+        checkpoint_interval,
+        ..
+    } = Dataplane::parse(args)?;
+    if config.fail_mode() == FailMode::Open {
+        return Err(usage(
+            "--fail-mode open cannot be combined with --subscribers \
+             (idle tenants park only when their bitmaps are provably empty)",
+        ));
     }
-
     let metrics = metrics_sink(args).map_err(usage)?;
-    let metrics_interval: f64 = args.parse_num("metrics-interval", 0.0).map_err(usage)?;
-    if metrics_interval < 0.0 || !metrics_interval.is_finite() {
-        return Err(usage(format!(
-            "--metrics-interval expects a non-negative number of seconds, got {metrics_interval}"
-        )));
-    }
-    let checkpoint = match args.get("checkpoint") {
-        None if args.has("checkpoint") => {
-            return Err(usage("--checkpoint requires a file path"));
-        }
-        other => other.map(str::to_owned),
-    };
-    let checkpoint_interval: f64 = args.parse_num("checkpoint-interval", 30.0).map_err(usage)?;
-    if checkpoint_interval <= 0.0 || !checkpoint_interval.is_finite() {
-        return Err(usage(format!(
-            "--checkpoint-interval expects a positive number of seconds, got {checkpoint_interval}"
-        )));
-    }
-    if args.has("checkpoint-interval") && checkpoint.is_none() {
-        return Err(usage("--checkpoint-interval requires --checkpoint <FILE>"));
-    }
-    let batch_size: usize = args.parse_num("batch-size", 64usize).map_err(usage)?;
-    if batch_size == 0 {
-        return Err(usage("--batch-size expects at least 1"));
-    }
+    let metrics_interval = args.secs("metrics-interval", 0.0, false)?;
 
     let defaults = TenantDefaults::of(args)?;
     let spec_text =
@@ -1011,13 +947,7 @@ fn cmd_filter_subscribers(args: &Args) -> Result<Outcome, CliError> {
             .map_err(|e| usage(format!("--subscribers {spec_path}: {}: {e}", spec.cidr)))?;
     }
     if args.has("evict-idle") {
-        let secs: f64 = args.parse_num("evict-idle", 0.0).map_err(usage)?;
-        if secs < 0.0 || !secs.is_finite() {
-            return Err(usage(format!(
-                "--evict-idle expects a non-negative number of seconds, got {secs}"
-            )));
-        }
-        table.evict_idle_after(TimeDelta::from_secs(secs));
+        table.evict_idle_after(TimeDelta::from_secs(args.secs("evict-idle", 0.0, false)?));
     }
     let classifier = table.classifier();
     println!(
@@ -1033,11 +963,7 @@ fn cmd_filter_subscribers(args: &Args) -> Result<Outcome, CliError> {
         }
     );
 
-    let registry = Registry::new();
-    registry.build_info(
-        env!("CARGO_PKG_VERSION"),
-        option_env!("UPBOUND_GIT_DESCRIBE"),
-    );
+    let registry = new_registry();
     let mut telemetry = SubscriberTelemetry::new(registry.clone());
     let ingest_metrics = IngestTelemetry::register(&registry);
 
@@ -1045,19 +971,17 @@ fn cmd_filter_subscribers(args: &Args) -> Result<Outcome, CliError> {
     let file = File::open(in_path).map_err(|e| runtime(format!("{in_path}: {e}")))?;
     let mut reader = PcapReader::with_policy(BufReader::new(file), policy)
         .map_err(|e| runtime(e.to_string()))?;
-    let mut writer = match args.get("out") {
-        Some(path) => {
-            let f = File::create(path).map_err(|e| runtime(format!("{path}: {e}")))?;
-            Some(PcapWriter::new(BufWriter::new(f), 65_535).map_err(|e| runtime(e.to_string()))?)
-        }
-        None => None,
+    let mut run = TenantReplay {
+        table,
+        staged: Vec::with_capacity(batch_size),
+        verdicts: Vec::with_capacity(batch_size),
+        blocked: (!args.has("no-block")).then(BlockedConnections::default),
+        dropped: 0,
+        up_kept: 0,
+        writer: out_writer(args)?,
     };
-
-    let block = !args.has("no-block");
-    let mut blocked: HashSet<FiveTuple> = HashSet::new();
-    let (mut total, mut dropped) = (0u64, 0u64);
-    let (mut up_bits, mut up_kept) = (0u64, 0u64);
-    let mut last_ts = upbound::net::Timestamp::ZERO;
+    let (mut total, mut up_bits) = (0u64, 0u64);
+    let mut last_ts = Timestamp::ZERO;
     let mut outcome = Outcome::Done;
 
     let mut pending_restore = checkpoint.as_deref().is_some_and(|p| Path::new(p).exists());
@@ -1066,23 +990,9 @@ fn cmd_filter_subscribers(args: &Args) -> Result<Outcome, CliError> {
     let mut next_report = (metrics_interval > 0.0).then_some(metrics_interval);
     let mut prev_snapshot = registry.snapshot();
 
-    let mut staged: Vec<(Packet, Direction)> = Vec::with_capacity(batch_size);
-    let mut staged_conns: HashSet<FiveTuple> = HashSet::new();
-    let mut verdicts: Vec<Verdict> = Vec::with_capacity(batch_size);
-
     while let Some(p) = reader.read_packet().map_err(|e| runtime(e.to_string()))? {
         if signals::interrupted() {
-            flush_staged_subscribers(
-                &mut table,
-                &mut staged,
-                &mut staged_conns,
-                &mut verdicts,
-                block,
-                &mut blocked,
-                &mut dropped,
-                &mut up_kept,
-                &mut writer,
-            )?;
+            run.flush()?;
             outcome = Outcome::Interrupted;
             break;
         }
@@ -1091,136 +1001,75 @@ fn cmd_filter_subscribers(args: &Args) -> Result<Outcome, CliError> {
         if pending_restore {
             pending_restore = false;
             let path = checkpoint.as_deref().unwrap_or_default();
-            let bytes = snapshot::read_file(Path::new(path))
+            let restored = snapshot::read_file(Path::new(path))
+                .and_then(|bytes| run.table.restore_bytes(&bytes, p.ts(), stale_after))
                 .map_err(|e| runtime(format!("{path}: checkpoint restore failed: {e}")))?;
-            match table.restore_bytes(&bytes, p.ts(), stale_after) {
-                Ok(RestoreOutcome::Warm) => {
+            match restored {
+                RestoreOutcome::Warm => {
                     println!("restored warm subscriber table from checkpoint {path}");
                 }
-                Ok(RestoreOutcome::Cold) => {
-                    println!(
-                        "checkpoint {path} is older than T_e; restored statistics, \
-                         tenants start cold"
-                    );
-                }
-                Err(e) => {
-                    return Err(runtime(format!("{path}: checkpoint restore failed: {e}")));
-                }
+                RestoreOutcome::Cold => println!(
+                    "checkpoint {path} is older than T_e; restored statistics, tenants start cold"
+                ),
             }
         }
-        if let Some(boundary) = next_checkpoint {
-            let t = p.ts().as_secs_f64();
-            if t >= boundary {
-                flush_staged_subscribers(
-                    &mut table,
-                    &mut staged,
-                    &mut staged_conns,
-                    &mut verdicts,
-                    block,
-                    &mut blocked,
-                    &mut dropped,
-                    &mut up_kept,
-                    &mut writer,
-                )?;
-                table.advance(last_ts);
-                let path = checkpoint.as_deref().unwrap_or_default();
-                let wrote = checkpoint_with_backoff(&registry, || {
-                    snapshot::write_atomic(Path::new(path), &table.snapshot_bytes(last_ts))
-                        .map_err(|e| e.to_string())
-                });
-                match wrote {
-                    Ok(()) => {
-                        checkpoints_written += 1;
-                        let elapsed = ((t - boundary) / checkpoint_interval).floor() + 1.0;
-                        next_checkpoint = Some(boundary + elapsed * checkpoint_interval);
-                    }
-                    Err(e) => {
-                        checkpointing_disabled(&registry, path, &e);
-                        next_checkpoint = None;
-                    }
-                }
-            }
+        let t = p.ts().as_secs_f64();
+        if let Some(boundary) = next_checkpoint.filter(|&boundary| t >= boundary) {
+            run.flush()?;
+            run.table.advance(last_ts);
+            let path = Path::new(checkpoint.as_deref().unwrap_or_default());
+            let wrote = checkpoint_with_backoff(Some(&registry), path, || {
+                snapshot::write_atomic(path, &run.table.snapshot_bytes(last_ts))
+            });
+            next_checkpoint = wrote.ok().map(|()| {
+                checkpoints_written += 1;
+                next_boundary(boundary, t, checkpoint_interval)
+            });
         }
-        if let Some(boundary) = next_report {
-            let t = p.ts().as_secs_f64();
-            if t >= boundary {
-                flush_staged_subscribers(
-                    &mut table,
-                    &mut staged,
-                    &mut staged_conns,
-                    &mut verdicts,
-                    block,
-                    &mut blocked,
-                    &mut dropped,
-                    &mut up_kept,
-                    &mut writer,
-                )?;
-                table.advance(last_ts);
-                telemetry.publish(&table);
-                let snapshot = registry.snapshot();
-                println!("--- metrics @ t={boundary:.1}s ---");
-                print!(
-                    "{}",
-                    export::human::render(&snapshot, Some((&prev_snapshot, metrics_interval)))
-                );
-                print_tenant_table(&table);
-                prev_snapshot = snapshot;
-                let elapsed = ((t - boundary) / metrics_interval).floor() + 1.0;
-                next_report = Some(boundary + elapsed * metrics_interval);
-            }
+        if let Some(boundary) = next_report.filter(|&boundary| t >= boundary) {
+            run.flush()?;
+            run.table.advance(last_ts);
+            telemetry.publish(&run.table);
+            let snapshot = registry.snapshot();
+            println!("--- metrics @ t={boundary:.1}s ---");
+            print!(
+                "{}",
+                export::human::render(&snapshot, Some((&prev_snapshot, metrics_interval)))
+            );
+            print_tenant_table(&run.table);
+            prev_snapshot = snapshot;
+            next_report = Some(next_boundary(boundary, t, metrics_interval));
         }
         let direction = classifier.direction_of(&p);
         if direction == Direction::Outbound {
             up_bits += p.wire_bits();
         }
         let tuple = p.tuple();
-        if block && staged_conns.contains(&tuple.canonical()) {
-            flush_staged_subscribers(
-                &mut table,
-                &mut staged,
-                &mut staged_conns,
-                &mut verdicts,
-                block,
-                &mut blocked,
-                &mut dropped,
-                &mut up_kept,
-                &mut writer,
-            )?;
+        if run.blocked.as_ref().is_some_and(|b| b.must_flush(&tuple)) {
+            run.flush()?;
         }
-        if block && (blocked.contains(&tuple) || blocked.contains(&tuple.inverse())) {
-            dropped += 1;
-        } else {
-            if block {
-                staged_conns.insert(tuple.canonical());
-            }
-            staged.push((p, direction));
-            if staged.len() >= batch_size {
-                flush_staged_subscribers(
-                    &mut table,
-                    &mut staged,
-                    &mut staged_conns,
-                    &mut verdicts,
-                    block,
-                    &mut blocked,
-                    &mut dropped,
-                    &mut up_kept,
-                    &mut writer,
-                )?;
-                table.advance(last_ts);
-            }
+        if run.blocked.as_ref().is_some_and(|b| b.is_blocked(&tuple)) {
+            run.dropped += 1;
+            continue;
+        }
+        if let Some(blocked) = run.blocked.as_mut() {
+            blocked.stage(&tuple, direction);
+        }
+        run.staged.push((p, direction));
+        if run.staged.len() >= batch_size {
+            run.flush()?;
+            run.table.advance(last_ts);
         }
     }
-    flush_staged_subscribers(
-        &mut table,
-        &mut staged,
-        &mut staged_conns,
-        &mut verdicts,
-        block,
-        &mut blocked,
-        &mut dropped,
-        &mut up_kept,
-        &mut writer,
-    )?;
+    run.flush()?;
+    let TenantReplay {
+        mut table,
+        blocked,
+        dropped,
+        up_kept,
+        writer,
+        ..
+    } = run;
     table.advance(last_ts);
     if let Some(w) = writer {
         w.finish().map_err(|e| runtime(e.to_string()))?;
@@ -1241,19 +1090,8 @@ fn cmd_filter_subscribers(args: &Args) -> Result<Outcome, CliError> {
         }
     }
 
-    let span = last_ts.as_secs_f64().max(1e-9);
-    println!(
-        "{} packets; dropped {} ({:.2}%); blocked {} connections",
-        total,
-        dropped,
-        dropped as f64 / total.max(1) as f64 * 100.0,
-        blocked.len()
-    );
-    println!(
-        "uplink: {:.2} Mbps offered -> {:.2} Mbps after filtering",
-        up_bits as f64 / span / 1e6,
-        up_kept as f64 / span / 1e6
-    );
+    let blocked = blocked.as_ref().map_or(0, BlockedConnections::connections) as u64;
+    print_summary([total, dropped, blocked], (up_bits, up_kept), last_ts);
     let (reuses, fresh) = table.arena_counters();
     println!(
         "subscribers: {} active / {} provisioned; {} B resident, {} B pooled \
@@ -1274,6 +1112,270 @@ fn cmd_filter_subscribers(args: &Args) -> Result<Outcome, CliError> {
     Ok(outcome)
 }
 
+/// The flags `filter` and `serve` share, parsed once: the filter shape,
+/// the shard bank, batching, the overload ladder, checkpointing and the
+/// fault plan.
+struct Dataplane {
+    inside: Cidr,
+    config: BitmapFilterConfig,
+    shards: usize,
+    batch_size: usize,
+    overload: OverloadPolicy,
+    checkpoint: Option<String>,
+    checkpoint_interval: f64,
+    fault_plan: Option<FaultPlan>,
+}
+
+impl Dataplane {
+    fn parse(args: &Args) -> Result<Self, CliError> {
+        let inside = inside_of(args).map_err(usage)?;
+        let fail_mode = match args.value("fail-mode", "--fail-mode expects `open` or `closed`")? {
+            None => FailMode::Closed,
+            Some(v) => FailMode::parse(&v).ok_or_else(|| {
+                usage(format!("--fail-mode expects `open` or `closed`, got {v:?}"))
+            })?,
+        };
+        let low: f64 = args.parse_num("low-mbps", 0.0).map_err(usage)?;
+        let high: f64 = args.parse_num("high-mbps", 0.0).map_err(usage)?;
+        let mut builder = BitmapFilterConfig::builder();
+        builder
+            .vector_bits(args.parse_num("vector-bits", 20u32).map_err(usage)?)
+            .vectors(args.parse_num("vectors", 4usize).map_err(usage)?)
+            .rotate_every_secs(args.parse_num("rotate-secs", 5.0f64).map_err(usage)?)
+            .hash_functions(args.parse_num("hashes", 3usize).map_err(usage)?)
+            .hole_punching(args.has("hole-punching"))
+            .fail_mode(fail_mode);
+        if high > 0.0 {
+            builder.drop_policy(
+                DropPolicy::new(low * 1e6, high * 1e6).map_err(|e| usage(e.to_string()))?,
+            );
+        }
+        let config = builder.build().map_err(|e| usage(e.to_string()))?;
+        let shards: usize = args.parse_num("shards", 1usize).map_err(usage)?;
+        if shards == 0 {
+            return Err(usage("--shards expects at least 1"));
+        }
+        // Default matches the batch_throughput bench's sweet spot; 1
+        // decides one packet at a time.
+        let batch_size: usize = args.parse_num("batch-size", 64usize).map_err(usage)?;
+        if batch_size == 0 {
+            return Err(usage("--batch-size expects at least 1"));
+        }
+        let overload = match args.value(
+            "overload-policy",
+            "--overload-policy expects off|balanced|strict[,key=value...]",
+        )? {
+            None => OverloadPolicy::off(),
+            Some(spec) => OverloadPolicy::parse(&spec)
+                .map_err(|e| usage(format!("--overload-policy: {e}")))?,
+        };
+        let checkpoint = args.value("checkpoint", "--checkpoint requires a file path")?;
+        let checkpoint_interval = args.secs("checkpoint-interval", 30.0, true)?;
+        if args.has("checkpoint-interval") && checkpoint.is_none() {
+            return Err(usage("--checkpoint-interval requires --checkpoint <FILE>"));
+        }
+        let fault_plan = args.value(
+            "fault-plan",
+            "--fault-plan expects `none` or key=value fields (seed, corrupt, reorder, skew, \
+             skew-secs, ckpt)",
+        )?;
+        let fault_plan = match fault_plan.as_deref().map(FaultPlan::parse).transpose() {
+            Err(e) => return Err(usage(format!("--fault-plan: {e}"))),
+            Ok(Some(plan)) if plan.panics() > 0 => {
+                return Err(usage(
+                    "--fault-plan panics=N needs a shard supervisor to catch them; \
+                     only the supervised pipeline (chaos harness) has one",
+                ))
+            }
+            Ok(plan) => plan.filter(|plan| !plan.is_none()),
+        };
+        Ok(Self {
+            inside,
+            config,
+            shards,
+            batch_size,
+            overload,
+            checkpoint,
+            checkpoint_interval,
+            fault_plan,
+        })
+    }
+
+    /// The runner these flags describe.
+    fn runner(&self) -> PipelineRunner {
+        let mut runner = PipelineRunner::new(self.inside, self.config.clone())
+            .shards(self.shards)
+            .overload_policy(self.overload.clone())
+            .pipeline_config(PipelineConfig {
+                batch_size: self.batch_size,
+                ..PipelineConfig::default()
+            });
+        if let Some(path) = &self.checkpoint {
+            runner = runner.checkpoint(path, TimeDelta::from_secs(self.checkpoint_interval));
+        }
+        runner.fault_plan(self.fault_plan.clone().unwrap_or_else(FaultPlan::none))
+    }
+
+    /// Opens the `--in` capture. A fault plan needs the whole stream to
+    /// distort it, and `looped` replays it from memory, so both buffer
+    /// the capture; otherwise it streams.
+    fn open_capture(
+        &self,
+        path: &str,
+        policy: RecoveryPolicy,
+        looped: bool,
+    ) -> Result<Box<dyn PacketSource>, CliError> {
+        let file = File::open(path).map_err(|e| runtime(format!("{path}: {e}")))?;
+        let mut reader = PcapReader::with_policy(BufReader::new(file), policy)
+            .map_err(|e| runtime(e.to_string()))?;
+        let Some(plan) = &self.fault_plan else {
+            let mut pcap = PcapSource::new(reader, self.inside);
+            if !looped {
+                return Ok(Box::new(pcap));
+            }
+            let buffered = BufferedSource::drain(&mut pcap).map_err(|e| runtime(e.to_string()))?;
+            return Ok(Box::new(buffered.looped(true)));
+        };
+        let mut packets = Vec::new();
+        while let Some(p) = reader.read_packet().map_err(|e| runtime(e.to_string()))? {
+            packets.push(p);
+        }
+        let (packets, distortion) = plan.distort_stream(packets);
+        println!(
+            "fault plan armed (seed {}): corrupted {} packet(s), {} reorder burst(s), \
+             {} skewed packet(s)",
+            plan.seed(),
+            distortion.corrupted,
+            distortion.reorder_bursts,
+            distortion.skewed
+        );
+        let labeled = packets
+            .into_iter()
+            .map(|p| {
+                let direction = self.inside.direction_of(&p.tuple());
+                (p, direction)
+            })
+            .collect();
+        Ok(Box::new(
+            BufferedSource::new(labeled, *reader.stats()).looped(looped),
+        ))
+    }
+
+    /// Prints how `serve` restored from and wrote the checkpoint file.
+    fn report_checkpoints(&self, report: &ServeReport) {
+        let Some(path) = &self.checkpoint else {
+            return;
+        };
+        match report.restored {
+            Some(RestoreOutcome::Warm) => {
+                println!("restored warm filter state from checkpoint {path}")
+            }
+            Some(RestoreOutcome::Cold) => println!(
+                "checkpoint {path} is older than T_e; restored statistics, bitmap started cold"
+            ),
+            None => {}
+        }
+        if report.packets > 0 {
+            println!(
+                "wrote final checkpoint to {path} ({} checkpoint(s) total)",
+                report.checkpoints_written
+            );
+        }
+    }
+}
+
+/// Writes a flight-recorder dump for SIGUSR1.
+fn dump_on_signal(flight: &FlightRecorder) {
+    match flight.dump_now(DumpTrigger::Signal) {
+        Ok(Some(path)) => println!("SIGUSR1: wrote flight dump to {}", path.display()),
+        Ok(None) => eprintln!("SIGUSR1 received, but no --flight-dump path configured"),
+        Err(e) => eprintln!("SIGUSR1: flight dump failed: {e}"),
+    }
+}
+
+/// `filter`'s view of its capture. Between batches it services SIGUSR1
+/// dumps, and it reports end-of-stream once SIGINT/SIGTERM arrives, so
+/// `serve` shuts down through its normal path (final checkpoint
+/// included). With `--metrics-interval` it ends a batch before the first
+/// packet at or past the next boundary and prints the report at the
+/// next poll, when `serve` has decided exactly the packets before it.
+struct FilterSource<'a> {
+    inner: Box<dyn PacketSource>,
+    ahead: Vec<(Packet, Direction)>,
+    interval: f64,
+    next_report: Option<f64>,
+    prev_snapshot: Snapshot,
+    registry: &'a Registry,
+    flight: &'a FlightRecorder,
+    /// Set with `--trace-latency`: times every read of the capture.
+    read_latency: Option<&'a IngestTelemetry>,
+    interrupted: bool,
+}
+
+impl FilterSource<'_> {
+    fn report(&mut self, boundary: f64, t: f64) {
+        let snapshot = self.registry.snapshot();
+        println!("--- metrics @ t={boundary:.1}s ---");
+        print!(
+            "{}",
+            export::human::render(&snapshot, Some((&self.prev_snapshot, self.interval)))
+        );
+        self.prev_snapshot = snapshot;
+        self.next_report = Some(next_boundary(boundary, t, self.interval));
+    }
+}
+
+impl PacketSource for FilterSource<'_> {
+    fn next_batch(
+        &mut self,
+        out: &mut Vec<(Packet, Direction)>,
+        max: usize,
+    ) -> Result<SourcePoll, NetError> {
+        if signals::interrupted() {
+            self.interrupted = true;
+            return Ok(SourcePoll::End);
+        }
+        if signals::dump_requested() {
+            dump_on_signal(self.flight);
+        }
+        if self.ahead.is_empty() {
+            let started = self.read_latency.map(|t| (t, Instant::now()));
+            let poll = self.inner.next_batch(&mut self.ahead, max)?;
+            if let Some((telemetry, started)) = started {
+                telemetry.record_read_latency(started.elapsed());
+            }
+            if let SourcePoll::End | SourcePoll::Idle = poll {
+                return Ok(poll);
+            }
+        }
+        let mut n = 0;
+        while n < self.ahead.len().min(max) {
+            let t = self.ahead[n].0.ts().as_secs_f64();
+            match self.next_report {
+                Some(boundary) if t >= boundary && n > 0 => break,
+                Some(boundary) if t >= boundary => self.report(boundary, t),
+                _ => n += 1,
+            }
+        }
+        out.extend(self.ahead.drain(..n));
+        Ok(SourcePoll::Batch(n))
+    }
+
+    fn stats(&self) -> IngestStats {
+        self.inner.stats()
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+}
+
+/// `upbound filter` — `serve` without a listener over a finite capture:
+/// [`PipelineRunner::serve_with`] decides every packet, with the
+/// blocked-connection store on unless `--no-block`, and writes the
+/// passed packets to `--out`. The CLI adds the observer-carrying shard
+/// bank, interval reports, SIGUSR1 dumps, the `/metrics` endpoint and
+/// the end-of-run summary.
 fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
     if args.has("subscribers") {
         return cmd_filter_subscribers(args);
@@ -1284,160 +1386,46 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
     let in_path = args
         .get("in")
         .ok_or_else(|| usage("filter requires --in <FILE>"))?;
-    let inside = inside_of(args).map_err(usage)?;
-    let low: f64 = args.parse_num("low-mbps", 0.0).map_err(usage)?;
-    let high: f64 = args.parse_num("high-mbps", 0.0).map_err(usage)?;
+    let dataplane = Dataplane::parse(args)?;
     let metrics = metrics_sink(args).map_err(usage)?;
-    let metrics_interval: f64 = args.parse_num("metrics-interval", 0.0).map_err(usage)?;
-    if metrics_interval < 0.0 || !metrics_interval.is_finite() {
-        return Err(usage(format!(
-            "--metrics-interval expects a non-negative number of seconds, got {metrics_interval}"
-        )));
-    }
-    let metrics_addr = match args.get("metrics-addr") {
-        None if args.has("metrics-addr") => {
-            return Err(usage("--metrics-addr expects <HOST:PORT>"));
-        }
-        other => other.map(str::to_owned),
-    };
-    let flight_dump = match args.get("flight-dump") {
-        None if args.has("flight-dump") => {
-            return Err(usage("--flight-dump requires a file path"));
-        }
-        other => other.map(str::to_owned),
-    };
-    let trace_latency = args.has("trace-latency");
-    let serve_grace: f64 = args.parse_num("serve-grace", 0.0).map_err(usage)?;
-    if serve_grace < 0.0 || !serve_grace.is_finite() {
-        return Err(usage(format!(
-            "--serve-grace expects a non-negative number of seconds, got {serve_grace}"
-        )));
-    }
+    let metrics_interval = args.secs("metrics-interval", 0.0, false)?;
+    let metrics_addr = args.value("metrics-addr", "--metrics-addr expects <HOST:PORT>")?;
+    let flight_dump = args.value("flight-dump", "--flight-dump requires a file path")?;
+    let serve_grace = args.secs("serve-grace", 0.0, false)?;
     if serve_grace > 0.0 && metrics_addr.is_none() {
         return Err(usage("--serve-grace requires --metrics-addr <HOST:PORT>"));
     }
-    let fail_mode = match args.get("fail-mode") {
-        None if args.has("fail-mode") => {
-            return Err(usage("--fail-mode expects `open` or `closed`"));
-        }
-        None => FailMode::Closed,
-        Some(v) => FailMode::parse(v)
-            .ok_or_else(|| usage(format!("--fail-mode expects `open` or `closed`, got {v:?}")))?,
-    };
-    let checkpoint = match args.get("checkpoint") {
-        None if args.has("checkpoint") => {
-            return Err(usage("--checkpoint requires a file path"));
-        }
-        other => other.map(str::to_owned),
-    };
-    let checkpoint_interval: f64 = args.parse_num("checkpoint-interval", 30.0).map_err(usage)?;
-    if checkpoint_interval <= 0.0 || !checkpoint_interval.is_finite() {
-        return Err(usage(format!(
-            "--checkpoint-interval expects a positive number of seconds, got {checkpoint_interval}"
-        )));
-    }
-    if args.has("checkpoint-interval") && checkpoint.is_none() {
-        return Err(usage("--checkpoint-interval requires --checkpoint <FILE>"));
-    }
-    let overload = match args.get("overload-policy") {
-        None if args.has("overload-policy") => {
-            return Err(usage(
-                "--overload-policy expects off|balanced|strict[,key=value...]",
-            ));
-        }
-        None => OverloadPolicy::off(),
-        Some(spec) => {
-            OverloadPolicy::parse(spec).map_err(|e| usage(format!("--overload-policy: {e}")))?
-        }
-    };
-    let fault_plan = match args.get("fault-plan") {
-        None if args.has("fault-plan") => {
-            return Err(usage(
-                "--fault-plan expects `none` or key=value fields (seed, corrupt, \
-                 reorder, skew, skew-secs, panics, ckpt)",
-            ));
-        }
-        None => None,
-        Some(spec) => {
-            let plan = FaultPlan::parse(spec).map_err(|e| usage(format!("--fault-plan: {e}")))?;
-            if plan.panics() > 0 {
-                return Err(usage(
-                    "--fault-plan panics=N needs a shard supervisor to catch them; \
-                     it is only supported by the supervised pipeline (chaos harness), \
-                     not the CLI replay path",
-                ));
-            }
-            (!plan.is_none()).then_some(plan)
-        }
-    };
-
-    let mut builder = BitmapFilterConfig::builder();
-    builder
-        .vector_bits(args.parse_num("vector-bits", 20u32).map_err(usage)?)
-        .vectors(args.parse_num("vectors", 4usize).map_err(usage)?)
-        .rotate_every_secs(args.parse_num("rotate-secs", 5.0f64).map_err(usage)?)
-        .hash_functions(args.parse_num("hashes", 3usize).map_err(usage)?)
-        .hole_punching(args.has("hole-punching"))
-        .fail_mode(fail_mode);
-    if high > 0.0 {
-        builder
-            .drop_policy(DropPolicy::new(low * 1e6, high * 1e6).map_err(|e| usage(e.to_string()))?);
-    }
-    let config = builder.build().map_err(|e| usage(e.to_string()))?;
     let policy = recovery_policy_of(args).map_err(usage)?;
-    let shards: usize = args.parse_num("shards", 1usize).map_err(usage)?;
-    if shards == 0 {
-        return Err(usage("--shards expects at least 1"));
-    }
-    // Default matches the batch_throughput bench's sweet spot; 1 restores
-    // the old packet-at-a-time behavior exactly.
-    let batch_size: usize = args.parse_num("batch-size", 64usize).map_err(usage)?;
-    if batch_size == 0 {
-        return Err(usage("--batch-size expects at least 1"));
-    }
-    println!(
-        "bitmap filter: {{{} x 2^{}}} = {} KiB, T_e = {:.0} s, m = {}{}{}{}",
+    let (config, shards) = (&dataplane.config, dataplane.shards);
+    let mut banner = format!(
+        "bitmap filter: {{{} x 2^{}}} = {} KiB, T_e = {:.0} s, m = {}",
         config.vectors(),
         config.vector_bits(),
         config.memory_bytes() / 1024,
         config.expiry_timer().as_secs_f64(),
         config.hash_functions(),
-        if shards > 1 {
-            format!(", {shards} shards")
-        } else {
-            String::new()
-        },
-        if fail_mode == FailMode::Open {
-            ", fail-open"
-        } else {
-            ""
-        },
-        if overload.enabled() {
-            ", overload ladder armed"
-        } else {
-            ""
-        }
     );
-    let registry = Registry::new();
-    registry.build_info(
-        env!("CARGO_PKG_VERSION"),
-        option_env!("UPBOUND_GIT_DESCRIBE"),
-    );
+    if shards > 1 {
+        banner += &format!(", {shards} shards");
+    }
+    if config.fail_mode() == FailMode::Open {
+        banner += ", fail-open";
+    }
+    if dataplane.overload.enabled() {
+        banner += ", overload ladder armed";
+    }
+    println!("{banner}");
+    let registry = new_registry();
 
     // The black box rides along on every run (it is just a pair of ring
     // buffers); only --flight-dump gives it somewhere to land. Dumps
     // fire on panic, on SIGUSR1, and — fail-open deployments' scariest
     // moment — when a degraded filter arms.
-    let fail_mode_label = if fail_mode == FailMode::Open {
-        "open"
-    } else {
-        "closed"
-    };
     let flight = FlightRecorder::default();
     flight.attach_registry(registry.clone());
     flight.set_meta("input", in_path);
     flight.set_meta("shards", &shards.to_string());
-    flight.set_meta("fail_mode", fail_mode_label);
+    flight.set_meta("fail_mode", dataplane.config.fail_mode().label());
     flight.set_dump_on_armed(true);
     if let Some(path) = &flight_dump {
         flight.set_dump_path(path);
@@ -1449,8 +1437,7 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
         }));
     }
     let health = HealthState::new();
-    health.set_fail_mode(fail_mode_label);
-    let tracer = trace_latency.then(|| StageTracer::new(&registry, "cli"));
+    health.set_fail_mode(dataplane.config.fail_mode().label());
 
     // All shards share one uplink monitor (global P_d) and publish into
     // the same registry — `counter()` is get-or-create, so the per-shard
@@ -1464,10 +1451,10 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
                     .with_flight_recorder(flight.clone()),
             )
             .with_shared_uplink(Arc::clone(&uplink))
-            .with_overload_policy(overload.clone())
+            .with_overload_policy(dataplane.overload.clone())
         })
         .collect();
-    let filter =
+    let bank =
         ShardedFilter::from_shards(FlowHash::new(config.hole_punching()), uplink, shard_filters);
 
     let server = match &metrics_addr {
@@ -1484,336 +1471,67 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
     };
 
     let ingest_metrics = IngestTelemetry::register(&registry);
-    let file = File::open(in_path).map_err(|e| runtime(format!("{in_path}: {e}")))?;
-    let mut reader = PcapReader::with_policy(BufReader::new(file), policy)
+    let trace_latency = args.has("trace-latency");
+    let mut source = FilterSource {
+        inner: dataplane.open_capture(in_path, policy, false)?,
+        ahead: Vec::new(),
+        interval: metrics_interval,
+        next_report: (metrics_interval > 0.0).then_some(metrics_interval),
+        prev_snapshot: registry.snapshot(),
+        registry: &registry,
+        flight: &flight,
+        read_latency: trace_latency.then_some(&ingest_metrics),
+        interrupted: false,
+    };
+    let mut writer = out_writer(args)?;
+    let runner = dataplane
+        .runner()
+        .block_connections(!args.has("no-block"))
+        .observability(PipelineObservability {
+            tracer: trace_latency.then(|| StageTracer::new(&registry, "cli")),
+            health: Some(health.clone()),
+            ..PipelineObservability::default()
+        });
+    let control = ServeControl::new().with_telemetry(&registry);
+    let report = runner
+        .serve_with(&bank, &mut source, &control, |packets, verdicts| {
+            write_passed(&mut writer, packets, verdicts)
+        })
         .map_err(|e| runtime(e.to_string()))?;
-    let mut writer = match args.get("out") {
-        Some(path) => {
-            let f = File::create(path).map_err(|e| runtime(format!("{path}: {e}")))?;
-            Some(PcapWriter::new(BufWriter::new(f), 65_535).map_err(|e| runtime(e.to_string()))?)
-        }
-        None => None,
+    let mut outcome = if source.interrupted {
+        Outcome::Interrupted
+    } else {
+        Outcome::Done
     };
-
-    // A fault plan's stream faults (corruption, reorder bursts, skew
-    // spikes) need the whole stream, so the trace is drained up front
-    // and replayed from memory; without a plan the reader streams.
-    let mut distorted: Option<std::vec::IntoIter<Packet>> = match &fault_plan {
-        Some(plan) => {
-            let mut all = Vec::new();
-            while let Some(p) = reader.read_packet().map_err(|e| runtime(e.to_string()))? {
-                all.push(p);
-            }
-            let (stream, report) = plan.distort_stream(all);
-            println!(
-                "fault plan armed (seed {}): corrupted {} packet(s), {} reorder burst(s), \
-                 {} skewed packet(s)",
-                plan.seed(),
-                report.corrupted,
-                report.reorder_bursts,
-                report.skewed
-            );
-            Some(stream.into_iter())
-        }
-        None => None,
-    };
-    // Checkpoint-fault injection rides the same plan; periodic writes it
-    // fails go through the bounded-backoff retry path below.
-    let mut ckpt_injector: Option<PlannedInjector> = fault_plan.as_ref().map(FaultPlan::injector);
-    let mut ckpt_attempts = 0u64;
-
-    let block = !args.has("no-block");
-    let mut blocked: HashSet<FiveTuple> = HashSet::new();
-    let (mut total, mut dropped) = (0u64, 0u64);
-    let (mut up_bits, mut up_kept) = (0u64, 0u64);
-    let mut last_ts = upbound::net::Timestamp::ZERO;
-    let mut outcome = Outcome::Done;
-
-    // Restore is deferred to the first packet so staleness is judged
-    // against *trace time* (the clock the filter runs on), not the
-    // wall clock of the restarted process. A missing file is a normal
-    // cold start, not an error.
-    let mut pending_restore = checkpoint.as_deref().is_some_and(|p| Path::new(p).exists());
-    // Periodic checkpoints are keyed to trace time, like metrics.
-    let mut next_checkpoint: Option<f64> = checkpoint.as_ref().map(|_| checkpoint_interval);
-    let mut checkpoints_written = 0u64;
-
-    // Interval reporting is keyed to trace time: a report is emitted
-    // each time packet timestamps cross the next interval boundary.
-    let mut next_report = (metrics_interval > 0.0).then_some(metrics_interval);
-    let mut prev_snapshot = registry.snapshot();
-
-    // Packets are decided in batches through `ShardedFilter::process_batch`,
-    // which takes each shard lock once per batch. Boundaries that read or
-    // write filter state (checkpoints, metrics reports, shutdown) flush the
-    // staged batch first so they observe exactly the packets before them,
-    // and a packet whose connection is already staged forces a flush so the
-    // blocked-connection check sees any drop the batch would produce.
-    let mut staged: Vec<(Packet, Direction)> = Vec::with_capacity(batch_size);
-    let mut staged_conns: HashSet<FiveTuple> = HashSet::new();
-    let mut verdicts: Vec<Verdict> = Vec::with_capacity(batch_size);
-
-    loop {
-        let p = {
-            let _t = tracer.as_ref().map(|t| t.scope(Stage::Ingest));
-            let started = trace_latency.then(std::time::Instant::now);
-            let p = match distorted.as_mut() {
-                Some(iter) => iter.next(),
-                None => reader.read_packet().map_err(|e| runtime(e.to_string()))?,
-            };
-            if let Some(started) = started {
-                ingest_metrics.record_read_latency(started.elapsed());
-            }
-            p
-        };
-        let Some(p) = p else { break };
-        if signals::interrupted() {
-            flush_staged(
-                &filter,
-                &mut staged,
-                &mut staged_conns,
-                &mut verdicts,
-                block,
-                &mut blocked,
-                &mut dropped,
-                &mut up_kept,
-                &mut writer,
-                tracer.as_ref(),
-            )?;
-            outcome = Outcome::Interrupted;
-            break;
-        }
-        if signals::dump_requested() {
-            flush_staged(
-                &filter,
-                &mut staged,
-                &mut staged_conns,
-                &mut verdicts,
-                block,
-                &mut blocked,
-                &mut dropped,
-                &mut up_kept,
-                &mut writer,
-                tracer.as_ref(),
-            )?;
-            match flight.dump_now(DumpTrigger::Signal) {
-                Ok(Some(path)) => println!("SIGUSR1: wrote flight dump to {}", path.display()),
-                Ok(None) => eprintln!("SIGUSR1 received, but no --flight-dump path configured"),
-                Err(e) => eprintln!("SIGUSR1: flight dump failed: {e}"),
-            }
-        }
-        total += 1;
-        last_ts = last_ts.max(p.ts());
-        if total % 1024 == 0 {
-            health.set_watermark(last_ts.as_micros());
-        }
-        if pending_restore {
-            pending_restore = false;
-            let path = checkpoint.as_deref().unwrap_or_default();
-            match filter.restore_from(Path::new(path), p.ts(), config.expiry_timer()) {
-                Ok(RestoreOutcome::Warm) => {
-                    println!("restored warm filter state from checkpoint {path}");
-                }
-                Ok(RestoreOutcome::Cold) => {
-                    println!(
-                        "checkpoint {path} is older than T_e; restored statistics, \
-                         bitmap starts cold"
-                    );
-                }
-                Err(e) => {
-                    return Err(runtime(format!("{path}: checkpoint restore failed: {e}")));
-                }
-            }
-        }
-        if let Some(boundary) = next_checkpoint {
-            let t = p.ts().as_secs_f64();
-            if t >= boundary {
-                flush_staged(
-                    &filter,
-                    &mut staged,
-                    &mut staged_conns,
-                    &mut verdicts,
-                    block,
-                    &mut blocked,
-                    &mut dropped,
-                    &mut up_kept,
-                    &mut writer,
-                    tracer.as_ref(),
-                )?;
-                let path = checkpoint.as_deref().unwrap_or_default();
-                let wrote = checkpoint_with_backoff(&registry, || {
-                    let index = ckpt_attempts;
-                    ckpt_attempts += 1;
-                    if let Some(err) = ckpt_injector
-                        .as_mut()
-                        .and_then(|inj| inj.inject_checkpoint_error(index))
-                    {
-                        return Err(err.to_string());
-                    }
-                    filter
-                        .checkpoint_to(Path::new(path), last_ts)
-                        .map_err(|e| e.to_string())
-                });
-                match wrote {
-                    Ok(()) => {
-                        checkpoints_written += 1;
-                        let elapsed = ((t - boundary) / checkpoint_interval).floor() + 1.0;
-                        next_checkpoint = Some(boundary + elapsed * checkpoint_interval);
-                    }
-                    Err(e) => {
-                        checkpointing_disabled(&registry, path, &e);
-                        next_checkpoint = None;
-                    }
-                }
-            }
-        }
-        if let Some(boundary) = next_report {
-            let t = p.ts().as_secs_f64();
-            if t >= boundary {
-                flush_staged(
-                    &filter,
-                    &mut staged,
-                    &mut staged_conns,
-                    &mut verdicts,
-                    block,
-                    &mut blocked,
-                    &mut dropped,
-                    &mut up_kept,
-                    &mut writer,
-                    tracer.as_ref(),
-                )?;
-                let snapshot = registry.snapshot();
-                println!("--- metrics @ t={boundary:.1}s ---");
-                print!(
-                    "{}",
-                    export::human::render(&snapshot, Some((&prev_snapshot, metrics_interval)))
-                );
-                prev_snapshot = snapshot;
-                // A single far-future timestamp (corrupt trace clock) may
-                // land millions of intervals ahead; jump straight to the
-                // first boundary past it instead of emitting one (empty)
-                // report per skipped interval.
-                let elapsed = ((t - boundary) / metrics_interval).floor() + 1.0;
-                next_report = Some(boundary + elapsed * metrics_interval);
-            }
-        }
-        let direction = inside.direction_of(&p.tuple());
-        if direction == Direction::Outbound {
-            up_bits += p.wire_bits();
-        }
-        let tuple = p.tuple();
-        // A staged packet of the same connection may yield the drop that
-        // blocks this one; flush so the blocked check below is current.
-        if block && staged_conns.contains(&tuple.canonical()) {
-            flush_staged(
-                &filter,
-                &mut staged,
-                &mut staged_conns,
-                &mut verdicts,
-                block,
-                &mut blocked,
-                &mut dropped,
-                &mut up_kept,
-                &mut writer,
-                tracer.as_ref(),
-            )?;
-        }
-        if block && (blocked.contains(&tuple) || blocked.contains(&tuple.inverse())) {
-            dropped += 1;
-        } else {
-            if block {
-                staged_conns.insert(tuple.canonical());
-            }
-            staged.push((p, direction));
-            if staged.len() >= batch_size {
-                flush_staged(
-                    &filter,
-                    &mut staged,
-                    &mut staged_conns,
-                    &mut verdicts,
-                    block,
-                    &mut blocked,
-                    &mut dropped,
-                    &mut up_kept,
-                    &mut writer,
-                    tracer.as_ref(),
-                )?;
-            }
-        }
-    }
-    flush_staged(
-        &filter,
-        &mut staged,
-        &mut staged_conns,
-        &mut verdicts,
-        block,
-        &mut blocked,
-        &mut dropped,
-        &mut up_kept,
-        &mut writer,
-        tracer.as_ref(),
-    )?;
     if let Some(w) = writer {
         w.finish().map_err(|e| runtime(e.to_string()))?;
     }
-    ingest_metrics.publish(reader.stats());
-    report_skips(reader.stats());
+    ingest_metrics.publish(&report.ingest);
+    report_skips(&report.ingest);
+    dataplane.report_checkpoints(&report);
 
-    // Checkpoint-on-shutdown: persist the final state both on normal
-    // end-of-trace and on signal-initiated shutdown. Skipped when no
-    // packet was processed, so an existing checkpoint is never
-    // clobbered with fresh empty state.
-    if let Some(path) = checkpoint.as_deref() {
-        if total > 0 {
-            filter
-                .checkpoint_to(Path::new(path), last_ts)
-                .map_err(|e| runtime(format!("{path}: final checkpoint failed: {e}")))?;
-            checkpoints_written += 1;
-            println!(
-                "wrote final checkpoint to {path} ({checkpoints_written} checkpoint(s) total)"
-            );
-        }
-    }
-
-    let span = last_ts.as_secs_f64().max(1e-9);
-    println!(
-        "{} packets; dropped {} ({:.2}%); blocked {} connections",
-        total,
-        dropped,
-        dropped as f64 / total.max(1) as f64 * 100.0,
-        blocked.len()
-    );
-    println!(
-        "uplink: {:.2} Mbps offered -> {:.2} Mbps after filtering",
-        up_bits as f64 / span / 1e6,
-        up_kept as f64 / span / 1e6
+    print_summary(
+        [report.packets, report.dropped, report.blocked_connections],
+        (report.uplink_offered_bits, report.uplink_kept_bits),
+        report.watermark,
     );
     if let Some((path, format)) = &metrics {
         write_metrics(path, format, &registry.snapshot()).map_err(runtime)?;
     }
 
-    health.set_watermark(last_ts.as_micros());
     // Keep the HTTP endpoint up through the grace window so scrapers
     // (and the CI smoke test) can read the final state of a short
     // replay; a signal ends the wait early.
     if let Some(server) = server {
         if serve_grace > 0.0 && outcome == Outcome::Done {
-            let deadline = std::time::Instant::now() + Duration::from_secs_f64(serve_grace);
-            while std::time::Instant::now() < deadline {
+            let deadline = Instant::now() + Duration::from_secs_f64(serve_grace);
+            while Instant::now() < deadline {
                 if signals::interrupted() {
                     outcome = Outcome::Interrupted;
                     break;
                 }
                 if signals::dump_requested() {
-                    match flight.dump_now(DumpTrigger::Signal) {
-                        Ok(Some(path)) => {
-                            println!("SIGUSR1: wrote flight dump to {}", path.display())
-                        }
-                        Ok(None) => {
-                            eprintln!("SIGUSR1 received, but no --flight-dump path configured")
-                        }
-                        Err(e) => eprintln!("SIGUSR1: flight dump failed: {e}"),
-                    }
+                    dump_on_signal(&flight);
                 }
                 std::thread::sleep(Duration::from_millis(50));
             }
@@ -1993,14 +1711,8 @@ fn parse_overrides(body: &str) -> Result<RuntimeOverrides, String> {
 /// [`PipelineRunner::serve`], with the control plane (`POST /config`,
 /// `POST /drain`) riding on the metrics listener.
 fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
-    let in_path = match args.get("in") {
-        None if args.has("in") => return Err(usage("--in requires a file path")),
-        other => other.map(str::to_owned),
-    };
-    let live_iface = match args.get("live") {
-        None if args.has("live") => return Err(usage("--live requires an interface name")),
-        other => other.map(str::to_owned),
-    };
+    let in_path = args.value("in", "--in requires a file path")?;
+    let live_iface = args.value("live", "--live requires an interface name")?;
     match (&in_path, &live_iface) {
         (Some(_), Some(_)) => {
             return Err(usage(
@@ -2020,123 +1732,21 @@ fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
             "--on-corrupt applies to pcap replay; it requires --in <FILE>",
         ));
     }
-    let fault_plan = match args.get("fault-plan") {
-        None if args.has("fault-plan") => {
-            return Err(usage(
-                "--fault-plan expects `none` or key=value fields (seed, corrupt, \
-                 reorder, skew, skew-secs)",
-            ));
-        }
-        None => None,
-        Some(spec) => {
-            if live_iface.is_some() {
-                return Err(usage(
-                    "--fault-plan is replay-only: faults are injected by distorting the \
-                     buffered stream, which is impossible on a live interface — drop \
-                     --live or drop --fault-plan",
-                ));
-            }
-            let plan = FaultPlan::parse(spec).map_err(|e| usage(format!("--fault-plan: {e}")))?;
-            if plan.panics() > 0 {
-                return Err(usage(
-                    "--fault-plan panics=N needs the supervised pipeline (chaos harness); \
-                     serve has no shard supervisor to catch them",
-                ));
-            }
-            if plan.ckpt_errors() > 0 {
-                return Err(usage(
-                    "--fault-plan ckpt=N needs a faulting checkpoint sink; serve writes \
-                     checkpoints directly",
-                ));
-            }
-            (!plan.is_none()).then_some(plan)
-        }
-    };
-    let listen = match args.get("listen") {
-        None if args.has("listen") => return Err(usage("--listen expects <HOST:PORT>")),
-        other => other.map(str::to_owned),
-    };
-    let inside = inside_of(args).map_err(usage)?;
-    let low: f64 = args.parse_num("low-mbps", 0.0).map_err(usage)?;
-    let high: f64 = args.parse_num("high-mbps", 0.0).map_err(usage)?;
-    let fail_mode = match args.get("fail-mode") {
-        None if args.has("fail-mode") => {
-            return Err(usage("--fail-mode expects `open` or `closed`"));
-        }
-        None => FailMode::Closed,
-        Some(v) => FailMode::parse(v)
-            .ok_or_else(|| usage(format!("--fail-mode expects `open` or `closed`, got {v:?}")))?,
-    };
-    let mut builder = BitmapFilterConfig::builder();
-    builder
-        .vector_bits(args.parse_num("vector-bits", 20u32).map_err(usage)?)
-        .vectors(args.parse_num("vectors", 4usize).map_err(usage)?)
-        .rotate_every_secs(args.parse_num("rotate-secs", 5.0f64).map_err(usage)?)
-        .hash_functions(args.parse_num("hashes", 3usize).map_err(usage)?)
-        .hole_punching(args.has("hole-punching"))
-        .fail_mode(fail_mode);
-    if high > 0.0 {
-        builder
-            .drop_policy(DropPolicy::new(low * 1e6, high * 1e6).map_err(|e| usage(e.to_string()))?);
+    if args.has("fault-plan") && live_iface.is_some() {
+        return Err(usage(
+            "--fault-plan is replay-only: faults are injected by distorting the \
+             buffered stream, which is impossible on a live interface — drop \
+             --live or drop --fault-plan",
+        ));
     }
-    let config = builder.build().map_err(|e| usage(e.to_string()))?;
-    let shards: usize = args.parse_num("shards", 1usize).map_err(usage)?;
-    if shards == 0 {
-        return Err(usage("--shards expects at least 1"));
-    }
-    let batch_size: usize = args.parse_num("batch-size", 64usize).map_err(usage)?;
-    if batch_size == 0 {
-        return Err(usage("--batch-size expects at least 1"));
-    }
-    let overload = match args.get("overload-policy") {
-        None if args.has("overload-policy") => {
-            return Err(usage(
-                "--overload-policy expects off|balanced|strict[,key=value...]",
-            ));
-        }
-        None => OverloadPolicy::off(),
-        Some(spec) => {
-            OverloadPolicy::parse(spec).map_err(|e| usage(format!("--overload-policy: {e}")))?
-        }
-    };
-    let checkpoint = match args.get("checkpoint") {
-        None if args.has("checkpoint") => {
-            return Err(usage("--checkpoint requires a file path"));
-        }
-        other => other.map(str::to_owned),
-    };
-    let checkpoint_interval: f64 = args.parse_num("checkpoint-interval", 30.0).map_err(usage)?;
-    if checkpoint_interval <= 0.0 || !checkpoint_interval.is_finite() {
-        return Err(usage(format!(
-            "--checkpoint-interval expects a positive number of seconds, got {checkpoint_interval}"
-        )));
-    }
-    if args.has("checkpoint-interval") && checkpoint.is_none() {
-        return Err(usage("--checkpoint-interval requires --checkpoint <FILE>"));
-    }
+    let listen = args.value("listen", "--listen expects <HOST:PORT>")?;
+    let dataplane = Dataplane::parse(args)?;
+    let policy = recovery_policy_of(args).map_err(usage)?;
+    let runner = dataplane.runner();
 
-    let mut runner = PipelineRunner::new(inside, config)
-        .shards(shards)
-        .overload_policy(overload)
-        .pipeline_config(PipelineConfig {
-            batch_size,
-            ..PipelineConfig::default()
-        });
-    if let Some(path) = &checkpoint {
-        runner = runner.checkpoint(path, TimeDelta::from_secs(checkpoint_interval));
-    }
-
-    let registry = Registry::new();
-    registry.build_info(
-        env!("CARGO_PKG_VERSION"),
-        option_env!("UPBOUND_GIT_DESCRIBE"),
-    );
+    let registry = new_registry();
     let health = HealthState::new();
-    health.set_fail_mode(if fail_mode == FailMode::Open {
-        "open"
-    } else {
-        "closed"
-    });
+    health.set_fail_mode(dataplane.config.fail_mode().label());
     let control = ServeControl::new().with_telemetry(&registry);
 
     let server = match &listen {
@@ -2175,6 +1785,29 @@ fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
         }
     };
 
+    let mut source: Box<dyn PacketSource> = match (&live_iface, &in_path) {
+        (Some(iface), _) => {
+            let source = LiveSource::open(LiveConfig::new(iface.clone(), dataplane.inside))
+                .map_err(|e| match e {
+                    // Actionable setup problems read as usage errors,
+                    // per the LiveCaptureError contract.
+                    LiveCaptureError::Unsupported { .. }
+                    | LiveCaptureError::NoSuchInterface { .. }
+                    | LiveCaptureError::PermissionDenied { .. } => usage(e.to_string()),
+                    other => runtime(other.to_string()),
+                })?;
+            println!("serving live capture on {}", source.interface());
+            Box::new(source)
+        }
+        (None, in_path) => {
+            let in_path = in_path.as_deref().unwrap_or_default();
+            let looped = args.has("loop");
+            let source = dataplane.open_capture(in_path, policy, looped)?;
+            println!("serving {in_path}{}", if looped { ", looped" } else { "" });
+            source
+        }
+    };
+
     // serve() owns the calling thread, so a sidecar thread translates
     // the SIGINT/SIGTERM latch into a drain request.
     let watcher_control = control.clone();
@@ -2188,72 +1821,15 @@ fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
             std::thread::sleep(Duration::from_millis(25));
         }
     });
-
-    let served = if let Some(iface) = &live_iface {
-        let mut source = LiveSource::open(LiveConfig::new(iface.clone(), inside)).map_err(|e| {
-            match e {
-                // Actionable setup problems read as usage errors, per
-                // the LiveCaptureError contract.
-                LiveCaptureError::Unsupported { .. }
-                | LiveCaptureError::NoSuchInterface { .. }
-                | LiveCaptureError::PermissionDenied { .. } => usage(e.to_string()),
-                other => runtime(other.to_string()),
-            }
-        });
-        match source {
-            Ok(ref mut source) => {
-                println!("serving live capture on {}", source.interface());
-                runner
-                    .serve(source, &control)
-                    .map_err(|e| runtime(e.to_string()))
-            }
-            Err(e) => Err(e),
-        }
-    } else {
-        let in_path = in_path.as_deref().unwrap_or_default();
-        let policy = recovery_policy_of(args).map_err(usage)?;
-        let looped = args.has("loop");
-        let open = File::open(in_path).map_err(|e| runtime(format!("{in_path}: {e}")));
-        let buffered = open.and_then(|file| {
-            if let Some(plan) = &fault_plan {
-                let mut reader = PcapReader::with_policy(BufReader::new(file), policy)
-                    .map_err(|e| runtime(e.to_string()))?;
-                let mut packets = Vec::new();
-                while let Some(p) = reader.read_packet().map_err(|e| runtime(e.to_string()))? {
-                    packets.push(p);
-                }
-                report_skips(reader.stats());
-                let (distorted, distortion) = plan.distort_stream(packets);
-                println!(
-                    "fault plan armed: {} corrupted, {} reorder burst(s), {} skewed",
-                    distortion.corrupted, distortion.reorder_bursts, distortion.skewed
-                );
-                Ok(BufferedSource::labeled(distorted, inside))
-            } else {
-                let reader = PcapReader::with_policy(BufReader::new(file), policy)
-                    .map_err(|e| runtime(e.to_string()))?;
-                let mut pcap = upbound::net::PcapSource::new(reader, inside);
-                BufferedSource::drain(&mut pcap).map_err(|e| runtime(e.to_string()))
-            }
-        });
-        buffered.and_then(|buffered| {
-            let mut source = buffered.looped(looped);
-            println!(
-                "serving {} buffered packet(s){}",
-                source.len(),
-                if looped { ", looped" } else { "" }
-            );
-            runner
-                .serve(&mut source, &control)
-                .map_err(|e| runtime(e.to_string()))
-        })
-    };
+    let served = runner
+        .serve(&mut *source, &control)
+        .map_err(|e| runtime(e.to_string()));
     done.store(true, Ordering::Relaxed);
     let _ = watcher.join();
     let report = served?;
 
-    health.set_watermark(report.watermark.as_micros());
     report_skips(&report.ingest);
+    dataplane.report_checkpoints(&report);
     println!(
         "serve finished ({}): {} packet(s), {} passed, {} dropped, {} reconfig(s) applied, \
          {} checkpoint(s) written",

@@ -11,7 +11,11 @@ use proptest::prelude::*;
 use upbound::core::{
     BitmapFilter, BitmapFilterConfig, DropPolicy, PacketFilter, ShardedFilter, Verdict,
 };
-use upbound::net::{Direction, FiveTuple, Packet, Protocol, TcpFlags, TimeDelta, Timestamp};
+use upbound::net::pcap::IngestStats;
+use upbound::net::{
+    BufferedSource, Direction, FiveTuple, Packet, Protocol, TcpFlags, TimeDelta, Timestamp,
+};
+use upbound::sim::{PipelineConfig, PipelineRunner, ReplayConfig, ReplayEngine, ServeControl};
 use upbound::spi::{SpiConfig, SpiFilter};
 
 /// Batch sizes under test: the degenerate per-packet case, a prime that
@@ -220,4 +224,94 @@ proptest! {
             );
         }
     }
+}
+
+/// `serve` with the blocked-σ store on must account exactly like the
+/// paper-faithful replay engine at every batch size: the same blocked
+/// connections, the same kept uplink bits, and the same drops once the
+/// outbound packets of blocked connections (which `serve` counts as
+/// dropped and the engine only suppresses) are taken out.
+fn assert_serve_blocking_matches_replay(
+    config: &BitmapFilterConfig,
+    workload: &[(Packet, Direction)],
+) -> Result<(), String> {
+    let source = || BufferedSource::new(workload.to_vec(), IngestStats::default());
+    let (replay, _) = ReplayEngine::new(ReplayConfig::default())
+        .run_source(&mut source(), &mut BitmapFilter::new(config.clone()))
+        .expect("buffered sources do not fail");
+    let outbound = workload
+        .iter()
+        .filter(|(_, d)| *d == Direction::Outbound)
+        .count() as u64;
+    for batch_size in BATCH_SIZES {
+        let report = PipelineRunner::new("10.0.0.0/8".parse().expect("cidr"), config.clone())
+            .block_connections(true)
+            .pipeline_config(PipelineConfig {
+                batch_size,
+                ..PipelineConfig::default()
+            })
+            .serve(&mut source(), &ServeControl::new())
+            .expect("serve");
+        let blocked_outbound = outbound - report.filter_stats.outbound_packets;
+        prop_assert_eq!(
+            report.dropped - blocked_outbound,
+            replay.total_dropped_packets,
+            "drops at batch size {}",
+            batch_size
+        );
+        prop_assert_eq!(
+            report.blocked_connections,
+            replay.blocked_connections,
+            "blocked connections at batch size {}",
+            batch_size
+        );
+        prop_assert_eq!(
+            report.uplink_kept_bits as f64,
+            replay.post_uplink.total(),
+            "kept uplink bits at batch size {}",
+            batch_size
+        );
+        prop_assert_eq!(report.packets, replay.total_packets);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn serve_blocking_matches_replay_engine(
+        workload in arb_workload(true),
+        seed in any::<u64>(),
+    ) {
+        assert_serve_blocking_matches_replay(&red_config(seed), &workload)?;
+    }
+}
+
+/// The same differential on a generated campus trace whose uplink sits
+/// between the RED thresholds, so hundreds of connections end up blocked.
+#[test]
+fn serve_blocking_matches_replay_engine_on_a_campus_trace() {
+    let trace = upbound::traffic::generate(
+        &upbound::traffic::TraceConfig::builder()
+            .duration_secs(40.0)
+            .flow_rate_per_sec(30.0)
+            .seed(7)
+            .build()
+            .expect("valid trace config"),
+    );
+    let workload: Vec<(Packet, Direction)> = trace
+        .packets
+        .iter()
+        .map(|lp| (lp.packet.clone(), lp.direction))
+        .collect();
+    let config = BitmapFilterConfig::builder()
+        .drop_policy(DropPolicy::new(0.5e6, 2e6).expect("valid"))
+        .build()
+        .expect("valid");
+    let blocked = ReplayEngine::new(ReplayConfig::default())
+        .run(&trace, &mut BitmapFilter::new(config.clone()))
+        .blocked_connections;
+    assert!(blocked > 100, "only {blocked} connections blocked");
+    assert_serve_blocking_matches_replay(&config, &workload).expect("serve matches replay");
 }

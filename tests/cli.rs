@@ -477,3 +477,120 @@ fn filter_fail_mode_flag_is_validated() {
         "--checkpoint-interval without --checkpoint is a usage error"
     );
 }
+
+/// FNV-1a over a file's bytes: a stable fingerprint of a written pcap.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Golden outputs of `upbound filter` over one seeded trace, recorded
+/// from the dedicated per-packet loop the command ran before it became
+/// `serve` over a finite source. Every case pins the summary lines, the
+/// `--out` pcap's fingerprint, the core verdict counters of the
+/// `--metrics` snapshot and the number of `--metrics-interval 5`
+/// reports, so any change to what `filter` decides, writes or reports
+/// shows up here.
+#[test]
+fn filter_matches_recorded_golden_outputs() {
+    let trace = tmp("golden-trace.pcap");
+    let out_pcap = tmp("golden-out.pcap");
+    let prom = tmp("golden.prom");
+    let trace_s = trace.to_str().expect("utf8 path");
+    let out = run(&[
+        "generate",
+        "--out",
+        trace_s,
+        "--duration",
+        "60",
+        "--rate",
+        "30",
+        "--seed",
+        "7",
+    ]);
+    assert!(out.status.success());
+
+    let thresholds = ["--low-mbps", "0.5", "--high-mbps", "2"];
+    let cases: Vec<(&str, Vec<&str>)> = vec![
+        ("default", vec![]),
+        ("thresholds", thresholds.to_vec()),
+        ("no-block", [&thresholds[..], &["--no-block"]].concat()),
+        ("shards-4", [&thresholds[..], &["--shards", "4"]].concat()),
+        (
+            "batch-1",
+            [&thresholds[..], &["--batch-size", "1"]].concat(),
+        ),
+        (
+            "balanced",
+            [&thresholds[..], &["--overload-policy", "balanced"]].concat(),
+        ),
+        (
+            "fault-plan",
+            [
+                &thresholds[..],
+                &["--fault-plan", "seed=9,corrupt=20,reorder=2"],
+            ]
+            .concat(),
+        ),
+    ];
+    let mut digests = Vec::new();
+    for (label, extra) in &cases {
+        let mut args = vec![
+            "filter",
+            "--in",
+            trace_s,
+            "--out",
+            out_pcap.to_str().expect("utf8 path"),
+            "--metrics",
+            prom.to_str().expect("utf8 path"),
+            "--metrics-interval",
+            "5",
+        ];
+        args.extend(extra);
+        let out = run(&args);
+        assert!(
+            out.status.success(),
+            "{label}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = stdout(&out);
+        let summary: Vec<&str> = text
+            .lines()
+            .filter(|l| l.contains(" packets; dropped ") || l.starts_with("uplink: "))
+            .collect();
+        let snapshot = upbound::telemetry::export::prometheus::parse(
+            &std::fs::read_to_string(&prom).expect("read prom"),
+        )
+        .expect("valid Prometheus text");
+        let counter = |name: &str| snapshot.counter(name).unwrap_or(0);
+        digests.push(format!(
+            "{label}: {} | {} | out {:016x} | pass {} red {} unsolicited {} out {} | reports {}",
+            summary.first().copied().unwrap_or("?"),
+            summary.get(1).copied().unwrap_or("?"),
+            fnv1a(&std::fs::read(&out_pcap).expect("read out pcap")),
+            counter("upbound_core_inbound_pass_total"),
+            counter("upbound_core_drops_red_total"),
+            counter("upbound_core_drops_unsolicited_total"),
+            counter("upbound_core_outbound_packets_total"),
+            text.matches("--- metrics @ t=").count(),
+        ));
+    }
+    let expected: Vec<String> = GOLDEN_FILTER.iter().map(|s| s.to_string()).collect();
+    assert_eq!(digests, expected, "actual:\n{}", digests.join("\n"));
+
+    let _ = std::fs::remove_file(&trace);
+    let _ = std::fs::remove_file(&out_pcap);
+    let _ = std::fs::remove_file(&prom);
+}
+
+/// Recorded from the per-packet `filter` loop (one line per case).
+const GOLDEN_FILTER: &[&str] = &[
+    "default: 64836 packets; dropped 40410 (62.33%); blocked 871 connections | uplink: 32.00 Mbps offered -> 4.90 Mbps after filtering | out 68de3fabbdbbda58 | pass 12010 red 0 unsolicited 871 out 12416 | reports 12",
+    "thresholds: 64836 packets; dropped 39872 (61.50%); blocked 866 connections | uplink: 32.00 Mbps offered -> 5.63 Mbps after filtering | out 60cd90a3287ca785 | pass 12283 red 1 unsolicited 865 out 12681 | reports 12",
+    "no-block: 64836 packets; dropped 873 (1.35%); blocked 0 connections | uplink: 32.00 Mbps offered -> 32.00 Mbps after filtering | out 81e4c81de26ecd60 | pass 31623 red 1 unsolicited 872 out 32340 | reports 12",
+    "shards-4: 64836 packets; dropped 39872 (61.50%); blocked 866 connections | uplink: 32.00 Mbps offered -> 5.63 Mbps after filtering | out 60cd90a3287ca785 | pass 12283 red 1 unsolicited 865 out 12681 | reports 12",
+    "batch-1: 64836 packets; dropped 39872 (61.50%); blocked 866 connections | uplink: 32.00 Mbps offered -> 5.63 Mbps after filtering | out 60cd90a3287ca785 | pass 12283 red 1 unsolicited 865 out 12681 | reports 12",
+    "balanced: 64836 packets; dropped 39872 (61.50%); blocked 866 connections | uplink: 32.00 Mbps offered -> 5.63 Mbps after filtering | out 60cd90a3287ca785 | pass 12283 red 1 unsolicited 865 out 12681 | reports 12",
+    "fault-plan: 64836 packets; dropped 39707 (61.24%); blocked 1520 connections | uplink: 32.00 Mbps offered -> 6.76 Mbps after filtering | out fe00c5046f73fbd7 | pass 12043 red 1 unsolicited 1519 out 13086 | reports 12",
+];

@@ -12,9 +12,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use upbound::core::{BitmapFilterConfig, DropPolicy, RuntimeOverrides};
-use upbound::net::{BufferedSource, Cidr, Packet};
-use upbound::sim::{PipelineRunner, ServeControl, ServeExit};
+use upbound::core::{BitmapFilterConfig, DropPolicy, RestoreOutcome, RuntimeOverrides};
+use upbound::net::{BufferedSource, Cidr, Packet, TimeDelta};
+use upbound::sim::{FaultPlan, PipelineRunner, RunnerError, ServeControl, ServeExit};
+use upbound::telemetry::Registry;
 use upbound::traffic::{generate, TraceConfig};
 
 fn inside() -> Cidr {
@@ -387,4 +388,229 @@ fn cli_serve_usage_and_runtime_errors_split_exit_codes() {
     let missing = tmp("does-not-exist.pcap");
     let (code, _) = stderr_of(&["serve", "--in", missing.to_str().expect("utf8 path")]);
     assert_eq!(code, Some(1));
+}
+
+/// Writes a seeded trace to `path` through `upbound generate`.
+fn generate_pcap(path: &std::path::Path, seed: &str) {
+    let out = bin()
+        .args([
+            "generate",
+            "--out",
+            path.to_str().expect("utf8 path"),
+            "--duration",
+            "8",
+            "--rate",
+            "30",
+            "--seed",
+            seed,
+        ])
+        .output()
+        .expect("generate trace");
+    assert!(out.status.success());
+}
+
+/// Runs the binary; returns (exit code, stdout, stderr).
+fn run_cli(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = bin().args(args).output().expect("run upbound");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// In-process: a second session restores warm from the first session's
+/// final checkpoint before deciding its first packet, so its statistics
+/// carry on from where the first left off.
+#[test]
+fn serve_restores_warm_from_its_own_checkpoint_in_process() {
+    let path = tmp("restore.snap");
+    let _ = std::fs::remove_file(&path);
+    let runner = PipelineRunner::new(inside(), BitmapFilterConfig::paper_evaluation())
+        .checkpoint(&path, TimeDelta::from_secs(2.0));
+    let serve = || {
+        let mut source = BufferedSource::labeled(trace_packets(21), inside());
+        runner
+            .serve(&mut source, &ServeControl::new())
+            .expect("serve")
+    };
+    let first = serve();
+    assert_eq!(first.restored, None, "no file yet: a cold start");
+    assert!(first.checkpoints_written >= 2, "periodic + final");
+    let second = serve();
+    assert_eq!(second.restored, Some(RestoreOutcome::Warm));
+    assert_eq!(
+        second.filter_stats.outbound_packets,
+        2 * first.filter_stats.outbound_packets,
+        "the restored statistics carry over"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+/// Through the binary: `serve` restores from its own checkpoint and says
+/// so as `filter` does; a corrupt checkpoint is a runtime failure.
+#[test]
+fn cli_serve_restores_from_its_checkpoint_and_rejects_a_corrupt_one() {
+    let trace = tmp("restore.pcap");
+    let ckpt = tmp("restore-cli.snap");
+    let _ = std::fs::remove_file(&ckpt);
+    generate_pcap(&trace, "4");
+    let args = [
+        "serve",
+        "--in",
+        trace.to_str().expect("utf8 path"),
+        "--checkpoint",
+        ckpt.to_str().expect("utf8 path"),
+    ];
+    let (code, stdout, stderr) = run_cli(&args);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(!stdout.contains("restored"), "{stdout}");
+    let (code, stdout, stderr) = run_cli(&args);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(
+        stdout.contains("restored warm filter state from checkpoint"),
+        "{stdout}"
+    );
+
+    std::fs::write(&ckpt, b"UPBSNAP1 this is not a valid container").expect("write junk");
+    let (code, _, stderr) = run_cli(&args);
+    assert_eq!(code, Some(1), "a corrupt checkpoint is a runtime error");
+    assert!(stderr.contains("checkpoint"), "{stderr}");
+    std::fs::remove_file(&trace).ok();
+    std::fs::remove_file(&ckpt).ok();
+}
+
+/// A capture with no packets leaves an existing checkpoint byte for byte
+/// as it was, under `serve` and under `filter`.
+#[test]
+fn empty_capture_leaves_an_existing_checkpoint_untouched() {
+    let trace = tmp("nonempty.pcap");
+    let empty = tmp("empty.pcap");
+    let ckpt = tmp("keep.snap");
+    let _ = std::fs::remove_file(&ckpt);
+    generate_pcap(&trace, "6");
+    let header_only = upbound::net::pcap::to_bytes(std::iter::empty::<&Packet>(), 65_535)
+        .expect("header-only pcap");
+    std::fs::write(&empty, header_only).expect("write empty pcap");
+    let ckpt_s = ckpt.to_str().expect("utf8 path");
+    let (code, _, stderr) = run_cli(&[
+        "serve",
+        "--in",
+        trace.to_str().expect("utf8 path"),
+        "--checkpoint",
+        ckpt_s,
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let before = std::fs::read(&ckpt).expect("checkpoint written");
+    for command in ["serve", "filter"] {
+        let (code, _, stderr) = run_cli(&[
+            command,
+            "--in",
+            empty.to_str().expect("utf8 path"),
+            "--checkpoint",
+            ckpt_s,
+        ]);
+        assert_eq!(code, Some(0), "{command}: {stderr}");
+        assert_eq!(
+            std::fs::read(&ckpt).expect("checkpoint still there"),
+            before,
+            "{command} rewrote the checkpoint"
+        );
+    }
+    for path in [&trace, &empty, &ckpt] {
+        std::fs::remove_file(path).ok();
+    }
+}
+
+/// In-process: periodic checkpoint writes that the fault plan fails are
+/// retried; once the retries are spent, periodic checkpointing is
+/// disabled and the session finishes; a failed final write is fatal.
+#[test]
+fn serve_retries_failed_checkpoints_then_disables_them() {
+    let path = tmp("faulted.snap");
+    let serve = |plan: &str| {
+        let _ = std::fs::remove_file(&path);
+        let registry = Registry::new();
+        let control = ServeControl::new().with_telemetry(&registry);
+        let mut source = BufferedSource::labeled(trace_packets(22), inside());
+        let report = PipelineRunner::new(inside(), BitmapFilterConfig::paper_evaluation())
+            .checkpoint(&path, TimeDelta::from_secs(2.0))
+            .fault_plan(FaultPlan::parse(plan).expect("plan"))
+            .serve(&mut source, &control);
+        (report, registry.snapshot())
+    };
+
+    // One failure: the retry lands and periodic writes carry on.
+    let (report, metrics) = serve("ckpt=1");
+    let report = report.expect("a transient failure is retried");
+    assert!(report.checkpoints_written >= 3, "periodic + final");
+    assert!(path.exists());
+    assert_eq!(
+        metrics.counter("upbound_cli_checkpoint_retries_total"),
+        Some(1)
+    );
+    assert_ne!(
+        metrics.gauge("upbound_cli_checkpointing_disabled"),
+        Some(1.0)
+    );
+
+    // Three failures spend every attempt of the first periodic write:
+    // periodic checkpointing stops, the final write still lands.
+    let (report, metrics) = serve("ckpt=3");
+    let report = report.expect("the session survives a disabled checkpoint");
+    assert_eq!(report.exit, ServeExit::SourceEnded);
+    assert_eq!(report.checkpoints_written, 1, "only the final write");
+    assert!(path.exists());
+    assert_eq!(
+        metrics.gauge("upbound_cli_checkpointing_disabled"),
+        Some(1.0)
+    );
+
+    // A fourth failure hits the final write, which is fatal.
+    let (report, _) = serve("ckpt=4");
+    assert!(
+        matches!(report, Err(RunnerError::Snapshot(_))),
+        "got {report:?}"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+/// The same failure model through `upbound serve --fault-plan ckpt=N`.
+#[test]
+fn cli_serve_accepts_checkpoint_faults() {
+    let trace = tmp("faulted.pcap");
+    let ckpt = tmp("faulted-cli.snap");
+    generate_pcap(&trace, "8");
+    let run = |plan: &str| {
+        let _ = std::fs::remove_file(&ckpt);
+        run_cli(&[
+            "serve",
+            "--in",
+            trace.to_str().expect("utf8 path"),
+            "--fault-plan",
+            plan,
+            "--checkpoint",
+            ckpt.to_str().expect("utf8 path"),
+            "--checkpoint-interval",
+            "2",
+        ])
+    };
+    let (code, _, stderr) = run("ckpt=1");
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stderr.contains("retrying"), "{stderr}");
+    assert!(ckpt.exists());
+
+    let (code, _, stderr) = run("ckpt=3");
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(
+        stderr.contains("periodic checkpointing disabled"),
+        "{stderr}"
+    );
+    assert!(ckpt.exists(), "the final checkpoint still lands");
+
+    let (code, _, stderr) = run("ckpt=4");
+    assert_eq!(code, Some(1), "a failed final checkpoint exits 1");
+    assert!(stderr.contains("checkpoint"), "{stderr}");
+    std::fs::remove_file(&trace).ok();
+    std::fs::remove_file(&ckpt).ok();
 }
