@@ -2,6 +2,7 @@
 //! epoch-based (seqlock) rotation.
 
 use crate::atomic_bitvec::AtomicBitVec;
+use crate::hash::Indexes;
 use crate::HashFamily;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
@@ -132,8 +133,14 @@ impl AtomicBitmap {
     /// returned is fully present in the post-rotation bitmap — whether
     /// it wrote a bit or only read it as set.
     pub fn mark(&self, key: &[u8]) {
-        // Hash once; the index iterator is cheap to clone per vector.
-        let indexes = self.hashes.indexes(key);
+        self.mark_indexes(self.hashes.indexes(key));
+    }
+
+    /// [`mark`](Self::mark) with the key's indexes already derived from
+    /// this bitmap's [`hash_family`](Self::hash_family). The index
+    /// iterator is cheap to clone per vector.
+    #[inline]
+    pub(crate) fn mark_indexes(&self, indexes: Indexes) {
         loop {
             let e1 = self.epoch.load(Ordering::Acquire);
             if e1 & 1 == 1 {
@@ -173,7 +180,13 @@ impl AtomicBitmap {
     /// consistent read, so the drop-draw count can never mix pre- and
     /// post-rotation bits.
     pub fn probe(&self, key: &[u8]) -> BitmapProbe {
-        let indexes = self.hashes.indexes(key);
+        self.probe_indexes(self.hashes.indexes(key))
+    }
+
+    /// [`probe`](Self::probe) with the key's indexes already derived
+    /// from this bitmap's [`hash_family`](Self::hash_family).
+    #[inline]
+    pub(crate) fn probe_indexes(&self, indexes: Indexes) -> BitmapProbe {
         loop {
             let e1 = self.epoch.load(Ordering::Acquire);
             if e1 & 1 == 1 {

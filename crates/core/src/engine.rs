@@ -36,6 +36,8 @@ use upbound_net::{TimeDelta, Timestamp};
 /// Domain separator so drop draws never alias the bitmap's bit indexes,
 /// which are derived from the same FNV-1a base hash.
 const DRAW_DOMAIN: u64 = 0xd509_7cc9_44a5_1a27;
+/// Per-index offset of successive drop draws (the golden-ratio gamma).
+const DRAW_STEP: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Where the engine's uplink measurement lives: owned by this filter, or
 /// shared with sibling shards that together bound one client network.
@@ -261,7 +263,29 @@ impl<O: FilterObserver> FilterEngine<O> {
         if p_d >= 1.0 {
             return true;
         }
-        unit_draw(self.seed, key_bytes, now, draw) < p_d
+        self.unit_draw(key_bytes, now, draw) < p_d
+    }
+
+    /// The uniform variate in `[0, 1)` behind
+    /// [`drop_draw`](Self::drop_draw): the byte-slice definition of a
+    /// draw, hashing the key bytes and the timestamp on every call.
+    pub fn unit_draw(&self, key_bytes: &[u8], now: Timestamp, draw: u32) -> f64 {
+        let mut h = fnv1a(self.seed ^ DRAW_DOMAIN, key_bytes);
+        h = splitmix64(h ^ now.as_micros());
+        h = splitmix64(h.wrapping_add(u64::from(draw).wrapping_mul(DRAW_STEP)));
+        unit_interval(h)
+    }
+
+    /// Every drop draw of one packet, with the key bytes and timestamp
+    /// hashed once: `draws(key, now).unit(i)` equals
+    /// [`unit_draw`](Self::unit_draw)`(key, now, i)` for every `i`, so a
+    /// miss with several unmarked bits pays one hash pass, not one per
+    /// draw.
+    #[inline]
+    pub fn draws(&self, key_bytes: &[u8], now: Timestamp) -> DropDraws {
+        DropDraws(splitmix64(
+            fnv1a(self.seed ^ DRAW_DOMAIN, key_bytes) ^ now.as_micros(),
+        ))
     }
 
     /// Reports an inbound decision to the observer. `fail_open` marks a
@@ -375,12 +399,25 @@ impl<O: FilterObserver + Clone> Clone for FilterEngine<O> {
     }
 }
 
-/// Maps `(seed, key, now, draw)` to a uniform variate in `[0, 1)`.
-fn unit_draw(seed: u64, key: &[u8], now: Timestamp, draw: u32) -> f64 {
-    let mut h = fnv1a(seed ^ DRAW_DOMAIN, key);
-    h = splitmix64(h ^ now.as_micros());
-    h = splitmix64(h.wrapping_add(u64::from(draw).wrapping_mul(0x9e37_79b9_7f4a_7c15)));
-    // Take the top 53 bits → exactly representable in f64, in [0, 1).
+/// The drop draws of one packet: `(seed, key, timestamp)` already
+/// hashed, so each draw applies only its per-index finalizer (see
+/// [`FilterEngine::draws`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DropDraws(u64);
+
+impl DropDraws {
+    /// Draw `draw`'s uniform variate in `[0, 1)`.
+    #[inline]
+    pub fn unit(&self, draw: u32) -> f64 {
+        unit_interval(splitmix64(
+            self.0.wrapping_add(u64::from(draw).wrapping_mul(DRAW_STEP)),
+        ))
+    }
+}
+
+/// Maps a 64-bit hash to `[0, 1)` by its top 53 bits, which an `f64`
+/// represents exactly.
+fn unit_interval(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 

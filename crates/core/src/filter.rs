@@ -7,7 +7,8 @@ use crate::pfilter::{MergeStats, PacketFilter};
 use crate::runtime::RuntimeOverrides;
 use crate::snapshot::{self, ByteReader, ByteWriter, RestoreMode, SnapshotError, Snapshottable};
 use crate::{
-    AtomicBitVec, AtomicBitmap, BitmapFilterConfig, DropPolicy, FilterEngine, ThroughputMonitor,
+    AtomicBitVec, AtomicBitmap, BitmapFilterConfig, DropPolicy, FilterEngine, HashedKey,
+    ThroughputMonitor,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -179,6 +180,26 @@ impl Clone for WarmupClock {
             arm_notified: AtomicBool::new(self.arm_notified.load(Ordering::Acquire)),
         }
     }
+}
+
+/// What [`BitmapFilter`]'s keyed decide core did with one packet,
+/// handed back so the exclusive path can report it to the observer.
+#[derive(Debug)]
+struct Decided {
+    verdict: Verdict,
+    /// The arming time, when this packet anchored the fail-open warm-up
+    /// clock.
+    anchored: Option<Timestamp>,
+    /// The overload-ladder transition the packet's sample caused.
+    overload: Option<OverloadEvent>,
+    /// Inbound: every hashed bit was set in the current vector.
+    known: bool,
+    /// Inbound: the unmarked bits, one drop draw each.
+    drop_draws: usize,
+    /// Inbound: warm-up grace passed a drawn drop.
+    fail_open: bool,
+    /// Inbound misses: the clamped `P_d` the draws used.
+    p_d: Option<f64>,
 }
 
 /// The bitmap filter of the paper's Section 4: constant-space,
@@ -481,24 +502,18 @@ impl<O: FilterObserver> BitmapFilter<O> {
     }
 
     /// Anchors the warm-up clock lazily at the first packet a fail-open
-    /// filter sees, then fires the cold-start notification if this call
-    /// won the anchor. Standalone fallback only: a sharded deployment
-    /// must anchor every shard uniformly (via
+    /// filter sees. Standalone fallback only: a sharded deployment must
+    /// anchor every shard uniformly (via
     /// [`start_cold_at`](Snapshottable::start_cold_at) at the first
     /// packet's timestamp) or shard verdicts diverge from a sequential
     /// run during warm-up.
-    fn anchor_warmup(&mut self, now: Timestamp) {
-        if let Some(armed_at) = self.anchor_warmup_shared(now) {
-            self.engine.observer_mut().on_cold_start(now, armed_at);
-        }
-    }
-
-    /// The anchoring itself, through `&self`: compare-exchange from the
-    /// unset sentinel, so racing first packets anchor exactly once.
-    /// Returns the arming time when *this call* won the fail-open
-    /// anchor (the `&mut` wrapper fires the observer then). Each anchor
-    /// is tested with a plain load first, so an anchored filter does no
-    /// read-modify-write per packet.
+    ///
+    /// Compare-exchange from the unset sentinel, so racing first packets
+    /// anchor exactly once. Returns the arming time when *this call*
+    /// won the fail-open anchor (the exclusive path fires the cold-start
+    /// notification then). Each anchor is tested with a plain load
+    /// first, so an anchored filter does no read-modify-write per
+    /// packet.
     fn anchor_warmup_shared(&self, now: Timestamp) -> Option<Timestamp> {
         // Telemetry-only warm-window anchor, kept for both fail modes.
         if self.warmup.warm_until.load(Ordering::Relaxed) == UNSET {
@@ -553,17 +568,9 @@ impl<O: FilterObserver> BitmapFilter<O> {
     /// vectors. Outbound packets are always passed (Algorithm 2).
     pub fn observe_outbound(&mut self, tuple: &FiveTuple, now: Timestamp) {
         self.advance(now);
-        self.anchor_warmup(now);
-        self.maybe_notify_armed(now);
-        self.stats.outbound_packets.fetch_add(1, Ordering::Relaxed);
-        let key = tuple.outbound_key(self.config.hole_punching());
-        self.bitmap.mark(&key.to_bytes());
-        self.engine.observer_mut().on_outbound(tuple, now);
-        // Outbound marks are what raise the fill (a SYN flood's elicited
-        // RSTs arrive here), so the sentinel samples after each mark.
-        if let Some(event) = self.overload.evaluate(&self.bitmap, now) {
-            self.engine.observer_mut().on_overload(&event);
-        }
+        let key = HashedKey::new(tuple, Direction::Outbound, self.config.hole_punching());
+        let decided = self.decide_core(&key, Direction::Outbound, now, || 0.0);
+        self.report(decided, &key, tuple, Direction::Outbound, now, |_| 0.0);
     }
 
     /// Checks an inbound packet's tuple against the current bit vector
@@ -578,69 +585,132 @@ impl<O: FilterObserver> BitmapFilter<O> {
     /// runs reproduce exactly.
     pub fn check_inbound(&mut self, tuple: &FiveTuple, now: Timestamp, p_d: f64) -> Verdict {
         self.advance(now);
-        self.anchor_warmup(now);
-        self.maybe_notify_armed(now);
-        if let Some(event) = self.overload.evaluate(&self.bitmap, now) {
-            self.engine.observer_mut().on_overload(&event);
-        }
-        // Degradation clamp: while the ladder is engaged, unmarked
-        // inbound packets face at least the rung's P_d. Applied before
-        // the probe, but structurally inert for marked (solicited)
-        // flows — `decide_inbound_core` passes known tuples before any
-        // drop draw consults `p_d`.
-        let p_d = p_d.max(self.overload.clamp(self.config.fail_mode()));
-        self.stats.inbound_packets.fetch_add(1, Ordering::Relaxed);
-        let key = tuple.inbound_key(self.config.hole_punching());
-        let key_bytes = key.to_bytes();
-        let (verdict, known, drop_draws, fail_open) =
-            self.decide_inbound_core(&key_bytes, now, || p_d);
-        let warming = self.is_warming(now);
-        self.engine.notify_inbound(
-            now, verdict, p_d, known, drop_draws, fail_open, warming, &key_bytes,
-        );
-        verdict
+        let key = HashedKey::new(tuple, Direction::Inbound, self.config.hole_punching());
+        let decided = self.decide_core(&key, Direction::Inbound, now, || p_d);
+        self.report(decided, &key, tuple, Direction::Inbound, now, |_| p_d)
     }
 
-    /// The verdict logic shared by the exclusive and concurrent inbound
-    /// paths: one seqlock-consistent bitmap probe, then the per-bit drop
-    /// draws of Algorithm 2 (lines 9–13) — every unmarked hashed bit
-    /// gives an independent chance `p_d` to drop. `p_d` is called only
-    /// on a miss, so a path that derives it lazily pays for it only
-    /// when a draw can consult it. Returns
-    /// `(verdict, known, drop_draws, fail_open)`.
-    fn decide_inbound_core(
+    /// The keyed decide core every path runs, exclusive or shared: the
+    /// warm-up anchor, the counters, the ladder sample, and then either
+    /// the outbound mark in all vectors or the inbound probe of the
+    /// current vector with its per-bit drop draws (Algorithm 2, lines
+    /// 9–13). Advancing the clock, recording uplink bytes and observer
+    /// dispatch belong to the callers.
+    ///
+    /// `p_d` is called only on an inbound miss, so a path that derives
+    /// it lazily pays for it only when a draw can consult it. While the
+    /// ladder is engaged, unmarked inbound packets face at least the
+    /// rung's `P_d` — a clamp that is structurally inert for marked
+    /// (solicited) flows, which pass before any draw.
+    #[inline]
+    fn decide_core(
         &self,
-        key_bytes: &[u8],
+        key: &HashedKey,
+        direction: Direction,
         now: Timestamp,
         p_d: impl FnOnce() -> f64,
-    ) -> (Verdict, bool, usize, bool) {
-        let probe = self.bitmap.probe(key_bytes);
+    ) -> Decided {
+        let anchored = self.anchor_warmup_shared(now);
+        let indexes = key.indexes(&self.bitmap.hash_family());
+        let mut decided = Decided {
+            verdict: Verdict::Pass,
+            anchored,
+            overload: None,
+            known: false,
+            drop_draws: 0,
+            fail_open: false,
+            p_d: None,
+        };
+        if direction == Direction::Outbound {
+            self.stats.outbound_packets.fetch_add(1, Ordering::Relaxed);
+            self.bitmap.mark_indexes(indexes);
+            // Outbound marks are what raise the fill (a SYN flood's
+            // elicited RSTs arrive here), so the sentinel samples after
+            // each mark.
+            decided.overload = self.overload.evaluate(&self.bitmap, now);
+            return decided;
+        }
+        decided.overload = self.overload.evaluate(&self.bitmap, now);
+        self.stats.inbound_packets.fetch_add(1, Ordering::Relaxed);
+        let probe = self.bitmap.probe_indexes(indexes);
         if probe.known {
             self.stats.inbound_hits.fetch_add(1, Ordering::Relaxed);
-            return (Verdict::Pass, true, 0, false);
+            decided.known = true;
+            return decided;
         }
         self.stats.inbound_misses.fetch_add(1, Ordering::Relaxed);
-        let p_d = p_d();
-        let unmarked = probe.unmarked;
-        let mut would_drop = false;
-        for draw in 0..unmarked {
-            if self.engine.drop_draw(key_bytes, now, draw as u32, p_d) {
-                would_drop = true;
-                break;
-            }
-        }
+        let p_d = p_d().max(self.overload.clamp(self.config.fail_mode()));
+        decided.p_d = Some(p_d);
+        decided.drop_draws = probe.unmarked;
+        // Every unmarked bit is one draw; the draws share one hash of
+        // the key and timestamp. `P_d` at 0 or 1 decides without one,
+        // as `FilterEngine::drop_draw` does.
+        let would_drop = if p_d <= 0.0 {
+            false
+        } else if p_d >= 1.0 {
+            true
+        } else {
+            let draws = self.engine.draws(key.bytes(), now);
+            (0..probe.unmarked as u32).any(|draw| draws.unit(draw) < p_d)
+        };
         if would_drop && self.is_armed(now) {
             self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-            (Verdict::Drop, false, unmarked, false)
+            decided.verdict = Verdict::Drop;
         } else if would_drop {
             // Warm-up grace: the draws said drop, but the filter's
             // memory is too cold to trust — pass, and account the
             // override so degradation stays observable.
             self.stats.fail_open_passes.fetch_add(1, Ordering::Relaxed);
-            (Verdict::Pass, false, unmarked, true)
-        } else {
-            (Verdict::Pass, false, unmarked, false)
+            decided.fail_open = true;
         }
+        decided
+    }
+
+    /// Reports one [`decide_core`](Self::decide_core) result to the
+    /// observer, in hook order: the cold-start and armed notifications,
+    /// then the outbound hook and the ladder transition, or the ladder
+    /// transition and the inbound decision. `p_d` gives the unclamped
+    /// drop probability reported for an inbound hit, whose core never
+    /// derived it. Returns the verdict.
+    fn report(
+        &mut self,
+        decided: Decided,
+        key: &HashedKey,
+        tuple: &FiveTuple,
+        direction: Direction,
+        now: Timestamp,
+        p_d: impl FnOnce(&Self) -> f64,
+    ) -> Verdict {
+        if O::IS_NOOP {
+            return decided.verdict;
+        }
+        if let Some(armed_at) = decided.anchored {
+            self.engine.observer_mut().on_cold_start(now, armed_at);
+        }
+        self.maybe_notify_armed(now);
+        if direction == Direction::Outbound {
+            self.engine.observer_mut().on_outbound(tuple, now);
+        }
+        if let Some(event) = &decided.overload {
+            self.engine.observer_mut().on_overload(event);
+        }
+        if direction == Direction::Inbound {
+            let p_d = decided
+                .p_d
+                .unwrap_or_else(|| p_d(self).max(self.overload.clamp(self.config.fail_mode())));
+            let warming = self.is_warming(now);
+            self.engine.notify_inbound(
+                now,
+                decided.verdict,
+                p_d,
+                decided.known,
+                decided.drop_draws,
+                decided.fail_open,
+                warming,
+                key.bytes(),
+            );
+        }
+        decided.verdict
     }
 
     /// The drop probability Equation 1 yields for the current measured
@@ -653,18 +723,9 @@ impl<O: FilterObserver> BitmapFilter<O> {
     /// toward uplink throughput, and passed; inbound packets are checked
     /// with `P_d` derived from the measured throughput.
     pub fn process_packet(&mut self, packet: &Packet, direction: Direction) -> Verdict {
-        let now = packet.ts();
-        match direction {
-            Direction::Outbound => {
-                self.observe_outbound(&packet.tuple(), now);
-                self.engine.record_uplink(now, packet.wire_len() as u64);
-                Verdict::Pass
-            }
-            Direction::Inbound => {
-                let p_d = self.drop_probability(now);
-                self.check_inbound(&packet.tuple(), now, p_d)
-            }
-        }
+        self.advance(packet.ts());
+        let key = HashedKey::new(&packet.tuple(), direction, self.config.hole_punching());
+        self.decide_observed(&key, packet, direction)
     }
 
     /// Lock-free twin of [`process_packet`](Self::process_packet): the
@@ -681,36 +742,52 @@ impl<O: FilterObserver> BitmapFilter<O> {
             O::IS_NOOP,
             "process_packet_shared requires a no-op observer"
         );
+        self.advance_shared(packet.ts());
+        let key = HashedKey::new(&packet.tuple(), direction, self.config.hole_punching());
+        self.decide_packet(&key, packet, direction).verdict
+    }
+
+    /// [`decide_packet`](Self::decide_packet) plus observer dispatch:
+    /// the exclusive per-packet path after the clock has advanced.
+    fn decide_observed(
+        &mut self,
+        key: &HashedKey,
+        packet: &Packet,
+        direction: Direction,
+    ) -> Verdict {
         let now = packet.ts();
-        match direction {
-            Direction::Outbound => {
-                self.advance_shared(now);
-                self.anchor_warmup_shared(now);
-                self.stats.outbound_packets.fetch_add(1, Ordering::Relaxed);
-                let key = packet.tuple().outbound_key(self.config.hole_punching());
-                self.bitmap.mark(&key.to_bytes());
-                self.engine.record_uplink(now, packet.wire_len() as u64);
-                self.overload.evaluate(&self.bitmap, now);
-                Verdict::Pass
-            }
-            Direction::Inbound => {
-                self.advance_shared(now);
-                self.anchor_warmup_shared(now);
-                self.overload.evaluate(&self.bitmap, now);
-                self.stats.inbound_packets.fetch_add(1, Ordering::Relaxed);
-                let key = packet.tuple().inbound_key(self.config.hole_punching());
-                // `P_d` is derived only on a miss: a hit passes without
-                // consulting it. The value equals the exclusive path's
-                // eager one (`process_packet` derives it before
-                // `check_inbound` advances the clock) because it reads
-                // only the uplink monitor, which rotations never touch.
-                self.decide_inbound_core(&key.to_bytes(), now, || {
-                    self.drop_probability(now)
-                        .max(self.overload.clamp(self.config.fail_mode()))
-                })
-                .0
-            }
+        let decided = self.decide_packet(key, packet, direction);
+        self.report(decided, key, &packet.tuple(), direction, now, |filter| {
+            filter.drop_probability(now)
+        })
+    }
+
+    /// [`decide_core`](Self::decide_core) for a whole packet: `P_d`
+    /// derives from the uplink monitor, and an outbound packet's bytes
+    /// count toward it. The monitor is all `P_d` reads, and neither
+    /// rotations nor inbound decisions touch it, so deriving it lazily
+    /// on a miss gives the value an eager read before the decision
+    /// would.
+    #[inline]
+    fn decide_packet(&self, key: &HashedKey, packet: &Packet, direction: Direction) -> Decided {
+        let now = packet.ts();
+        let decided = self.decide_core(key, direction, now, || self.drop_probability(now));
+        if direction == Direction::Outbound {
+            self.engine.record_uplink(now, packet.wire_len() as u64);
         }
+        decided
+    }
+
+    /// This filter's own key for `packet` when the handed-in `key` was
+    /// derived under a different hole-punching setting (a
+    /// [`ShardedFilter::from_shards`](crate::ShardedFilter::from_shards)
+    /// bank may pair any [`FlowHash`](crate::FlowHash) with its shards);
+    /// `None` when `key` can be trusted.
+    #[inline]
+    fn own_key(&self, key: &HashedKey, packet: &Packet, direction: Direction) -> Option<HashedKey> {
+        let hole_punching = self.config.hole_punching();
+        (key.hole_punching() != hole_punching)
+            .then(|| HashedKey::new(&packet.tuple(), direction, hole_punching))
     }
 
     /// The drop policy in force.
@@ -938,6 +1015,23 @@ impl<O: FilterObserver> PacketFilter for BitmapFilter<O> {
 
     fn decide_shared(&self, packet: &Packet, direction: Direction) -> Verdict {
         self.process_packet_shared(packet, direction)
+    }
+
+    fn decide_keyed(&mut self, key: &HashedKey, packet: &Packet, direction: Direction) -> Verdict {
+        let own = self.own_key(key, packet, direction);
+        self.decide_observed(own.as_ref().unwrap_or(key), packet, direction)
+    }
+
+    fn decide_keyed_shared(
+        &self,
+        key: &HashedKey,
+        packet: &Packet,
+        direction: Direction,
+    ) -> Verdict {
+        debug_assert!(O::IS_NOOP, "decide_keyed_shared requires a no-op observer");
+        let own = self.own_key(key, packet, direction);
+        self.decide_packet(own.as_ref().unwrap_or(key), packet, direction)
+            .verdict
     }
 
     fn advance_shared(&self, now: Timestamp) {

@@ -10,11 +10,26 @@
 //! `h1` is FNV-1a; `h2` is FNV-1a with a different offset basis passed
 //! through a splitmix64 finalizer, forced odd so it is invertible modulo
 //! the power-of-two table size.
+//!
+//! On the packet path one [`HashedKey`] computes both base hashes and
+//! the shard-selection flow hash in a single pass over the key bytes;
+//! [`HashFamily::indexes`] and [`FlowHash::key`](crate::FlowHash::key)
+//! remain the byte-slice definitions it must agree with.
 
 use serde::{Deserialize, Serialize};
+use upbound_net::{Direction, FiveTuple};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+/// FNV-1a offset basis of the `h1` lane.
+const H1_SEED: u64 = FNV_OFFSET;
+/// FNV-1a offset basis of the `h2` lane: a different seed makes the
+/// second base hash independent of the first.
+const H2_SEED: u64 = FNV_OFFSET ^ 0x5bd1_e995_9d1b_54a3;
+/// Seed for the shard-selection hash; fixed and independent of the
+/// filter's draw seed so shard placement never correlates with drop
+/// draws.
+const FLOW_SEED: u64 = 0x51ab_efc1_37d4_90e3;
 
 pub(crate) fn fnv1a(seed: u64, data: &[u8]) -> u64 {
     let mut h = seed;
@@ -30,6 +45,17 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// The shard-selection flow hash of serialized key bytes.
+pub(crate) fn flow_hash(key: &[u8]) -> u64 {
+    splitmix64(fnv1a(FLOW_SEED, key))
+}
+
+/// The double-hashing bases `(h1, h2)` from the raw FNV-1a lanes: both
+/// finalized, `h2` forced odd.
+fn index_bases(h1_lane: u64, h2_lane: u64) -> (u64, u64) {
+    (splitmix64(h1_lane), splitmix64(h2_lane) | 1)
 }
 
 /// A family of `m` n-bit hash functions over byte strings.
@@ -84,9 +110,11 @@ impl HashFamily {
 
     /// Returns the `m` bit indexes for `key`.
     pub fn indexes(&self, key: &[u8]) -> Indexes {
-        let h1 = splitmix64(fnv1a(FNV_OFFSET, key));
-        // Independent second hash: different seed + finalizer, forced odd.
-        let h2 = splitmix64(fnv1a(FNV_OFFSET ^ 0x5bd1_e995_9d1b_54a3, key)) | 1;
+        let (h1, h2) = index_bases(fnv1a(H1_SEED, key), fnv1a(H2_SEED, key));
+        self.indexes_from(h1, h2)
+    }
+
+    fn indexes_from(&self, h1: u64, h2: u64) -> Indexes {
         Indexes {
             h1,
             h2,
@@ -94,6 +122,95 @@ impl HashFamily {
             m: self.m,
             mask: (self.table_size() - 1) as u64,
         }
+    }
+}
+
+/// One packet's [`FilterKey`](upbound_net::FilterKey), serialized and
+/// hashed once: the key bytes plus the three FNV-1a lanes the packet
+/// path needs — the flow hash that picks the shard and the two bases
+/// [`HashFamily::indexes`] derives the bit indexes from.
+///
+/// The lanes are computed in one loop over the 14 key bytes, so their
+/// three multiply chains run side by side instead of one after another.
+/// Every lane equals its byte-slice definition:
+///
+/// * [`flow`](Self::flow) is [`FlowHash::key`](crate::FlowHash::key);
+/// * [`indexes`](Self::indexes) yields [`HashFamily::indexes`] of
+///   [`bytes`](Self::bytes).
+///
+/// # Examples
+///
+/// ```
+/// use upbound_core::{FlowHash, HashFamily, HashedKey};
+/// use upbound_net::{Direction, FiveTuple, Protocol};
+///
+/// let conn = FiveTuple::new(
+///     Protocol::Tcp,
+///     "10.0.0.7:51000".parse()?,
+///     "203.0.113.4:6881".parse()?,
+/// );
+/// let key = HashedKey::new(&conn, Direction::Outbound, false);
+/// assert_eq!(key.flow(), FlowHash::new(false).key(&conn, Direction::Outbound));
+/// let family = HashFamily::new(3, 20);
+/// assert!(key.indexes(&family).eq(family.indexes(key.bytes())));
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HashedKey {
+    bytes: [u8; 14],
+    hole_punching: bool,
+    flow: u64,
+    h1: u64,
+    h2: u64,
+}
+
+impl HashedKey {
+    /// The key of `tuple` seen from `direction` (the outbound key for
+    /// outbound packets, the inbound key for inbound ones), with the
+    /// remote port omitted under `hole_punching`.
+    #[inline]
+    pub fn new(tuple: &FiveTuple, direction: Direction, hole_punching: bool) -> Self {
+        let key = match direction {
+            Direction::Outbound => tuple.outbound_key(hole_punching),
+            Direction::Inbound => tuple.inbound_key(hole_punching),
+        };
+        let bytes = key.to_bytes();
+        let [mut flow, mut h1, mut h2] = [FLOW_SEED, H1_SEED, H2_SEED];
+        for &b in &bytes {
+            let b = u64::from(b);
+            flow = (flow ^ b).wrapping_mul(FNV_PRIME);
+            h1 = (h1 ^ b).wrapping_mul(FNV_PRIME);
+            h2 = (h2 ^ b).wrapping_mul(FNV_PRIME);
+        }
+        let (h1, h2) = index_bases(h1, h2);
+        Self {
+            bytes,
+            hole_punching,
+            flow: splitmix64(flow),
+            h1,
+            h2,
+        }
+    }
+
+    /// The serialized key ([`FilterKey::to_bytes`](upbound_net::FilterKey::to_bytes)).
+    pub fn bytes(&self) -> &[u8; 14] {
+        &self.bytes
+    }
+
+    /// Whether the key omits the remote port.
+    pub fn hole_punching(&self) -> bool {
+        self.hole_punching
+    }
+
+    /// The direction-symmetric flow hash that assigns the packet to a
+    /// shard.
+    pub fn flow(&self) -> u64 {
+        self.flow
+    }
+
+    /// The `m` bit indexes of the key under `family`.
+    pub fn indexes(&self, family: &HashFamily) -> Indexes {
+        family.indexes_from(self.h1, self.h2)
     }
 }
 

@@ -83,9 +83,9 @@ mod throughput;
 pub use atomic_bitmap::{AtomicBitmap, BitmapProbe};
 pub use atomic_bitvec::AtomicBitVec;
 pub use config::{BitmapFilterConfig, BitmapFilterConfigBuilder, ConfigError, FailMode};
-pub use engine::FilterEngine;
+pub use engine::{DropDraws, FilterEngine};
 pub use filter::{BitmapFilter, FilterStats, Verdict};
-pub use hash::HashFamily;
+pub use hash::{HashFamily, HashedKey};
 pub use observe::{
     FilterObserver, InboundDecision, NoopObserver, RotationEvent, TelemetryObserver,
 };

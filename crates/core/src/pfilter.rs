@@ -5,7 +5,7 @@
 //! one interface instead of special-casing `BitmapFilter` vs the SPI
 //! baseline.
 
-use crate::Verdict;
+use crate::{HashedKey, Verdict};
 use upbound_net::{Direction, Packet, Timestamp};
 
 /// Aggregate counters that can be folded across filter instances.
@@ -62,6 +62,34 @@ pub trait PacketFilter {
     fn decide_shared(&self, packet: &Packet, direction: Direction) -> Verdict {
         let _ = (packet, direction);
         unreachable!("decide_shared called on a filter with CONCURRENT == false")
+    }
+
+    /// [`decide`](Self::decide) for a packet whose key the caller has
+    /// already built and hashed, after advancing the filter to at least
+    /// the packet's timestamp. [`ShardedFilter`](crate::ShardedFilter)
+    /// hashes each packet once to pick its shard and hands the key on
+    /// here.
+    ///
+    /// The default ignores `key` and calls [`decide`](Self::decide); a
+    /// filter that hashes the same key overrides it to skip its own key
+    /// build. An override must not trust a `key` whose
+    /// [`hole_punching`](HashedKey::hole_punching) differs from its own
+    /// key derivation.
+    fn decide_keyed(&mut self, key: &HashedKey, packet: &Packet, direction: Direction) -> Verdict {
+        let _ = key;
+        self.decide(packet, direction)
+    }
+
+    /// Lock-free twin of [`decide_keyed`](Self::decide_keyed); the
+    /// default calls [`decide_shared`](Self::decide_shared).
+    fn decide_keyed_shared(
+        &self,
+        key: &HashedKey,
+        packet: &Packet,
+        direction: Direction,
+    ) -> Verdict {
+        let _ = key;
+        self.decide_shared(packet, direction)
     }
 
     /// Applies every timer event (rotation, purge sweep) due at or

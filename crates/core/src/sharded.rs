@@ -29,7 +29,7 @@
 //!
 //! [`FilterKey`]: upbound_net::FilterKey
 
-use crate::hash::{fnv1a, splitmix64};
+use crate::hash::{flow_hash, HashedKey};
 use crate::observe::FilterObserver;
 use crate::pfilter::{MergeStats, PacketFilter};
 use crate::runtime::RuntimeOverrides;
@@ -47,11 +47,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use upbound_net::{Direction, FiveTuple, Packet, TimeDelta, Timestamp};
-
-/// Seed for the shard-selection hash; fixed and independent of the
-/// filter's draw seed so shard placement never correlates with drop
-/// draws.
-const FLOW_SEED: u64 = 0x51ab_efc1_37d4_90e3;
 
 /// The direction-symmetric flow hash that assigns packets to shards.
 ///
@@ -89,7 +84,14 @@ impl FlowHash {
             Direction::Outbound => tuple.outbound_key(self.hole_punching),
             Direction::Inbound => tuple.inbound_key(self.hole_punching),
         };
-        splitmix64(fnv1a(FLOW_SEED, &key.to_bytes()))
+        flow_hash(&key.to_bytes())
+    }
+
+    /// `packet`'s [`HashedKey`] under this hash's key derivation: the
+    /// one key build and hash pass the sharded packet path makes.
+    #[inline]
+    fn hashed(&self, packet: &Packet, direction: Direction) -> HashedKey {
+        HashedKey::new(&packet.tuple(), direction, self.hole_punching)
     }
 }
 
@@ -352,14 +354,7 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
     /// exclusive filters take the write lock as before. The branch is on
     /// an associated constant, so it folds away at monomorphization.
     pub fn process_packet(&self, packet: &Packet, direction: Direction) -> Verdict {
-        let shard = self.shard_of(&packet.tuple(), direction);
-        if F::CONCURRENT {
-            self.inner.shards[shard]
-                .read()
-                .decide_shared(packet, direction)
-        } else {
-            self.inner.shards[shard].write().decide(packet, direction)
-        }
+        self.process_packet_at(packet, direction, packet.ts())
     }
 
     /// Like [`process_packet`](Self::process_packet), but first brings
@@ -379,16 +374,23 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
         direction: Direction,
         watermark: Timestamp,
     ) -> Verdict {
-        let shard = self.shard_of(&packet.tuple(), direction);
+        let key = self.inner.flow.hashed(packet, direction);
+        let shard = self.shard_index(&key);
         if F::CONCURRENT {
             let guard = self.inner.shards[shard].read();
             guard.advance_shared(watermark);
-            guard.decide_shared(packet, direction)
+            guard.decide_keyed_shared(&key, packet, direction)
         } else {
             let mut guard = self.inner.shards[shard].write();
             guard.advance(watermark);
-            guard.decide(packet, direction)
+            guard.decide_keyed(&key, packet, direction)
         }
+    }
+
+    /// The shard a hashed key belongs to.
+    #[inline]
+    fn shard_index(&self, key: &HashedKey) -> usize {
+        (key.flow() % self.inner.shards.len() as u64) as usize
     }
 
     /// Runs the full per-packet pipeline on a batch of packets,
@@ -419,17 +421,16 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
     ///   shift them.
     pub fn process_batch(&self, packets: &[(Packet, Direction)], verdicts: &mut Vec<Verdict>) {
         verdicts.reserve(packets.len());
-        let shard_count = self.inner.shards.len();
+        let flow = self.inner.flow;
         let mut wm = self.inner.watermark.load(Ordering::Relaxed);
         if F::CONCURRENT {
             let guards: Vec<_> = self.inner.shards.iter().map(|shard| shard.read()).collect();
             for (packet, direction) in packets {
                 wm = wm.max(packet.ts().as_micros());
-                let shard = (self.inner.flow.key(&packet.tuple(), *direction) % shard_count as u64)
-                    as usize;
-                let guard = &guards[shard];
+                let key = flow.hashed(packet, *direction);
+                let guard = &guards[self.shard_index(&key)];
                 guard.advance_shared(Timestamp::from_micros(wm));
-                verdicts.push(guard.decide_shared(packet, *direction));
+                verdicts.push(guard.decide_keyed_shared(&key, packet, *direction));
             }
         } else {
             let mut guards: Vec<_> = self
@@ -440,11 +441,10 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
                 .collect();
             for (packet, direction) in packets {
                 wm = wm.max(packet.ts().as_micros());
-                let shard = (self.inner.flow.key(&packet.tuple(), *direction) % shard_count as u64)
-                    as usize;
-                let guard = &mut guards[shard];
+                let key = flow.hashed(packet, *direction);
+                let guard = &mut guards[self.shard_index(&key)];
                 guard.advance(Timestamp::from_micros(wm));
-                verdicts.push(guard.decide(packet, *direction));
+                verdicts.push(guard.decide_keyed(&key, packet, *direction));
             }
         }
         self.inner.watermark.fetch_max(wm, Ordering::Relaxed);
@@ -809,6 +809,64 @@ mod tests {
         let stats = f.stats();
         assert_eq!(stats.outbound_packets, 400);
         assert_eq!(stats.inbound_hits, 400);
+    }
+
+    #[test]
+    fn concurrent_batches_match_a_sequential_filter() {
+        // Workers batch disjoint flows through the keyed path under
+        // shard read locks; a barrier starts them together. Marks land
+        // before the responses are batched, so every response passes
+        // and the merged counters equal one sequential filter's.
+        const WORKERS: u16 = 4;
+        let f = handle(4);
+        let flows = |worker: u16| (0..100u16).map(move |i| 20_000 + worker * 1000 + i);
+        let barrier = std::sync::Barrier::new(WORKERS as usize);
+        std::thread::scope(|scope| {
+            for worker in 0..WORKERS {
+                let (f, barrier) = (f.clone(), &barrier);
+                scope.spawn(move || {
+                    let marks: Vec<_> = flows(worker)
+                        .map(|port| (outbound_packet(port, 1.0), Direction::Outbound))
+                        .collect();
+                    let responses: Vec<_> = flows(worker)
+                        .map(|port| {
+                            let tuple = out_tuple(port).inverse();
+                            let resp = Packet::tcp(
+                                Timestamp::from_secs(1.5),
+                                tuple,
+                                TcpFlags::ACK,
+                                &[][..],
+                            );
+                            (resp, Direction::Inbound)
+                        })
+                        .collect();
+                    barrier.wait();
+                    let mut verdicts = Vec::new();
+                    for chunk in marks.chunks(16).chain(responses.chunks(16)) {
+                        f.process_batch(chunk, &mut verdicts);
+                    }
+                    assert!(verdicts.iter().all(|v| *v == Verdict::Pass));
+                });
+            }
+        });
+        let mut seq = BitmapFilter::new(BitmapFilterConfig::paper_evaluation());
+        for worker in 0..WORKERS {
+            for port in flows(worker) {
+                seq.process_packet(&outbound_packet(port, 1.0), Direction::Outbound);
+            }
+        }
+        for worker in 0..WORKERS {
+            for port in flows(worker) {
+                let resp = Packet::tcp(
+                    Timestamp::from_secs(1.5),
+                    out_tuple(port).inverse(),
+                    TcpFlags::ACK,
+                    &[][..],
+                );
+                assert_eq!(seq.process_packet(&resp, Direction::Inbound), Verdict::Pass);
+            }
+        }
+        assert_eq!(f.stats(), seq.stats());
     }
 
     #[test]

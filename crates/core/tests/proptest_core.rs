@@ -5,8 +5,11 @@ use std::collections::HashSet;
 use upbound_core::params::{
     exact_false_positive, max_connections, optimal_hash_count, penetration_probability,
 };
-use upbound_core::{AtomicBitVec, AtomicBitmap, HashFamily, ThroughputMonitor};
-use upbound_net::{TimeDelta, Timestamp};
+use upbound_core::{
+    AtomicBitVec, AtomicBitmap, DropPolicy, FilterEngine, FlowHash, HashFamily, HashedKey,
+    NoopObserver, ThroughputMonitor,
+};
+use upbound_net::{Direction, FiveTuple, Protocol, TimeDelta, Timestamp};
 
 proptest! {
     /// AtomicBitVec: set/get/count coherence under arbitrary index sequences.
@@ -296,6 +299,73 @@ fn penetration_matches_eq_2_and_3() {
                 (u_m - measured).abs() <= bound,
                 "{at}: U^m {u_m} vs measured {measured} (±{bound})"
             );
+        }
+    }
+}
+
+fn arb_tuple() -> impl Strategy<Value = FiveTuple> {
+    (
+        any::<bool>(),
+        any::<u32>(),
+        any::<u16>(),
+        any::<u32>(),
+        any::<u16>(),
+    )
+        .prop_map(|(tcp, src, sport, dst, dport)| {
+            FiveTuple::new(
+                if tcp { Protocol::Tcp } else { Protocol::Udp },
+                std::net::SocketAddrV4::new(src.into(), sport),
+                std::net::SocketAddrV4::new(dst.into(), dport),
+            )
+        })
+}
+
+proptest! {
+    /// The fused one-pass [`HashedKey`] agrees lane by lane with the
+    /// byte-slice definitions it replaces on the packet path: the key
+    /// bytes, the shard flow hash, the `m` bit indexes, and the drop
+    /// draws hashed once per packet against the per-draw reference.
+    #[test]
+    fn hashed_key_lanes_match_byte_slice_hashes(
+        tuple in arb_tuple(),
+        outbound in any::<bool>(),
+        hole_punching in any::<bool>(),
+        m in 1usize..=5,
+        n_bits in 8u32..=24,
+        seed in any::<u64>(),
+        now_us in proptest::collection::vec(0u64..1 << 42, 1..4),
+    ) {
+        let direction = if outbound { Direction::Outbound } else { Direction::Inbound };
+        let key = HashedKey::new(&tuple, direction, hole_punching);
+        let bytes = match direction {
+            Direction::Outbound => tuple.outbound_key(hole_punching),
+            Direction::Inbound => tuple.inbound_key(hole_punching),
+        }
+        .to_bytes();
+        prop_assert_eq!(key.bytes(), &bytes);
+        prop_assert_eq!(key.hole_punching(), hole_punching);
+        prop_assert_eq!(key.flow(), FlowHash::new(hole_punching).key(&tuple, direction));
+        let family = HashFamily::new(m, n_bits);
+        prop_assert_eq!(
+            key.indexes(&family).collect::<Vec<_>>(),
+            family.indexes(&bytes).collect::<Vec<_>>()
+        );
+        let engine = FilterEngine::new(
+            TimeDelta::from_secs(5.0),
+            ThroughputMonitor::new(TimeDelta::from_secs(1.0), 10),
+            DropPolicy::drop_all(),
+            seed,
+            NoopObserver,
+        );
+        for us in now_us {
+            let now = Timestamp::from_micros(us);
+            let draws = engine.draws(key.bytes(), now);
+            for draw in 0..m as u32 {
+                prop_assert_eq!(
+                    draws.unit(draw).to_bits(),
+                    engine.unit_draw(&bytes, now, draw).to_bits()
+                );
+            }
         }
     }
 }

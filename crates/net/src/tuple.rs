@@ -151,6 +151,11 @@ impl FilterKey {
     /// remote addr (4) | remote port (2) | port-present flag (1). The
     /// trailing flag byte keeps the hole-punching encoding disjoint from
     /// every full-tuple encoding, so the two modes can never collide.
+    ///
+    /// Inlined so a caller that hashes the key right away (the packet
+    /// path's `HashedKey`) builds the bytes in registers instead of
+    /// through a call and a stack round trip.
+    #[inline]
     pub fn to_bytes(self) -> [u8; 14] {
         let mut out = [0u8; 14];
         out[0] = self.protocol.ip_number();

@@ -8,7 +8,10 @@
 //! [`BitmapFilter`]: upbound::core::BitmapFilter
 
 use proptest::prelude::*;
-use upbound::core::{BitmapFilter, BitmapFilterConfig, DropPolicy, FilterStats, ShardedFilter};
+use std::sync::Arc;
+use upbound::core::{
+    BitmapFilter, BitmapFilterConfig, DropPolicy, FilterStats, FlowHash, ShardedFilter, Verdict,
+};
 use upbound::net::{Direction, FiveTuple, Packet, Protocol, TcpFlags, Timestamp};
 
 /// Shard counts under test: the degenerate single-lock case, powers of
@@ -154,6 +157,125 @@ proptest! {
     }
 }
 
+/// A verdict stream folded to one number (FNV-1a over Pass = 0,
+/// Drop = 1), so a divergence anywhere shows as a digest mismatch.
+fn verdict_digest(verdicts: &[Verdict]) -> u64 {
+    verdicts.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+        (h ^ u64::from(*v == Verdict::Drop)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A [`ShardedFilter::from_shards`] bank whose [`FlowHash`] disagrees
+/// with its shards' hole-punching setting must still decide like one
+/// sequential filter: the bank hashes each packet once under its flow
+/// hash, and the shards must rebuild their own key rather than trust
+/// the handed-in one. Drop-all makes a trusted foreign key visible: a
+/// hole-punched key admits inbound traffic from a remote port the
+/// exact key never marked.
+///
+/// Exact shards accept any shard count (a hole-punched flow hash is
+/// coarser, so a connection still lands on one shard); hole-punched
+/// shards behind an exact flow hash are run with one shard, since an
+/// exact placement can split one hole-punched key across shards.
+fn assert_mismatched_flow_hash_transparent(
+    hole_punching: bool,
+    seed: u64,
+    workload: &[(Packet, Direction)],
+) -> Result<(), String> {
+    // Lead with one connection's outbound packet and an inbound packet
+    // from a sibling remote port of the same host: the two keys agree
+    // exactly when the remote port is omitted, so every case sees a
+    // packet whose verdict depends on which key the shard hashes.
+    let client = std::net::SocketAddrV4::new([10, 0, 0, 1].into(), 1024);
+    let remote = |port| std::net::SocketAddrV4::new([203, 0, 113, 0].into(), port);
+    let sibling_ports = [
+        (
+            FiveTuple::new(Protocol::Tcp, client, remote(1000)),
+            Direction::Outbound,
+        ),
+        (
+            FiveTuple::new(Protocol::Tcp, remote(2000), client),
+            Direction::Inbound,
+        ),
+    ]
+    .map(|(tuple, direction)| {
+        let packet = Packet::tcp(Timestamp::ZERO, tuple, TcpFlags::ACK, vec![0u8; 200]);
+        (packet, direction)
+    });
+    let workload = [&sibling_ports[..], workload].concat();
+    let workload = workload.as_slice();
+    let config = BitmapFilterConfig::builder()
+        .hole_punching(hole_punching)
+        .rng_seed(seed)
+        .build()
+        .expect("valid");
+    let mut sequential = BitmapFilter::new(config.clone());
+    let seq_verdicts: Vec<Verdict> = workload
+        .iter()
+        .map(|(packet, direction)| sequential.process_packet(packet, *direction))
+        .collect();
+    let end = workload.last().map_or(Timestamp::ZERO, |(p, _)| p.ts());
+    sequential.advance(end);
+    let shard_counts: &[usize] = if hole_punching { &[1] } else { &SHARD_COUNTS };
+    for &shards in shard_counts {
+        for batched in [false, true] {
+            let uplink = Arc::new(config.uplink_monitor());
+            let filters = (0..shards)
+                .map(|_| BitmapFilter::new(config.clone()).with_shared_uplink(Arc::clone(&uplink)))
+                .collect();
+            let bank = ShardedFilter::from_shards(FlowHash::new(!hole_punching), uplink, filters);
+            let mut verdicts = Vec::with_capacity(workload.len());
+            if batched {
+                for chunk in workload.chunks(16) {
+                    bank.process_batch(chunk, &mut verdicts);
+                }
+            } else {
+                for (packet, direction) in workload {
+                    verdicts.push(bank.process_packet(packet, *direction));
+                }
+            }
+            bank.advance(end);
+            prop_assert_eq!(
+                verdict_digest(&verdicts),
+                verdict_digest(&seq_verdicts),
+                "verdicts diverged at {} shards (batched: {})",
+                shards,
+                batched
+            );
+            prop_assert_eq!(
+                bank.stats(),
+                sequential.stats(),
+                "stats diverged at {} shards (batched: {})",
+                shards,
+                batched
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Exact shards behind a hole-punching flow hash.
+    #[test]
+    fn mismatched_hole_punching_flow_hash_keeps_exact_keys(
+        workload in arb_workload(),
+        seed in any::<u64>(),
+    ) {
+        assert_mismatched_flow_hash_transparent(false, seed, &workload)?;
+    }
+
+    /// Hole-punched shards behind an exact flow hash.
+    #[test]
+    fn mismatched_exact_flow_hash_keeps_hole_punched_keys(
+        workload in arb_workload(),
+        seed in any::<u64>(),
+    ) {
+        assert_mismatched_flow_hash_transparent(true, seed, &workload)?;
+    }
+}
+
 /// Rotation-vs-mark race: workers mark flows through the lock-free
 /// shared path while a ticker drives epoch rotations underneath them.
 /// A mark whose epoch changed mid-write retries, so every *completed*
@@ -163,8 +285,6 @@ proptest! {
 /// exactly what this asserts cannot happen.
 #[test]
 fn rotation_racing_marks_never_flips_pass_to_drop() {
-    use upbound::core::Verdict;
-
     const WORKERS: u16 = 4;
     const FLOWS: u16 = 200;
     // Paper evaluation config: Δt = 5 s, k = 4, P_d ≡ 1.
