@@ -419,17 +419,24 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
     /// * drop draws are pure functions of
     ///   `(seed, key, timestamp, draw index)`, so batching cannot
     ///   shift them.
+    ///
+    /// If a decision panics, the verdicts of the packets before it stay
+    /// in `verdicts` and the watermark still covers the panicking packet,
+    /// so a caller that catches the unwind can resume the batch after it.
     pub fn process_batch(&self, packets: &[(Packet, Direction)], verdicts: &mut Vec<Verdict>) {
         verdicts.reserve(packets.len());
         let flow = self.inner.flow;
-        let mut wm = self.inner.watermark.load(Ordering::Relaxed);
+        let mut wm = WatermarkGuard {
+            cell: &self.inner.watermark,
+            micros: self.inner.watermark.load(Ordering::Relaxed),
+        };
         if F::CONCURRENT {
             let guards: Vec<_> = self.inner.shards.iter().map(|shard| shard.read()).collect();
             for (packet, direction) in packets {
-                wm = wm.max(packet.ts().as_micros());
+                wm.micros = wm.micros.max(packet.ts().as_micros());
                 let key = flow.hashed(packet, *direction);
                 let guard = &guards[self.shard_index(&key)];
-                guard.advance_shared(Timestamp::from_micros(wm));
+                guard.advance_shared(Timestamp::from_micros(wm.micros));
                 verdicts.push(guard.decide_keyed_shared(&key, packet, *direction));
             }
         } else {
@@ -440,14 +447,13 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
                 .map(|shard| shard.write())
                 .collect();
             for (packet, direction) in packets {
-                wm = wm.max(packet.ts().as_micros());
+                wm.micros = wm.micros.max(packet.ts().as_micros());
                 let key = flow.hashed(packet, *direction);
                 let guard = &mut guards[self.shard_index(&key)];
-                guard.advance(Timestamp::from_micros(wm));
+                guard.advance(Timestamp::from_micros(wm.micros));
                 verdicts.push(guard.decide_keyed(&key, packet, *direction));
             }
         }
-        self.inner.watermark.fetch_max(wm, Ordering::Relaxed);
     }
 
     /// Applies every timer event due at or before `now` on **all**
@@ -664,6 +670,20 @@ impl<F: PacketFilter + Send + Sync + Snapshottable> ShardedFilter<F> {
         for shard in &self.inner.shards {
             shard.write().start_cold_at(epoch);
         }
+    }
+}
+
+/// The running watermark of one [`ShardedFilter::process_batch`] call,
+/// stored back into the handle when the call ends — on return or while
+/// unwinding out of a panicking decision.
+struct WatermarkGuard<'a> {
+    cell: &'a AtomicU64,
+    micros: u64,
+}
+
+impl Drop for WatermarkGuard<'_> {
+    fn drop(&mut self) {
+        self.cell.fetch_max(self.micros, Ordering::Relaxed);
     }
 }
 

@@ -13,11 +13,11 @@
 //!   header corruption, reorder bursts, and clock-skew spikes applied to
 //!   the packet stream before it reaches any filter. Pure and
 //!   deterministic: same plan + same stream → byte-identical output.
-//! * **Decide-path faults** ([`FaultingFilter`]) — a [`PacketFilter`]
-//!   wrapper that consults a [`FaultInjector`] per packet and panics on
-//!   command, exercising the shard supervisor's quarantine path exactly
-//!   the way a real shard bug would. [`NoopInjector`] keeps the wrapper
-//!   zero-cost when no faults are armed.
+//! * **Decide-path faults** ([`FaultingObserver`]) — a
+//!   [`FilterObserver`] wrapper that consults a [`PlannedInjector`] per
+//!   decided packet and panics on command, exercising the shard
+//!   supervisor's quarantine path exactly the way a real shard bug
+//!   would.
 //! * **Checkpoint I/O faults** ([`CheckpointSink`]) — an injectable
 //!   write layer for periodic checkpoints; [`FaultingCheckpointSink`]
 //!   fails writes on the injector's schedule, and
@@ -25,16 +25,19 @@
 //!   periodic checkpointing.
 //!
 //! [`PipelineRunner::fault_plan`](crate::PipelineRunner::fault_plan)
-//! composes all three: [`run`](crate::PipelineRunner::run) distorts the
-//! stream and arms every shard of the supervised pool, and
-//! [`measure`](crate::PipelineRunner::measure) and
-//! [`serve`](crate::PipelineRunner::serve) write their checkpoints
-//! through a sink armed from the same plan. That is what the CI chaos
-//! matrix drives.
+//! arms the last two: [`serve`](crate::PipelineRunner::serve) arms
+//! every initial shard with the plan's panics, and
+//! [`measure`](crate::PipelineRunner::measure) and `serve` write their
+//! checkpoints through a sink armed from the same plan. The caller
+//! distorts the stream it feeds them. That is what the CI chaos matrix
+//! drives.
 
 use std::path::Path;
-use upbound_core::{snapshot, PacketFilter, SnapshotError};
-use upbound_net::{Direction, Packet, TimeDelta, Timestamp};
+use upbound_core::{
+    snapshot, FilterObserver, InboundDecision, NoopObserver, OverloadEvent, RotationEvent,
+    SnapshotError,
+};
+use upbound_net::{FiveTuple, Packet, TimeDelta, Timestamp};
 use upbound_telemetry::Registry;
 
 /// Error parsing a [`FaultPlan`] spec string.
@@ -286,12 +289,6 @@ pub trait FaultInjector {
     }
 }
 
-/// The zero-cost default: no fault ever fires.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopInjector;
-
-impl FaultInjector for NoopInjector {}
-
 /// The injector derived from a [`FaultPlan`]: a seeded lottery arms
 /// roughly one panic per `PANIC_STRIDE` (199) packets until the plan's
 /// budget is spent, and fails the first `ckpt` checkpoint writes.
@@ -313,10 +310,10 @@ impl PlannedInjector {
             ckpt_left: 0,
         }
     }
-}
 
-impl FaultInjector for PlannedInjector {
-    fn inject_panic(&mut self, seq: u64, _packet: &Packet) -> bool {
+    /// `true` → decided packet `seq` panics, spending one panic of the
+    /// budget.
+    pub(crate) fn panic_due(&mut self, seq: u64) -> bool {
         if self.panics_left == 0 {
             return false;
         }
@@ -326,6 +323,12 @@ impl FaultInjector for PlannedInjector {
         } else {
             false
         }
+    }
+}
+
+impl FaultInjector for PlannedInjector {
+    fn inject_panic(&mut self, seq: u64, _packet: &Packet) -> bool {
+        self.panic_due(seq)
     }
 
     fn inject_checkpoint_error(&mut self, write_index: u64) -> Option<std::io::Error> {
@@ -339,62 +342,64 @@ impl FaultInjector for PlannedInjector {
     }
 }
 
-/// A [`PacketFilter`] wrapper that panics on the injector's schedule —
+/// A [`FilterObserver`] wrapper that panics on the injector's schedule —
 /// the deliberate version of the bug the shard supervisor exists to
-/// contain. Everything else delegates to the wrapped filter.
+/// contain. The filter fires exactly one of `on_outbound`/`on_inbound`
+/// per decided packet, so packet `seq` of a shard is the `seq`-th of
+/// those hooks; the panic comes after the decision and before the
+/// wrapped observer hears of the packet. Every hook delegates to the
+/// wrapped observer.
 #[derive(Debug, Clone)]
-pub struct FaultingFilter<F, J = NoopInjector> {
-    inner: F,
-    injector: J,
+pub struct FaultingObserver<O = NoopObserver> {
+    inner: O,
+    injector: PlannedInjector,
     seq: u64,
 }
 
-impl<F, J> FaultingFilter<F, J> {
-    /// Wraps `inner`, consulting `injector` before every decision.
-    pub fn new(inner: F, injector: J) -> Self {
-        FaultingFilter {
+impl<O> FaultingObserver<O> {
+    /// Wraps `inner`, consulting `injector` on every decided packet.
+    pub fn new(inner: O, injector: PlannedInjector) -> Self {
+        FaultingObserver {
             inner,
             injector,
             seq: 0,
         }
     }
 
-    /// The wrapped filter.
-    pub fn inner(&self) -> &F {
-        &self.inner
+    fn decided(&mut self) {
+        let seq = self.seq;
+        self.seq += 1;
+        if self.injector.panic_due(seq) {
+            panic!("injected shard fault (packet #{seq})");
+        }
     }
 }
 
-impl<F: PacketFilter, J: FaultInjector> PacketFilter for FaultingFilter<F, J> {
-    type Stats = F::Stats;
-
-    fn decide(&mut self, packet: &Packet, direction: Direction) -> upbound_core::Verdict {
-        let seq = self.seq;
-        self.seq += 1;
-        if self.injector.inject_panic(seq, packet) {
-            panic!("injected shard fault (packet #{seq})");
-        }
-        self.inner.decide(packet, direction)
+impl<O: FilterObserver> FilterObserver for FaultingObserver<O> {
+    fn on_outbound(&mut self, tuple: &FiveTuple, now: Timestamp) {
+        self.decided();
+        self.inner.on_outbound(tuple, now);
     }
 
-    fn advance(&mut self, now: Timestamp) {
-        self.inner.advance(now);
+    fn on_inbound(&mut self, decision: &InboundDecision<'_>) {
+        self.decided();
+        self.inner.on_inbound(decision);
     }
 
-    fn stats(&self) -> Self::Stats {
-        self.inner.stats()
+    fn on_rotation(&mut self, rotation: &RotationEvent<'_>) {
+        self.inner.on_rotation(rotation);
     }
 
-    fn memory_bytes(&self) -> usize {
-        self.inner.memory_bytes()
+    fn on_cold_start(&mut self, now: Timestamp, armed_at: Timestamp) {
+        self.inner.on_cold_start(now, armed_at);
     }
 
-    fn drop_probability(&self, now: Timestamp) -> f64 {
-        self.inner.drop_probability(now)
+    fn on_armed(&mut self, now: Timestamp) {
+        self.inner.on_armed(now);
     }
 
-    fn name(&self) -> &str {
-        self.inner.name()
+    fn on_overload(&mut self, event: &OverloadEvent) {
+        self.inner.on_overload(event);
     }
 }
 

@@ -20,26 +20,21 @@
 //!   sweeps (ablations).
 //! * [`PipelineRunner`] — the builder-style front door composing every
 //!   dataplane axis (sharding, overload policy, fault plans,
-//!   observability, checkpointing) with every execution engine: the
-//!   supervised threaded pipeline ([`run`](PipelineRunner::run)), the
-//!   replay engine ([`measure`](PipelineRunner::measure)), streaming
-//!   [`PacketSource`](upbound_net::PacketSource) backends
-//!   ([`run_source`](PipelineRunner::run_source) /
-//!   [`measure_source`](PipelineRunner::measure_source)) and the
-//!   runtime-reconfigurable dataplane loop
-//!   ([`serve`](PipelineRunner::serve)), which runs both live sources
-//!   and finite captures.
-//! * [`pipeline`] — the deployment-shaped threaded pipeline (ingest →
-//!   one worker per shard of a
-//!   [`ShardedFilter`](upbound_core::ShardedFilter) → merge → account)
-//!   over bounded crossbeam channels, with verdicts proven identical to
-//!   a sequential run. Worker panics are caught: the poisoned shard is
-//!   quarantined and rebuilt fail-open while the surviving shards keep
-//!   filtering.
+//!   observability, checkpointing) with its two execution engines: the
+//!   replay engine ([`measure`](PipelineRunner::measure) /
+//!   [`measure_source`](PipelineRunner::measure_source)) and the one
+//!   runtime-reconfigurable packet loop of the dataplane
+//!   ([`serve`](PipelineRunner::serve)), which runs live sources and
+//!   finite captures alike over a
+//!   [`ShardedFilter`](upbound_core::ShardedFilter).
+//! * [`pipeline`] — the dataplane's tuning knobs and the records of its
+//!   shard supervisor: `serve` catches a panic in a shard's decide path,
+//!   quarantines that shard and rebuilds it fail-open while the
+//!   surviving shards keep filtering.
 //! * [`fault`] — deterministic fault injection: a seeded [`FaultPlan`]
 //!   describing stream corruption, reorder bursts, clock-skew spikes,
 //!   decide-path shard panics, and checkpoint I/O failures, applied via
-//!   [`PipelineRunner::fault_plan`] / [`FaultingFilter`] /
+//!   [`FaultPlan::distort_stream`] / [`FaultingObserver`] /
 //!   [`CheckpointSink`], so every chaos run is reproducible from its
 //!   plan string.
 //!
@@ -79,17 +74,14 @@ pub mod sweep;
 pub use compare::{compare, ComparisonResult};
 pub use fault::{
     checkpoint_with_backoff, AtomicCheckpointSink, CheckpointSink, DistortionReport, FaultInjector,
-    FaultPlan, FaultPlanError, FaultingCheckpointSink, FaultingFilter, NoopInjector,
-    PlannedInjector,
+    FaultPlan, FaultPlanError, FaultingCheckpointSink, FaultingObserver, PlannedInjector,
 };
 pub use oracle::OracleFilter;
 pub use pipeline::{
-    PipelineConfig, PipelineObservability, PipelineResult, ShardIncident, SupervisorReport,
-    SupervisorTelemetry,
+    PipelineConfig, PipelineObservability, ShardIncident, SupervisorReport, SupervisorTelemetry,
 };
 pub use replay::{BlockedConnections, ReplayConfig, ReplayEngine, ReplayResult};
 pub use runner::{
-    Measurement, PipelineRunner, RunReport, RunnerError, ServeControl, ServeExit, ServeReport,
-    ServeTelemetry,
+    Measurement, PipelineRunner, RunnerError, ServeControl, ServeExit, ServeReport, ServeTelemetry,
 };
 pub use upbound_core::{MergeStats, PacketFilter};

@@ -1,143 +1,67 @@
-//! The multi-threaded edge-router pipeline behind
-//! [`PipelineRunner::run`](crate::PipelineRunner::run).
+//! The dataplane's tuning knobs and its shard supervisor's records.
 //!
-//! The replay engine is single-threaded by design (deterministic
-//! measurement); this module is the deployment-shaped variant — one
-//! supervised shard pool over bounded crossbeam channels:
-//!
-//! ```text
-//! ingest ──► worker 0 (shard 0) ──┐
-//!        ──► worker 1 (shard 1) ──┼──► merge (reorder) ──► account
-//!        ──► …                  ──┘
-//! ```
-//!
-//! The ingest stage (the calling thread) classifies each packet, tags it
-//! with a sequence number and the running *maximum* timestamp seen so
-//! far (the watermark), and routes it by [`ShardedFilter::shard_of`], so
-//! each worker only ever touches its own shard. Workers decide via
-//! [`ShardedFilter::process_packet_at`], which first advances the shard
-//! to the watermark: on a trace with non-monotonic timestamps this pins
-//! every shard to the tick phase a sequential filter would hold. The
-//! merge stage restores sequence order before accounting. One shard is
-//! simply a pool of one worker.
-//!
-//! Every decision runs under `catch_unwind`: a panic inside a shard's
-//! decision path quarantines that shard — it is rebuilt **empty and
-//! fail-open** by the caller's rebuild policy — and the packet that
-//! triggered it passes fail-open, so its sequence number still reaches
-//! the merge stage and the other `N − 1` shards keep filtering.
-//!
-//! With the paper-default `P_d ≡ 1` policy the verdicts (and the merged
-//! [`FilterStats`]) are identical to a sequential run — asserted by
-//! tests. Under a rate-dependent RED policy, concurrent uplink recording
-//! can skew individual `P_d` reads by a packet or two, so only
-//! statistical — not bit-exact — equivalence is guaranteed.
-//!
-//! [`ShardedFilter`]: upbound_core::ShardedFilter
+//! [`serve`](crate::PipelineRunner::serve) decides every run of packets
+//! under `catch_unwind`. A panic inside a shard's decision path
+//! quarantines that shard: the packets before it keep their verdicts,
+//! the panicking packet passes fail-open, the shard is rebuilt **empty
+//! and fail-open** (cold at the watermark) by the constructor that built
+//! it, and deciding resumes at the next packet while the other `N − 1`
+//! shards keep filtering. Each quarantine is a [`ShardIncident`]; a
+//! session's incidents are its [`SupervisorReport`], and the optional
+//! [`PipelineObservability`] hooks export them as metrics
+//! ([`SupervisorTelemetry`]), flight-recorder dumps and `/health` shard
+//! state.
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::sync::Mutex;
-use upbound_core::{FilterStats, PacketFilter, ShardedFilter, Verdict};
-use upbound_net::{Cidr, Direction, Packet, TimeDelta, Timestamp};
+use upbound_net::Timestamp;
 use upbound_telemetry::{
-    Counter, DumpTrigger, FlightRecorder, Gauge, HealthState, Registry, ShardStatus, Stage,
-    StageTracer,
+    Counter, DumpTrigger, FlightRecorder, Gauge, HealthState, Registry, ShardStatus, StageTracer,
 };
 
-/// Unwraps a worker-thread join, re-raising the worker's panic on the
-/// caller thread instead of replacing it with a generic message.
-fn join_or_propagate<T>(joined: std::thread::Result<T>) -> T {
-    joined.unwrap_or_else(|payload| resume_unwind(payload))
-}
-
-/// Pipeline tuning knobs.
+/// Dataplane tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PipelineConfig {
-    /// Capacity of each inter-stage channel (backpressure bound).
-    pub channel_capacity: usize,
     /// Maximum packets decided per batch: the poll size of
-    /// [`serve`](crate::PipelineRunner::serve). The supervised shard
-    /// pool decides packet by packet (each decision
-    /// is its own panic boundary), so batching never changes its
-    /// verdicts. `1` restores the per-packet path; `0` is treated as `1`.
+    /// [`serve`](crate::PipelineRunner::serve). `1` restores the
+    /// per-packet path; `0` is treated as `1`.
     pub batch_size: usize,
 }
 
-/// The default filter-stage batch size, chosen from the
-/// `batch_throughput` bench's sweet spot (see BENCH_batch_throughput.json).
-fn default_batch_size() -> usize {
-    64
-}
-
 impl Default for PipelineConfig {
+    /// 64 packets per batch, the `batch_throughput` bench's sweet spot
+    /// (see BENCH_batch_throughput.json).
     fn default() -> Self {
-        Self {
-            channel_capacity: 1024,
-            batch_size: default_batch_size(),
-        }
+        Self { batch_size: 64 }
     }
 }
 
-/// Aggregate output of a pipeline run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PipelineResult {
-    /// Packets that entered the pipeline.
-    pub ingested: u64,
-    /// Packets forwarded.
-    pub passed: u64,
-    /// Packets dropped by the filter.
-    pub dropped: u64,
-    /// Wire bytes forwarded upstream (outbound).
-    pub uplink_bytes: u64,
-    /// Wire bytes forwarded downstream (inbound).
-    pub downlink_bytes: u64,
-    /// The filter's own counters at shutdown.
-    pub filter_stats: FilterStats,
-}
-
-/// Tallies one merged verdict into the aggregate result.
-fn account(result: &mut PipelineResult, packet: &Packet, direction: Direction, verdict: Verdict) {
-    result.ingested += 1;
-    match verdict {
-        Verdict::Pass => {
-            result.passed += 1;
-            match direction {
-                Direction::Outbound => result.uplink_bytes += packet.wire_len() as u64,
-                Direction::Inbound => result.downlink_bytes += packet.wire_len() as u64,
-            }
-        }
-        Verdict::Drop => result.dropped += 1,
-    }
-}
-
-/// One quarantine event recorded by the shard supervisor: worker
-/// `shard` panicked while deciding a packet at watermark `at`, its
-/// filter was rebuilt empty, and the rebuilt memory is not trustworthy
-/// (still warming up) until `quarantined_until`.
+/// One quarantine event recorded by the shard supervisor: shard `shard`
+/// panicked while deciding a packet at watermark `at`, its filter was
+/// rebuilt empty, and the rebuilt memory is not trustworthy (still
+/// warming up) until `quarantined_until`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardIncident {
     /// Index of the shard that panicked.
     pub shard: usize,
-    /// Ingest watermark when the panic was caught.
+    /// Watermark when the panic was caught.
     pub at: Timestamp,
-    /// End of the rebuilt shard's warm-up window (`at` + quarantine).
+    /// End of the rebuilt shard's warm-up window (`at` + `T_e`).
     pub quarantined_until: Timestamp,
 }
 
 /// Aggregate record of everything the shard supervisor had to do during
-/// a [`PipelineRunner::run`](crate::PipelineRunner::run). All
-/// zeros/empty on a clean run.
+/// one [`serve`](crate::PipelineRunner::serve) session. All zeros/empty
+/// on a clean run.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SupervisorReport {
-    /// Worker panics caught.
+    /// Shard panics caught.
     pub panics: u64,
     /// Shards rebuilt empty (one per caught panic).
     pub restarts: u64,
-    /// Per-event detail, in watermark order.
+    /// Per-event detail, in watermark order (ties by shard).
     pub incidents: Vec<ShardIncident>,
 }
 
@@ -230,8 +154,8 @@ impl SupervisorTelemetry {
     }
 }
 
-/// Optional observability hooks threaded through the supervised shard
-/// pool by
+/// Optional observability hooks of
+/// [`serve`](crate::PipelineRunner::serve), set through
 /// [`PipelineRunner::observability`](crate::PipelineRunner::observability):
 /// per-stage latency tracing, supervisor metric export, flight-recorder
 /// mirroring, and `/health` state. Every part is independent;
@@ -243,7 +167,7 @@ pub struct PipelineObservability {
     pub supervisor: Option<SupervisorTelemetry>,
     /// Per-stage latency recorders (`upbound_sim_stage_*`).
     pub tracer: Option<StageTracer>,
-    /// Black box mirroring shard state; dumped on worker panic.
+    /// Black box mirroring shard state; dumped on a caught panic.
     pub flight: Option<FlightRecorder>,
     /// Live `/health` document state.
     pub health: Option<HealthState>,
@@ -272,15 +196,10 @@ impl PipelineObservability {
         self
     }
 
-    /// Drops the latency tracer (the overhead-gate bench compares this
-    /// configuration against the traced one).
-    pub fn without_tracing(mut self) -> Self {
-        self.tracer = None;
-        self
-    }
-
-    fn shard_status_for(&self, incident: &ShardIncident) -> ShardStatus {
-        match &self.supervisor {
+    /// Exports one quarantine: the supervisor counters, the shard's
+    /// `/health` and flight-recorder state, and a flight dump.
+    pub(crate) fn quarantined(&self, incident: &ShardIncident) {
+        let status = match &self.supervisor {
             Some(sup) => sup.record_incident(incident),
             None => ShardStatus {
                 shard: incident.shard,
@@ -288,198 +207,48 @@ impl PipelineObservability {
                 panics: 1,
                 restarts: 1,
             },
+        };
+        if let Some(health) = &self.health {
+            health.update_shard(status);
+        }
+        if let Some(flight) = &self.flight {
+            flight.update_shard(status);
+            flight.set_meta("last_panic_shard", &incident.shard.to_string());
+            flight.set_meta(
+                "last_panic_watermark_us",
+                &incident.at.as_micros().to_string(),
+            );
+            let _ = flight.dump_now(DumpTrigger::Panic);
         }
     }
-}
 
-/// How many packets the ingest loop admits between `/health` watermark
-/// refreshes. Coarse on purpose: the watermark is diagnostic, and the
-/// hot loop should not take the health lock per packet.
-const HEALTH_WATERMARK_STRIDE: u64 = 1024;
-
-/// Runs `packets` through the supervised shard pool described in the
-/// [module docs](self), with one worker per shard of `sharded`.
-///
-/// `rebuild(shard, at)` must produce a replacement filter ready to take
-/// over shard `shard` at watermark `at` — typically empty, sharing the
-/// sharded filter's uplink monitor, and fail-open until it has observed
-/// `quarantine` worth of traffic. The caller keeps (a clone of)
-/// `sharded`, so per-shard state remains inspectable after the run.
-/// Every `obs` hook is optional: per-stage latency scopes (ingest →
-/// dispatch → decide → merge → emit), supervisor metric export,
-/// flight-recorder mirroring (with a dump on each caught panic) and live
-/// `/health` watermark + shard state.
-pub(crate) fn supervised_pipeline_impl<I, F, R>(
-    packets: I,
-    inside: Cidr,
-    sharded: ShardedFilter<F>,
-    rebuild: R,
-    quarantine: TimeDelta,
-    pipeline_config: PipelineConfig,
-    obs: &PipelineObservability,
-) -> (PipelineResult, SupervisorReport)
-where
-    I: IntoIterator<Item = Packet>,
-    F: PacketFilter<Stats = FilterStats> + Send + Sync,
-    R: Fn(usize, Timestamp) -> F + Sync,
-{
-    let (worker_txs, worker_rxs): (Vec<_>, Vec<_>) = (0..sharded.shards())
-        .map(|_| bounded::<(u64, Packet, Direction, Timestamp)>(pipeline_config.channel_capacity))
-        .unzip();
-    let (merge_tx, merge_rx): (Sender<(u64, Packet, Direction, Verdict)>, Receiver<_>) =
-        bounded(pipeline_config.channel_capacity);
-    let rebuild = &rebuild;
-
-    let scope_result = crossbeam::thread::scope(|scope| {
-        // Supervised filter workers: one per shard. A panic inside the
-        // decision path unwinds out of the shard's lock guard
-        // (parking_lot does not poison), so the shard stays lockable
-        // but its state is suspect — quarantine it by swapping in a
-        // rebuilt filter, and let the offending packet pass fail-open
-        // so its sequence number still reaches the merge stage.
-        let worker_handles: Vec<_> = worker_rxs
-            .into_iter()
-            .map(|rx: Receiver<(u64, Packet, Direction, Timestamp)>| {
-                let handle = sharded.clone();
-                let merge_tx = merge_tx.clone();
-                scope.spawn(move |_| {
-                    let mut incidents = Vec::new();
-                    for (seq, packet, direction, watermark) in rx {
-                        let decided = {
-                            let _t = obs.tracer.as_ref().map(|t| t.scope(Stage::Decide));
-                            catch_unwind(AssertUnwindSafe(|| {
-                                handle.process_packet_at(&packet, direction, watermark)
-                            }))
-                        };
-                        let verdict = match decided {
-                            Ok(verdict) => verdict,
-                            Err(_panic) => {
-                                let shard = handle.shard_of(&packet.tuple(), direction);
-                                // `shard_of` is in range, so the swap
-                                // cannot fail.
-                                let _ = handle.replace_shard(shard, rebuild(shard, watermark));
-                                let incident = ShardIncident {
-                                    shard,
-                                    at: watermark,
-                                    quarantined_until: watermark + quarantine,
-                                };
-                                let status = obs.shard_status_for(&incident);
-                                if let Some(health) = &obs.health {
-                                    health.update_shard(status);
-                                }
-                                if let Some(flight) = &obs.flight {
-                                    flight.update_shard(status);
-                                    flight.set_meta("last_panic_shard", &shard.to_string());
-                                    flight.set_meta(
-                                        "last_panic_watermark_us",
-                                        &incident.at.as_micros().to_string(),
-                                    );
-                                    let _ = flight.dump_now(DumpTrigger::Panic);
-                                }
-                                incidents.push(incident);
-                                Verdict::Pass
-                            }
-                        };
-                        if merge_tx.send((seq, packet, direction, verdict)).is_err() {
-                            break;
-                        }
-                    }
-                    incidents
-                })
-            })
-            .collect();
-        drop(merge_tx); // workers hold the only remaining senders
-
-        // Merge + account: restore sequence (= ingest) order.
-        let merge_handle = scope.spawn(move |_| {
-            let mut result = PipelineResult::default();
-            let mut next_seq = 0u64;
-            let mut pending: BTreeMap<u64, (Packet, Direction, Verdict)> = BTreeMap::new();
-            for (seq, packet, direction, verdict) in merge_rx {
-                {
-                    let _t = obs.tracer.as_ref().map(|t| t.scope(Stage::Merge));
-                    pending.insert(seq, (packet, direction, verdict));
-                }
-                while let Some((packet, direction, verdict)) = pending.remove(&next_seq) {
-                    let _t = obs.tracer.as_ref().map(|t| t.scope(Stage::Emit));
-                    account(&mut result, &packet, direction, verdict);
-                    next_seq += 1;
-                }
-            }
-            // If the ingest stage stopped early, tail sequence numbers
-            // may be sparse; drain whatever arrived.
-            for (_, (packet, direction, verdict)) in pending {
-                let _t = obs.tracer.as_ref().map(|t| t.scope(Stage::Emit));
-                account(&mut result, &packet, direction, verdict);
-            }
-            result
-        });
-
-        // Ingest on the calling thread: classify, tag with the running
-        // max-timestamp watermark, route by flow.
-        let mut watermark = Timestamp::ZERO;
-        let mut admitted = 0u64;
-        for (seq, packet) in packets.into_iter().enumerate() {
-            let (shard, direction) = {
-                let _t = obs.tracer.as_ref().map(|t| t.scope(Stage::Ingest));
-                let direction = inside.direction_of(&packet.tuple());
-                let shard = sharded.shard_of(&packet.tuple(), direction);
-                watermark = watermark.max(packet.ts());
-                (shard, direction)
-            };
-            let sent = {
-                let _t = obs.tracer.as_ref().map(|t| t.scope(Stage::Dispatch));
-                worker_txs[shard]
-                    .send((seq as u64, packet, direction, watermark))
-                    .is_ok()
-            };
-            if !sent {
-                break;
-            }
-            admitted += 1;
-            if admitted.is_multiple_of(HEALTH_WATERMARK_STRIDE) {
-                if let Some(health) = &obs.health {
-                    health.set_watermark(watermark.as_micros());
-                }
-            }
-        }
-        drop(worker_txs); // signal end-of-stream to every worker
-
-        let mut incidents: Vec<ShardIncident> = Vec::new();
-        for handle in worker_handles {
-            incidents.extend(join_or_propagate(handle.join()));
-        }
-        incidents.sort_by_key(|i| (i.at, i.shard));
-        let mut pipeline = join_or_propagate(merge_handle.join());
-        pipeline.filter_stats = sharded.stats();
-        if let Some(health) = &obs.health {
-            health.set_watermark(watermark.as_micros());
-        }
-        if let Some(sup) = &obs.supervisor {
-            for status in sup.settle(watermark) {
-                if let Some(health) = &obs.health {
-                    health.update_shard(status);
-                }
-                if let Some(flight) = &obs.flight {
-                    flight.update_shard(status);
-                }
-            }
-        }
-        let supervisor = SupervisorReport {
-            panics: incidents.len() as u64,
-            restarts: incidents.len() as u64,
-            incidents,
+    /// Settles every quarantine window against the session's final
+    /// `watermark` and republishes the shard states.
+    pub(crate) fn settle(&self, watermark: Timestamp) {
+        let Some(sup) = &self.supervisor else {
+            return;
         };
-        (pipeline, supervisor)
-    });
-    join_or_propagate(scope_result)
+        for status in sup.settle(watermark) {
+            if let Some(health) = &self.health {
+                health.update_shard(status);
+            }
+            if let Some(flight) = &self.flight {
+                flight.update_shard(status);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::PipelineRunner;
-    use upbound_core::{BitmapFilter, BitmapFilterConfig, FailMode, Snapshottable};
+    use crate::runner::{PipelineRunner, ServeControl, ServeReport};
+    use upbound_core::{
+        BitmapFilter, BitmapFilterConfig, FilterObserver, FilterStats, FlowHash, InboundDecision,
+        ShardedFilter,
+    };
+    use upbound_net::{BufferedSource, Cidr, Direction, FiveTuple, Packet};
+    use upbound_telemetry::Stage;
     use upbound_traffic::{generate, TraceConfig};
 
     fn trace() -> upbound_traffic::SyntheticTrace {
@@ -497,33 +266,64 @@ mod tests {
         "10.0.0.0/16".parse().expect("cidr")
     }
 
-    /// The one threaded pipeline, through its public front door.
-    fn run_pool(
+    /// What one run decided, in the terms every loop reports.
+    #[derive(Debug, Default, PartialEq)]
+    struct Outcome {
+        packets: u64,
+        passed: u64,
+        dropped: u64,
+        uplink_kept_bits: u64,
+        filter_stats: FilterStats,
+    }
+
+    impl From<&ServeReport> for Outcome {
+        fn from(report: &ServeReport) -> Self {
+            Outcome {
+                packets: report.packets,
+                passed: report.passed,
+                dropped: report.dropped,
+                uplink_kept_bits: report.uplink_kept_bits,
+                filter_stats: report.filter_stats,
+            }
+        }
+    }
+
+    /// `serve` over `packets`, asserting a clean supervisor.
+    fn serve(
         packets: impl IntoIterator<Item = Packet>,
         config: BitmapFilterConfig,
         shards: usize,
         pipeline_config: PipelineConfig,
-    ) -> PipelineResult {
+    ) -> Outcome {
+        let mut source = BufferedSource::labeled(packets.into_iter().collect(), inside());
         let report = PipelineRunner::new(inside(), config)
             .shards(shards)
             .pipeline_config(pipeline_config)
-            .run(packets)
-            .expect("runner");
+            .serve(&mut source, &ServeControl::new())
+            .expect("serve");
         assert_eq!(report.supervisor, SupervisorReport::default());
-        report.pipeline
+        Outcome::from(&report)
     }
 
     /// A sequential filter over the same stream, accounted the same way.
-    fn sequential(packets: &[Packet], config: BitmapFilterConfig) -> PipelineResult {
+    fn sequential(packets: &[Packet], config: BitmapFilterConfig) -> Outcome {
         let mut reference = BitmapFilter::new(config);
-        let mut result = PipelineResult::default();
+        let mut outcome = Outcome::default();
         for packet in packets {
             let direction = inside().direction_of(&packet.tuple());
             let verdict = reference.process_packet(packet, direction);
-            account(&mut result, packet, direction, verdict);
+            outcome.packets += 1;
+            match (direction, verdict) {
+                (Direction::Inbound, upbound_core::Verdict::Drop) => outcome.dropped += 1,
+                (Direction::Outbound, _) => {
+                    outcome.passed += 1;
+                    outcome.uplink_kept_bits += packet.wire_bits();
+                }
+                (Direction::Inbound, _) => outcome.passed += 1,
+            }
         }
-        result.filter_stats = reference.stats();
-        result
+        outcome.filter_stats = reference.stats();
+        outcome
     }
 
     fn packets() -> Vec<Packet> {
@@ -535,9 +335,9 @@ mod tests {
         let packets = packets();
         let config = BitmapFilterConfig::paper_evaluation();
         let reference = sequential(&packets, config.clone());
-        assert_eq!(reference.ingested as usize, packets.len());
+        assert_eq!(reference.packets as usize, packets.len());
         for shards in [1usize, 4] {
-            let result = run_pool(
+            let result = serve(
                 packets.iter().cloned(),
                 config.clone(),
                 shards,
@@ -549,7 +349,7 @@ mod tests {
 
     #[test]
     fn observed_filter_journal_matches_sequential() {
-        use upbound_core::{FlowHash, TelemetryObserver};
+        use upbound_core::TelemetryObserver;
 
         let trace = trace();
         let config = BitmapFilterConfig::paper_evaluation();
@@ -564,48 +364,46 @@ mod tests {
             reference.process_packet(&lp.packet, lp.direction);
         }
 
-        // A one-shard pool over an observed filter.
-        let pool_registry = Registry::new();
+        // A one-shard bank of an observed filter.
+        let bank_registry = Registry::new();
         let uplink = Arc::new(config.uplink_monitor());
-        let observed = BitmapFilter::with_observer(
-            config.clone(),
-            TelemetryObserver::new(&pool_registry, "core", 256),
-        )
-        .with_shared_uplink(Arc::clone(&uplink));
+        let shard = |config| {
+            BitmapFilter::with_observer(config, TelemetryObserver::new(&bank_registry, "core", 256))
+                .with_shared_uplink(Arc::clone(&uplink))
+        };
         let sharded = ShardedFilter::from_shards(
             FlowHash::new(config.hole_punching()),
-            uplink,
-            vec![observed],
+            Arc::clone(&uplink),
+            vec![shard(config.clone())],
         );
-        let (result, supervisor) = supervised_pipeline_impl(
-            trace.packets.iter().map(|lp| lp.packet.clone()),
+        let mut source = BufferedSource::labeled(
+            trace.packets.iter().map(|lp| lp.packet.clone()).collect(),
             inside(),
-            sharded.clone(),
-            |_, _| unreachable!("no shard panics"),
-            config.expiry_timer(),
-            PipelineConfig {
-                // A tiny channel forces backpressure without changing
-                // verdicts.
-                channel_capacity: 2,
-                ..PipelineConfig::default()
-            },
-            &PipelineObservability::default(),
         );
-        assert_eq!(supervisor, SupervisorReport::default());
+        let report = PipelineRunner::new(inside(), config.clone())
+            .serve_with(
+                &sharded,
+                shard,
+                &mut source,
+                &ServeControl::new(),
+                |_, _| Ok(()),
+            )
+            .expect("serve");
+        assert_eq!(report.supervisor, SupervisorReport::default());
 
         // Verdict-for-verdict determinism: same filter counters and the
         // exact same journal (events carry P_d and uplink estimates, so
         // this checks the full observed operating-point sequence too).
-        assert_eq!(result.filter_stats, reference.stats());
+        assert_eq!(report.filter_stats, reference.stats());
         let seq_events: Vec<_> = reference.observer().journal().iter().copied().collect();
-        let pool_events: Vec<_> = sharded
+        let bank_events: Vec<_> = sharded
             .with_shard(0, |f| f.observer().journal().iter().copied().collect())
             .expect("shard 0");
-        assert_eq!(seq_events, pool_events);
-        assert!(!pool_events.is_empty(), "trace should produce events");
+        assert_eq!(seq_events, bank_events);
+        assert!(!bank_events.is_empty(), "trace should produce events");
 
         let seq_snap = seq_registry.snapshot();
-        let pool_snap = pool_registry.snapshot();
+        let bank_snap = bank_registry.snapshot();
         for name in [
             "upbound_core_outbound_packets_total",
             "upbound_core_inbound_pass_total",
@@ -613,38 +411,20 @@ mod tests {
             "upbound_core_drops_red_total",
             "upbound_core_rotations_total",
         ] {
-            assert_eq!(seq_snap.counter(name), pool_snap.counter(name), "{name}");
-        }
-    }
-
-    #[test]
-    fn tiny_channels_still_drain_everything() {
-        let packets = packets();
-        for shards in [1usize, 3] {
-            let result = run_pool(
-                packets.iter().cloned(),
-                BitmapFilterConfig::paper_evaluation(),
-                shards,
-                PipelineConfig {
-                    channel_capacity: 1,
-                    ..PipelineConfig::default()
-                },
-            );
-            assert_eq!(result.ingested as usize, packets.len(), "shards = {shards}");
-            assert_eq!(result.passed + result.dropped, result.ingested);
+            assert_eq!(seq_snap.counter(name), bank_snap.counter(name), "{name}");
         }
     }
 
     #[test]
     fn empty_input_shuts_down_cleanly() {
         for shards in [1usize, 4] {
-            let result = run_pool(
+            let result = serve(
                 std::iter::empty(),
                 BitmapFilterConfig::paper_evaluation(),
                 shards,
                 PipelineConfig::default(),
             );
-            assert_eq!(result, PipelineResult::default(), "shards = {shards}");
+            assert_eq!(result, Outcome::default(), "shards = {shards}");
         }
     }
 
@@ -654,16 +434,12 @@ mod tests {
         let config = BitmapFilterConfig::paper_evaluation();
         let reference = sequential(&packets, config.clone());
         for batch_size in [0usize, 3, 64, 4096] {
-            let pipeline_config = PipelineConfig {
-                batch_size,
-                ..PipelineConfig::default()
-            };
             for shards in [1usize, 4] {
-                let result = run_pool(
+                let result = serve(
                     packets.iter().cloned(),
                     config.clone(),
                     shards,
-                    pipeline_config,
+                    PipelineConfig { batch_size },
                 );
                 assert_eq!(
                     result, reference,
@@ -677,7 +453,7 @@ mod tests {
     fn sharded_pipeline_matches_sequential_on_nonmonotonic_trace() {
         // Deterministically scramble the trace's timestamp order (swap
         // timestamps pairwise within a stride) and inject a far-future
-        // outlier, then assert the pool still produces the sequential
+        // outlier, then assert `serve` still produces the sequential
         // verdict stream for shards ∈ {1, 4}.
         let config = BitmapFilterConfig::paper_evaluation();
         let mut packets = packets();
@@ -693,142 +469,121 @@ mod tests {
 
         let reference = sequential(&packets, config.clone());
         for shards in [1usize, 4] {
-            let result = run_pool(
+            let result = serve(
                 packets.iter().cloned(),
                 config.clone(),
                 shards,
                 PipelineConfig::default(),
             );
-            assert_eq!(result.ingested as usize, packets.len());
+            assert_eq!(result.packets as usize, packets.len());
             assert_eq!(result.passed, reference.passed, "shards = {shards}");
             assert_eq!(result.dropped, reference.dropped, "shards = {shards}");
         }
     }
 
-    /// A filter that delegates to an inner [`BitmapFilter`] but panics
-    /// when asked to decide a packet touching `trip_port` — the fault
-    /// injection for supervisor tests.
-    struct Grenade {
-        inner: BitmapFilter,
-        trip_port: Option<u16>,
+    /// An observer that panics when told of a decided packet touching
+    /// `port` — the fault injection for supervisor tests.
+    struct TripPort {
+        port: Option<u16>,
     }
 
-    impl PacketFilter for Grenade {
-        type Stats = FilterStats;
-
-        fn decide(&mut self, packet: &Packet, direction: Direction) -> Verdict {
-            let tuple = packet.tuple();
-            if let Some(port) = self.trip_port {
-                if tuple.src().port() == port || tuple.dst().port() == port {
-                    panic!("injected shard fault");
-                }
+    impl TripPort {
+        fn check(&self, ports: [u16; 2]) {
+            if self.port.is_some_and(|port| ports.contains(&port)) {
+                panic!("injected shard fault");
             }
-            self.inner.decide(packet, direction)
-        }
-
-        fn advance(&mut self, now: Timestamp) {
-            self.inner.advance(now);
-        }
-
-        fn stats(&self) -> FilterStats {
-            self.inner.stats()
-        }
-
-        fn memory_bytes(&self) -> usize {
-            self.inner.memory_bytes()
-        }
-
-        fn drop_probability(&self, now: Timestamp) -> f64 {
-            self.inner.drop_probability(now)
-        }
-
-        fn name(&self) -> &str {
-            "grenade"
         }
     }
 
-    fn grenade_shards(
+    impl FilterObserver for TripPort {
+        fn on_outbound(&mut self, tuple: &FiveTuple, _now: Timestamp) {
+            self.check([tuple.src().port(), tuple.dst().port()]);
+        }
+
+        fn on_inbound(&mut self, decision: &InboundDecision<'_>) {
+            // Filter key bytes 5..7 hold the client port, 11..13 the
+            // remote port.
+            let port = |at: usize| u16::from_be_bytes([decision.key[at], decision.key[at + 1]]);
+            self.check([port(5), port(11)]);
+        }
+    }
+
+    /// A bank of `shards` trip-port shards plus the constructor that
+    /// rebuilds one disarmed.
+    fn trip_port_bank(
         config: &BitmapFilterConfig,
         shards: usize,
-        trip_port: Option<u16>,
-    ) -> ShardedFilter<Grenade> {
+        port: Option<u16>,
+    ) -> (
+        ShardedFilter<BitmapFilter<TripPort>>,
+        impl Fn(BitmapFilterConfig) -> BitmapFilter<TripPort>,
+    ) {
         let uplink = Arc::new(config.uplink_monitor());
-        let filters = (0..shards)
-            .map(|_| Grenade {
-                inner: BitmapFilter::new(config.clone()).with_shared_uplink(Arc::clone(&uplink)),
-                trip_port,
-            })
-            .collect();
-        ShardedFilter::from_shards(
-            upbound_core::FlowHash::new(config.hole_punching()),
-            uplink,
-            filters,
-        )
+        let shard = {
+            let uplink = Arc::clone(&uplink);
+            move |config, port| {
+                BitmapFilter::with_observer(config, TripPort { port })
+                    .with_shared_uplink(Arc::clone(&uplink))
+            }
+        };
+        let filters = (0..shards).map(|_| shard(config.clone(), port)).collect();
+        let bank =
+            ShardedFilter::from_shards(FlowHash::new(config.hole_punching()), uplink, filters);
+        (bank, move |config| shard(config, None))
+    }
+
+    /// An inbound packet about `share` of the way in — one whose shard
+    /// has state worth poisoning — and its remote port.
+    fn trip_packet(packets: &[Packet], share: f64) -> (Packet, u16) {
+        let from = (packets.len() as f64 * share) as usize;
+        let packet = packets[from..]
+            .iter()
+            .find(|p| inside().direction_of(&p.tuple()) == Direction::Inbound)
+            .expect("trace has inbound packets");
+        (packet.clone(), packet.tuple().src().port())
     }
 
     #[test]
     fn shard_panic_degrades_only_that_shard() {
-        let trace = trace();
         let config = BitmapFilterConfig::paper_evaluation();
         let shards = 4usize;
-        let packets: Vec<Packet> = trace.packets.iter().map(|lp| lp.packet.clone()).collect();
+        let packets = packets();
+        let (trip, trip_port) = trip_packet(&packets, 2.0 / 3.0);
+        let victim = trip_port_bank(&config, shards, None)
+            .0
+            .shard_of(&trip.tuple(), Direction::Inbound);
 
-        // Pick a trip wire: an inbound packet about two-thirds in, so
-        // the victim shard has state worth poisoning.
-        let trip_at = packets.len() * 2 / 3;
-        let trip_packet = packets[trip_at..]
-            .iter()
-            .find(|p| inside().direction_of(&p.tuple()) == Direction::Inbound)
-            .expect("trace has inbound packets");
-        let trip_port = trip_packet.tuple().src().port();
-        let victim = grenade_shards(&config, shards, Some(trip_port))
-            .shard_of(&trip_packet.tuple(), Direction::Inbound);
-
-        let rebuild_config = config.clone().with_fail_mode(FailMode::Open);
-        let run = |trip: Option<u16>| {
-            let sharded = grenade_shards(&config, shards, trip);
-            let uplink = Arc::clone(sharded.uplink());
-            let rebuild_config = rebuild_config.clone();
-            let rebuild = move |_shard: usize, at: Timestamp| {
-                let mut inner = BitmapFilter::new(rebuild_config.clone())
-                    .with_shared_uplink(Arc::clone(&uplink));
-                inner.start_cold_at(at);
-                Grenade {
-                    inner,
-                    trip_port: None,
-                }
-            };
-            let (pipeline, supervisor) = supervised_pipeline_impl(
-                packets.iter().cloned(),
-                inside(),
-                sharded.clone(),
-                rebuild,
-                config.expiry_timer(),
-                PipelineConfig::default(),
-                &PipelineObservability::default(),
-            );
+        let run = |port: Option<u16>| {
+            let (bank, rebuild) = trip_port_bank(&config, shards, port);
+            let mut source = BufferedSource::labeled(packets.clone(), inside());
+            let report = PipelineRunner::new(inside(), config.clone())
+                .serve_with(&bank, rebuild, &mut source, &ServeControl::new(), |_, _| {
+                    Ok(())
+                })
+                .expect("serve");
             let shard_stats: Vec<FilterStats> = (0..shards)
-                .map(|i| sharded.with_shard(i, |f| f.stats()).unwrap())
+                .map(|i| bank.with_shard(i, |f| f.stats()).unwrap())
                 .collect();
-            (pipeline, supervisor, shard_stats)
+            (report, shard_stats)
         };
 
-        let (_, clean, clean_stats) = run(None);
-        let (pipeline, faulted, faulted_stats) = run(Some(trip_port));
+        let (clean, clean_stats) = run(None);
+        let (faulted, faulted_stats) = run(Some(trip_port));
+        let supervisor = &faulted.supervisor;
 
         // The supervisor caught at least one panic, quarantined only
-        // the victim shard, and every packet still drained through the
-        // merge stage (nothing wedged, nothing lost).
-        assert!(faulted.panics >= 1);
-        assert_eq!(faulted.panics, faulted.restarts);
-        assert!(faulted.incidents.iter().all(|i| i.shard == victim));
-        assert!(faulted
+        // the victim shard, and every packet still got a verdict
+        // (nothing wedged, nothing lost).
+        assert!(supervisor.panics >= 1);
+        assert_eq!(supervisor.panics, supervisor.restarts);
+        assert!(supervisor.incidents.iter().all(|i| i.shard == victim));
+        assert!(supervisor
             .incidents
             .iter()
             .all(|i| i.quarantined_until == i.at + config.expiry_timer()));
-        assert_eq!(pipeline.ingested as usize, packets.len());
-        assert_eq!(pipeline.passed + pipeline.dropped, pipeline.ingested);
-        assert_eq!(clean, SupervisorReport::default());
+        assert_eq!(faulted.packets as usize, packets.len());
+        assert_eq!(faulted.passed + faulted.dropped, faulted.packets);
+        assert_eq!(clean.supervisor, SupervisorReport::default());
 
         // Sequential-equivalence for survivors: every shard except the
         // victim ends with byte-identical counters to the clean run.
@@ -837,9 +592,7 @@ mod tests {
                 assert_eq!(clean_s, faulted_s, "survivor shard {i} diverged");
             }
         }
-        // The victim really was degraded (rebuilt mid-run), and its
-        // rebuilt filter was armed fail-open: it never falsely dropped
-        // while cold unless it had warmed back up.
+        // The victim really was degraded (rebuilt mid-run).
         assert_ne!(clean_stats[victim], faulted_stats[victim]);
     }
 
@@ -847,15 +600,9 @@ mod tests {
     fn observed_pipeline_exports_supervisor_metrics_and_dumps_on_panic() {
         use upbound_telemetry::MetricValue;
 
-        let trace = trace();
         let config = BitmapFilterConfig::paper_evaluation();
-        let shards = 4usize;
-        let packets: Vec<Packet> = trace.packets.iter().map(|lp| lp.packet.clone()).collect();
-        let trip_packet = packets[packets.len() / 2..]
-            .iter()
-            .find(|p| inside().direction_of(&p.tuple()) == Direction::Inbound)
-            .expect("trace has inbound packets");
-        let trip_port = trip_packet.tuple().src().port();
+        let packets = packets();
+        let (_, trip_port) = trip_packet(&packets, 0.5);
 
         let registry = Registry::new();
         let flight = FlightRecorder::default();
@@ -869,27 +616,15 @@ mod tests {
             .with_flight_recorder(flight.clone())
             .with_health(health.clone());
 
-        let sharded = grenade_shards(&config, shards, Some(trip_port));
-        let uplink = Arc::clone(sharded.uplink());
-        let rebuild_config = config.clone().with_fail_mode(FailMode::Open);
-        let rebuild = move |_shard: usize, at: Timestamp| {
-            let mut inner =
-                BitmapFilter::new(rebuild_config.clone()).with_shared_uplink(Arc::clone(&uplink));
-            inner.start_cold_at(at);
-            Grenade {
-                inner,
-                trip_port: None,
-            }
-        };
-        let (_, supervisor) = supervised_pipeline_impl(
-            packets.iter().cloned(),
-            inside(),
-            sharded,
-            rebuild,
-            config.expiry_timer(),
-            PipelineConfig::default(),
-            &obs,
-        );
+        let (bank, rebuild) = trip_port_bank(&config, 4, Some(trip_port));
+        let mut source = BufferedSource::labeled(packets, inside());
+        let report = PipelineRunner::new(inside(), config)
+            .observability(obs)
+            .serve_with(&bank, rebuild, &mut source, &ServeControl::new(), |_, _| {
+                Ok(())
+            })
+            .expect("serve");
+        let supervisor = &report.supervisor;
         assert!(supervisor.panics >= 1);
 
         // Supervisor counters mirror the in-memory report.
@@ -908,8 +643,8 @@ mod tests {
             supervisor.incidents.len() as u64
         );
 
-        // Stage tracing recorded latency for every stage that saw work.
-        for stage in [Stage::Ingest, Stage::Dispatch, Stage::Decide, Stage::Emit] {
+        // Stage tracing recorded latency for every stage `serve` times.
+        for stage in [Stage::Ingest, Stage::Decide, Stage::Emit] {
             let name = format!("upbound_sim_stage_{}_latency_seconds", stage.label());
             match snapshot.get(&name).map(|s| &s.value) {
                 Some(MetricValue::Histogram(h)) => {
@@ -922,8 +657,8 @@ mod tests {
         // The panic path wrote a dump that parses and names the shard.
         assert!(flight.dumps_written() >= 1, "no dump written on panic");
         let text = std::fs::read_to_string(&dump_path).expect("dump file");
-        let dump = upbound_telemetry::FlightRecorder::parse(&text).expect("dump parses");
-        assert_eq!(dump.trigger, upbound_telemetry::DumpTrigger::Panic);
+        let dump = FlightRecorder::parse(&text).expect("dump parses");
+        assert_eq!(dump.trigger, DumpTrigger::Panic);
         assert!(!dump.shards.is_empty());
         assert!(dump.shards.iter().any(|s| s.panics >= 1));
         assert!(dump.meta.iter().any(|(k, _)| k == "last_panic_shard"));
@@ -931,7 +666,11 @@ mod tests {
 
         // Health carries the final watermark and the quarantine record.
         let doc = health.render();
-        assert!(doc.contains("\"watermark_micros\""));
+        let watermark = format!("\"watermark_micros\":{}", report.watermark.as_micros());
+        assert!(
+            doc.contains(&watermark),
+            "health doc lacks {watermark}: {doc}"
+        );
         assert!(
             doc.contains("\"panics\":"),
             "health doc lacks shard state: {doc}"
@@ -941,7 +680,7 @@ mod tests {
     #[test]
     fn byte_accounting_matches_directions() {
         let trace = trace();
-        let result = run_pool(
+        let result = serve(
             trace.packets.iter().map(|lp| lp.packet.clone()),
             // Pd = 0 under no load (high thresholds): everything passes.
             BitmapFilterConfig::builder()
@@ -952,7 +691,7 @@ mod tests {
             PipelineConfig::default(),
         );
         assert_eq!(result.dropped, 0);
-        assert_eq!(result.uplink_bytes, trace.upload_bytes());
-        assert_eq!(result.downlink_bytes, trace.download_bytes());
+        assert_eq!(result.passed, result.packets);
+        assert_eq!(result.uplink_kept_bits, trace.upload_bytes() * 8);
     }
 }

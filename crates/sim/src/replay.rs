@@ -313,18 +313,18 @@ impl ReplayEngine {
         F: PacketFilter,
         S: PacketSource + ?Sized,
     {
-        let result = self.run_source_with(source, filter, |_, _| true)?;
+        let result = self.run_source_with(source, filter, |_, _| {})?;
         Ok((result, source.stats()))
     }
 
     /// [`run_source`](Self::run_source) with the flush hook of
     /// `run_iter_with`: `tick(filter, last_ts)` runs after each decided
-    /// batch; returning `false` stops the replay early.
+    /// batch.
     pub(crate) fn run_source_with<F, S>(
         &self,
         source: &mut S,
         filter: &mut F,
-        tick: impl FnMut(&mut F, Timestamp) -> bool,
+        tick: impl FnMut(&mut F, Timestamp),
     ) -> Result<ReplayResult, NetError>
     where
         F: PacketFilter,
@@ -344,13 +344,12 @@ impl ReplayEngine {
         P: Borrow<Packet>,
         I: IntoIterator<Item = (P, Direction)>,
     {
-        self.run_iter_with(filter, packets, |_, _| true)
+        self.run_iter_with(filter, packets, |_, _| {})
     }
 
     /// The replay loop with a flush hook: after each decided batch is
     /// accounted, `tick(filter, last_ts)` runs with the timestamp of the
-    /// batch's last packet; returning `false` stops the replay early
-    /// (used to abort on checkpoint failures).
+    /// batch's last packet (checkpoints are written there).
     ///
     /// Packets are staged into a batch and decided via
     /// [`PacketFilter::decide_batch`]. The blocked-σ store feeds back
@@ -363,7 +362,7 @@ impl ReplayEngine {
         &self,
         filter: &mut F,
         packets: I,
-        mut tick: impl FnMut(&mut F, Timestamp) -> bool,
+        mut tick: impl FnMut(&mut F, Timestamp),
     ) -> ReplayResult
     where
         F: PacketFilter,
@@ -398,16 +397,14 @@ impl ReplayEngine {
         let mut oracles: Vec<Verdict> = Vec::with_capacity(batch_limit);
         let mut verdicts: Vec<Verdict> = Vec::with_capacity(batch_limit);
 
-        // Decides and accounts everything staged; returns `false` when
-        // the tick hook asks to stop.
+        // Decides and accounts everything staged.
         let mut flush = |filter: &mut F,
                          staged: &mut Vec<(Packet, Direction)>,
                          oracles: &mut Vec<Verdict>,
                          store: &mut Option<BlockedConnections>,
-                         result: &mut ReplayResult|
-         -> bool {
+                         result: &mut ReplayResult| {
             if staged.is_empty() {
-                return true;
+                return;
             }
             verdicts.clear();
             filter.decide_batch(staged, &mut verdicts);
@@ -448,10 +445,8 @@ impl ReplayEngine {
             let packet = packet.borrow();
             let tuple = packet.tuple();
 
-            if store.as_ref().is_some_and(|s| s.must_flush(&tuple))
-                && !flush(filter, &mut staged, &mut oracles, &mut store, &mut result)
-            {
-                return result;
+            if store.as_ref().is_some_and(|s| s.must_flush(&tuple)) {
+                flush(filter, &mut staged, &mut oracles, &mut store, &mut result);
             }
 
             let t = packet.ts().as_secs_f64();
@@ -485,10 +480,8 @@ impl ReplayEngine {
                 }
                 staged.push((packet.clone(), direction));
                 oracles.push(oracle_verdict);
-                if staged.len() >= batch_limit
-                    && !flush(filter, &mut staged, &mut oracles, &mut store, &mut result)
-                {
-                    return result;
+                if staged.len() >= batch_limit {
+                    flush(filter, &mut staged, &mut oracles, &mut store, &mut result);
                 }
             }
         }
@@ -504,8 +497,8 @@ const SOURCE_CHUNK: usize = 256;
 /// [`SourcePoll::Idle`].
 const IDLE_SLEEP: std::time::Duration = std::time::Duration::from_millis(1);
 
-/// Adapts a [`PacketSource`] to a `(Packet, Direction)` iterator — the
-/// shape both the replay loop and the threaded pipeline consume. A
+/// Adapts a [`PacketSource`] to the `(Packet, Direction)` iterator the
+/// replay loop consumes. A
 /// source error ends the iteration and is parked in `error` for the
 /// caller to surface.
 pub(crate) struct SourceIter<'a, S: PacketSource + ?Sized> {

@@ -10,15 +10,11 @@
 //!     .fault_plan(plan)          // deterministic chaos
 //!     .observability(obs)        // tracing / flight recorder / health
 //!     .checkpoint(path, every)   // crash-safe snapshots
-//!     .run(packets)              // or measure(), run_source(), serve()
+//!     .serve(&mut source, &control) // or measure(), measure_source()
 //! ```
 //!
 //! Terminal methods pick the execution engine:
 //!
-//! * [`run`](PipelineRunner::run) / [`run_source`](PipelineRunner::run_source)
-//!   — the threaded deployment pipeline, a supervised shard pool that
-//!   quarantines a panicking shard instead of failing the run
-//!   ([`PipelineResult`] semantics).
 //! * [`measure`](PipelineRunner::measure) /
 //!   [`measure_source`](PipelineRunner::measure_source) — the
 //!   paper-faithful [`ReplayEngine`] with oracle scoring and the
@@ -28,12 +24,17 @@
 //!   the dataplane: a [`PacketSource`] polled until it ends or is
 //!   drained, reconfigurable at runtime through a [`ServeControl`]
 //!   without restarting (see below). A finite source makes it a batch
-//!   run: `upbound filter` is `serve` over a pcap without a listener.
+//!   run: `upbound filter` is `serve` over a pcap without a listener. Its
+//!   decide step is the shard supervisor: a panicking shard is
+//!   quarantined and rebuilt while the session goes on (see
+//!   [`pipeline`](crate::pipeline)).
 //!
 //! Each setter says which terminal methods honour it: `serve` takes the
-//! checkpoint (restore, periodic writes with backoff, final write), the
-//! observability tracer and `/health` watermark, the fault plan's
-//! checkpoint faults and the blocked-σ store.
+//! checkpoint (restore, periodic writes with backoff, final write), every
+//! observability hook, the fault plan's panics and checkpoint faults and
+//! the blocked-σ store. Neither engine distorts the stream: a caller
+//! that wants stream faults feeds them
+//! [`FaultPlan::distort_stream`]'s output.
 //!
 //! # Runtime reconfiguration
 //!
@@ -49,30 +50,28 @@
 //! same graceful path end-of-stream takes.
 
 use crate::fault::{
-    checkpoint_with_backoff, AtomicCheckpointSink, CheckpointSink, DistortionReport, FaultPlan,
-    FaultingCheckpointSink, FaultingFilter, PlannedInjector,
+    checkpoint_with_backoff, AtomicCheckpointSink, CheckpointSink, FaultPlan,
+    FaultingCheckpointSink, FaultingObserver, PlannedInjector,
 };
-use crate::pipeline::{
-    supervised_pipeline_impl, PipelineConfig, PipelineObservability, PipelineResult,
-    SupervisorReport,
-};
-use crate::replay::{BlockedConnections, ReplayConfig, ReplayEngine, ReplayResult, SourceIter};
+use crate::pipeline::{PipelineConfig, PipelineObservability, ShardIncident, SupervisorReport};
+use crate::replay::{BlockedConnections, ReplayConfig, ReplayEngine, ReplayResult};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use upbound_core::{
     BitmapFilter, BitmapFilterConfig, ConfigCell, ConfigError, DropPolicy, FailMode,
-    FilterObserver, FilterStats, FlowHash, OverloadPolicy, PacketFilter, RestoreOutcome,
-    RuntimeOverrides, ShardedFilter, SnapshotError, Snapshottable, SubscriberTable,
+    FilterObserver, FilterStats, FlowHash, NoopObserver, OverloadPolicy, PacketFilter,
+    RestoreOutcome, RuntimeOverrides, ShardedFilter, SnapshotError, Snapshottable, SubscriberTable,
     ThroughputMonitor, Verdict,
 };
 use upbound_net::pcap::IngestStats;
 use upbound_net::{
     Cidr, Direction, NetError, Packet, PacketSource, SourcePoll, TimeDelta, Timestamp,
 };
-use upbound_telemetry::{Counter, Gauge, Registry, Stage, StageTracer};
+use upbound_telemetry::{Counter, Gauge, Registry, Stage};
 use upbound_traffic::SyntheticTrace;
 
 /// Why a [`PipelineRunner`] terminal method failed.
@@ -123,19 +122,6 @@ impl From<SnapshotError> for RunnerError {
     fn from(e: SnapshotError) -> Self {
         RunnerError::Snapshot(e)
     }
-}
-
-/// Output of [`PipelineRunner::run`]: the pipeline aggregate plus
-/// whatever the optional layers produced.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// The usual pipeline aggregate.
-    pub pipeline: PipelineResult,
-    /// What the supervisor caught and rebuilt. All zeros on a clean run.
-    pub supervisor: SupervisorReport,
-    /// What the fault plan's distortion pass touched; `None` without a
-    /// fault plan.
-    pub distortion: Option<DistortionReport>,
 }
 
 /// Output of [`PipelineRunner::measure`] /
@@ -195,6 +181,9 @@ pub struct ServeReport {
     pub watermark: Timestamp,
     /// The source's final ingestion accounting.
     pub ingest: IngestStats,
+    /// What the shard supervisor caught and rebuilt. All zeros on a
+    /// clean run.
+    pub supervisor: SupervisorReport,
 }
 
 /// The control half of a [`PipelineRunner::serve`] session: clone it,
@@ -356,7 +345,6 @@ impl ServeTelemetry {
 /// replay any number of times.
 #[derive(Debug, Clone)]
 pub struct PipelineRunner {
-    inside: Cidr,
     filter: BitmapFilterConfig,
     replay: ReplayConfig,
     pipeline: PipelineConfig,
@@ -369,13 +357,14 @@ pub struct PipelineRunner {
 }
 
 impl PipelineRunner {
-    /// A runner over `filter_config`, classifying direction against the
-    /// client network `inside`. Defaults: 1 shard, no overload ladder,
-    /// no fault plan, no observability hooks, no checkpointing, default
-    /// replay and pipeline tuning.
-    pub fn new(inside: Cidr, filter_config: BitmapFilterConfig) -> Self {
+    /// A runner over `filter_config` for the client network `inside`.
+    /// Packet sources and traces carry their own direction labels, so
+    /// no terminal method reads `inside`; it stays in the signature for
+    /// existing callers. Defaults: 1 shard, no overload ladder, no fault
+    /// plan, no observability hooks, no checkpointing, default replay
+    /// and pipeline tuning.
+    pub fn new(_inside: Cidr, filter_config: BitmapFilterConfig) -> Self {
         Self {
-            inside,
             filter: filter_config,
             replay: ReplayConfig::default(),
             pipeline: PipelineConfig::default(),
@@ -395,15 +384,14 @@ impl PipelineRunner {
         self
     }
 
-    /// Threaded-pipeline tuning (channel capacity, batch size) for
-    /// [`run`](Self::run) and [`serve`](Self::serve).
+    /// Dataplane tuning (the batch size) for [`serve`](Self::serve).
     pub fn pipeline_config(mut self, pipeline: PipelineConfig) -> Self {
         self.pipeline = pipeline;
         self
     }
 
-    /// Scales the filter stage to `shards` workers over a
-    /// [`ShardedFilter`]. `0` is treated as `1`.
+    /// Splits the filter into `shards` shards of a [`ShardedFilter`].
+    /// `0` is treated as `1`.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
@@ -415,20 +403,19 @@ impl PipelineRunner {
         self
     }
 
-    /// Applies a deterministic fault plan. [`run`](Self::run) distorts
-    /// the stream and lets each shard panic on the plan's schedule;
+    /// Applies a deterministic fault plan. [`serve`](Self::serve) lets
+    /// each initial shard panic on the plan's schedule;
     /// [`measure`](Self::measure),
-    /// [`measure_source`](Self::measure_source) and
-    /// [`serve`](Self::serve) fail checkpoint writes on it.
+    /// [`measure_source`](Self::measure_source) and `serve` fail
+    /// checkpoint writes on it. Stream faults are the caller's to apply
+    /// ([`FaultPlan::distort_stream`]).
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = plan;
         self
     }
 
-    /// Observability hooks. [`run`](Self::run) honours all of them
-    /// (latency tracing, supervisor export, flight recorder, `/health`
-    /// state); [`serve`](Self::serve) honours the tracer and the
-    /// `/health` watermark.
+    /// Observability hooks of [`serve`](Self::serve): latency tracing,
+    /// supervisor export, flight recorder and `/health` state.
     pub fn observability(mut self, obs: PipelineObservability) -> Self {
         self.obs = obs;
         self
@@ -463,106 +450,17 @@ impl PipelineRunner {
     }
 
     /// One shard filter built from the runner's full configuration —
-    /// the overload policy included — measuring upload through the
-    /// pool's shared `uplink` monitor.
-    fn shard(&self, config: BitmapFilterConfig, uplink: &Arc<ThroughputMonitor>) -> BitmapFilter {
-        BitmapFilter::new(config)
+    /// the overload policy included — reporting to `observer` and
+    /// measuring upload through the bank's shared `uplink` monitor.
+    fn shard<O: FilterObserver>(
+        &self,
+        config: BitmapFilterConfig,
+        observer: O,
+        uplink: &Arc<ThroughputMonitor>,
+    ) -> BitmapFilter<O> {
+        BitmapFilter::with_observer(config, observer)
             .with_shared_uplink(Arc::clone(uplink))
             .with_overload_policy(self.overload.clone())
-    }
-
-    /// Runs `packets` through the threaded pipeline: a supervised pool
-    /// with one worker per shard (see [`pipeline`](crate::pipeline)). A
-    /// panic in a shard's decide path quarantines that shard — it is
-    /// rebuilt empty and fail-open — while the other shards keep
-    /// filtering. A non-empty fault plan first distorts the stream (which
-    /// collects it) and arms every initial shard with the plan's panic
-    /// budget; rebuilt shards come back disarmed.
-    ///
-    /// # Errors
-    ///
-    /// None today: the shard count is clamped to at least 1, so the
-    /// pool always builds.
-    pub fn run<I>(&self, packets: I) -> Result<RunReport, RunnerError>
-    where
-        I: IntoIterator<Item = Packet>,
-    {
-        if self.fault.is_none() {
-            let (pipeline, supervisor) = self.pool(packets);
-            return Ok(RunReport {
-                pipeline,
-                supervisor,
-                distortion: None,
-            });
-        }
-        let (packets, distortion) = self.fault.distort_stream(packets.into_iter().collect());
-        let (pipeline, supervisor) = self.pool(packets);
-        Ok(RunReport {
-            pipeline,
-            supervisor,
-            distortion: Some(distortion),
-        })
-    }
-
-    /// The supervised shard pool behind [`run`](Self::run). Initial
-    /// shards and the supervisor's rebuilds both come from
-    /// [`shard`](Self::shard), wrapped in a [`FaultingFilter`] armed from
-    /// the fault plan (disarmed for [`FaultPlan::none`] and for rebuilds).
-    fn pool<I>(&self, packets: I) -> (PipelineResult, SupervisorReport)
-    where
-        I: IntoIterator<Item = Packet>,
-    {
-        let uplink = Arc::new(self.filter.uplink_monitor());
-        let shards = (0..self.shards)
-            .map(|_| {
-                FaultingFilter::new(
-                    self.shard(self.filter.clone(), &uplink),
-                    self.fault.injector(),
-                )
-            })
-            .collect();
-        let sharded = ShardedFilter::from_shards(
-            FlowHash::new(self.filter.hole_punching()),
-            Arc::clone(&uplink),
-            shards,
-        );
-        let rebuild_config = self.filter.clone().with_fail_mode(FailMode::Open);
-        let rebuild = |_shard: usize, at: Timestamp| {
-            let mut fresh = self.shard(rebuild_config.clone(), &uplink);
-            fresh.start_cold_at(at);
-            FaultingFilter::new(fresh, PlannedInjector::disarmed())
-        };
-        supervised_pipeline_impl(
-            packets,
-            self.inside,
-            sharded,
-            rebuild,
-            self.filter.expiry_timer(),
-            self.pipeline,
-            &self.obs,
-        )
-    }
-
-    /// Streams a **finite** [`PacketSource`] through [`run`](Self::run)
-    /// (a fault plan still collects it first, to distort it). For endless
-    /// live sources use [`serve`](Self::serve), which can be drained on
-    /// request.
-    ///
-    /// # Errors
-    ///
-    /// [`RunnerError::Net`] on the first unrecoverable source error (the
-    /// packets before it have run), plus everything [`run`](Self::run)
-    /// can return.
-    pub fn run_source<S>(&self, source: &mut S) -> Result<(RunReport, IngestStats), RunnerError>
-    where
-        S: PacketSource + ?Sized,
-    {
-        let mut error = None;
-        let report = self.run(SourceIter::new(source, &mut error).map(|(packet, _)| packet))?;
-        match error {
-            Some(err) => Err(RunnerError::Net(err)),
-            None => Ok((report, source.stats())),
-        }
     }
 
     /// Replays `trace` through the paper-faithful [`ReplayEngine`]
@@ -571,7 +469,7 @@ impl PipelineRunner {
     ///
     /// # Errors
     ///
-    /// [`RunnerError::Snapshot`] on the first checkpoint write failure.
+    /// [`RunnerError::Snapshot`] if the final checkpoint write fails.
     pub fn measure(&self, trace: &SyntheticTrace) -> Result<Measurement, RunnerError> {
         let (replay, checkpoints) = self.replay(|engine, filter, tick| {
             let packets = trace.packets.iter().map(|lp| (&lp.packet, lp.direction));
@@ -591,7 +489,7 @@ impl PipelineRunner {
     /// # Errors
     ///
     /// [`RunnerError::Net`] on the first unrecoverable source error,
-    /// [`RunnerError::Snapshot`] on the first checkpoint write failure.
+    /// [`RunnerError::Snapshot`] if the final checkpoint write fails.
     pub fn measure_source<S>(&self, source: &mut S) -> Result<Measurement, RunnerError>
     where
         S: PacketSource + ?Sized,
@@ -609,52 +507,46 @@ impl PipelineRunner {
     /// [`measure_source`](Self::measure_source), with the checkpoint
     /// cadence. `replay(engine, filter, tick)` feeds the packets and
     /// calls `tick(filter, last_ts)` after every decided batch. With
-    /// checkpointing configured, `tick` writes a checkpoint every `every`
-    /// of trace time (stopping the replay on the first failure) and a
-    /// final checkpoint follows a clean end. Writes go through a
-    /// [`FaultingCheckpointSink`] armed from the runner's fault plan,
-    /// which is disarmed for [`FaultPlan::none`]. Returns the metrics
-    /// and the number of checkpoints written.
+    /// checkpointing configured, checkpoints are written as
+    /// [`serve`](Self::serve) writes them: every `every` of trace time
+    /// through [`checkpoint_with_backoff`] (after whose last retry the
+    /// replay goes on without periodic writes), then a final one whose
+    /// failure is fatal. Writes go through a [`FaultingCheckpointSink`]
+    /// armed from the runner's fault plan, which is disarmed for
+    /// [`FaultPlan::none`]. Returns the metrics and the number of
+    /// checkpoints written.
     fn replay<R>(&self, replay: R) -> Result<(ReplayResult, u64), RunnerError>
     where
         R: FnOnce(
             &ReplayEngine,
             &mut BitmapFilter,
-            &mut dyn FnMut(&mut BitmapFilter, Timestamp) -> bool,
+            &mut dyn FnMut(&mut BitmapFilter, Timestamp),
         ) -> Result<ReplayResult, NetError>,
     {
         let engine = ReplayEngine::new(self.replay.clone());
         let mut filter =
             BitmapFilter::new(self.filter.clone()).with_overload_policy(self.overload.clone());
         let Some((path, every)) = &self.checkpoint else {
-            return Ok((replay(&engine, &mut filter, &mut |_, _| true)?, 0));
+            return Ok((replay(&engine, &mut filter, &mut |_, _| {})?, 0));
         };
         let mut sink = FaultingCheckpointSink::new(AtomicCheckpointSink, self.fault.injector());
         let mut written = 0u64;
-        let mut failure: Option<SnapshotError> = None;
+        let mut periodic = true;
         let mut next_due: Option<Timestamp> = None;
         let mut watermark = Timestamp::ZERO;
         let result = replay(&engine, &mut filter, &mut |f, now| {
             watermark = watermark.max(now);
             let due = *next_due.get_or_insert(watermark + *every);
-            if watermark < due {
-                return true;
+            if !periodic || watermark < due {
+                return;
             }
-            match sink.write(path, &f.snapshot_bytes(watermark)) {
-                Ok(()) => {
-                    written += 1;
-                    next_due = Some(due + *every);
-                    true
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    false
-                }
+            let bytes = f.snapshot_bytes(watermark);
+            periodic = checkpoint_with_backoff(None, path, || sink.write(path, &bytes)).is_ok();
+            if periodic {
+                written += 1;
+                next_due = Some(due + *every);
             }
         })?;
-        if let Some(e) = failure {
-            return Err(RunnerError::Snapshot(e));
-        }
         sink.write(path, &filter.snapshot_bytes(watermark))?;
         Ok((result, written + 1))
     }
@@ -676,7 +568,13 @@ impl PipelineRunner {
     /// [`RuntimeOverrides`] at safe points (the first batch boundary after
     /// a bitmap rotation, or immediately while idle). See the
     /// [module docs](self) for the reconfiguration contract and
-    /// [`serve_with`](Self::serve_with) for checkpoints and blocking.
+    /// [`serve_with`](Self::serve_with) for checkpoints, blocking and the
+    /// shard supervisor.
+    ///
+    /// A fault plan with panics arms every initial shard with a
+    /// [`FaultingObserver`] that panics on the plan's schedule; rebuilt
+    /// shards come back disarmed. Without panics the shards carry no
+    /// observer and decide on the lock-free concurrent path.
     ///
     /// # Errors
     ///
@@ -690,13 +588,47 @@ impl PipelineRunner {
     where
         S: PacketSource + ?Sized,
     {
-        self.serve_with(&self.build_sharded()?, source, control, |_, _| Ok(()))
+        let no_sink = |_: &[(Packet, Direction)], _: &[Verdict]| Ok(());
+        if self.fault.panics() == 0 {
+            let bank = self.build_sharded()?;
+            let uplink = Arc::clone(bank.uplink());
+            let shard = |config| self.shard(config, NoopObserver, &uplink);
+            return self.serve_with(&bank, shard, source, control, no_sink);
+        }
+        let uplink = Arc::new(self.filter.uplink_monitor());
+        let faulting = |injector| FaultingObserver::new(NoopObserver, injector);
+        let armed = (0..self.shards)
+            .map(|_| {
+                self.shard(
+                    self.filter.clone(),
+                    faulting(self.fault.injector()),
+                    &uplink,
+                )
+            })
+            .collect();
+        let bank = ShardedFilter::from_shards(
+            FlowHash::new(self.filter.hole_punching()),
+            Arc::clone(&uplink),
+            armed,
+        );
+        let rebuild = |config| self.shard(config, faulting(PlannedInjector::disarmed()), &uplink);
+        self.serve_with(&bank, rebuild, source, control, no_sink)
     }
 
     /// [`serve`](Self::serve) over a prebuilt shard bank (one whose shards
     /// carry an observer, say), handing every decided run of packets and
     /// its verdicts to `sink` in stream order.
     ///
+    /// * **Shard supervisor.** Every run is decided under
+    ///   `catch_unwind`. When a decision panics, the packets before it
+    ///   keep their verdicts and the panicking packet passes fail-open.
+    ///   Its shard is replaced by `shard(config)` (the constructor that
+    ///   should have built the bank, given the runner's filter
+    ///   configuration), switched to fail-open under the overrides
+    ///   applied so far and started cold at the watermark, and deciding
+    ///   resumes at the next packet. Each quarantine becomes a
+    ///   [`ShardIncident`] in [`ServeReport::supervisor`] and goes to the
+    ///   observability hooks.
     /// * **Checkpoints.** The bank is restored from the
     ///   [`checkpoint`](Self::checkpoint) file before the first packet is
     ///   decided, judging staleness against that packet's trace time and
@@ -710,30 +642,38 @@ impl PipelineRunner {
     ///   [`BlockedConnections::admit_run`] allows; packets of blocked
     ///   connections are dropped between them, unseen by filter and sink.
     /// * **Observability.** The tracer times ingest, decide and emit per
-    ///   batch; the health state gets the watermark after each batch.
+    ///   batch; the health state gets the watermark after each batch;
+    ///   the supervisor metrics, flight recorder and health shard state
+    ///   get every quarantine.
     ///
     /// # Errors
     ///
     /// [`RunnerError::Net`] on the first unrecoverable source or sink
     /// error, [`RunnerError::Snapshot`] if the restore or the final
     /// checkpoint fails.
-    pub fn serve_with<O, S, F>(
+    pub fn serve_with<O, R, S, F>(
         &self,
         sharded: &ShardedFilter<BitmapFilter<O>>,
+        shard: R,
         source: &mut S,
         control: &ServeControl,
         sink: F,
     ) -> Result<ServeReport, RunnerError>
     where
         O: FilterObserver + Send + Sync,
+        R: Fn(BitmapFilterConfig) -> BitmapFilter<O>,
         S: PacketSource + ?Sized,
         F: FnMut(&[(Packet, Direction)], &[Verdict]) -> Result<(), NetError>,
     {
         let telemetry = control.telemetry.as_ref();
         let mut session = Session {
             sharded,
+            shard,
+            config: &self.filter,
+            overrides: RuntimeOverrides::default(),
+            incidents: Vec::new(),
             telemetry,
-            tracer: self.obs.tracer.as_ref(),
+            obs: &self.obs,
             sink,
             verdicts: Vec::new(),
             blocked: self.block.then(BlockedConnections::default),
@@ -763,7 +703,7 @@ impl PipelineRunner {
             }
             buf.clear();
             let poll = {
-                let _t = session.tracer.map(|t| t.scope(Stage::Ingest));
+                let _t = session.obs.tracer.as_ref().map(|t| t.scope(Stage::Ingest));
                 source.next_batch(&mut buf, session.batch_size)?
             };
             match poll {
@@ -840,6 +780,9 @@ impl PipelineRunner {
             session.publish(t, &filter_stats, &ingest);
         }
         let tally = session.tally;
+        self.obs.settle(tally.watermark);
+        let mut incidents = session.incidents;
+        incidents.sort_by_key(|i| (i.at, i.shard));
         Ok(ServeReport {
             packets: tally.packets,
             passed: tally.passed,
@@ -855,6 +798,11 @@ impl PipelineRunner {
             filter_stats,
             watermark: tally.watermark,
             ingest,
+            supervisor: SupervisorReport {
+                panics: incidents.len() as u64,
+                restarts: incidents.len() as u64,
+                incidents,
+            },
         })
     }
 }
@@ -874,10 +822,16 @@ struct Tally {
 }
 
 /// The dataplane state of one [`PipelineRunner::serve_with`] session.
-struct Session<'a, O: FilterObserver + Send + Sync, F> {
+struct Session<'a, O: FilterObserver + Send + Sync, R, F> {
     sharded: &'a ShardedFilter<BitmapFilter<O>>,
+    /// Builds a replacement shard from the filter configuration.
+    shard: R,
+    config: &'a BitmapFilterConfig,
+    /// Every override applied so far, for rebuilt shards.
+    overrides: RuntimeOverrides,
+    incidents: Vec<ShardIncident>,
     telemetry: Option<&'a ServeTelemetry>,
-    tracer: Option<&'a StageTracer>,
+    obs: &'a PipelineObservability,
     sink: F,
     verdicts: Vec<Verdict>,
     blocked: Option<BlockedConnections>,
@@ -887,14 +841,16 @@ struct Session<'a, O: FilterObserver + Send + Sync, F> {
     seen_gen: u64,
 }
 
-impl<O, F> Session<'_, O, F>
+impl<O, R, F> Session<'_, O, R, F>
 where
     O: FilterObserver + Send + Sync,
+    R: Fn(BitmapFilterConfig) -> BitmapFilter<O>,
     F: FnMut(&[(Packet, Direction)], &[Verdict]) -> Result<(), NetError>,
 {
     /// Applies staged overrides of configuration `generation`.
     fn apply(&mut self, generation: u64, overrides: &RuntimeOverrides) {
         self.sharded.apply_overrides(overrides);
+        self.overrides.merge(overrides.clone());
         if let Some(policy) = overrides.drop_policy {
             self.policy = policy;
         }
@@ -960,15 +916,22 @@ where
         Ok(())
     }
 
-    /// Decides one run, blocks the connections of its inbound drops and
-    /// hands it to the sink.
+    /// Decides one run under the shard supervisor, blocks the
+    /// connections of its inbound drops and hands it to the sink.
     fn run(&mut self, run: &[(Packet, Direction)]) -> Result<(), NetError> {
         self.verdicts.clear();
         {
-            let _t = self.tracer.map(|t| t.scope(Stage::Decide));
-            self.sharded.process_batch(run, &mut self.verdicts);
+            let _t = self.obs.tracer.as_ref().map(|t| t.scope(Stage::Decide));
+            while self.verdicts.len() < run.len() {
+                let (sharded, verdicts) = (self.sharded, &mut self.verdicts);
+                let rest = &run[verdicts.len()..];
+                if catch_unwind(AssertUnwindSafe(|| sharded.process_batch(rest, verdicts))).is_err()
+                {
+                    self.quarantine(run);
+                }
+            }
         }
-        let _t = self.tracer.map(|t| t.scope(Stage::Emit));
+        let _t = self.obs.tracer.as_ref().map(|t| t.scope(Stage::Emit));
         let mut tally = self.tally;
         for ((packet, direction), verdict) in run.iter().zip(&self.verdicts) {
             tally.watermark = tally.watermark.max(packet.ts());
@@ -995,6 +958,34 @@ where
             store.flushed();
         }
         (self.sink)(run, &self.verdicts)
+    }
+
+    /// Quarantines the shard whose decision of `run`'s first undecided
+    /// packet panicked: the shard is rebuilt empty, fail-open and cold
+    /// at the watermark, and the packet passes.
+    fn quarantine(&mut self, run: &[(Packet, Direction)]) {
+        let decided = self.verdicts.len();
+        let (packet, direction) = &run[decided];
+        let at = run[..=decided]
+            .iter()
+            .fold(self.tally.watermark, |wm, (p, _)| wm.max(p.ts()));
+        let shard = self.sharded.shard_of(&packet.tuple(), *direction);
+        let mut fresh = (self.shard)(self.config.clone());
+        fresh.apply_overrides(&RuntimeOverrides {
+            fail_mode: Some(FailMode::Open),
+            ..self.overrides.clone()
+        });
+        fresh.start_cold_at(at);
+        // `shard_of` is in range, so the swap cannot fail.
+        let _ = self.sharded.replace_shard(shard, fresh);
+        let incident = ShardIncident {
+            shard,
+            at,
+            quarantined_until: at + self.config.expiry_timer(),
+        };
+        self.obs.quarantined(&incident);
+        self.incidents.push(incident);
+        self.verdicts.push(Verdict::Pass);
     }
 }
 
@@ -1064,20 +1055,7 @@ mod tests {
     }
 
     #[test]
-    fn run_source_matches_run() {
-        let trace = trace(33);
-        let runner = PipelineRunner::new(inside(), BitmapFilterConfig::paper_evaluation());
-        let from_vec = runner
-            .run(trace.packets.iter().map(|lp| lp.packet.clone()))
-            .expect("run");
-        let mut source = BufferedSource::new(labeled(&trace), IngestStats::default());
-        let (from_source, ingest) = runner.run_source(&mut source).expect("run_source");
-        assert_eq!(from_source.pipeline, from_vec.pipeline);
-        assert_eq!(ingest.errors_total(), 0);
-    }
-
-    #[test]
-    fn run_source_surfaces_source_errors() {
+    fn serve_surfaces_source_errors() {
         use upbound_net::pcap::{to_bytes, PcapReader};
         use upbound_net::PcapSource;
         let trace = trace(39);
@@ -1087,7 +1065,7 @@ mod tests {
         let mut source = PcapSource::new(PcapReader::new(cut).expect("header"), inside());
         let runner = PipelineRunner::new(inside(), BitmapFilterConfig::paper_evaluation());
         assert!(matches!(
-            runner.run_source(&mut source),
+            runner.serve(&mut source, &ServeControl::new()),
             Err(RunnerError::Net(_))
         ));
     }
@@ -1193,20 +1171,19 @@ mod tests {
     fn fault_plan_routes_through_supervised_chaos_path() {
         let trace = trace(38);
         let plan = FaultPlan::parse("seed=5,corrupt=10,panics=1").expect("plan");
+        let packets = trace.packets.iter().map(|lp| lp.packet.clone()).collect();
+        let (packets, distortion) = plan.distort_stream(packets);
+        assert!(distortion.corrupted > 0);
+        let mut source = BufferedSource::labeled(packets, inside());
         let report = PipelineRunner::new(inside(), BitmapFilterConfig::paper_evaluation())
             .shards(4)
             .fault_plan(plan)
-            .run(trace.packets.iter().map(|lp| lp.packet.clone()))
-            .expect("run");
-        let distortion = report.distortion.expect("distortion report");
-        assert!(distortion.corrupted > 0);
-        // Every packet drained through the merge stage despite the
-        // injected panics, and the supervisor caught each one.
-        assert_eq!(report.pipeline.ingested as usize, trace.packets.len());
-        assert_eq!(
-            report.pipeline.passed + report.pipeline.dropped,
-            report.pipeline.ingested
-        );
+            .serve(&mut source, &ServeControl::new())
+            .expect("serve");
+        // Every packet got a verdict despite the injected panics, and
+        // the supervisor caught each one.
+        assert_eq!(report.packets as usize, trace.packets.len());
+        assert_eq!(report.passed + report.dropped, report.packets);
         assert!(report.supervisor.panics >= 1);
         assert_eq!(report.supervisor.panics, report.supervisor.restarts);
     }

@@ -1,12 +1,12 @@
 //! Core-router scenario (paper Figure 6): one aggregation point serving
 //! two client networks, each with its own bitmap filter, policies, and
-//! statistics — plus the threaded edge pipeline on one of them.
+//! statistics — plus the sharded edge dataplane on one of them.
 //!
 //! Run with: `cargo run --release --example core_router`
 
 use upbound::core::{BitmapFilterConfig, DropPolicy, SubscriberTable, Verdict};
-use upbound::net::Cidr;
-use upbound::sim::PipelineRunner;
+use upbound::net::{BufferedSource, Cidr};
+use upbound::sim::{PipelineRunner, ServeControl};
 use upbound::traffic::{generate, TraceConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -87,13 +87,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Bonus: run network A's stream through the threaded edge pipeline —
-    // how a deployment would structure the per-edge data path.
+    // Bonus: serve network A's stream through the sharded edge
+    // dataplane — the same loop `upbound serve` runs per edge.
+    let mut source = BufferedSource::labeled(trace_a.raw_packets().cloned().collect(), net_a);
     let report = PipelineRunner::new(net_a, BitmapFilterConfig::paper_evaluation())
-        .run(trace_a.raw_packets().cloned())?;
+        .shards(4)
+        .serve(&mut source, &ServeControl::new())?;
     println!(
-        "\nthreaded pipeline over network A: {} in, {} passed, {} dropped",
-        report.pipeline.ingested, report.pipeline.passed, report.pipeline.dropped
+        "\nsharded dataplane over network A: {} in, {} passed, {} dropped",
+        report.packets, report.passed, report.dropped
     );
     Ok(())
 }

@@ -39,8 +39,9 @@ use upbound::net::{
     PacketSource, PcapSource, SourcePoll, TimeDelta, Timestamp,
 };
 use upbound::sim::{
-    checkpoint_with_backoff, BlockedConnections, FaultPlan, PipelineConfig, PipelineObservability,
-    PipelineRunner, ServeControl, ServeExit, ServeReport,
+    checkpoint_with_backoff, BlockedConnections, FaultPlan, FaultingObserver, PipelineConfig,
+    PipelineObservability, PipelineRunner, PlannedInjector, ServeControl, ServeExit, ServeReport,
+    SupervisorTelemetry,
 };
 use upbound::telemetry::{
     export, ControlHandler, ControlResponse, DumpTrigger, FlightRecorder, HealthState,
@@ -113,14 +114,14 @@ OVERLOAD RESILIENCE (filter and serve):
     --fault-plan injects deterministic faults for resilience drills:
     `none` or comma-separated `key=value` of seed, corrupt
     (per-mille packet corruption), reorder (bursts), skew (spikes),
-    skew-secs, ckpt (checkpoint write failures; periodic writes
-    retry with bounded backoff, then degrade to checkpointing-
-    disabled — final checkpoints stay fatal). Stream faults distort
-    the replayed capture before it is served, so they are
-    incompatible with --live. panics=N is reserved for the
-    supervised pipeline (chaos harness), which catches and
-    quarantines them. Same plan + same input => same faults.
-    Incompatible with --subscribers.
+    skew-secs, panics (decide-path panics per shard; the shard
+    supervisor passes the packet, rebuilds the shard empty and
+    fail-open, and the run goes on), ckpt (checkpoint write failures;
+    periodic writes retry with bounded backoff, then degrade to
+    checkpointing-disabled — final checkpoints stay fatal). Stream
+    faults distort the replayed capture before it is served, so a
+    fault plan is incompatible with --live. Same plan + same input
+    => same faults. Incompatible with --subscribers.
 
 OBSERVABILITY (filter):
     --metrics-addr serves live GET /metrics (Prometheus) and
@@ -1123,7 +1124,7 @@ struct Dataplane {
     overload: OverloadPolicy,
     checkpoint: Option<String>,
     checkpoint_interval: f64,
-    fault_plan: Option<FaultPlan>,
+    fault_plan: FaultPlan,
 }
 
 impl Dataplane {
@@ -1177,18 +1178,14 @@ impl Dataplane {
         let fault_plan = args.value(
             "fault-plan",
             "--fault-plan expects `none` or key=value fields (seed, corrupt, reorder, skew, \
-             skew-secs, ckpt)",
+             skew-secs, panics, ckpt)",
         )?;
-        let fault_plan = match fault_plan.as_deref().map(FaultPlan::parse).transpose() {
-            Err(e) => return Err(usage(format!("--fault-plan: {e}"))),
-            Ok(Some(plan)) if plan.panics() > 0 => {
-                return Err(usage(
-                    "--fault-plan panics=N needs a shard supervisor to catch them; \
-                     only the supervised pipeline (chaos harness) has one",
-                ))
-            }
-            Ok(plan) => plan.filter(|plan| !plan.is_none()),
-        };
+        let fault_plan = fault_plan
+            .as_deref()
+            .map(FaultPlan::parse)
+            .transpose()
+            .map_err(|e| usage(format!("--fault-plan: {e}")))?
+            .unwrap_or_else(FaultPlan::none);
         Ok(Self {
             inside,
             config,
@@ -1208,12 +1205,11 @@ impl Dataplane {
             .overload_policy(self.overload.clone())
             .pipeline_config(PipelineConfig {
                 batch_size: self.batch_size,
-                ..PipelineConfig::default()
             });
         if let Some(path) = &self.checkpoint {
             runner = runner.checkpoint(path, TimeDelta::from_secs(self.checkpoint_interval));
         }
-        runner.fault_plan(self.fault_plan.clone().unwrap_or_else(FaultPlan::none))
+        runner.fault_plan(self.fault_plan.clone())
     }
 
     /// Opens the `--in` capture. A fault plan needs the whole stream to
@@ -1228,14 +1224,15 @@ impl Dataplane {
         let file = File::open(path).map_err(|e| runtime(format!("{path}: {e}")))?;
         let mut reader = PcapReader::with_policy(BufReader::new(file), policy)
             .map_err(|e| runtime(e.to_string()))?;
-        let Some(plan) = &self.fault_plan else {
+        let plan = &self.fault_plan;
+        if plan.is_none() {
             let mut pcap = PcapSource::new(reader, self.inside);
             if !looped {
                 return Ok(Box::new(pcap));
             }
             let buffered = BufferedSource::drain(&mut pcap).map_err(|e| runtime(e.to_string()))?;
             return Ok(Box::new(buffered.looped(true)));
-        };
+        }
         let mut packets = Vec::new();
         while let Some(p) = reader.read_packet().map_err(|e| runtime(e.to_string()))? {
             packets.push(p);
@@ -1259,6 +1256,17 @@ impl Dataplane {
         Ok(Box::new(
             BufferedSource::new(labeled, *reader.stats()).looped(looped),
         ))
+    }
+
+    /// Prints what the shard supervisor caught, when it caught anything.
+    fn report_supervisor(report: &ServeReport) {
+        let supervisor = &report.supervisor;
+        if supervisor.panics > 0 {
+            println!(
+                "shard supervisor: {} panic(s) caught, {} shard(s) restarted",
+                supervisor.panics, supervisor.restarts
+            );
+        }
     }
 
     /// Prints how `serve` restored from and wrote the checkpoint file.
@@ -1441,21 +1449,24 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
 
     // All shards share one uplink monitor (global P_d) and publish into
     // the same registry — `counter()` is get-or-create, so the per-shard
-    // observers merge into one set of metrics.
+    // observers merge into one set of metrics. The initial shards panic
+    // on the fault plan's schedule; the supervisor's rebuilds do not.
     let uplink = Arc::new(config.uplink_monitor());
-    let shard_filters = (0..shards)
-        .map(|_| {
-            BitmapFilter::with_observer(
-                config.clone(),
-                TelemetryObserver::with_default_journal(&registry, "core")
-                    .with_flight_recorder(flight.clone()),
-            )
+    let shard = |config, injector| {
+        let observer = TelemetryObserver::with_default_journal(&registry, "core")
+            .with_flight_recorder(flight.clone());
+        BitmapFilter::with_observer(config, FaultingObserver::new(observer, injector))
             .with_shared_uplink(Arc::clone(&uplink))
             .with_overload_policy(dataplane.overload.clone())
-        })
+    };
+    let shard_filters = (0..shards)
+        .map(|_| shard(config.clone(), dataplane.fault_plan.injector()))
         .collect();
-    let bank =
-        ShardedFilter::from_shards(FlowHash::new(config.hole_punching()), uplink, shard_filters);
+    let bank = ShardedFilter::from_shards(
+        FlowHash::new(config.hole_punching()),
+        Arc::clone(&uplink),
+        shard_filters,
+    );
 
     let server = match &metrics_addr {
         Some(addr) => {
@@ -1488,15 +1499,21 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
         .runner()
         .block_connections(!args.has("no-block"))
         .observability(PipelineObservability {
+            supervisor: Some(SupervisorTelemetry::new(&registry)),
             tracer: trace_latency.then(|| StageTracer::new(&registry, "cli")),
+            flight: Some(flight.clone()),
             health: Some(health.clone()),
-            ..PipelineObservability::default()
         });
     let control = ServeControl::new().with_telemetry(&registry);
+    let rebuild = |config| shard(config, PlannedInjector::disarmed());
     let report = runner
-        .serve_with(&bank, &mut source, &control, |packets, verdicts| {
-            write_passed(&mut writer, packets, verdicts)
-        })
+        .serve_with(
+            &bank,
+            rebuild,
+            &mut source,
+            &control,
+            |packets, verdicts| write_passed(&mut writer, packets, verdicts),
+        )
         .map_err(|e| runtime(e.to_string()))?;
     let mut outcome = if source.interrupted {
         Outcome::Interrupted
@@ -1509,6 +1526,7 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
     ingest_metrics.publish(&report.ingest);
     report_skips(&report.ingest);
     dataplane.report_checkpoints(&report);
+    Dataplane::report_supervisor(&report);
 
     print_summary(
         [report.packets, report.dropped, report.blocked_connections],
@@ -1742,11 +1760,15 @@ fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
     let listen = args.value("listen", "--listen expects <HOST:PORT>")?;
     let dataplane = Dataplane::parse(args)?;
     let policy = recovery_policy_of(args).map_err(usage)?;
-    let runner = dataplane.runner();
 
     let registry = new_registry();
     let health = HealthState::new();
     health.set_fail_mode(dataplane.config.fail_mode().label());
+    let runner = dataplane.runner().observability(PipelineObservability {
+        supervisor: Some(SupervisorTelemetry::new(&registry)),
+        health: Some(health.clone()),
+        ..PipelineObservability::default()
+    });
     let control = ServeControl::new().with_telemetry(&registry);
 
     let server = match &listen {
@@ -1830,6 +1852,7 @@ fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
 
     report_skips(&report.ingest);
     dataplane.report_checkpoints(&report);
+    Dataplane::report_supervisor(&report);
     println!(
         "serve finished ({}): {} packet(s), {} passed, {} dropped, {} reconfig(s) applied, \
          {} checkpoint(s) written",

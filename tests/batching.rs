@@ -246,10 +246,7 @@ fn assert_serve_blocking_matches_replay(
     for batch_size in BATCH_SIZES {
         let report = PipelineRunner::new("10.0.0.0/8".parse().expect("cidr"), config.clone())
             .block_connections(true)
-            .pipeline_config(PipelineConfig {
-                batch_size,
-                ..PipelineConfig::default()
-            })
+            .pipeline_config(PipelineConfig { batch_size })
             .serve(&mut source(), &ServeControl::new())
             .expect("serve");
         let blocked_outbound = outbound - report.filter_stats.outbound_packets;

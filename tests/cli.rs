@@ -594,3 +594,73 @@ const GOLDEN_FILTER: &[&str] = &[
     "balanced: 64836 packets; dropped 39872 (61.50%); blocked 866 connections | uplink: 32.00 Mbps offered -> 5.63 Mbps after filtering | out 60cd90a3287ca785 | pass 12283 red 1 unsolicited 865 out 12681 | reports 12",
     "fault-plan: 64836 packets; dropped 39707 (61.24%); blocked 1520 connections | uplink: 32.00 Mbps offered -> 6.76 Mbps after filtering | out fe00c5046f73fbd7 | pass 12043 red 1 unsolicited 1519 out 13086 | reports 12",
 ];
+
+/// `filter --fault-plan panics=N` runs under the shard supervisor: each
+/// injected panic is caught and its shard restarted, and every packet
+/// still gets a verdict. CI's chaos smoke runs the same command.
+#[test]
+fn filter_survives_injected_shard_panics() {
+    let trace = tmp("panics-trace.pcap");
+    let prom = tmp("panics.prom");
+    let trace_s = trace.to_str().expect("utf8 path");
+    let out = run(&[
+        "generate",
+        "--out",
+        trace_s,
+        "--duration",
+        "30",
+        "--rate",
+        "20",
+        "--seed",
+        "7",
+    ]);
+    assert!(out.status.success());
+    let out = run(&[
+        "filter",
+        "--in",
+        trace_s,
+        "--inside",
+        "10.0.0.0/16",
+        "--fault-plan",
+        "seed=104,panics=2",
+        "--shards",
+        "4",
+        "--metrics",
+        prom.to_str().expect("utf8 path"),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = stdout(&out);
+    let line = text
+        .lines()
+        .find_map(|l| l.strip_prefix("shard supervisor: "))
+        .unwrap_or_else(|| panic!("no supervisor line in:\n{text}"));
+    let numbers: Vec<u64> = line
+        .split_whitespace()
+        .filter_map(|w| w.parse().ok())
+        .collect();
+    let [panics, restarts] = numbers[..] else {
+        panic!("unexpected supervisor line {line:?}");
+    };
+    assert!(panics >= 1, "{line}");
+    assert_eq!(restarts, panics, "{line}");
+
+    let snapshot = upbound::telemetry::export::prometheus::parse(
+        &std::fs::read_to_string(&prom).expect("read prom"),
+    )
+    .expect("valid Prometheus text");
+    let counter = |name: &str| snapshot.counter(name).unwrap_or(0);
+    assert_eq!(
+        counter("upbound_serve_passed_total") + counter("upbound_serve_dropped_total"),
+        counter("upbound_serve_packets_total")
+    );
+    assert!(counter("upbound_serve_packets_total") > 0);
+    assert_eq!(counter("upbound_sim_shard_panics_total"), panics);
+    assert_eq!(counter("upbound_sim_shard_restarts_total"), restarts);
+
+    let _ = std::fs::remove_file(&trace);
+    let _ = std::fs::remove_file(&prom);
+}
