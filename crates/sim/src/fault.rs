@@ -26,11 +26,9 @@
 //!
 //! [`PipelineRunner::fault_plan`](crate::PipelineRunner::fault_plan)
 //! arms the last two: [`serve`](crate::PipelineRunner::serve) arms
-//! every initial shard with the plan's panics, and
-//! [`measure`](crate::PipelineRunner::measure) and `serve` write their
-//! checkpoints through a sink armed from the same plan. The caller
-//! distorts the stream it feeds them. That is what the CI chaos matrix
-//! drives.
+//! every initial shard with the plan's panics and writes its checkpoints
+//! through a sink armed from the same plan. The caller distorts the
+//! stream it feeds `serve`. That is what the CI chaos matrix drives.
 
 use std::path::Path;
 use upbound_core::{
@@ -405,8 +403,8 @@ impl<O: FilterObserver> FilterObserver for FaultingObserver<O> {
 
 /// The injectable checkpoint write layer.
 ///
-/// The replay engine (and any deployment loop) writes periodic
-/// checkpoints through this seam instead of calling
+/// [`serve`](crate::PipelineRunner::serve) (and any deployment loop)
+/// writes periodic checkpoints through this seam instead of calling
 /// [`snapshot::write_atomic`] directly, so I/O failure behavior is
 /// testable without touching the filesystem's failure modes.
 pub trait CheckpointSink {

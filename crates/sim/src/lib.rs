@@ -6,27 +6,25 @@
 //!   exact infinite-memory reference used for false-positive/negative
 //!   scoring). The trait lives in `upbound_core`; this crate re-exports
 //!   it so simulation code imports one crate.
-//! * [`ReplayEngine`] — replays a labeled packet stream through a filter,
-//!   maintaining the paper's blocked-connection store ("when an inbound
-//!   packet is decided to be dropped …, the socket pair σ of that packet
-//!   is stored and all the future packets that match any stored σ or σ̄
-//!   are all dropped without checking the bitmap") and collecting
+//! * [`ReplayEngine`] — replays labeled in-memory packets through a
+//!   filter, maintaining the paper's blocked-connection store ("when an
+//!   inbound packet is decided to be dropped …, the socket pair σ of that
+//!   packet is stored and all the future packets that match any stored σ
+//!   or σ̄ are all dropped without checking the bitmap") and collecting
 //!   per-interval uplink/downlink throughput before and after filtering,
 //!   per-interval drop rates, and exact error accounting against ground
-//!   truth.
+//!   truth. It is the engine of the figure binaries.
 //! * [`compare`] — paired drop-rate series for two filters over one trace
 //!   (the Figure 8 scatter).
 //! * [`sweep`] — a small crossbeam-based parallel runner for parameter
 //!   sweeps (ablations).
-//! * [`PipelineRunner`] — the builder-style front door composing every
-//!   dataplane axis (sharding, overload policy, fault plans,
-//!   observability, checkpointing) with its two execution engines: the
-//!   replay engine ([`measure`](PipelineRunner::measure) /
-//!   [`measure_source`](PipelineRunner::measure_source)) and the one
-//!   runtime-reconfigurable packet loop of the dataplane
-//!   ([`serve`](PipelineRunner::serve)), which runs live sources and
+//! * [`PipelineRunner`] — the builder-style front door to the dataplane:
+//!   every axis (sharding, overload policy, fault plans, observability,
+//!   checkpointing, the blocked-σ store) is an option of its one packet
+//!   loop, [`serve`](PipelineRunner::serve), which runs live sources and
 //!   finite captures alike over a
-//!   [`ShardedFilter`](upbound_core::ShardedFilter).
+//!   [`ShardedFilter`](upbound_core::ShardedFilter). Every run that reads
+//!   a [`PacketSource`](upbound_net::PacketSource) is `serve`.
 //! * [`pipeline`] — the dataplane's tuning knobs and the records of its
 //!   shard supervisor: `serve` catches a panic in a shard's decide path,
 //!   quarantines that shard and rebuilds it fail-open while the
@@ -82,6 +80,6 @@ pub use pipeline::{
 };
 pub use replay::{BlockedConnections, ReplayConfig, ReplayEngine, ReplayResult};
 pub use runner::{
-    Measurement, PipelineRunner, RunnerError, ServeControl, ServeExit, ServeReport, ServeTelemetry,
+    PipelineRunner, RunnerError, ServeControl, ServeExit, ServeReport, ServeTelemetry,
 };
 pub use upbound_core::{MergeStats, PacketFilter};

@@ -4,11 +4,8 @@ use crate::{OracleFilter, PacketFilter};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::collections::HashSet;
-use upbound_core::{SubscriberTable, Verdict};
-use upbound_net::pcap::{IngestStats, PcapReader};
-use upbound_net::{
-    Cidr, Direction, FiveTuple, NetError, Packet, PacketSource, SourcePoll, TimeDelta, Timestamp,
-};
+use upbound_core::Verdict;
+use upbound_net::{Direction, FiveTuple, Packet, TimeDelta};
 use upbound_stats::BinnedSeries;
 use upbound_traffic::SyntheticTrace;
 
@@ -200,7 +197,11 @@ impl ReplayResult {
     }
 }
 
-/// Replays labeled traces through a [`PacketFilter`].
+/// Replays labeled packets through a [`PacketFilter`].
+///
+/// The engine decides in-memory packets only: a packet source (a pcap,
+/// a looped buffer, a live interface) is served by
+/// [`PipelineRunner::serve`](crate::PipelineRunner::serve).
 #[derive(Debug, Clone)]
 pub struct ReplayEngine {
     config: ReplayConfig,
@@ -212,144 +213,23 @@ impl ReplayEngine {
         Self { config }
     }
 
-    /// Replays `trace` through `filter` and collects the metrics.
-    ///
-    /// The replay semantics follow §5.3: every packet of the original
-    /// trace is offered in timestamp order; outbound packets of blocked
-    /// connections are suppressed before reaching the filter (the trace
-    /// cannot "un-trigger" them, but suppressing them reproduces the
-    /// bandwidth effect of the block).
+    /// Replays `trace` with its own direction labels; see
+    /// [`run_iter`](Self::run_iter).
     pub fn run<F: PacketFilter>(&self, trace: &SyntheticTrace, filter: &mut F) -> ReplayResult {
         self.run_iter(
-            filter,
             trace.packets.iter().map(|lp| (&lp.packet, lp.direction)),
+            filter,
         )
     }
 
-    /// Replays `trace` through a multi-tenant [`SubscriberTable`].
+    /// Replays labeled `packets` through `filter` and collects the
+    /// metrics.
     ///
-    /// The trace's own direction labels are ignored: each packet's
-    /// accounting direction comes from the table's classifier (source
-    /// inside any subscriber network → outbound, everything else →
-    /// inbound), and batches flow through the table's subscriber-grouped
-    /// dispatch, so one replay measures every provisioned tenant at
-    /// once. Per-tenant results remain available from the table
-    /// afterwards via
-    /// [`per_subscriber_stats`](SubscriberTable::per_subscriber_stats).
-    pub(crate) fn subscribers_impl<F: PacketFilter>(
-        &self,
-        trace: &SyntheticTrace,
-        table: &mut SubscriberTable<F>,
-    ) -> ReplayResult {
-        let classifier = table.classifier();
-        self.run_iter(
-            table,
-            trace
-                .packets
-                .iter()
-                .map(move |lp| (&lp.packet, classifier.direction_of(&lp.packet))),
-        )
-    }
-
-    /// Replays the remaining records of a pcap `reader` through `filter`,
-    /// classifying direction against `client_net` (source inside →
-    /// outbound), and returns the replay metrics together with the
-    /// reader's ingestion accounting.
-    ///
-    /// Under [`RecoveryPolicy::Skip`](upbound_net::pcap::RecoveryPolicy)
-    /// corrupt records are skipped and counted in the returned
-    /// [`IngestStats`] rather than aborting the replay.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors: any malformed record under
-    /// [`RecoveryPolicy::Strict`](upbound_net::pcap::RecoveryPolicy),
-    /// only I/O errors under `Skip`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "wrap the reader in `upbound_net::PcapSource` and use `run_source` \
-                (or `PipelineRunner::measure_source`)"
-    )]
-    pub fn run_capture<F: PacketFilter, R: std::io::Read>(
-        &self,
-        reader: &mut PcapReader<R>,
-        client_net: Cidr,
-        filter: &mut F,
-    ) -> Result<(ReplayResult, IngestStats), NetError> {
-        // Deliberately NOT routed through `run_source`: this is the
-        // pre-`PacketSource` drain-then-replay loop, kept verbatim so the
-        // differential tests compare two genuinely distinct code paths.
-        let mut packets: Vec<(Packet, Direction)> = Vec::new();
-        while let Some(packet) = reader.read_packet()? {
-            let direction = client_net.direction_of(&packet.tuple());
-            packets.push((packet, direction));
-        }
-        let result = self.run_iter(filter, packets);
-        Ok((result, *reader.stats()))
-    }
-
-    /// Replays a [`PacketSource`] through `filter` until the source
-    /// reports [`SourcePoll::End`], and returns the replay metrics
-    /// together with the source's final ingestion accounting.
-    ///
-    /// This is the unified dataplane entry point: pcap replay
-    /// ([`PcapSource`](upbound_net::PcapSource)), looped replay
-    /// ([`BufferedSource`](upbound_net::BufferedSource)) and live capture
-    /// ([`LiveSource`](upbound_net::LiveSource)) all drive the same
-    /// batched loop, so verdicts and statistics depend only on the packet
-    /// stream, never on the backend. [`SourcePoll::Idle`] polls sleep
-    /// briefly and retry, so live sources replay in (near) real time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first unrecoverable source error; metrics up to the
-    /// failing poll are discarded (use [`IngestStats`] for forensics).
-    pub fn run_source<F, S>(
-        &self,
-        source: &mut S,
-        filter: &mut F,
-    ) -> Result<(ReplayResult, IngestStats), NetError>
-    where
-        F: PacketFilter,
-        S: PacketSource + ?Sized,
-    {
-        let result = self.run_source_with(source, filter, |_, _| {})?;
-        Ok((result, source.stats()))
-    }
-
-    /// [`run_source`](Self::run_source) with the flush hook of
-    /// `run_iter_with`: `tick(filter, last_ts)` runs after each decided
-    /// batch.
-    pub(crate) fn run_source_with<F, S>(
-        &self,
-        source: &mut S,
-        filter: &mut F,
-        tick: impl FnMut(&mut F, Timestamp),
-    ) -> Result<ReplayResult, NetError>
-    where
-        F: PacketFilter,
-        S: PacketSource + ?Sized,
-    {
-        let mut error = None;
-        let result = self.run_iter_with(filter, SourceIter::new(source, &mut error), tick);
-        match error {
-            Some(err) => Err(err),
-            None => Ok(result),
-        }
-    }
-
-    fn run_iter<F, P, I>(&self, filter: &mut F, packets: I) -> ReplayResult
-    where
-        F: PacketFilter,
-        P: Borrow<Packet>,
-        I: IntoIterator<Item = (P, Direction)>,
-    {
-        self.run_iter_with(filter, packets, |_, _| {})
-    }
-
-    /// The replay loop with a flush hook: after each decided batch is
-    /// accounted, `tick(filter, last_ts)` runs with the timestamp of the
-    /// batch's last packet (checkpoints are written there).
+    /// The replay semantics follow §5.3: every packet is offered in
+    /// stream order; outbound packets of blocked connections are
+    /// suppressed before reaching the filter (the trace cannot
+    /// "un-trigger" them, but suppressing them reproduces the bandwidth
+    /// effect of the block).
     ///
     /// Packets are staged into a batch and decided via
     /// [`PacketFilter::decide_batch`]. The blocked-σ store feeds back
@@ -358,12 +238,12 @@ impl ReplayEngine {
     /// rule (plus oracle scoring and pre-filter accounting at staging
     /// time, both independent of the filter) makes the batched loop
     /// byte-identical to the per-packet loop at every batch size.
-    pub(crate) fn run_iter_with<F, P, I>(
-        &self,
-        filter: &mut F,
-        packets: I,
-        mut tick: impl FnMut(&mut F, Timestamp),
-    ) -> ReplayResult
+    ///
+    /// A [`SubscriberTable`](upbound_core::SubscriberTable) replays like
+    /// any filter: label its packets with the directions of the table's
+    /// [`classifier`](upbound_core::SubscriberTable::classifier), and the
+    /// per-tenant results stay in the table.
+    pub fn run_iter<F, P, I>(&self, packets: I, filter: &mut F) -> ReplayResult
     where
         F: PacketFilter,
         P: Borrow<Packet>,
@@ -408,7 +288,6 @@ impl ReplayEngine {
             }
             verdicts.clear();
             filter.decide_batch(staged, &mut verdicts);
-            let last_ts = staged[staged.len() - 1].0.ts();
             for ((packet, direction), (verdict, oracle_verdict)) in staged
                 .drain(..)
                 .zip(verdicts.drain(..).zip(oracles.drain(..)))
@@ -438,7 +317,6 @@ impl ReplayEngine {
             if let Some(store) = store {
                 store.flushed();
             }
-            tick(filter, last_ts)
         };
 
         for (packet, direction) in packets {
@@ -490,67 +368,10 @@ impl ReplayEngine {
     }
 }
 
-/// Packets pulled from a [`PacketSource`] per poll.
-const SOURCE_CHUNK: usize = 256;
-
-/// How long to sleep between polls when a live source reports
-/// [`SourcePoll::Idle`].
-const IDLE_SLEEP: std::time::Duration = std::time::Duration::from_millis(1);
-
-/// Adapts a [`PacketSource`] to the `(Packet, Direction)` iterator the
-/// replay loop consumes. A
-/// source error ends the iteration and is parked in `error` for the
-/// caller to surface.
-pub(crate) struct SourceIter<'a, S: PacketSource + ?Sized> {
-    source: &'a mut S,
-    chunk: Vec<(Packet, Direction)>,
-    buf: Vec<(Packet, Direction)>,
-    error: &'a mut Option<NetError>,
-}
-
-impl<'a, S: PacketSource + ?Sized> SourceIter<'a, S> {
-    /// Streams `source`, parking its first error in `error`.
-    pub(crate) fn new(source: &'a mut S, error: &'a mut Option<NetError>) -> Self {
-        Self {
-            source,
-            chunk: Vec::with_capacity(SOURCE_CHUNK),
-            buf: Vec::new(),
-            error,
-        }
-    }
-}
-
-impl<S: PacketSource + ?Sized> Iterator for SourceIter<'_, S> {
-    type Item = (Packet, Direction);
-
-    fn next(&mut self) -> Option<(Packet, Direction)> {
-        loop {
-            // `buf` holds the current chunk reversed so `pop` yields
-            // packets in source order without shifting the vector.
-            if let Some(item) = self.buf.pop() {
-                return Some(item);
-            }
-            self.chunk.clear();
-            match self.source.next_batch(&mut self.chunk, SOURCE_CHUNK) {
-                Ok(SourcePoll::Batch(_)) => {
-                    self.buf.append(&mut self.chunk);
-                    self.buf.reverse();
-                }
-                Ok(SourcePoll::Idle) => std::thread::sleep(IDLE_SLEEP),
-                Ok(SourcePoll::End) => return None,
-                Err(err) => {
-                    *self.error = Some(err);
-                    return None;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use upbound_core::{BitmapFilter, BitmapFilterConfig, Snapshottable};
+    use upbound_core::{BitmapFilter, BitmapFilterConfig, ShardedFilter};
     use upbound_spi::{SpiConfig, SpiFilter};
     use upbound_traffic::{generate, TraceConfig};
 
@@ -638,49 +459,26 @@ mod tests {
         assert!(series.iter().all(|&(_, r)| (0.0..=1.0).contains(&r)));
     }
 
-    #[test]
-    #[allow(deprecated)]
-    fn run_capture_matches_in_memory_replay() {
-        let trace = trace(7);
-        let bytes =
-            upbound_net::pcap::to_bytes(trace.packets.iter().map(|lp| &lp.packet), 65535).unwrap();
-        let net: Cidr = "10.0.0.0/16".parse().unwrap();
-        let engine = ReplayEngine::new(ReplayConfig::default());
-        let expected = engine.run(&trace, &mut bitmap());
-        let mut reader = PcapReader::new(&bytes[..]).unwrap();
-        let (result, stats) = engine.run_capture(&mut reader, net, &mut bitmap()).unwrap();
-        assert_eq!(result, expected);
-        assert_eq!(stats.records_ok, trace.packets.len() as u64);
-        assert_eq!(stats.errors_total(), 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn run_capture_recovers_past_corruption() {
-        use upbound_net::pcap::RecoveryPolicy;
-        let trace = trace(8);
-        let bytes =
-            upbound_net::pcap::to_bytes(trace.packets.iter().map(|lp| &lp.packet), 65535).unwrap();
-        // Cut into the last record's body: strict aborts, skip recovers
-        // the decodable prefix and accounts for the loss.
-        let cut = &bytes[..bytes.len() - 7];
-        let net: Cidr = "10.0.0.0/16".parse().unwrap();
-        let engine = ReplayEngine::new(ReplayConfig::default());
-
-        let mut strict = PcapReader::new(cut).unwrap();
-        assert!(engine.run_capture(&mut strict, net, &mut bitmap()).is_err());
-
-        let mut skip = PcapReader::with_policy(cut, RecoveryPolicy::Skip).unwrap();
-        let (result, stats) = engine.run_capture(&mut skip, net, &mut bitmap()).unwrap();
-        let n = trace.packets.len() as u64;
-        assert_eq!(stats.records_ok, n - 1);
-        assert_eq!(result.total_packets, n - 1);
-        assert_eq!(stats.records_skipped, 1);
-        assert!(stats.bytes_skipped > 0);
+    /// `trace` as owned labeled packets, for a [`BufferedSource`].
+    ///
+    /// [`BufferedSource`]: upbound_net::BufferedSource
+    fn labeled(trace: &SyntheticTrace) -> Vec<(Packet, Direction)> {
+        trace
+            .packets
+            .iter()
+            .map(|lp| (lp.packet.clone(), lp.direction))
+            .collect()
     }
 
     #[test]
     fn checkpointed_replay_matches_plain_and_restores() {
+        // `serve` over the trace with the blocked-σ store and a
+        // checkpoint cadence accounts like the engine: the same blocked
+        // connections and kept uplink, and the same drops once the
+        // outbound packets of blocked connections (which `serve` counts
+        // as dropped and the engine suppresses) are taken out.
+        use upbound_net::pcap::IngestStats;
+        use upbound_net::BufferedSource;
         let trace = trace(9);
         let expected = ReplayEngine::new(ReplayConfig::default()).run(&trace, &mut bitmap());
 
@@ -688,27 +486,40 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("filter.snap");
 
-        let net: Cidr = "10.0.0.0/16".parse().unwrap();
-        let measured = crate::PipelineRunner::new(net, BitmapFilterConfig::paper_evaluation())
+        let net = "10.0.0.0/16".parse().unwrap();
+        let mut source = BufferedSource::new(labeled(&trace), IngestStats::default());
+        let report = crate::PipelineRunner::new(net, BitmapFilterConfig::paper_evaluation())
+            .block_connections(true)
             .checkpoint(&path, TimeDelta::from_secs(10.0))
-            .measure(&trace)
+            .serve(&mut source, &crate::ServeControl::new())
             .unwrap();
-        // The checkpoint hook must not perturb the replay itself.
-        assert_eq!(measured.replay, expected);
+        let outbound = trace
+            .packets
+            .iter()
+            .filter(|lp| lp.direction == Direction::Outbound)
+            .count() as u64;
+        let blocked_outbound = outbound - report.filter_stats.outbound_packets;
+        assert_eq!(report.packets, expected.total_packets);
+        assert_eq!(
+            report.dropped - blocked_outbound,
+            expected.total_dropped_packets
+        );
+        assert_eq!(report.blocked_connections, expected.blocked_connections);
+        assert_eq!(report.uplink_kept_bits as f64, expected.post_uplink.total());
         // A 60 s trace at a 10 s cadence: several periodic checkpoints
         // plus the final one.
         assert!(
-            measured.checkpoints >= 4,
+            report.checkpoints_written >= 4,
             "only {} checkpoints written",
-            measured.checkpoints
+            report.checkpoints_written
         );
 
-        // The final checkpoint restores to the exact end-of-trace state.
-        let bytes = std::fs::read(&path).unwrap();
-        let mut restored = bitmap();
-        let end = trace.packets.last().unwrap().packet.ts();
+        // The final checkpoint restores to the engine's end-of-trace state.
+        let restored = ShardedFilter::builder(BitmapFilterConfig::paper_evaluation())
+            .build()
+            .unwrap();
         let outcome = restored
-            .restore_bytes(&bytes, end, TimeDelta::from_secs(3600.0))
+            .restore_from(&path, report.watermark, TimeDelta::from_secs(3600.0))
             .unwrap();
         assert_eq!(outcome, upbound_core::RestoreOutcome::Warm);
         assert_eq!(restored.stats(), bitmap_reference_stats(&trace));
@@ -748,14 +559,19 @@ mod tests {
         let engine = ReplayEngine::new(ReplayConfig::default());
         let expected = engine.run(&trace, &mut bitmap());
 
-        let mut table = SubscriberTable::new();
+        let mut table = upbound_core::SubscriberTable::new();
         table
             .add_subscriber(
                 "10.0.0.0/16".parse().unwrap(),
                 BitmapFilterConfig::paper_evaluation(),
             )
             .unwrap();
-        let result = engine.subscribers_impl(&trace, &mut table);
+        let classifier = table.classifier();
+        let packets = trace
+            .packets
+            .iter()
+            .map(|lp| (&lp.packet, classifier.direction_of(&lp.packet)));
+        let result = engine.run_iter(packets, &mut table);
         assert_eq!(
             result,
             ReplayResult {
@@ -776,74 +592,33 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn run_source_matches_run_capture_byte_for_byte() {
-        // The unified `PacketSource` replay path must be byte-identical
-        // to the historical drain-then-replay path on the same capture:
-        // same metrics, same ingestion accounting.
-        use upbound_net::PcapSource;
-        let trace = trace(13);
-        let bytes =
-            upbound_net::pcap::to_bytes(trace.packets.iter().map(|lp| &lp.packet), 65535).unwrap();
-        let net: Cidr = "10.0.0.0/16".parse().unwrap();
-        let engine = ReplayEngine::new(ReplayConfig::default());
-
-        let mut reader = PcapReader::new(&bytes[..]).unwrap();
-        let (old, old_stats) = engine.run_capture(&mut reader, net, &mut bitmap()).unwrap();
-
-        let mut source = PcapSource::new(PcapReader::new(&bytes[..]).unwrap(), net);
-        let (new, new_stats) = engine.run_source(&mut source, &mut bitmap()).unwrap();
-        assert_eq!(new, old);
-        assert_eq!(new_stats, old_stats);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn run_source_matches_run_capture_on_corrupt_capture() {
-        use upbound_net::pcap::RecoveryPolicy;
-        use upbound_net::PcapSource;
-        let trace = trace(14);
-        let bytes =
-            upbound_net::pcap::to_bytes(trace.packets.iter().map(|lp| &lp.packet), 65535).unwrap();
-        let cut = &bytes[..bytes.len() - 9];
-        let net: Cidr = "10.0.0.0/16".parse().unwrap();
-        let engine = ReplayEngine::new(ReplayConfig::default());
-
-        // Strict: both paths propagate the truncation error.
-        let mut strict = PcapReader::new(cut).unwrap();
-        assert!(engine.run_capture(&mut strict, net, &mut bitmap()).is_err());
-        let mut strict_source = PcapSource::new(PcapReader::new(cut).unwrap(), net);
-        assert!(engine
-            .run_source(&mut strict_source, &mut bitmap())
-            .is_err());
-
-        // Skip: both recover the decodable prefix with identical
-        // accounting.
-        let mut skip = PcapReader::with_policy(cut, RecoveryPolicy::Skip).unwrap();
-        let (old, old_stats) = engine.run_capture(&mut skip, net, &mut bitmap()).unwrap();
-        let mut source = PcapSource::new(
-            PcapReader::with_policy(cut, RecoveryPolicy::Skip).unwrap(),
-            net,
-        );
-        let (new, new_stats) = engine.run_source(&mut source, &mut bitmap()).unwrap();
-        assert_eq!(new, old);
-        assert_eq!(new_stats, old_stats);
-    }
-
-    #[test]
     fn buffered_source_replay_matches_trace_replay() {
+        // Without the blocked-σ store, `serve` over the trace and the
+        // engine decide every packet identically.
+        use upbound_net::pcap::IngestStats;
         use upbound_net::BufferedSource;
         let trace = trace(15);
-        let engine = ReplayEngine::new(ReplayConfig::default());
-        let expected = engine.run(&trace, &mut bitmap());
-        let packets: Vec<(Packet, Direction)> = trace
-            .packets
-            .iter()
-            .map(|lp| (lp.packet.clone(), lp.direction))
-            .collect();
-        let mut source = BufferedSource::new(packets, IngestStats::default());
-        let (result, _stats) = engine.run_source(&mut source, &mut bitmap()).unwrap();
-        assert_eq!(result, expected);
+        let mut filter = bitmap();
+        let expected = ReplayEngine::new(ReplayConfig {
+            block_connections: false,
+            ..ReplayConfig::default()
+        })
+        .run(&trace, &mut filter);
+        let mut source = BufferedSource::new(labeled(&trace), IngestStats::default());
+        let report = crate::PipelineRunner::new(
+            "10.0.0.0/16".parse().unwrap(),
+            BitmapFilterConfig::paper_evaluation(),
+        )
+        .serve(&mut source, &crate::ServeControl::new())
+        .unwrap();
+        assert_eq!(report.packets, expected.total_packets);
+        assert_eq!(report.dropped, expected.total_dropped_packets);
+        assert_eq!(
+            report.uplink_offered_bits as f64,
+            expected.pre_uplink.total()
+        );
+        assert_eq!(report.uplink_kept_bits as f64, expected.post_uplink.total());
+        assert_eq!(report.filter_stats, filter.stats());
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! [`PipelineRunner`] — the one front door to every dataplane shape.
+//! [`PipelineRunner`] — the one front door to the dataplane.
 //!
 //! Every axis (shards, overload policy, fault plans, observability,
-//! checkpoints) is a builder option instead of a function of its own:
+//! checkpoints, the blocked-σ store) is a builder option instead of a
+//! function of its own:
 //!
 //! ```text
 //! PipelineRunner::new(inside, filter_config)
@@ -10,31 +11,27 @@
 //!     .fault_plan(plan)          // deterministic chaos
 //!     .observability(obs)        // tracing / flight recorder / health
 //!     .checkpoint(path, every)   // crash-safe snapshots
-//!     .serve(&mut source, &control) // or measure(), measure_source()
+//!     .block_connections(true)   // the paper's blocked-σ store
+//!     .serve(&mut source, &control)
 //! ```
 //!
-//! Terminal methods pick the execution engine:
+//! One engine per job. [`serve`](PipelineRunner::serve) /
+//! [`serve_with`](PipelineRunner::serve_with) is the one loop that reads
+//! a [`PacketSource`]: polled until it ends or is drained, and
+//! reconfigurable at runtime through a [`ServeControl`] without
+//! restarting (see below). A finite source makes it a batch run:
+//! `upbound filter` is `serve` over a pcap without a listener. Its
+//! decide step is the shard supervisor: a panicking shard is quarantined
+//! and rebuilt while the session goes on (see
+//! [`pipeline`](crate::pipeline)). The oracle-scored, per-bin metrics of
+//! the paper's figures come from the [`ReplayEngine`](crate::ReplayEngine),
+//! which decides in-memory labeled packets only.
 //!
-//! * [`measure`](PipelineRunner::measure) /
-//!   [`measure_source`](PipelineRunner::measure_source) — the
-//!   paper-faithful [`ReplayEngine`] with oracle scoring and the
-//!   blocked-σ store ([`ReplayResult`] semantics).
-//! * [`serve`](PipelineRunner::serve) /
-//!   [`serve_with`](PipelineRunner::serve_with) — the one packet loop of
-//!   the dataplane: a [`PacketSource`] polled until it ends or is
-//!   drained, reconfigurable at runtime through a [`ServeControl`]
-//!   without restarting (see below). A finite source makes it a batch
-//!   run: `upbound filter` is `serve` over a pcap without a listener. Its
-//!   decide step is the shard supervisor: a panicking shard is
-//!   quarantined and rebuilt while the session goes on (see
-//!   [`pipeline`](crate::pipeline)).
-//!
-//! Each setter says which terminal methods honour it: `serve` takes the
-//! checkpoint (restore, periodic writes with backoff, final write), every
-//! observability hook, the fault plan's panics and checkpoint faults and
-//! the blocked-σ store. Neither engine distorts the stream: a caller
-//! that wants stream faults feeds them
-//! [`FaultPlan::distort_stream`]'s output.
+//! `serve` honours every setter: the checkpoint (restore, periodic
+//! writes with backoff, final write), every observability hook, the
+//! fault plan's panics and checkpoint faults and the blocked-σ store. It
+//! does not distort the stream: a caller that wants stream faults feeds
+//! it [`FaultPlan::distort_stream`]'s output.
 //!
 //! # Runtime reconfiguration
 //!
@@ -54,7 +51,7 @@ use crate::fault::{
     FaultingCheckpointSink, FaultingObserver, PlannedInjector,
 };
 use crate::pipeline::{PipelineConfig, PipelineObservability, ShardIncident, SupervisorReport};
-use crate::replay::{BlockedConnections, ReplayConfig, ReplayEngine, ReplayResult};
+use crate::replay::BlockedConnections;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -63,16 +60,14 @@ use std::sync::Arc;
 use std::time::Duration;
 use upbound_core::{
     BitmapFilter, BitmapFilterConfig, ConfigCell, ConfigError, DropPolicy, FailMode,
-    FilterObserver, FilterStats, FlowHash, NoopObserver, OverloadPolicy, PacketFilter,
-    RestoreOutcome, RuntimeOverrides, ShardedFilter, SnapshotError, Snapshottable, SubscriberTable,
-    ThroughputMonitor, Verdict,
+    FilterObserver, FilterStats, FlowHash, NoopObserver, OverloadPolicy, RestoreOutcome,
+    RuntimeOverrides, ShardedFilter, SnapshotError, Snapshottable, ThroughputMonitor, Verdict,
 };
 use upbound_net::pcap::IngestStats;
 use upbound_net::{
     Cidr, Direction, NetError, Packet, PacketSource, SourcePoll, TimeDelta, Timestamp,
 };
 use upbound_telemetry::{Counter, Gauge, Registry, Stage};
-use upbound_traffic::SyntheticTrace;
 
 /// Why a [`PipelineRunner`] terminal method failed.
 #[derive(Debug)]
@@ -122,20 +117,6 @@ impl From<SnapshotError> for RunnerError {
     fn from(e: SnapshotError) -> Self {
         RunnerError::Snapshot(e)
     }
-}
-
-/// Output of [`PipelineRunner::measure`] /
-/// [`measure_source`](PipelineRunner::measure_source): the replay
-/// metrics plus acquisition accounting.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    /// Oracle-scored replay metrics.
-    pub replay: ReplayResult,
-    /// The source's ingestion accounting (zeroed for in-memory traces,
-    /// which have no acquisition layer).
-    pub ingest: IngestStats,
-    /// Checkpoints written (0 unless checkpointing was configured).
-    pub checkpoints: u64,
 }
 
 /// Why [`PipelineRunner::serve`] returned.
@@ -337,16 +318,14 @@ impl ServeTelemetry {
     }
 }
 
-/// Builder-style front door to every dataplane shape; see the
+/// Builder-style front door to the dataplane; see the
 /// [module docs](self) for the full map.
 ///
-/// The runner is cheap to clone-by-rebuild: every terminal method
-/// borrows `&self`, so one configured runner can serve, measure and
-/// replay any number of times.
+/// Every terminal method borrows `&self`, so one configured runner can
+/// serve any number of times.
 #[derive(Debug, Clone)]
 pub struct PipelineRunner {
     filter: BitmapFilterConfig,
-    replay: ReplayConfig,
     pipeline: PipelineConfig,
     shards: usize,
     overload: OverloadPolicy,
@@ -358,15 +337,14 @@ pub struct PipelineRunner {
 
 impl PipelineRunner {
     /// A runner over `filter_config` for the client network `inside`.
-    /// Packet sources and traces carry their own direction labels, so
-    /// no terminal method reads `inside`; it stays in the signature for
-    /// existing callers. Defaults: 1 shard, no overload ladder, no fault
-    /// plan, no observability hooks, no checkpointing, default replay
-    /// and pipeline tuning.
+    /// Packet sources carry their own direction labels, so no terminal
+    /// method reads `inside`; it stays in the signature for existing
+    /// callers. Defaults: 1 shard, no overload ladder, no fault plan, no
+    /// observability hooks, no checkpointing, no blocked-σ store, default
+    /// pipeline tuning.
     pub fn new(_inside: Cidr, filter_config: BitmapFilterConfig) -> Self {
         Self {
             filter: filter_config,
-            replay: ReplayConfig::default(),
             pipeline: PipelineConfig::default(),
             shards: 1,
             overload: OverloadPolicy::off(),
@@ -375,13 +353,6 @@ impl PipelineRunner {
             checkpoint: None,
             block: false,
         }
-    }
-
-    /// Replay-engine tuning (bin width, blocked-σ store, oracle expiry,
-    /// batch size) for [`measure`](Self::measure) and friends.
-    pub fn replay_config(mut self, replay: ReplayConfig) -> Self {
-        self.replay = replay;
-        self
     }
 
     /// Dataplane tuning (the batch size) for [`serve`](Self::serve).
@@ -403,11 +374,9 @@ impl PipelineRunner {
         self
     }
 
-    /// Applies a deterministic fault plan. [`serve`](Self::serve) lets
-    /// each initial shard panic on the plan's schedule;
-    /// [`measure`](Self::measure),
-    /// [`measure_source`](Self::measure_source) and `serve` fail
-    /// checkpoint writes on it. Stream faults are the caller's to apply
+    /// Applies a deterministic fault plan: [`serve`](Self::serve) lets
+    /// each initial shard panic and fails checkpoint writes on the plan's
+    /// schedule. Stream faults are the caller's to apply
     /// ([`FaultPlan::distort_stream`]).
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = plan;
@@ -421,11 +390,9 @@ impl PipelineRunner {
         self
     }
 
-    /// Writes an atomic checkpoint of the filter to `path` every `every`
-    /// of trace time, plus a final checkpoint at end-of-run. Honoured by
-    /// [`measure`](Self::measure), [`measure_source`](Self::measure_source)
-    /// and [`serve`](Self::serve); `serve` also restores from `path`
-    /// before its first packet.
+    /// Checkpoints [`serve`](Self::serve) to `path`: the bank is restored
+    /// from it before the first packet, then written atomically every
+    /// `every` of trace time and once more at the end of the run.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>, every: TimeDelta) -> Self {
         self.checkpoint = Some((path.into(), every));
         self
@@ -433,9 +400,9 @@ impl PipelineRunner {
 
     /// Keeps the blocked-σ store in [`serve`](Self::serve): once an
     /// inbound packet is dropped, every later packet of its connection is
-    /// dropped without reaching the filter. Off by default; the replay
-    /// engine behind [`measure`](Self::measure) takes the same switch from
-    /// [`ReplayConfig::block_connections`].
+    /// dropped without reaching the filter. Off by default; the
+    /// [`ReplayEngine`](crate::ReplayEngine) takes the same switch from
+    /// [`ReplayConfig::block_connections`](crate::ReplayConfig::block_connections).
     pub fn block_connections(mut self, block: bool) -> Self {
         self.block = block;
         self
@@ -461,105 +428,6 @@ impl PipelineRunner {
         BitmapFilter::with_observer(config, observer)
             .with_shared_uplink(Arc::clone(uplink))
             .with_overload_policy(self.overload.clone())
-    }
-
-    /// Replays `trace` through the paper-faithful [`ReplayEngine`]
-    /// (oracle scoring, blocked-σ store, per-bin throughput series),
-    /// writing checkpoints on the configured cadence.
-    ///
-    /// # Errors
-    ///
-    /// [`RunnerError::Snapshot`] if the final checkpoint write fails.
-    pub fn measure(&self, trace: &SyntheticTrace) -> Result<Measurement, RunnerError> {
-        let (replay, checkpoints) = self.replay(|engine, filter, tick| {
-            let packets = trace.packets.iter().map(|lp| (&lp.packet, lp.direction));
-            Ok(engine.run_iter_with(filter, packets, tick))
-        })?;
-        Ok(Measurement {
-            replay,
-            ingest: IngestStats::default(),
-            checkpoints,
-        })
-    }
-
-    /// [`measure`](Self::measure) over a [`PacketSource`]: pcap replay,
-    /// looped replay and live capture all drive the identical batched
-    /// replay loop, so the metrics depend only on the packet stream.
-    ///
-    /// # Errors
-    ///
-    /// [`RunnerError::Net`] on the first unrecoverable source error,
-    /// [`RunnerError::Snapshot`] if the final checkpoint write fails.
-    pub fn measure_source<S>(&self, source: &mut S) -> Result<Measurement, RunnerError>
-    where
-        S: PacketSource + ?Sized,
-    {
-        let (replay, checkpoints) =
-            self.replay(|engine, filter, tick| engine.run_source_with(source, filter, tick))?;
-        Ok(Measurement {
-            replay,
-            ingest: source.stats(),
-            checkpoints,
-        })
-    }
-
-    /// The replay loop behind [`measure`](Self::measure) and
-    /// [`measure_source`](Self::measure_source), with the checkpoint
-    /// cadence. `replay(engine, filter, tick)` feeds the packets and
-    /// calls `tick(filter, last_ts)` after every decided batch. With
-    /// checkpointing configured, checkpoints are written as
-    /// [`serve`](Self::serve) writes them: every `every` of trace time
-    /// through [`checkpoint_with_backoff`] (after whose last retry the
-    /// replay goes on without periodic writes), then a final one whose
-    /// failure is fatal. Writes go through a [`FaultingCheckpointSink`]
-    /// armed from the runner's fault plan, which is disarmed for
-    /// [`FaultPlan::none`]. Returns the metrics and the number of
-    /// checkpoints written.
-    fn replay<R>(&self, replay: R) -> Result<(ReplayResult, u64), RunnerError>
-    where
-        R: FnOnce(
-            &ReplayEngine,
-            &mut BitmapFilter,
-            &mut dyn FnMut(&mut BitmapFilter, Timestamp),
-        ) -> Result<ReplayResult, NetError>,
-    {
-        let engine = ReplayEngine::new(self.replay.clone());
-        let mut filter =
-            BitmapFilter::new(self.filter.clone()).with_overload_policy(self.overload.clone());
-        let Some((path, every)) = &self.checkpoint else {
-            return Ok((replay(&engine, &mut filter, &mut |_, _| {})?, 0));
-        };
-        let mut sink = FaultingCheckpointSink::new(AtomicCheckpointSink, self.fault.injector());
-        let mut written = 0u64;
-        let mut periodic = true;
-        let mut next_due: Option<Timestamp> = None;
-        let mut watermark = Timestamp::ZERO;
-        let result = replay(&engine, &mut filter, &mut |f, now| {
-            watermark = watermark.max(now);
-            let due = *next_due.get_or_insert(watermark + *every);
-            if !periodic || watermark < due {
-                return;
-            }
-            let bytes = f.snapshot_bytes(watermark);
-            periodic = checkpoint_with_backoff(None, path, || sink.write(path, &bytes)).is_ok();
-            if periodic {
-                written += 1;
-                next_due = Some(due + *every);
-            }
-        })?;
-        sink.write(path, &filter.snapshot_bytes(watermark))?;
-        Ok((result, written + 1))
-    }
-
-    /// Replays `trace` through a multi-tenant [`SubscriberTable`] on the
-    /// replay engine; per-tenant results remain available from the table
-    /// afterwards.
-    pub fn measure_subscribers<F: PacketFilter>(
-        &self,
-        trace: &SyntheticTrace,
-        table: &mut SubscriberTable<F>,
-    ) -> ReplayResult {
-        ReplayEngine::new(self.replay.clone()).subscribers_impl(trace, table)
     }
 
     /// The long-running dataplane: polls `source` until it ends or
@@ -1019,42 +887,6 @@ mod tests {
     }
 
     #[test]
-    fn measure_matches_replay_engine() {
-        let trace = trace(31);
-        let runner = PipelineRunner::new(inside(), BitmapFilterConfig::paper_evaluation());
-        let measured = runner.measure(&trace).expect("measure");
-        let mut filter = BitmapFilter::new(BitmapFilterConfig::paper_evaluation());
-        let expected = ReplayEngine::new(ReplayConfig::default()).run(&trace, &mut filter);
-        assert_eq!(measured.replay, expected);
-        assert_eq!(measured.checkpoints, 0);
-    }
-
-    #[test]
-    fn measure_source_checkpoints_and_matches_plain_measure() {
-        let trace = trace(32);
-        let dir = std::env::temp_dir().join(format!("upbound-runner-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("runner.snap");
-
-        let runner = PipelineRunner::new(inside(), BitmapFilterConfig::paper_evaluation())
-            .checkpoint(&path, TimeDelta::from_secs(10.0));
-        let mut source = BufferedSource::new(labeled(&trace), IngestStats::default());
-        let measured = runner.measure_source(&mut source).expect("measure_source");
-        assert!(
-            measured.checkpoints >= 4,
-            "only {} checkpoints",
-            measured.checkpoints
-        );
-        assert!(path.exists());
-
-        let plain = PipelineRunner::new(inside(), BitmapFilterConfig::paper_evaluation())
-            .measure(&trace)
-            .expect("measure");
-        assert_eq!(measured.replay, plain.replay);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn serve_surfaces_source_errors() {
         use upbound_net::pcap::{to_bytes, PcapReader};
         use upbound_net::PcapSource;
@@ -1147,12 +979,24 @@ mod tests {
         let path = dir.join("serve.snap");
         let runner = PipelineRunner::new(inside(), BitmapFilterConfig::paper_evaluation())
             .shards(2)
-            .checkpoint(&path, TimeDelta::from_secs(20.0));
-        let control = ServeControl::new();
-        let mut source = BufferedSource::new(labeled(&trace), IngestStats::default());
-        let report = runner.serve(&mut source, &control).expect("serve");
+            .block_connections(true);
+        let serve = |runner: &PipelineRunner| {
+            let mut source = BufferedSource::new(labeled(&trace), IngestStats::default());
+            runner
+                .serve(&mut source, &ServeControl::new())
+                .expect("serve")
+        };
+        let plain = serve(&runner);
+        let report = serve(&runner.clone().checkpoint(&path, TimeDelta::from_secs(20.0)));
         assert!(report.checkpoints_written >= 2, "periodic + final");
         assert!(path.exists());
+        // Checkpointing does not perturb the run.
+        assert!(plain.blocked_connections > 0);
+        assert_eq!(
+            (report.passed, report.dropped, report.blocked_connections),
+            (plain.passed, plain.dropped, plain.blocked_connections)
+        );
+        assert_eq!(report.filter_stats, plain.filter_stats);
 
         // The final checkpoint restores into an equally-sharded bank.
         let restored = ShardedFilter::builder(BitmapFilterConfig::paper_evaluation())

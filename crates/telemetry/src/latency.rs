@@ -7,7 +7,7 @@
 //! per-batch (and even per-packet) filter path.
 //!
 //! [`StageTracer`] bundles one recorder per pipeline [`Stage`]
-//! (ingest → dispatch → decide → merge → emit) and hands out
+//! (ingest → decide → emit) and hands out
 //! [`ScopeTimer`] drop-guards that time a lexical scope.
 //!
 //! Recorders registered through [`crate::Registry::latency`] export as
@@ -186,33 +186,21 @@ impl LatencySnapshot {
 pub enum Stage {
     /// Reading/decoding trace records.
     Ingest,
-    /// Partitioning a batch across shards.
-    Dispatch,
     /// The filter decision itself (`decide` / `decide_batch`).
     Decide,
-    /// Reassembling shard outputs in sequence order.
-    Merge,
     /// Writing verdicts/records out.
     Emit,
 }
 
 impl Stage {
     /// All stages, pipeline order.
-    pub const ALL: [Stage; 5] = [
-        Stage::Ingest,
-        Stage::Dispatch,
-        Stage::Decide,
-        Stage::Merge,
-        Stage::Emit,
-    ];
+    pub const ALL: [Stage; 3] = [Stage::Ingest, Stage::Decide, Stage::Emit];
 
     /// Short machine-friendly label (used in metric names).
     pub fn label(self) -> &'static str {
         match self {
             Stage::Ingest => "ingest",
-            Stage::Dispatch => "dispatch",
             Stage::Decide => "decide",
-            Stage::Merge => "merge",
             Stage::Emit => "emit",
         }
     }
@@ -220,10 +208,8 @@ impl Stage {
     fn index(self) -> usize {
         match self {
             Stage::Ingest => 0,
-            Stage::Dispatch => 1,
-            Stage::Decide => 2,
-            Stage::Merge => 3,
-            Stage::Emit => 4,
+            Stage::Decide => 1,
+            Stage::Emit => 2,
         }
     }
 }
@@ -235,11 +221,11 @@ impl Stage {
 /// different threads can each hold a tracer.
 #[derive(Debug, Clone)]
 pub struct StageTracer {
-    recorders: [Arc<LatencyRecorder>; 5],
+    recorders: [Arc<LatencyRecorder>; 3],
 }
 
 impl StageTracer {
-    /// Registers the five per-stage recorders under `scope`
+    /// Registers the three per-stage recorders under `scope`
     /// (e.g. `sim` → `upbound_sim_stage_decide_latency_seconds`).
     pub fn new(registry: &crate::Registry, scope: &str) -> Self {
         let recorders = Stage::ALL.map(|stage| {
@@ -255,7 +241,7 @@ impl StageTracer {
     /// overhead benchmarks that do not want a registry.
     pub fn detached() -> Self {
         StageTracer {
-            recorders: [(); 5].map(|()| Arc::new(LatencyRecorder::new())),
+            recorders: [(); 3].map(|()| Arc::new(LatencyRecorder::new())),
         }
     }
 
@@ -390,6 +376,7 @@ mod tests {
             let _t = tracer.scope(Stage::Decide);
         }
         assert_eq!(tracer.recorder(Stage::Decide).count(), 1);
-        assert_eq!(tracer.recorder(Stage::Merge).count(), 0);
+        assert_eq!(tracer.recorder(Stage::Emit).count(), 0);
+        assert_eq!(tracer.recorder(Stage::Ingest).count(), 0);
     }
 }

@@ -236,9 +236,12 @@ fn assert_serve_blocking_matches_replay(
     workload: &[(Packet, Direction)],
 ) -> Result<(), String> {
     let source = || BufferedSource::new(workload.to_vec(), IngestStats::default());
-    let (replay, _) = ReplayEngine::new(ReplayConfig::default())
-        .run_source(&mut source(), &mut BitmapFilter::new(config.clone()))
-        .expect("buffered sources do not fail");
+    let replay = ReplayEngine::new(ReplayConfig::default()).run_iter(
+        workload
+            .iter()
+            .map(|(packet, direction)| (packet, *direction)),
+        &mut BitmapFilter::new(config.clone()),
+    );
     let outbound = workload
         .iter()
         .filter(|(_, d)| *d == Direction::Outbound)

@@ -2,7 +2,7 @@
 //!
 //! Every run replays the same fixed-seed [`FaultPlan`] combinations —
 //! stream corruption, reorder bursts, clock-skew spikes, decide-path
-//! panics, checkpoint write failures — against the supervised
+//! panics — against the supervised
 //! [`PipelineRunner::serve`] loop (fed the plan's distorted stream, as
 //! `upbound filter --fault-plan` feeds it) and a ladder-armed
 //! sequential filter, asserting:
@@ -18,11 +18,10 @@
 //! * **zero solicited Pass→Drop flips**: no inbound packet whose flow
 //!   sent an outbound packet within the documented rotation bound
 //!   (`⌊(k−1)/2⌋·Δt` of *watermark* time) is ever dropped, whatever the
-//!   fault plan does to the stream;
-//! * checkpoint I/O faults armed by the plan go through
-//!   [`PipelineRunner::measure`] as they go through `serve`: retried,
-//!   then periodic writes disabled, with only a failed final write
-//!   fatal.
+//!   fault plan does to the stream.
+//!
+//! Checkpoint write failures (`ckpt=N`) are covered where checkpoints
+//! are: `tests/serve.rs::serve_retries_failed_checkpoints_then_disables_them`.
 //!
 //! The solicited check is deliberately watermark-relative rather than
 //! packet-time-relative: clock-skew spikes legitimately divorce packet
@@ -34,12 +33,10 @@
 use std::panic::catch_unwind;
 use std::path::PathBuf;
 
-use upbound::core::{
-    BitmapFilter, BitmapFilterConfig, OverloadPolicy, PacketFilter, SnapshotError, Verdict,
-};
+use upbound::core::{BitmapFilter, BitmapFilterConfig, OverloadPolicy, PacketFilter, Verdict};
 use upbound::net::{BufferedSource, Cidr, Direction, FiveTuple, Packet, TimeDelta, Timestamp};
 use upbound::sim::{
-    FaultPlan, PipelineConfig, PipelineRunner, RunnerError, ServeControl, ServeExit, ServeReport,
+    FaultPlan, PipelineConfig, PipelineRunner, ServeControl, ServeExit, ServeReport,
 };
 use upbound::traffic::{attack, generate, AttackConfig, SyntheticTrace, TraceConfig};
 
@@ -407,49 +404,4 @@ fn panic_mid_batch_on_nonmonotonic_trace_matches_pool_golden() {
             }
         }
     }
-}
-
-/// Checkpoint I/O faults armed by the runner's fault plan go through
-/// [`PipelineRunner::measure`] as they go through `serve`: one failed
-/// write is retried and the replay is unchanged, three disable periodic
-/// writes while the final one lands, and a fourth fails the final write
-/// with [`SnapshotError::Io`]. The same runner with a disarmed plan
-/// checkpoints normally.
-#[test]
-fn checkpoint_faults_surface_and_disarmed_sink_recovers() {
-    let trace = chaos_trace();
-    let dir = failure_dir().join(format!("ckpt-scratch-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    let path = dir.join("chaos.snap");
-    let every = TimeDelta::from_secs(5.0);
-    let runner = PipelineRunner::new(inside(), filter_config()).checkpoint(&path, every);
-    let measure = |spec: &str| {
-        let _ = std::fs::remove_file(&path);
-        let plan = FaultPlan::parse(spec).expect("plan parses");
-        runner.clone().fault_plan(plan).measure(&trace)
-    };
-
-    let disarmed = measure("none").expect("a disarmed plan checkpoints normally");
-    assert!(
-        disarmed.checkpoints >= 2,
-        "a 30s trace at a 5s cadence checkpoints periodically plus once at the end"
-    );
-    assert!(path.exists(), "the final checkpoint image must exist");
-
-    let retried = measure("seed=9,ckpt=1").expect("a transient failure is retried");
-    assert_eq!(retried.checkpoints, disarmed.checkpoints);
-    assert_eq!(retried.replay, disarmed.replay);
-    assert!(path.exists());
-
-    let disabled = measure("seed=9,ckpt=3").expect("the replay survives disabled checkpoints");
-    assert_eq!(disabled.checkpoints, 1, "only the final write");
-    assert_eq!(disabled.replay, disarmed.replay);
-    assert!(path.exists());
-
-    let err = measure("seed=9,ckpt=4").expect_err("a failed final write is fatal");
-    assert!(
-        matches!(err, RunnerError::Snapshot(SnapshotError::Io(_))),
-        "got {err:?}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }

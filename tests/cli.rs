@@ -664,3 +664,142 @@ fn filter_survives_injected_shard_panics() {
     let _ = std::fs::remove_file(&trace);
     let _ = std::fs::remove_file(&prom);
 }
+
+/// Golden outputs of `upbound filter --subscribers` over one seeded trace
+/// split between two tenants (one with its own thresholds, vector size
+/// and seed) plus a tenant that never sees a packet. Every case pins the
+/// summary, the checkpoint line, the number of `--metrics-interval 10`
+/// reports, the `--out` pcap's fingerprint, the `subscribers:` line and
+/// the final per-tenant table; the `restart` case reruns `tenants` from
+/// its own checkpoint and must restore warm.
+#[test]
+fn filter_subscribers_matches_recorded_golden_outputs() {
+    let trace = tmp("tenant-golden-trace.pcap");
+    let spec = tmp("tenant-golden.spec");
+    let out_pcap = tmp("tenant-golden-out.pcap");
+    let ckpt = tmp("tenant-golden.ckpt");
+    let trace_s = trace.to_str().expect("utf8 path");
+    let out = run(&[
+        "generate",
+        "--out",
+        trace_s,
+        "--duration",
+        "60",
+        "--rate",
+        "30",
+        "--seed",
+        "7",
+    ]);
+    assert!(out.status.success());
+    std::fs::write(
+        &spec,
+        "10.0.0.0/25 name=res-a\n\
+         10.0.0.128/25 name=res-b low-mbps=0.2 high-mbps=1 vector-bits=16 seed=3\n\
+         10.9.0.0/16 name=idle # provisioned, never active\n",
+    )
+    .expect("write spec");
+
+    let cases: [(&str, &[&str], bool); 4] = [
+        ("tenants", &["--evict-idle", "20"], true),
+        (
+            "batch-1",
+            &["--evict-idle", "20", "--batch-size", "1"],
+            true,
+        ),
+        ("no-block", &["--no-block"], true),
+        ("restart", &["--evict-idle", "20"], false),
+    ];
+    let mut digests = Vec::new();
+    for (label, extra, fresh) in cases {
+        if fresh {
+            let _ = std::fs::remove_file(&ckpt);
+        }
+        let mut args = vec![
+            "filter",
+            "--in",
+            trace_s,
+            "--subscribers",
+            spec.to_str().expect("utf8 path"),
+            "--low-mbps",
+            "0.5",
+            "--high-mbps",
+            "2",
+            "--out",
+            out_pcap.to_str().expect("utf8 path"),
+            "--checkpoint",
+            ckpt.to_str().expect("utf8 path"),
+            "--checkpoint-interval",
+            "10",
+            "--metrics-interval",
+            "10",
+        ];
+        args.extend(extra);
+        let out = run(&args);
+        assert!(
+            out.status.success(),
+            "{label}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = stdout(&out);
+        assert_eq!(
+            text.contains("restored warm subscriber table from checkpoint"),
+            !fresh,
+            "{label}: {text}"
+        );
+        let line = |prefix: &str| {
+            text.lines()
+                .find(|l| l.contains(prefix))
+                .unwrap_or("?")
+                .replace(ckpt.to_str().expect("utf8 path"), "CKPT")
+        };
+        digests.push(format!(
+            "{label}: {} | {} | {} | out {:016x} | reports {}",
+            line(" packets; dropped "),
+            line("uplink: "),
+            line("wrote final checkpoint"),
+            fnv1a(&std::fs::read(&out_pcap).expect("read out pcap")),
+            text.matches("--- metrics @ t=").count(),
+        ));
+        digests.push(format!("{label}: {}", line("subscribers: ")));
+        // The final tenant table follows the `subscribers:` line.
+        let table = text
+            .lines()
+            .skip_while(|l| !l.starts_with("subscribers: "))
+            .skip(2);
+        for row in table {
+            let row: Vec<&str> = row.split_whitespace().collect();
+            digests.push(format!("{label}: {}", row.join(" ")));
+        }
+    }
+    let expected: Vec<String> = GOLDEN_SUBSCRIBERS.iter().map(|s| s.to_string()).collect();
+    assert_eq!(digests, expected, "actual:\n{}", digests.join("\n"));
+
+    for path in [&trace, &spec, &out_pcap, &ckpt] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+/// Recorded from the multi-tenant `filter` loop (header line, then the
+/// `subscribers:` line and one row per tenant, per case).
+const GOLDEN_SUBSCRIBERS: &[&str] = &[
+    "tenants: 64836 packets; dropped 39620 (61.11%); blocked 860 connections | uplink: 32.00 Mbps offered -> 5.94 Mbps after filtering | wrote final checkpoint to CKPT (7 checkpoint(s), 2 tenant(s) serialized) | out aac9838c17a91721 | reports 6",
+    "tenants: subscribers: 2 active / 3 provisioned; 557056 B resident, 0 B pooled (arena: 0 reuse(s), 8 fresh); 0 outbound drop anomaly(ies)",
+    "tenants: res-a 10.0.0.0/25 active 8346 8625 545 512",
+    "tenants: res-b 10.0.0.128/25 active 4458 4647 315 32",
+    "tenants: idle 10.9.0.0/16 dormant 0 0 0 0",
+    "batch-1: 64836 packets; dropped 39620 (61.11%); blocked 860 connections | uplink: 32.00 Mbps offered -> 5.94 Mbps after filtering | wrote final checkpoint to CKPT (7 checkpoint(s), 2 tenant(s) serialized) | out aac9838c17a91721 | reports 6",
+    "batch-1: subscribers: 2 active / 3 provisioned; 557056 B resident, 0 B pooled (arena: 0 reuse(s), 8 fresh); 0 outbound drop anomaly(ies)",
+    "batch-1: res-a 10.0.0.0/25 active 8346 8625 545 512",
+    "batch-1: res-b 10.0.0.128/25 active 4458 4647 315 32",
+    "batch-1: idle 10.9.0.0/16 dormant 0 0 0 0",
+    "no-block: 64836 packets; dropped 867 (1.34%); blocked 0 connections | uplink: 32.00 Mbps offered -> 32.00 Mbps after filtering | wrote final checkpoint to CKPT (7 checkpoint(s), 2 tenant(s) serialized) | out 879fd78f59da887b | reports 6",
+    "no-block: subscribers: 2 active / 3 provisioned; 557056 B resident, 0 B pooled (arena: 0 reuse(s), 8 fresh); 0 outbound drop anomaly(ies)",
+    "no-block: res-a 10.0.0.0/25 active 21303 21402 550 512",
+    "no-block: res-b 10.0.0.128/25 active 11037 11094 317 32",
+    "no-block: idle 10.9.0.0/16 dormant 0 0 0 0",
+    "restart: 64836 packets; dropped 15814 (24.39%); blocked 498 connections | uplink: 32.00 Mbps offered -> 25.65 Mbps after filtering | wrote final checkpoint to CKPT (7 checkpoint(s), 2 tenant(s) serialized) | out 0ab07112bb293d63 | reports 6",
+    "restart: subscribers: 2 active / 3 provisioned; 557056 B resident, 0 B pooled (arena: 0 reuse(s), 0 fresh); 0 outbound drop anomaly(ies)",
+    "restart: res-a 10.0.0.0/25 active 37768 38105 859 512",
+    "restart: res-b 10.0.0.128/25 active 19140 19343 506 32",
+    "restart: idle 10.9.0.0/16 dormant 0 0 0 0",
+];

@@ -1,17 +1,15 @@
-//! Differential contract for the `PacketSource` refactor: the replay
-//! engine driven through the unified source API must be byte-identical
-//! to the pre-refactor drain-then-replay path.
-//!
-//! The deprecated [`ReplayEngine::run_capture`] deliberately keeps its
-//! original loop (it is *not* a shim over `run_source`), so these tests
-//! compare two genuinely distinct code paths over:
+//! Differential contract for `PipelineRunner::serve` over a pcap: serving
+//! a [`PcapSource`] with the blocked-σ store on must decide exactly like
+//! the paper-faithful [`ReplayEngine`] fed by a plain drain loop
+//! (`PcapReader::read_packet` plus `Cidr::direction_of`, written out in
+//! this file), so two genuinely distinct code paths are compared over:
 //!
 //! * clean captures under the strict reader;
 //! * a property-tested corpus of adversarially mutated captures
 //!   (truncations, bit flips, stomped ranges) under the recovering
-//!   reader — verdict counters, drop-rate series, ingestion accounting
-//!   and final filter state must all agree exactly, and under the
-//!   strict reader both paths must fail identically;
+//!   reader — verdict counts, blocked connections, uplink accounting,
+//!   ingestion accounting and final filter state must all agree exactly,
+//!   and under the strict reader both paths must fail on the same record;
 //! * a loopback (`lo`) live-capture smoke test, gated on `CAP_NET_RAW`
 //!   via structured [`LiveCaptureError`] matching, so the AF_PACKET
 //!   backend is exercised wherever privileges allow and skipped cleanly
@@ -20,12 +18,15 @@
 use std::io::Cursor;
 
 use proptest::prelude::*;
-use upbound::core::{BitmapFilter, BitmapFilterConfig, DropPolicy};
-use upbound::net::pcap::{self, PcapReader, RecoveryPolicy};
+use upbound::core::{BitmapFilter, BitmapFilterConfig, DropPolicy, FilterStats};
+use upbound::net::pcap::{self, IngestStats, PcapReader, RecoveryPolicy};
 use upbound::net::{
     Cidr, LiveCaptureError, LiveConfig, LiveSource, Packet, PacketSource, PcapSource, SourcePoll,
 };
-use upbound::sim::{ReplayConfig, ReplayEngine};
+use upbound::sim::{
+    PipelineRunner, ReplayConfig, ReplayEngine, ReplayResult, RunnerError, ServeControl,
+    ServeReport,
+};
 use upbound::traffic::{generate, TraceConfig};
 
 fn inside() -> Cidr {
@@ -56,67 +57,92 @@ fn capture_bytes(seed: u64) -> Vec<u8> {
     pcap::to_bytes(packets, 96).expect("serialize capture")
 }
 
-/// Replays `bytes` through the pre-refactor drain-then-replay path.
-#[allow(deprecated)]
-fn replay_old(
+/// How a path failed: the error text and the records decoded before it.
+type Failure = (String, IngestStats);
+
+/// Drains `bytes` with a plain read loop and replays the labeled packets
+/// through the [`ReplayEngine`].
+fn replay_reference(
     bytes: &[u8],
     policy: RecoveryPolicy,
-) -> Result<
-    (
-        upbound::sim::ReplayResult,
-        upbound::net::pcap::IngestStats,
-        upbound::core::FilterStats,
-    ),
-    String,
-> {
-    let mut reader =
-        PcapReader::with_policy(Cursor::new(bytes), policy).map_err(|e| e.to_string())?;
+) -> Result<(ReplayResult, IngestStats, FilterStats), Failure> {
+    let mut reader = PcapReader::with_policy(Cursor::new(bytes), policy)
+        .map_err(|e| (e.to_string(), IngestStats::default()))?;
+    let mut packets = Vec::new();
+    loop {
+        match reader.read_packet() {
+            Ok(Some(packet)) => {
+                let direction = inside().direction_of(&packet.tuple());
+                packets.push((packet, direction));
+            }
+            Ok(None) => break,
+            Err(e) => return Err((e.to_string(), *reader.stats())),
+        }
+    }
     let mut filter = BitmapFilter::new(filter_config());
-    let (result, ingest) = ReplayEngine::new(ReplayConfig::default())
-        .run_capture(&mut reader, inside(), &mut filter)
-        .map_err(|e| e.to_string())?;
-    Ok((result, ingest, filter.stats()))
+    let result = ReplayEngine::new(ReplayConfig::default()).run_iter(packets, &mut filter);
+    Ok((result, *reader.stats(), filter.stats()))
 }
 
-/// Replays `bytes` through the unified `PacketSource` path.
-fn replay_new(
-    bytes: &[u8],
-    policy: RecoveryPolicy,
-) -> Result<
-    (
-        upbound::sim::ReplayResult,
-        upbound::net::pcap::IngestStats,
-        upbound::core::FilterStats,
-    ),
-    String,
-> {
-    let reader = PcapReader::with_policy(Cursor::new(bytes), policy).map_err(|e| e.to_string())?;
+/// Serves `bytes` through a [`PcapSource`] with the blocked-σ store on.
+fn serve_capture(bytes: &[u8], policy: RecoveryPolicy) -> Result<ServeReport, Failure> {
+    let reader = PcapReader::with_policy(Cursor::new(bytes), policy)
+        .map_err(|e| (e.to_string(), IngestStats::default()))?;
     let mut source = PcapSource::new(reader, inside());
-    let mut filter = BitmapFilter::new(filter_config());
-    let (result, ingest) = ReplayEngine::new(ReplayConfig::default())
-        .run_source(&mut source, &mut filter)
-        .map_err(|e| e.to_string())?;
-    Ok((result, ingest, filter.stats()))
+    PipelineRunner::new(inside(), filter_config())
+        .block_connections(true)
+        .serve(&mut source, &ServeControl::new())
+        .map_err(|e| match e {
+            RunnerError::Net(e) => (e.to_string(), source.stats()),
+            other => panic!("serving a capture failed outside the source: {other}"),
+        })
 }
 
-/// Both paths over the same bytes must agree bit-for-bit: same error or
-/// same (metrics, accounting, filter state).
+/// Both paths over the same bytes must agree: the same failure, or the
+/// same decisions, accounting and filter state. `serve` counts the
+/// outbound packets of blocked connections as dropped where the engine
+/// only suppresses them, so those are taken out of its drops.
 fn assert_paths_agree(bytes: &[u8], policy: RecoveryPolicy) {
-    let old = replay_old(bytes, policy);
-    let new = replay_new(bytes, policy);
-    match (old, new) {
-        (Ok(old), Ok(new)) => {
-            assert_eq!(old.0, new.0, "replay metrics diverged");
-            assert_eq!(old.1, new.1, "ingestion accounting diverged");
-            assert_eq!(old.2, new.2, "final filter state diverged");
+    match (
+        replay_reference(bytes, policy),
+        serve_capture(bytes, policy),
+    ) {
+        (Ok((replay, ingest, filter_stats)), Ok(report)) => {
+            let outbound = replay.total_packets - replay.total_inbound_packets;
+            let blocked_outbound = outbound - report.filter_stats.outbound_packets;
+            assert_eq!(report.packets, replay.total_packets, "packets diverged");
+            assert_eq!(
+                report.dropped - blocked_outbound,
+                replay.total_dropped_packets,
+                "drops diverged"
+            );
+            assert_eq!(
+                report.blocked_connections, replay.blocked_connections,
+                "blocked connections diverged"
+            );
+            assert_eq!(
+                report.uplink_offered_bits as f64,
+                replay.pre_uplink.total(),
+                "offered uplink diverged"
+            );
+            assert_eq!(
+                report.uplink_kept_bits as f64,
+                replay.post_uplink.total(),
+                "kept uplink diverged"
+            );
+            assert_eq!(report.ingest, ingest, "ingestion accounting diverged");
+            assert_eq!(
+                report.filter_stats, filter_stats,
+                "final filter state diverged"
+            );
         }
-        (Err(old), Err(new)) => {
-            assert_eq!(old, new, "error paths diverged");
+        (Err(reference), Err(served)) => {
+            assert_eq!(reference, served, "error paths diverged");
         }
-        (old, new) => panic!(
-            "one path failed where the other succeeded: old={:?} new={:?}",
-            old.map(|r| r.0.total_inbound_packets),
-            new.map(|r| r.0.total_inbound_packets),
+        (reference, served) => panic!(
+            "one path failed where the other succeeded: reference={:?} serve={:?}",
+            reference.map(|r| r.0.total_packets),
+            served.map(|r| r.packets),
         ),
     }
 }

@@ -12,9 +12,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use upbound::core::{BitmapFilterConfig, DropPolicy, RestoreOutcome, RuntimeOverrides};
+use upbound::core::{
+    BitmapFilterConfig, DropPolicy, RestoreOutcome, RuntimeOverrides, SnapshotError,
+};
 use upbound::net::{BufferedSource, Cidr, Packet, TimeDelta};
-use upbound::sim::{FaultPlan, PipelineRunner, RunnerError, ServeControl, ServeExit};
+use upbound::sim::{FaultPlan, PipelineRunner, RunnerError, ServeControl, ServeExit, ServeReport};
 use upbound::telemetry::Registry;
 use upbound::traffic::{generate, TraceConfig};
 
@@ -525,6 +527,8 @@ fn empty_capture_leaves_an_existing_checkpoint_untouched() {
 /// In-process: periodic checkpoint writes that the fault plan fails are
 /// retried; once the retries are spent, periodic checkpointing is
 /// disabled and the session finishes; a failed final write is fatal.
+/// Neither a retried nor a disabled checkpoint changes what the session
+/// decides.
 #[test]
 fn serve_retries_failed_checkpoints_then_disables_them() {
     let path = tmp("faulted.snap");
@@ -534,16 +538,31 @@ fn serve_retries_failed_checkpoints_then_disables_them() {
         let control = ServeControl::new().with_telemetry(&registry);
         let mut source = BufferedSource::labeled(trace_packets(22), inside());
         let report = PipelineRunner::new(inside(), BitmapFilterConfig::paper_evaluation())
+            .block_connections(true)
             .checkpoint(&path, TimeDelta::from_secs(2.0))
             .fault_plan(FaultPlan::parse(plan).expect("plan"))
             .serve(&mut source, &control);
         (report, registry.snapshot())
     };
 
+    let (disarmed, _) = serve("none");
+    let disarmed = disarmed.expect("a disarmed plan checkpoints normally");
+    assert!(disarmed.blocked_connections > 0);
+    let decided = |report: &ServeReport| {
+        (
+            report.passed,
+            report.dropped,
+            report.blocked_connections,
+            report.filter_stats,
+        )
+    };
+
     // One failure: the retry lands and periodic writes carry on.
     let (report, metrics) = serve("ckpt=1");
     let report = report.expect("a transient failure is retried");
     assert!(report.checkpoints_written >= 3, "periodic + final");
+    assert_eq!(report.checkpoints_written, disarmed.checkpoints_written);
+    assert_eq!(decided(&report), decided(&disarmed));
     assert!(path.exists());
     assert_eq!(
         metrics.counter("upbound_cli_checkpoint_retries_total"),
@@ -560,6 +579,7 @@ fn serve_retries_failed_checkpoints_then_disables_them() {
     let report = report.expect("the session survives a disabled checkpoint");
     assert_eq!(report.exit, ServeExit::SourceEnded);
     assert_eq!(report.checkpoints_written, 1, "only the final write");
+    assert_eq!(decided(&report), decided(&disarmed));
     assert!(path.exists());
     assert_eq!(
         metrics.gauge("upbound_cli_checkpointing_disabled"),
@@ -569,7 +589,7 @@ fn serve_retries_failed_checkpoints_then_disables_them() {
     // A fourth failure hits the final write, which is fatal.
     let (report, _) = serve("ckpt=4");
     assert!(
-        matches!(report, Err(RunnerError::Snapshot(_))),
+        matches!(report, Err(RunnerError::Snapshot(SnapshotError::Io(_)))),
         "got {report:?}"
     );
     std::fs::remove_file(&path).ok();
