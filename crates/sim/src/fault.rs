@@ -21,7 +21,7 @@
 //! * **Checkpoint I/O faults** ([`CheckpointSink`]) — an injectable
 //!   write layer for periodic checkpoints; [`FaultingCheckpointSink`]
 //!   fails writes on the injector's schedule, and
-//!   [`checkpoint_with_backoff`] retries them before giving up on
+//!   `serve` retries them with bounded backoff before giving up on
 //!   periodic checkpointing.
 //!
 //! [`PipelineRunner::fault_plan`](crate::PipelineRunner::fault_plan)
@@ -475,7 +475,7 @@ impl<S: CheckpointSink, J: FaultInjector> CheckpointSink for FaultingCheckpointS
 /// # Errors
 ///
 /// The last attempt's error, once all three attempts failed.
-pub fn checkpoint_with_backoff(
+pub(crate) fn checkpoint_with_backoff(
     registry: Option<&Registry>,
     path: &Path,
     mut attempt: impl FnMut() -> Result<(), SnapshotError>,

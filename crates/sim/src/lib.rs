@@ -23,8 +23,10 @@
 //!   checkpointing, the blocked-σ store) is an option of its one packet
 //!   loop, [`serve`](PipelineRunner::serve), which runs live sources and
 //!   finite captures alike over a
-//!   [`ShardedFilter`](upbound_core::ShardedFilter). Every run that reads
-//!   a [`PacketSource`](upbound_net::PacketSource) is `serve`.
+//!   [`ShardedFilter`](upbound_core::ShardedFilter) or, through
+//!   [`serve_with`](PipelineRunner::serve_with), a
+//!   [`SubscriberTable`](upbound_core::SubscriberTable). Every run that
+//!   reads a [`PacketSource`](upbound_net::PacketSource) is `serve`.
 //! * [`pipeline`] — the dataplane's tuning knobs and the records of its
 //!   shard supervisor: `serve` catches a panic in a shard's decide path,
 //!   quarantines that shard and rebuilds it fail-open while the
@@ -71,15 +73,16 @@ pub mod sweep;
 
 pub use compare::{compare, ComparisonResult};
 pub use fault::{
-    checkpoint_with_backoff, AtomicCheckpointSink, CheckpointSink, DistortionReport, FaultInjector,
-    FaultPlan, FaultPlanError, FaultingCheckpointSink, FaultingObserver, PlannedInjector,
+    AtomicCheckpointSink, CheckpointSink, DistortionReport, FaultInjector, FaultPlan,
+    FaultPlanError, FaultingCheckpointSink, FaultingObserver, PlannedInjector,
 };
 pub use oracle::OracleFilter;
 pub use pipeline::{
     PipelineConfig, PipelineObservability, ShardIncident, SupervisorReport, SupervisorTelemetry,
 };
-pub use replay::{BlockedConnections, ReplayConfig, ReplayEngine, ReplayResult};
+pub use replay::{ReplayConfig, ReplayEngine, ReplayResult};
 pub use runner::{
-    PipelineRunner, RunnerError, ServeControl, ServeExit, ServeReport, ServeTelemetry,
+    next_boundary, PipelineRunner, RunnerError, ServeBank, ServeControl, ServeExit, ServeReport,
+    ServeTelemetry, TenantBank,
 };
 pub use upbound_core::{MergeStats, PacketFilter};

@@ -242,7 +242,7 @@ impl PipelineObservability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{PipelineRunner, ServeControl, ServeReport};
+    use crate::runner::{PipelineRunner, ServeControl, ServeReport, ShardBank};
     use upbound_core::{
         BitmapFilter, BitmapFilterConfig, FilterObserver, FilterStats, FlowHash, InboundDecision,
         ShardedFilter,
@@ -382,8 +382,7 @@ mod tests {
         );
         let report = PipelineRunner::new(inside(), config.clone())
             .serve_with(
-                &sharded,
-                shard,
+                ShardBank::new(&sharded, config.clone(), shard),
                 &mut source,
                 &ServeControl::new(),
                 |_, _| Ok(()),
@@ -557,9 +556,12 @@ mod tests {
             let (bank, rebuild) = trip_port_bank(&config, shards, port);
             let mut source = BufferedSource::labeled(packets.clone(), inside());
             let report = PipelineRunner::new(inside(), config.clone())
-                .serve_with(&bank, rebuild, &mut source, &ServeControl::new(), |_, _| {
-                    Ok(())
-                })
+                .serve_with(
+                    ShardBank::new(&bank, config.clone(), rebuild),
+                    &mut source,
+                    &ServeControl::new(),
+                    |_, _| Ok(()),
+                )
                 .expect("serve");
             let shard_stats: Vec<FilterStats> = (0..shards)
                 .map(|i| bank.with_shard(i, |f| f.stats()).unwrap())
@@ -618,11 +620,14 @@ mod tests {
 
         let (bank, rebuild) = trip_port_bank(&config, 4, Some(trip_port));
         let mut source = BufferedSource::labeled(packets, inside());
-        let report = PipelineRunner::new(inside(), config)
+        let report = PipelineRunner::new(inside(), config.clone())
             .observability(obs)
-            .serve_with(&bank, rebuild, &mut source, &ServeControl::new(), |_, _| {
-                Ok(())
-            })
+            .serve_with(
+                ShardBank::new(&bank, config, rebuild),
+                &mut source,
+                &ServeControl::new(),
+                |_, _| Ok(()),
+            )
             .expect("serve");
         let supervisor = &report.supervisor;
         assert!(supervisor.panics >= 1);

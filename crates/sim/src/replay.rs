@@ -55,7 +55,7 @@ impl Default for ReplayConfig {
 /// block the newcomer. Only inbound drops block, so only inbound packets
 /// are hazards.
 #[derive(Debug, Clone, Default)]
-pub struct BlockedConnections {
+pub(crate) struct BlockedConnections {
     blocked: HashSet<FiveTuple>,
     staged_inbound: HashSet<FiveTuple>,
 }
@@ -63,12 +63,12 @@ pub struct BlockedConnections {
 impl BlockedConnections {
     /// Whether an inbound packet of `tuple`'s connection is staged, so the
     /// staged batch must be decided before `tuple`'s packet is looked up.
-    pub fn must_flush(&self, tuple: &FiveTuple) -> bool {
+    pub(crate) fn must_flush(&self, tuple: &FiveTuple) -> bool {
         !self.staged_inbound.is_empty() && self.staged_inbound.contains(&tuple.canonical())
     }
 
     /// Whether `tuple`'s connection is blocked.
-    pub fn is_blocked(&self, tuple: &FiveTuple) -> bool {
+    pub(crate) fn is_blocked(&self, tuple: &FiveTuple) -> bool {
         !self.blocked.is_empty() && self.blocked.contains(&tuple.canonical())
     }
 
@@ -76,7 +76,7 @@ impl BlockedConnections {
     /// batch after the packets already staged, and returns its length. It
     /// stops before the first packet that [`must_flush`](Self::must_flush)
     /// or [`is_blocked`](Self::is_blocked).
-    pub fn admit_run(&mut self, packets: &[(Packet, Direction)]) -> usize {
+    pub(crate) fn admit_run(&mut self, packets: &[(Packet, Direction)]) -> usize {
         for (i, (packet, direction)) in packets.iter().enumerate() {
             let tuple = packet.tuple();
             if self.must_flush(&tuple) || self.is_blocked(&tuple) {
@@ -88,7 +88,7 @@ impl BlockedConnections {
     }
 
     /// Records a packet admitted to the staged batch.
-    pub fn stage(&mut self, tuple: &FiveTuple, direction: Direction) {
+    pub(crate) fn stage(&mut self, tuple: &FiveTuple, direction: Direction) {
         if direction == Direction::Inbound {
             self.staged_inbound.insert(tuple.canonical());
         }
@@ -96,19 +96,19 @@ impl BlockedConnections {
 
     /// Blocks the connection of a dropped inbound packet; `true` when it
     /// was not blocked before.
-    pub fn block(&mut self, tuple: &FiveTuple) -> bool {
+    pub(crate) fn block(&mut self, tuple: &FiveTuple) -> bool {
         self.blocked.insert(tuple.canonical())
     }
 
     /// Marks the staged batch decided (every drop in it [`block`]ed).
     ///
     /// [`block`]: Self::block
-    pub fn flushed(&mut self) {
+    pub(crate) fn flushed(&mut self) {
         self.staged_inbound.clear();
     }
 
     /// Connections blocked so far.
-    pub fn connections(&self) -> usize {
+    pub(crate) fn connections(&self) -> usize {
         self.blocked.len()
     }
 }
@@ -234,7 +234,8 @@ impl ReplayEngine {
     /// Packets are staged into a batch and decided via
     /// [`PacketFilter::decide_batch`]. The blocked-σ store feeds back
     /// into which packets reach the filter at all, so the batch is
-    /// flushed early on [`BlockedConnections::must_flush`]. That hazard
+    /// flushed early when a packet's connection has an inbound packet
+    /// staged (its verdict may block the newcomer). That hazard
     /// rule (plus oracle scoring and pre-filter accounting at staging
     /// time, both independent of the filter) makes the batched loop
     /// byte-identical to the per-packet loop at every batch size.

@@ -15,23 +15,26 @@
 //!     .serve(&mut source, &control)
 //! ```
 //!
-//! One engine per job. [`serve`](PipelineRunner::serve) /
+//! One loop per job. [`serve`](PipelineRunner::serve) /
 //! [`serve_with`](PipelineRunner::serve_with) is the one loop that reads
 //! a [`PacketSource`]: polled until it ends or is drained, and
 //! reconfigurable at runtime through a [`ServeControl`] without
 //! restarting (see below). A finite source makes it a batch run:
-//! `upbound filter` is `serve` over a pcap without a listener. Its
-//! decide step is the shard supervisor: a panicking shard is quarantined
-//! and rebuilt while the session goes on (see
-//! [`pipeline`](crate::pipeline)). The oracle-scored, per-bin metrics of
-//! the paper's figures come from the [`ReplayEngine`](crate::ReplayEngine),
-//! which decides in-memory labeled packets only.
+//! `upbound filter` is `serve` over a pcap without a listener. It decides
+//! through a [`ServeBank`]: a shard bank, whose supervisor quarantines
+//! and rebuilds a panicking shard while the session goes on (see
+//! [`pipeline`](crate::pipeline)), or a [`TenantBank`], a subscriber
+//! table with one filter per tenant (`upbound filter --subscribers`).
+//! The oracle-scored, per-bin metrics of the paper's figures come from
+//! the [`ReplayEngine`](crate::ReplayEngine), which decides in-memory
+//! labeled packets only.
 //!
 //! `serve` honours every setter: the checkpoint (restore, periodic
-//! writes with backoff, final write), every observability hook, the
-//! fault plan's panics and checkpoint faults and the blocked-σ store. It
-//! does not distort the stream: a caller that wants stream faults feeds
-//! it [`FaultPlan::distort_stream`]'s output.
+//! writes with backoff at every multiple of `every` in trace time, final
+//! write), every observability hook, the fault plan's panics and
+//! checkpoint faults and the blocked-σ store. It does not distort the
+//! stream: a caller that wants stream faults feeds it
+//! [`FaultPlan::distort_stream`]'s output.
 //!
 //! # Runtime reconfiguration
 //!
@@ -52,16 +55,17 @@ use crate::fault::{
 };
 use crate::pipeline::{PipelineConfig, PipelineObservability, ShardIncident, SupervisorReport};
 use crate::replay::BlockedConnections;
+use std::cell::{Ref, RefCell};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use upbound_core::{
-    BitmapFilter, BitmapFilterConfig, ConfigCell, ConfigError, DropPolicy, FailMode,
-    FilterObserver, FilterStats, FlowHash, NoopObserver, OverloadPolicy, RestoreOutcome,
-    RuntimeOverrides, ShardedFilter, SnapshotError, Snapshottable, ThroughputMonitor, Verdict,
+    snapshot, BitmapFilter, BitmapFilterConfig, ConfigCell, DropPolicy, FailMode, FilterObserver,
+    FilterStats, FlowHash, NoopObserver, OverloadPolicy, RestoreOutcome, RuntimeOverrides,
+    ShardedFilter, SnapshotError, Snapshottable, SubscriberTable, Verdict,
 };
 use upbound_net::pcap::IngestStats;
 use upbound_net::{
@@ -73,8 +77,6 @@ use upbound_telemetry::{Counter, Gauge, Registry, Stage};
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum RunnerError {
-    /// The filter configuration could not build (bad shard count, …).
-    Config(ConfigError),
     /// The packet source failed unrecoverably.
     Net(NetError),
     /// A checkpoint write failed.
@@ -84,7 +86,6 @@ pub enum RunnerError {
 impl fmt::Display for RunnerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RunnerError::Config(e) => write!(f, "filter configuration rejected: {e}"),
             RunnerError::Net(e) => write!(f, "packet source failed: {e}"),
             RunnerError::Snapshot(e) => write!(f, "checkpoint failed: {e}"),
         }
@@ -94,16 +95,9 @@ impl fmt::Display for RunnerError {
 impl std::error::Error for RunnerError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            RunnerError::Config(e) => Some(e),
             RunnerError::Net(e) => Some(e),
             RunnerError::Snapshot(e) => Some(e),
         }
-    }
-}
-
-impl From<ConfigError> for RunnerError {
-    fn from(e: ConfigError) -> Self {
-        RunnerError::Config(e)
     }
 }
 
@@ -391,8 +385,11 @@ impl PipelineRunner {
     }
 
     /// Checkpoints [`serve`](Self::serve) to `path`: the bank is restored
-    /// from it before the first packet, then written atomically every
-    /// `every` of trace time and once more at the end of the run.
+    /// from it before the first packet, written atomically after the
+    /// first batch whose watermark reaches each multiple of `every` in
+    /// trace time (a watermark that jumps several multiples ahead, as a
+    /// skewed clock does, writes once), and once more at the end of the
+    /// run.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>, every: TimeDelta) -> Self {
         self.checkpoint = Some((path.into(), every));
         self
@@ -408,28 +405,6 @@ impl PipelineRunner {
         self
     }
 
-    fn build_sharded(&self) -> Result<ShardedFilter<BitmapFilter>, RunnerError> {
-        let mut builder = ShardedFilter::builder(self.filter.clone());
-        builder
-            .shards(self.shards)
-            .overload_policy(self.overload.clone());
-        builder.build().map_err(RunnerError::Config)
-    }
-
-    /// One shard filter built from the runner's full configuration —
-    /// the overload policy included — reporting to `observer` and
-    /// measuring upload through the bank's shared `uplink` monitor.
-    fn shard<O: FilterObserver>(
-        &self,
-        config: BitmapFilterConfig,
-        observer: O,
-        uplink: &Arc<ThroughputMonitor>,
-    ) -> BitmapFilter<O> {
-        BitmapFilter::with_observer(config, observer)
-            .with_shared_uplink(Arc::clone(uplink))
-            .with_overload_policy(self.overload.clone())
-    }
-
     /// The long-running dataplane: polls `source` until it ends or
     /// `control` requests a drain, filtering through a shard bank built
     /// from the runner's configuration and applying staged
@@ -439,15 +414,14 @@ impl PipelineRunner {
     /// [`serve_with`](Self::serve_with) for checkpoints, blocking and the
     /// shard supervisor.
     ///
-    /// A fault plan with panics arms every initial shard with a
-    /// [`FaultingObserver`] that panics on the plan's schedule; rebuilt
-    /// shards come back disarmed. Without panics the shards carry no
-    /// observer and decide on the lock-free concurrent path.
+    /// A fault plan with panics serves through
+    /// [`serve_observed`](Self::serve_observed), whose shards panic on the
+    /// plan's schedule. Without panics the shards carry no observer and
+    /// decide on the lock-free concurrent path.
     ///
     /// # Errors
     ///
-    /// [`RunnerError::Config`] if the shard bank cannot build, plus
-    /// everything [`serve_with`](Self::serve_with) can return.
+    /// Everything [`serve_with`](Self::serve_with) can return.
     pub fn serve<S>(
         &self,
         source: &mut S,
@@ -457,58 +431,99 @@ impl PipelineRunner {
         S: PacketSource + ?Sized,
     {
         let no_sink = |_: &[(Packet, Direction)], _: &[Verdict]| Ok(());
-        if self.fault.panics() == 0 {
-            let bank = self.build_sharded()?;
-            let uplink = Arc::clone(bank.uplink());
-            let shard = |config| self.shard(config, NoopObserver, &uplink);
-            return self.serve_with(&bank, shard, source, control, no_sink);
+        if self.fault.panics() > 0 {
+            return self.serve_observed(|| NoopObserver, source, control, no_sink);
         }
-        let uplink = Arc::new(self.filter.uplink_monitor());
-        let faulting = |injector| FaultingObserver::new(NoopObserver, injector);
-        let armed = (0..self.shards)
-            .map(|_| {
-                self.shard(
-                    self.filter.clone(),
-                    faulting(self.fault.injector()),
-                    &uplink,
-                )
-            })
-            .collect();
-        let bank = ShardedFilter::from_shards(
-            FlowHash::new(self.filter.hole_punching()),
-            Arc::clone(&uplink),
-            armed,
-        );
-        let rebuild = |config| self.shard(config, faulting(PlannedInjector::disarmed()), &uplink);
-        self.serve_with(&bank, rebuild, source, control, no_sink)
+        self.serve_shards(|_| NoopObserver, source, control, no_sink)
     }
 
-    /// [`serve`](Self::serve) over a prebuilt shard bank (one whose shards
-    /// carry an observer, say), handing every decided run of packets and
-    /// its verdicts to `sink` in stream order.
+    /// [`serve_with`](Self::serve_with) through a shard bank built from
+    /// the runner's configuration, each shard reporting to a fresh
+    /// `observer()` behind a [`FaultingObserver`] that panics on the
+    /// fault plan's schedule. A shard the supervisor rebuilds gets a
+    /// fresh, disarmed observer.
     ///
-    /// * **Shard supervisor.** Every run is decided under
-    ///   `catch_unwind`. When a decision panics, the packets before it
-    ///   keep their verdicts and the panicking packet passes fail-open.
-    ///   Its shard is replaced by `shard(config)` (the constructor that
-    ///   should have built the bank, given the runner's filter
-    ///   configuration), switched to fail-open under the overrides
-    ///   applied so far and started cold at the watermark, and deciding
-    ///   resumes at the next packet. Each quarantine becomes a
+    /// # Errors
+    ///
+    /// Everything [`serve_with`](Self::serve_with) can return.
+    pub fn serve_observed<O, S, F>(
+        &self,
+        observer: impl Fn() -> O,
+        source: &mut S,
+        control: &ServeControl,
+        sink: F,
+    ) -> Result<ServeReport, RunnerError>
+    where
+        O: FilterObserver + Send + Sync,
+        S: PacketSource + ?Sized,
+        F: FnMut(&[(Packet, Direction)], &[Verdict]) -> Result<(), NetError>,
+    {
+        let observer = |injector| FaultingObserver::new(observer(), injector);
+        self.serve_shards(observer, source, control, sink)
+    }
+
+    /// [`serve_with`](Self::serve_with) through a shard bank built from the
+    /// runner's full configuration, the overload policy included, whose
+    /// shards share one uplink monitor and report to `observer(injector)`:
+    /// the fault plan's injector for the initial shards, a disarmed one for
+    /// the supervisor's rebuilds.
+    fn serve_shards<O, S, F>(
+        &self,
+        observer: impl Fn(PlannedInjector) -> O,
+        source: &mut S,
+        control: &ServeControl,
+        sink: F,
+    ) -> Result<ServeReport, RunnerError>
+    where
+        O: FilterObserver + Send + Sync,
+        S: PacketSource + ?Sized,
+        F: FnMut(&[(Packet, Direction)], &[Verdict]) -> Result<(), NetError>,
+    {
+        let uplink = Arc::new(self.filter.uplink_monitor());
+        let shard = |config, injector| {
+            BitmapFilter::with_observer(config, observer(injector))
+                .with_shared_uplink(Arc::clone(&uplink))
+                .with_overload_policy(self.overload.clone())
+        };
+        let armed = (0..self.shards)
+            .map(|_| shard(self.filter.clone(), self.fault.injector()))
+            .collect();
+        let flow = FlowHash::new(self.filter.hole_punching());
+        let bank = ShardedFilter::from_shards(flow, Arc::clone(&uplink), armed);
+        let rebuild = |config| shard(config, PlannedInjector::disarmed());
+        let bank = ShardBank::new(&bank, self.filter.clone(), rebuild);
+        self.serve_with(bank, source, control, sink)
+    }
+
+    /// [`serve`](Self::serve) through `bank` (a [`TenantBank`], or the
+    /// shard bank [`serve`](Self::serve) and
+    /// [`serve_observed`](Self::serve_observed) build), handing every
+    /// decided run of packets and its verdicts to `sink` in stream order.
+    ///
+    /// * **Supervision.** Every run is decided under `catch_unwind`. When
+    ///   a decision panics, the packets before it keep their verdicts and
+    ///   the bank quarantines the filter that panicked
+    ///   ([`ServeBank::quarantine`]): the packet passes fail-open and
+    ///   deciding resumes at the next packet. Each quarantine becomes a
     ///   [`ShardIncident`] in [`ServeReport::supervisor`] and goes to the
-    ///   observability hooks.
+    ///   observability hooks. A bank that does not quarantine lets the
+    ///   panic unwind out of `serve_with`.
     /// * **Checkpoints.** The bank is restored from the
     ///   [`checkpoint`](Self::checkpoint) file before the first packet is
-    ///   decided, judging staleness against that packet's trace time and
-    ///   `T_e`; a missing file is a cold start. Writes go through a
-    ///   [`FaultingCheckpointSink`] armed from the fault plan; periodic
-    ///   ones through [`checkpoint_with_backoff`], after whose last retry
+    ///   decided, judging staleness against that packet's trace time; a
+    ///   missing file is a cold start. A periodic checkpoint is written
+    ///   after the first batch whose watermark reaches the next multiple
+    ///   of `every` in trace time; the one after it is due at the first
+    ///   multiple past that watermark ([`next_boundary`]). Writes go
+    ///   through a [`FaultingCheckpointSink`] armed from the fault plan;
+    ///   periodic ones retry twice, 50 ms then 200 ms apart, after which
     ///   the session goes on without them. No final write follows a
     ///   session that processed no packet.
     /// * **Blocking.** With [`block_connections`](Self::block_connections)
-    ///   on, a batch is decided as the runs
-    ///   [`BlockedConnections::admit_run`] allows; packets of blocked
-    ///   connections are dropped between them, unseen by filter and sink.
+    ///   on, a batch is decided as its longest runs that hold neither a
+    ///   packet of a blocked connection nor one whose connection has an
+    ///   inbound packet earlier in the run; packets of blocked
+    ///   connections are dropped between them, unseen by bank and sink.
     /// * **Observability.** The tracer times ingest, decide and emit per
     ///   batch; the health state gets the watermark after each batch;
     ///   the supervisor metrics, flight recorder and health shard state
@@ -519,26 +534,21 @@ impl PipelineRunner {
     /// [`RunnerError::Net`] on the first unrecoverable source or sink
     /// error, [`RunnerError::Snapshot`] if the restore or the final
     /// checkpoint fails.
-    pub fn serve_with<O, R, S, F>(
+    pub fn serve_with<B, S, F>(
         &self,
-        sharded: &ShardedFilter<BitmapFilter<O>>,
-        shard: R,
+        bank: B,
         source: &mut S,
         control: &ServeControl,
         sink: F,
     ) -> Result<ServeReport, RunnerError>
     where
-        O: FilterObserver + Send + Sync,
-        R: Fn(BitmapFilterConfig) -> BitmapFilter<O>,
+        B: ServeBank,
         S: PacketSource + ?Sized,
         F: FnMut(&[(Packet, Direction)], &[Verdict]) -> Result<(), NetError>,
     {
         let telemetry = control.telemetry.as_ref();
         let mut session = Session {
-            sharded,
-            shard,
-            config: &self.filter,
-            overrides: RuntimeOverrides::default(),
+            bank,
             incidents: Vec::new(),
             telemetry,
             obs: &self.obs,
@@ -552,10 +562,10 @@ impl PipelineRunner {
         };
         // (generation, overrides, filter rotations when staged)
         let mut pending: Option<(u64, RuntimeOverrides, u64)> = None;
-        let mut restore = self.checkpoint.as_ref().filter(|(path, _)| path.exists());
         let mut restored = None;
-        let mut periodic = true;
-        let mut next_due: Option<Timestamp> = None;
+        // Set at the first packet; `None` again once periodic
+        // checkpointing gave up after its retries.
+        let mut next_due = None;
         let mut ckpt_sink =
             FaultingCheckpointSink::new(AtomicCheckpointSink, self.fault.injector());
         let mut buf: Vec<(Packet, Direction)> = Vec::with_capacity(session.batch_size);
@@ -566,7 +576,7 @@ impl PipelineRunner {
             }
             if pending.is_none() {
                 if let Some((generation, overrides)) = control.cell.poll(session.seen_gen) {
-                    pending = Some((generation, overrides, sharded.stats().rotations));
+                    pending = Some((generation, overrides, session.bank.stats().rotations));
                 }
             }
             buf.clear();
@@ -588,16 +598,21 @@ impl PipelineRunner {
                     let Some((first, _)) = buf.first() else {
                         continue;
                     };
-                    if let Some((path, _)) = restore.take() {
-                        let stale_after = self.filter.expiry_timer();
-                        restored = Some(sharded.restore_from(path, first.ts(), stale_after)?);
+                    if let Some((path, every)) = self.checkpoint.as_ref() {
+                        if session.tally.packets == 0 {
+                            if path.exists() {
+                                let bytes = snapshot::read_file(path)?;
+                                restored = Some(session.bank.restore(&bytes, first.ts())?);
+                            }
+                            next_due = Some(next_boundary(Timestamp::ZERO, first.ts(), *every));
+                        }
                     }
                     let (passed, dropped) = (session.tally.passed, session.tally.dropped);
                     session.batch(&buf)?;
                     session.tally.packets += buf.len() as u64;
                     let watermark = session.tally.watermark;
 
-                    let stats = sharded.stats();
+                    let stats = session.bank.stats();
                     // A rotation has retired a vector since the
                     // overrides were staged — the batch boundary right
                     // after it is the quiesce point.
@@ -607,18 +622,17 @@ impl PipelineRunner {
                         session.apply(generation, &overrides);
                     }
 
-                    if let Some((path, every)) = self.checkpoint.as_ref().filter(|_| periodic) {
-                        let due = *next_due.get_or_insert(watermark + *every);
-                        if watermark >= due {
-                            let bytes = sharded.checkpoint_bytes(watermark);
+                    if let Some((path, every)) = &self.checkpoint {
+                        if let Some(due) = next_due.filter(|due| watermark >= *due) {
+                            let bytes = session.bank.checkpoint_bytes(watermark);
                             let registry = telemetry.map(|t| &t.registry);
-                            periodic = checkpoint_with_backoff(registry, path, || {
+                            next_due = checkpoint_with_backoff(registry, path, || {
                                 ckpt_sink.write(path, &bytes)
                             })
-                            .is_ok();
-                            if periodic {
+                            .ok()
+                            .map(|()| next_boundary(due, watermark, *every));
+                            if next_due.is_some() {
                                 session.checkpointed();
-                                next_due = Some(due + *every);
                             }
                         }
                     }
@@ -637,12 +651,12 @@ impl PipelineRunner {
 
         if let Some((path, _)) = &self.checkpoint {
             if session.tally.packets > 0 {
-                let bytes = sharded.checkpoint_bytes(session.tally.watermark);
+                let bytes = session.bank.checkpoint_bytes(session.tally.watermark);
                 ckpt_sink.write(path, &bytes)?;
                 session.checkpointed();
             }
         }
-        let filter_stats = sharded.stats();
+        let filter_stats = session.bank.stats();
         let ingest = source.stats();
         if let Some(t) = telemetry {
             session.publish(t, &filter_stats, &ingest);
@@ -675,6 +689,193 @@ impl PipelineRunner {
     }
 }
 
+/// The first multiple of `every` after trace time `t`, counting from
+/// `boundary`. A far-future timestamp (a skewed clock) jumps straight
+/// past every multiple it skipped instead of falling due once per each.
+pub fn next_boundary(boundary: Timestamp, t: Timestamp, every: TimeDelta) -> Timestamp {
+    let every = every.as_micros().max(1);
+    let skipped = t.saturating_since(boundary).as_micros() / every;
+    Timestamp::from_micros(boundary.as_micros().saturating_add((skipped + 1) * every))
+}
+
+/// What [`PipelineRunner::serve_with`] decides through: the shard bank of
+/// [`serve`](PipelineRunner::serve) or a [`TenantBank`], dispatched
+/// statically.
+pub trait ServeBank {
+    /// Appends a verdict for each packet of `run`, in stream order;
+    /// `watermark` is the session's watermark through the run.
+    fn decide(&mut self, run: &[(Packet, Direction)], watermark: Timestamp, out: &mut Vec<Verdict>);
+
+    /// Replaces the filter whose decision of `packet` panicked by a fresh
+    /// one, fail-open and cold at `at`; `None` lets the panic unwind.
+    fn quarantine(
+        &mut self,
+        packet: &Packet,
+        dir: Direction,
+        at: Timestamp,
+    ) -> Option<ShardIncident>;
+
+    /// Applies staged runtime overrides.
+    fn apply_overrides(&mut self, overrides: &RuntimeOverrides);
+
+    /// The merged counters; staged overrides wait for `rotations` to grow.
+    fn stats(&self) -> FilterStats;
+
+    /// A checkpoint image valid at trace time `watermark`.
+    fn checkpoint_bytes(&self, watermark: Timestamp) -> Vec<u8>;
+
+    /// Restores from a checkpoint image, judging staleness against `now`.
+    ///
+    /// # Errors
+    ///
+    /// Whatever decoding the image reports.
+    fn restore(&mut self, bytes: &[u8], now: Timestamp) -> Result<RestoreOutcome, SnapshotError>;
+}
+
+/// A [`ShardedFilter`] as a [`ServeBank`]: a run is one
+/// [`ShardedFilter::process_batch`] call, and a shard whose decision
+/// panics is replaced by `rebuild(config)` (the constructor that built
+/// the bank), switched to fail-open under the overrides applied so far
+/// and started cold.
+pub(crate) struct ShardBank<'a, O: FilterObserver + Send + Sync, R> {
+    bank: &'a ShardedFilter<BitmapFilter<O>>,
+    config: BitmapFilterConfig,
+    rebuild: R,
+    overrides: RuntimeOverrides,
+}
+
+impl<'a, O: FilterObserver + Send + Sync, R> ShardBank<'a, O, R> {
+    /// `bank`, built from `config`; a checkpoint older than its `T_e`
+    /// restores cold.
+    pub(crate) fn new(
+        bank: &'a ShardedFilter<BitmapFilter<O>>,
+        config: BitmapFilterConfig,
+        rebuild: R,
+    ) -> Self {
+        Self {
+            bank,
+            config,
+            rebuild,
+            overrides: RuntimeOverrides::default(),
+        }
+    }
+}
+
+impl<O, R> ServeBank for ShardBank<'_, O, R>
+where
+    O: FilterObserver + Send + Sync,
+    R: Fn(BitmapFilterConfig) -> BitmapFilter<O>,
+{
+    fn decide(&mut self, run: &[(Packet, Direction)], _: Timestamp, out: &mut Vec<Verdict>) {
+        self.bank.process_batch(run, out);
+    }
+
+    fn quarantine(
+        &mut self,
+        packet: &Packet,
+        dir: Direction,
+        at: Timestamp,
+    ) -> Option<ShardIncident> {
+        let shard = self.bank.shard_of(&packet.tuple(), dir);
+        let mut fresh = (self.rebuild)(self.config.clone());
+        fresh.apply_overrides(&RuntimeOverrides {
+            fail_mode: Some(FailMode::Open),
+            ..self.overrides.clone()
+        });
+        fresh.start_cold_at(at);
+        // `shard_of` is in range, so the swap cannot fail.
+        let _ = self.bank.replace_shard(shard, fresh);
+        Some(ShardIncident {
+            shard,
+            at,
+            quarantined_until: at + self.config.expiry_timer(),
+        })
+    }
+
+    fn apply_overrides(&mut self, overrides: &RuntimeOverrides) {
+        self.bank.apply_overrides(overrides);
+        self.overrides.merge(overrides.clone());
+    }
+
+    fn stats(&self) -> FilterStats {
+        self.bank.stats()
+    }
+
+    fn checkpoint_bytes(&self, watermark: Timestamp) -> Vec<u8> {
+        self.bank.checkpoint_bytes(watermark)
+    }
+
+    fn restore(&mut self, bytes: &[u8], now: Timestamp) -> Result<RestoreOutcome, SnapshotError> {
+        self.bank
+            .restore_bytes(bytes, now, self.config.expiry_timer())
+    }
+}
+
+/// A [`SubscriberTable`] as a [`ServeBank`] (passed as `&TenantBank`).
+/// Each tenant decides under its own configuration, so staged overrides
+/// change only the batch size, and the table classifies every packet
+/// itself: label the source with its
+/// [`classifier`](SubscriberTable::classifier) so the session's
+/// accounting agrees. After each run the table advances to the
+/// watermark, rotating idle tenants and parking evictable ones. Panics
+/// are not quarantined.
+#[derive(Debug)]
+pub struct TenantBank {
+    table: RefCell<SubscriberTable<BitmapFilter>>,
+    stale_after: TimeDelta,
+}
+
+impl TenantBank {
+    /// `table`; a checkpoint older than `stale_after` (its largest tenant
+    /// `T_e`) restores cold.
+    pub fn new(table: SubscriberTable<BitmapFilter>, stale_after: TimeDelta) -> Self {
+        Self {
+            table: RefCell::new(table),
+            stale_after,
+        }
+    }
+
+    /// The table, to read between polls.
+    pub fn table(&self) -> Ref<'_, SubscriberTable<BitmapFilter>> {
+        self.table.borrow()
+    }
+}
+
+impl ServeBank for &TenantBank {
+    fn decide(
+        &mut self,
+        run: &[(Packet, Direction)],
+        watermark: Timestamp,
+        out: &mut Vec<Verdict>,
+    ) {
+        let mut table = self.table.borrow_mut();
+        table.process_batch(run, out);
+        table.advance(watermark);
+    }
+
+    fn quarantine(&mut self, _: &Packet, _: Direction, _: Timestamp) -> Option<ShardIncident> {
+        None
+    }
+
+    fn apply_overrides(&mut self, _: &RuntimeOverrides) {}
+
+    fn stats(&self) -> FilterStats {
+        self.table.borrow().merged_stats()
+    }
+
+    fn checkpoint_bytes(&self, watermark: Timestamp) -> Vec<u8> {
+        let mut table = self.table.borrow_mut();
+        table.advance(watermark);
+        table.snapshot_bytes(watermark)
+    }
+
+    fn restore(&mut self, bytes: &[u8], now: Timestamp) -> Result<RestoreOutcome, SnapshotError> {
+        self.table
+            .borrow_mut()
+            .restore_bytes(bytes, now, self.stale_after)
+    }
+}
+
 /// What one serve session has counted so far.
 #[derive(Debug, Clone, Copy, Default)]
 struct Tally {
@@ -690,13 +891,8 @@ struct Tally {
 }
 
 /// The dataplane state of one [`PipelineRunner::serve_with`] session.
-struct Session<'a, O: FilterObserver + Send + Sync, R, F> {
-    sharded: &'a ShardedFilter<BitmapFilter<O>>,
-    /// Builds a replacement shard from the filter configuration.
-    shard: R,
-    config: &'a BitmapFilterConfig,
-    /// Every override applied so far, for rebuilt shards.
-    overrides: RuntimeOverrides,
+struct Session<'a, B, F> {
+    bank: B,
     incidents: Vec<ShardIncident>,
     telemetry: Option<&'a ServeTelemetry>,
     obs: &'a PipelineObservability,
@@ -709,16 +905,14 @@ struct Session<'a, O: FilterObserver + Send + Sync, R, F> {
     seen_gen: u64,
 }
 
-impl<O, R, F> Session<'_, O, R, F>
+impl<B, F> Session<'_, B, F>
 where
-    O: FilterObserver + Send + Sync,
-    R: Fn(BitmapFilterConfig) -> BitmapFilter<O>,
+    B: ServeBank,
     F: FnMut(&[(Packet, Direction)], &[Verdict]) -> Result<(), NetError>,
 {
     /// Applies staged overrides of configuration `generation`.
     fn apply(&mut self, generation: u64, overrides: &RuntimeOverrides) {
-        self.sharded.apply_overrides(overrides);
-        self.overrides.merge(overrides.clone());
+        self.bank.apply_overrides(overrides);
         if let Some(policy) = overrides.drop_policy {
             self.policy = policy;
         }
@@ -784,25 +978,29 @@ where
         Ok(())
     }
 
-    /// Decides one run under the shard supervisor, blocks the
-    /// connections of its inbound drops and hands it to the sink.
+    /// Decides one run under the supervisor, blocks the connections of
+    /// its inbound drops and hands it to the sink.
     fn run(&mut self, run: &[(Packet, Direction)]) -> Result<(), NetError> {
+        let watermark = run
+            .iter()
+            .fold(self.tally.watermark, |wm, (p, _)| wm.max(p.ts()));
         self.verdicts.clear();
         {
             let _t = self.obs.tracer.as_ref().map(|t| t.scope(Stage::Decide));
             while self.verdicts.len() < run.len() {
-                let (sharded, verdicts) = (self.sharded, &mut self.verdicts);
+                let (bank, verdicts) = (&mut self.bank, &mut self.verdicts);
                 let rest = &run[verdicts.len()..];
-                if catch_unwind(AssertUnwindSafe(|| sharded.process_batch(rest, verdicts))).is_err()
+                if let Err(panic) =
+                    catch_unwind(AssertUnwindSafe(|| bank.decide(rest, watermark, verdicts)))
                 {
-                    self.quarantine(run);
+                    self.quarantine(run, panic);
                 }
             }
         }
         let _t = self.obs.tracer.as_ref().map(|t| t.scope(Stage::Emit));
         let mut tally = self.tally;
+        tally.watermark = watermark;
         for ((packet, direction), verdict) in run.iter().zip(&self.verdicts) {
-            tally.watermark = tally.watermark.max(packet.ts());
             match (*direction, *verdict) {
                 (Direction::Inbound, Verdict::Drop) => tally.dropped += 1,
                 (Direction::Inbound, Verdict::Pass) => tally.passed += 1,
@@ -828,28 +1026,17 @@ where
         (self.sink)(run, &self.verdicts)
     }
 
-    /// Quarantines the shard whose decision of `run`'s first undecided
-    /// packet panicked: the shard is rebuilt empty, fail-open and cold
-    /// at the watermark, and the packet passes.
-    fn quarantine(&mut self, run: &[(Packet, Direction)]) {
+    /// Has the bank quarantine the filter whose decision of `run`'s first
+    /// undecided packet panicked with `panic`, and passes the packet; a
+    /// bank that does not quarantine re-raises the panic.
+    fn quarantine(&mut self, run: &[(Packet, Direction)], panic: Box<dyn std::any::Any + Send>) {
         let decided = self.verdicts.len();
         let (packet, direction) = &run[decided];
         let at = run[..=decided]
             .iter()
             .fold(self.tally.watermark, |wm, (p, _)| wm.max(p.ts()));
-        let shard = self.sharded.shard_of(&packet.tuple(), *direction);
-        let mut fresh = (self.shard)(self.config.clone());
-        fresh.apply_overrides(&RuntimeOverrides {
-            fail_mode: Some(FailMode::Open),
-            ..self.overrides.clone()
-        });
-        fresh.start_cold_at(at);
-        // `shard_of` is in range, so the swap cannot fail.
-        let _ = self.sharded.replace_shard(shard, fresh);
-        let incident = ShardIncident {
-            shard,
-            at,
-            quarantined_until: at + self.config.expiry_timer(),
+        let Some(incident) = self.bank.quarantine(packet, *direction, at) else {
+            resume_unwind(panic)
         };
         self.obs.quarantined(&incident);
         self.incidents.push(incident);

@@ -20,7 +20,6 @@
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
-use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -29,9 +28,9 @@ use std::time::{Duration, Instant};
 use upbound::analyzer::Analyzer;
 use upbound::core::params::{max_connections, optimal_hash_count, penetration_probability};
 use upbound::core::{
-    snapshot, BitmapFilter, BitmapFilterConfig, DropPolicy, FailMode, FlowHash, OverloadPolicy,
-    RestoreOutcome, RuntimeOverrides, ShardedFilter, Snapshottable, SubscriberState,
-    SubscriberTable, SubscriberTelemetry, TelemetryObserver, Verdict,
+    BitmapFilter, BitmapFilterConfig, DropPolicy, FailMode, OverloadPolicy, RestoreOutcome,
+    RuntimeOverrides, SubscriberClassifier, SubscriberState, SubscriberTable, SubscriberTelemetry,
+    TelemetryObserver, Verdict,
 };
 use upbound::net::pcap::{IngestStats, IngestTelemetry, PcapReader, PcapWriter, RecoveryPolicy};
 use upbound::net::{
@@ -39,9 +38,8 @@ use upbound::net::{
     PacketSource, PcapSource, SourcePoll, TimeDelta, Timestamp,
 };
 use upbound::sim::{
-    checkpoint_with_backoff, BlockedConnections, FaultPlan, FaultingObserver, PipelineConfig,
-    PipelineObservability, PipelineRunner, PlannedInjector, ServeControl, ServeExit, ServeReport,
-    SupervisorTelemetry,
+    next_boundary, FaultPlan, PipelineConfig, PipelineObservability, PipelineRunner, ServeControl,
+    ServeExit, ServeReport, SupervisorTelemetry, TenantBank,
 };
 use upbound::telemetry::{
     export, ControlHandler, ControlResponse, DumpTrigger, FlightRecorder, HealthState,
@@ -79,14 +77,16 @@ DATAPLANE (filter and serve):
     same loop decides every packet, with the blocked-connection store
     of the paper's evaluation on (--no-block turns it off) and the
     passed packets written to --out. Both restore from --checkpoint
-    before the first packet when the file exists, write one every
-    --checkpoint-interval seconds of trace time, and write a final one
-    unless no packet arrived.
+    before the first packet when the file exists, write one each time
+    trace time reaches a multiple of --checkpoint-interval seconds (a
+    clock jump past several multiples writes once), and write a final
+    one unless no packet arrived.
 
 MULTI-TENANT (filter):
-    --subscribers replays through a multi-tenant subscriber table
-    instead of one --inside network. <SPEC> is a text file, one
-    subscriber per line: `CIDR [key=value ...]` (# comments allowed).
+    --subscribers decides through a multi-tenant subscriber table
+    instead of one --inside network, in the same loop. <SPEC> is a
+    text file, one subscriber per line: `CIDR [key=value ...]` (#
+    comments allowed).
     Keys override the command-line filter defaults per tenant:
     name, low-mbps, high-mbps, vector-bits, vectors, rotate-secs,
     hashes, hole-punching, seed. Packets are classified by longest
@@ -624,10 +624,12 @@ fn write_metrics(path: &str, format: &MetricsFormat, snapshot: &Snapshot) -> Res
     Ok(())
 }
 
-/// Per-tenant defaults taken from the command-line filter flags; a spec
-/// line's `key=value` tokens override them for that subscriber only.
+/// The filter-shape flags of `filter` and `serve`. With `--subscribers`
+/// they are every tenant's defaults, which a spec line's `key=value`
+/// tokens override for that subscriber only.
 #[derive(Clone)]
-struct TenantDefaults {
+struct FilterFlags {
+    fail_mode: FailMode,
     low: f64,
     high: f64,
     vector_bits: u32,
@@ -637,9 +639,15 @@ struct TenantDefaults {
     hole_punching: bool,
 }
 
-impl TenantDefaults {
+impl FilterFlags {
     fn of(args: &Args) -> Result<Self, CliError> {
         Ok(Self {
+            fail_mode: match args.value("fail-mode", "--fail-mode expects `open` or `closed`")? {
+                None => FailMode::Closed,
+                Some(v) => FailMode::parse(&v).ok_or_else(|| {
+                    usage(format!("--fail-mode expects `open` or `closed`, got {v:?}"))
+                })?,
+            },
             low: args.parse_num("low-mbps", 0.0).map_err(usage)?,
             high: args.parse_num("high-mbps", 0.0).map_err(usage)?,
             vector_bits: args.parse_num("vector-bits", 20u32).map_err(usage)?,
@@ -657,7 +665,8 @@ impl TenantDefaults {
             .vectors(self.vectors)
             .rotate_every_secs(self.rotate_secs)
             .hash_functions(self.hashes)
-            .hole_punching(self.hole_punching);
+            .hole_punching(self.hole_punching)
+            .fail_mode(self.fail_mode);
         if let Some(seed) = seed {
             builder.rng_seed(seed);
         }
@@ -694,7 +703,7 @@ where
 /// ...]`, `#` starts a comment. Keys: `name`, `low-mbps`, `high-mbps`,
 /// `vector-bits`, `vectors`, `rotate-secs`, `hashes`, `hole-punching`,
 /// `seed`.
-fn parse_subscriber_spec(text: &str, defaults: &TenantDefaults) -> Result<Vec<TenantSpec>, String> {
+fn parse_subscriber_spec(text: &str, defaults: &FilterFlags) -> Result<Vec<TenantSpec>, String> {
     let mut specs = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -751,14 +760,6 @@ fn out_writer(args: &Args) -> Result<Option<PcapWriter<BufWriter<File>>>, CliErr
     Ok(Some(writer))
 }
 
-/// The first `interval` boundary after trace time `t`, which has crossed
-/// `boundary`. A single far-future timestamp (corrupt trace clock) may
-/// land millions of intervals ahead; this jumps straight past it instead
-/// of firing once per skipped interval.
-fn next_boundary(boundary: f64, t: f64, interval: f64) -> f64 {
-    boundary + (((t - boundary) / interval).floor() + 1.0) * interval
-}
-
 /// A registry carrying the build-info gauge.
 fn new_registry() -> Registry {
     let registry = Registry::new();
@@ -804,51 +805,6 @@ fn write_passed(
     Ok(())
 }
 
-/// The decide state of a multi-tenant replay: the subscriber table, the
-/// staged batch and the bookkeeping applied once it is decided.
-struct TenantReplay {
-    table: SubscriberTable<BitmapFilter>,
-    staged: Vec<(Packet, Direction)>,
-    verdicts: Vec<Verdict>,
-    blocked: Option<BlockedConnections>,
-    dropped: u64,
-    up_kept: u64,
-    writer: Option<PcapWriter<BufWriter<File>>>,
-}
-
-impl TenantReplay {
-    /// Decides the staged batch through the table's grouped dispatch,
-    /// then applies connection blocking, uplink accounting and the output
-    /// pcap in input order.
-    fn flush(&mut self) -> Result<(), CliError> {
-        if self.staged.is_empty() {
-            return Ok(());
-        }
-        self.verdicts.clear();
-        self.table.process_batch(&self.staged, &mut self.verdicts);
-        write_passed(&mut self.writer, &self.staged, &self.verdicts)
-            .map_err(|e| runtime(e.to_string()))?;
-        for ((packet, direction), verdict) in self.staged.drain(..).zip(self.verdicts.drain(..)) {
-            match verdict {
-                Verdict::Pass if direction == Direction::Outbound => {
-                    self.up_kept += packet.wire_bits();
-                }
-                Verdict::Pass => {}
-                Verdict::Drop => {
-                    if let Some(blocked) = self.blocked.as_mut() {
-                        blocked.block(&packet.tuple());
-                    }
-                    self.dropped += 1;
-                }
-            }
-        }
-        if let Some(blocked) = self.blocked.as_mut() {
-            blocked.flushed();
-        }
-        Ok(())
-    }
-}
-
 fn tenant_state_label(state: SubscriberState) -> &'static str {
     match state {
         SubscriberState::Dormant => "dormant",
@@ -889,54 +845,27 @@ fn print_tenant_table(table: &SubscriberTable<BitmapFilter>) {
     }
 }
 
-/// `upbound filter --subscribers <SPEC>` — replay through a multi-tenant
-/// [`SubscriberTable`] instead of a single `--inside` filter. Classification
-/// is longest prefix match over the spec's CIDRs; tenant filters
-/// materialize lazily on first packet and (with `--evict-idle`) recycle
-/// their bit storage through the shared arena while idle.
-fn cmd_filter_subscribers(args: &Args) -> Result<Outcome, CliError> {
-    let spec_path = args
-        .get("subscribers")
-        .ok_or_else(|| usage("--subscribers requires a spec file path"))?;
-    let in_path = args
-        .get("in")
-        .ok_or_else(|| usage("filter requires --in <FILE>"))?;
-    for flag in [
-        "inside",
-        "shards",
-        "metrics-addr",
-        "flight-dump",
-        "trace-latency",
-        "serve-grace",
-        "overload-policy",
-        "fault-plan",
-    ] {
-        if args.has(flag) {
-            return Err(usage(format!(
-                "--{flag} cannot be combined with --subscribers"
-            )));
-        }
-    }
-    let Dataplane {
-        config,
-        batch_size,
-        checkpoint,
-        checkpoint_interval,
-        ..
-    } = Dataplane::parse(args)?;
-    if config.fail_mode() == FailMode::Open {
+/// `filter --subscribers <SPEC>`: a multi-tenant [`SubscriberTable`], one
+/// tenant per spec line, for `serve_with` to decide through instead of a
+/// shard bank. Classification is longest prefix match over the spec's
+/// CIDRs; tenant filters materialize lazily on first packet and (with
+/// `--evict-idle`) recycle their bit storage through the shared arena
+/// while idle.
+fn tenant_bank(
+    args: &Args,
+    spec_path: &str,
+    dataplane: &Dataplane,
+) -> Result<TenantBank, CliError> {
+    let defaults = &dataplane.flags;
+    if defaults.fail_mode == FailMode::Open {
         return Err(usage(
             "--fail-mode open cannot be combined with --subscribers \
              (idle tenants park only when their bitmaps are provably empty)",
         ));
     }
-    let metrics = metrics_sink(args).map_err(usage)?;
-    let metrics_interval = args.secs("metrics-interval", 0.0, false)?;
-
-    let defaults = TenantDefaults::of(args)?;
     let spec_text =
         std::fs::read_to_string(spec_path).map_err(|e| runtime(format!("{spec_path}: {e}")))?;
-    let specs = parse_subscriber_spec(&spec_text, &defaults)
+    let specs = parse_subscriber_spec(&spec_text, defaults)
         .map_err(|e| usage(format!("--subscribers {spec_path}: {e}")))?;
 
     let mut table = SubscriberTable::new();
@@ -950,7 +879,6 @@ fn cmd_filter_subscribers(args: &Args) -> Result<Outcome, CliError> {
     if args.has("evict-idle") {
         table.evict_idle_after(TimeDelta::from_secs(args.secs("evict-idle", 0.0, false)?));
     }
-    let classifier = table.classifier();
     println!(
         "subscriber table: {} provisioned, defaults {{{} x 2^{}}}, T_e = {:.0} s default{}",
         table.len(),
@@ -963,154 +891,7 @@ fn cmd_filter_subscribers(args: &Args) -> Result<Outcome, CliError> {
             ""
         }
     );
-
-    let registry = new_registry();
-    let mut telemetry = SubscriberTelemetry::new(registry.clone());
-    let ingest_metrics = IngestTelemetry::register(&registry);
-
-    let policy = recovery_policy_of(args).map_err(usage)?;
-    let file = File::open(in_path).map_err(|e| runtime(format!("{in_path}: {e}")))?;
-    let mut reader = PcapReader::with_policy(BufReader::new(file), policy)
-        .map_err(|e| runtime(e.to_string()))?;
-    let mut run = TenantReplay {
-        table,
-        staged: Vec::with_capacity(batch_size),
-        verdicts: Vec::with_capacity(batch_size),
-        blocked: (!args.has("no-block")).then(BlockedConnections::default),
-        dropped: 0,
-        up_kept: 0,
-        writer: out_writer(args)?,
-    };
-    let (mut total, mut up_bits) = (0u64, 0u64);
-    let mut last_ts = Timestamp::ZERO;
-    let mut outcome = Outcome::Done;
-
-    let mut pending_restore = checkpoint.as_deref().is_some_and(|p| Path::new(p).exists());
-    let mut next_checkpoint: Option<f64> = checkpoint.as_ref().map(|_| checkpoint_interval);
-    let mut checkpoints_written = 0u64;
-    let mut next_report = (metrics_interval > 0.0).then_some(metrics_interval);
-    let mut prev_snapshot = registry.snapshot();
-
-    while let Some(p) = reader.read_packet().map_err(|e| runtime(e.to_string()))? {
-        if signals::interrupted() {
-            run.flush()?;
-            outcome = Outcome::Interrupted;
-            break;
-        }
-        total += 1;
-        last_ts = last_ts.max(p.ts());
-        if pending_restore {
-            pending_restore = false;
-            let path = checkpoint.as_deref().unwrap_or_default();
-            let restored = snapshot::read_file(Path::new(path))
-                .and_then(|bytes| run.table.restore_bytes(&bytes, p.ts(), stale_after))
-                .map_err(|e| runtime(format!("{path}: checkpoint restore failed: {e}")))?;
-            match restored {
-                RestoreOutcome::Warm => {
-                    println!("restored warm subscriber table from checkpoint {path}");
-                }
-                RestoreOutcome::Cold => println!(
-                    "checkpoint {path} is older than T_e; restored statistics, tenants start cold"
-                ),
-            }
-        }
-        let t = p.ts().as_secs_f64();
-        if let Some(boundary) = next_checkpoint.filter(|&boundary| t >= boundary) {
-            run.flush()?;
-            run.table.advance(last_ts);
-            let path = Path::new(checkpoint.as_deref().unwrap_or_default());
-            let wrote = checkpoint_with_backoff(Some(&registry), path, || {
-                snapshot::write_atomic(path, &run.table.snapshot_bytes(last_ts))
-            });
-            next_checkpoint = wrote.ok().map(|()| {
-                checkpoints_written += 1;
-                next_boundary(boundary, t, checkpoint_interval)
-            });
-        }
-        if let Some(boundary) = next_report.filter(|&boundary| t >= boundary) {
-            run.flush()?;
-            run.table.advance(last_ts);
-            telemetry.publish(&run.table);
-            let snapshot = registry.snapshot();
-            println!("--- metrics @ t={boundary:.1}s ---");
-            print!(
-                "{}",
-                export::human::render(&snapshot, Some((&prev_snapshot, metrics_interval)))
-            );
-            print_tenant_table(&run.table);
-            prev_snapshot = snapshot;
-            next_report = Some(next_boundary(boundary, t, metrics_interval));
-        }
-        let direction = classifier.direction_of(&p);
-        if direction == Direction::Outbound {
-            up_bits += p.wire_bits();
-        }
-        let tuple = p.tuple();
-        if run.blocked.as_ref().is_some_and(|b| b.must_flush(&tuple)) {
-            run.flush()?;
-        }
-        if run.blocked.as_ref().is_some_and(|b| b.is_blocked(&tuple)) {
-            run.dropped += 1;
-            continue;
-        }
-        if let Some(blocked) = run.blocked.as_mut() {
-            blocked.stage(&tuple, direction);
-        }
-        run.staged.push((p, direction));
-        if run.staged.len() >= batch_size {
-            run.flush()?;
-            run.table.advance(last_ts);
-        }
-    }
-    run.flush()?;
-    let TenantReplay {
-        mut table,
-        blocked,
-        dropped,
-        up_kept,
-        writer,
-        ..
-    } = run;
-    table.advance(last_ts);
-    if let Some(w) = writer {
-        w.finish().map_err(|e| runtime(e.to_string()))?;
-    }
-    ingest_metrics.publish(reader.stats());
-    report_skips(reader.stats());
-
-    if let Some(path) = checkpoint.as_deref() {
-        if total > 0 {
-            snapshot::write_atomic(Path::new(path), &table.snapshot_bytes(last_ts))
-                .map_err(|e| runtime(format!("{path}: final checkpoint failed: {e}")))?;
-            checkpoints_written += 1;
-            println!(
-                "wrote final checkpoint to {path} ({checkpoints_written} checkpoint(s), \
-                 {} tenant(s) serialized)",
-                table.last_checkpoint_tenants()
-            );
-        }
-    }
-
-    let blocked = blocked.as_ref().map_or(0, BlockedConnections::connections) as u64;
-    print_summary([total, dropped, blocked], (up_bits, up_kept), last_ts);
-    let (reuses, fresh) = table.arena_counters();
-    println!(
-        "subscribers: {} active / {} provisioned; {} B resident, {} B pooled \
-         (arena: {} reuse(s), {} fresh); {} outbound drop anomaly(ies)",
-        table.active_subscribers(),
-        table.len(),
-        table.memory_bytes(),
-        table.arena_pooled_bytes(),
-        reuses,
-        fresh,
-        table.outbound_drop_anomalies()
-    );
-    print_tenant_table(&table);
-    if let Some((path, format)) = &metrics {
-        telemetry.publish(&table);
-        write_metrics(path, format, &registry.snapshot()).map_err(runtime)?;
-    }
-    Ok(outcome)
+    Ok(TenantBank::new(table, stale_after))
 }
 
 /// The flags `filter` and `serve` share, parsed once: the filter shape,
@@ -1118,6 +899,7 @@ fn cmd_filter_subscribers(args: &Args) -> Result<Outcome, CliError> {
 /// fault plan.
 struct Dataplane {
     inside: Cidr,
+    flags: FilterFlags,
     config: BitmapFilterConfig,
     shards: usize,
     batch_size: usize,
@@ -1130,28 +912,8 @@ struct Dataplane {
 impl Dataplane {
     fn parse(args: &Args) -> Result<Self, CliError> {
         let inside = inside_of(args).map_err(usage)?;
-        let fail_mode = match args.value("fail-mode", "--fail-mode expects `open` or `closed`")? {
-            None => FailMode::Closed,
-            Some(v) => FailMode::parse(&v).ok_or_else(|| {
-                usage(format!("--fail-mode expects `open` or `closed`, got {v:?}"))
-            })?,
-        };
-        let low: f64 = args.parse_num("low-mbps", 0.0).map_err(usage)?;
-        let high: f64 = args.parse_num("high-mbps", 0.0).map_err(usage)?;
-        let mut builder = BitmapFilterConfig::builder();
-        builder
-            .vector_bits(args.parse_num("vector-bits", 20u32).map_err(usage)?)
-            .vectors(args.parse_num("vectors", 4usize).map_err(usage)?)
-            .rotate_every_secs(args.parse_num("rotate-secs", 5.0f64).map_err(usage)?)
-            .hash_functions(args.parse_num("hashes", 3usize).map_err(usage)?)
-            .hole_punching(args.has("hole-punching"))
-            .fail_mode(fail_mode);
-        if high > 0.0 {
-            builder.drop_policy(
-                DropPolicy::new(low * 1e6, high * 1e6).map_err(|e| usage(e.to_string()))?,
-            );
-        }
-        let config = builder.build().map_err(|e| usage(e.to_string()))?;
+        let flags = FilterFlags::of(args)?;
+        let config = flags.build(None).map_err(usage)?;
         let shards: usize = args.parse_num("shards", 1usize).map_err(usage)?;
         if shards == 0 {
             return Err(usage("--shards expects at least 1"));
@@ -1188,6 +950,7 @@ impl Dataplane {
             .unwrap_or_else(FaultPlan::none);
         Ok(Self {
             inside,
+            flags,
             config,
             shards,
             batch_size,
@@ -1233,10 +996,7 @@ impl Dataplane {
             let buffered = BufferedSource::drain(&mut pcap).map_err(|e| runtime(e.to_string()))?;
             return Ok(Box::new(buffered.looped(true)));
         }
-        let mut packets = Vec::new();
-        while let Some(p) = reader.read_packet().map_err(|e| runtime(e.to_string()))? {
-            packets.push(p);
-        }
+        let packets = reader.read_all().map_err(|e| runtime(e.to_string()))?;
         let (packets, distortion) = plan.distort_stream(packets);
         println!(
             "fault plan armed (seed {}): corrupted {} packet(s), {} reorder burst(s), \
@@ -1269,25 +1029,35 @@ impl Dataplane {
         }
     }
 
-    /// Prints how `serve` restored from and wrote the checkpoint file.
-    fn report_checkpoints(&self, report: &ServeReport) {
+    /// Prints how `serve` restored from and wrote the checkpoint file of
+    /// its shard bank, or of `tenants`.
+    fn report_checkpoints(&self, report: &ServeReport, tenants: Option<&SubscriberTable>) {
         let Some(path) = &self.checkpoint else {
             return;
         };
+        let (state, cold) = match tenants {
+            Some(_) => ("subscriber table", "tenants start cold"),
+            None => ("filter state", "bitmap started cold"),
+        };
         match report.restored {
-            Some(RestoreOutcome::Warm) => {
-                println!("restored warm filter state from checkpoint {path}")
+            Some(RestoreOutcome::Warm) => println!("restored warm {state} from checkpoint {path}"),
+            Some(RestoreOutcome::Cold) => {
+                println!("checkpoint {path} is older than T_e; restored statistics, {cold}")
             }
-            Some(RestoreOutcome::Cold) => println!(
-                "checkpoint {path} is older than T_e; restored statistics, bitmap started cold"
-            ),
             None => {}
         }
         if report.packets > 0 {
-            println!(
-                "wrote final checkpoint to {path} ({} checkpoint(s) total)",
-                report.checkpoints_written
-            );
+            let written = report.checkpoints_written;
+            match tenants {
+                Some(table) => println!(
+                    "wrote final checkpoint to {path} ({written} checkpoint(s), \
+                     {} tenant(s) serialized)",
+                    table.last_checkpoint_tenants()
+                ),
+                None => {
+                    println!("wrote final checkpoint to {path} ({written} checkpoint(s) total)")
+                }
+            }
         }
     }
 }
@@ -1310,24 +1080,48 @@ fn dump_on_signal(flight: &FlightRecorder) {
 struct FilterSource<'a> {
     inner: Box<dyn PacketSource>,
     ahead: Vec<(Packet, Direction)>,
-    interval: f64,
-    next_report: Option<f64>,
+    interval: TimeDelta,
+    next_report: Option<Timestamp>,
     prev_snapshot: Snapshot,
     registry: &'a Registry,
     flight: &'a FlightRecorder,
     /// Set with `--trace-latency`: times every read of the capture.
     read_latency: Option<&'a IngestTelemetry>,
+    /// Set with `--subscribers`.
+    tenants: Option<TenantView<'a>>,
     interrupted: bool,
 }
 
+/// The subscriber table `serve` decides through, as `filter` sees it:
+/// its classifier labels every packet's direction, and every report
+/// publishes and lists its tenants.
+struct TenantView<'a> {
+    bank: &'a TenantBank,
+    classifier: SubscriberClassifier,
+    telemetry: SubscriberTelemetry,
+}
+
+impl TenantView<'_> {
+    fn publish(&mut self) {
+        self.telemetry.publish(&self.bank.table());
+    }
+}
+
 impl FilterSource<'_> {
-    fn report(&mut self, boundary: f64, t: f64) {
+    fn report(&mut self, boundary: Timestamp, t: Timestamp) {
+        if let Some(tenants) = &mut self.tenants {
+            tenants.publish();
+        }
         let snapshot = self.registry.snapshot();
-        println!("--- metrics @ t={boundary:.1}s ---");
+        println!("--- metrics @ t={:.1}s ---", boundary.as_secs_f64());
+        let interval = self.interval.as_secs_f64();
         print!(
             "{}",
-            export::human::render(&snapshot, Some((&self.prev_snapshot, self.interval)))
+            export::human::render(&snapshot, Some((&self.prev_snapshot, interval)))
         );
+        if let Some(tenants) = &self.tenants {
+            print_tenant_table(&tenants.bank.table());
+        }
         self.prev_snapshot = snapshot;
         self.next_report = Some(next_boundary(boundary, t, self.interval));
     }
@@ -1355,10 +1149,15 @@ impl PacketSource for FilterSource<'_> {
             if let SourcePoll::End | SourcePoll::Idle = poll {
                 return Ok(poll);
             }
+            if let Some(tenants) = &self.tenants {
+                for (packet, direction) in &mut self.ahead {
+                    *direction = tenants.classifier.direction_of(packet);
+                }
+            }
         }
         let mut n = 0;
         while n < self.ahead.len().min(max) {
-            let t = self.ahead[n].0.ts().as_secs_f64();
+            let t = self.ahead[n].0.ts();
             match self.next_report {
                 Some(boundary) if t >= boundary && n > 0 => break,
                 Some(boundary) if t >= boundary => self.report(boundary, t),
@@ -1379,16 +1178,33 @@ impl PacketSource for FilterSource<'_> {
 }
 
 /// `upbound filter` — `serve` without a listener over a finite capture:
-/// [`PipelineRunner::serve_with`] decides every packet, with the
+/// [`PipelineRunner::serve_with`] decides every packet through a bank of
+/// observed shards ([`PipelineRunner::serve_observed`]), or with
+/// `--subscribers` through a subscriber table, with the
 /// blocked-connection store on unless `--no-block`, and writes the
-/// passed packets to `--out`. The CLI adds the observer-carrying shard
-/// bank, interval reports, SIGUSR1 dumps, the `/metrics` endpoint and
-/// the end-of-run summary.
+/// passed packets to `--out`. The CLI adds the shards' observers,
+/// interval reports, SIGUSR1 dumps, the `/metrics` endpoint and the
+/// end-of-run summary.
 fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
-    if args.has("subscribers") {
-        return cmd_filter_subscribers(args);
-    }
-    if args.has("evict-idle") {
+    let subscribers = args.value("subscribers", "--subscribers requires a spec file path")?;
+    if subscribers.is_some() {
+        for flag in [
+            "inside",
+            "shards",
+            "metrics-addr",
+            "flight-dump",
+            "trace-latency",
+            "serve-grace",
+            "overload-policy",
+            "fault-plan",
+        ] {
+            if args.has(flag) {
+                return Err(usage(format!(
+                    "--{flag} cannot be combined with --subscribers"
+                )));
+            }
+        }
+    } else if args.has("evict-idle") {
         return Err(usage("--evict-idle requires --subscribers <SPEC>"));
     }
     let in_path = args
@@ -1404,27 +1220,31 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
         return Err(usage("--serve-grace requires --metrics-addr <HOST:PORT>"));
     }
     let policy = recovery_policy_of(args).map_err(usage)?;
+    let tenants = subscribers
+        .map(|spec| tenant_bank(args, &spec, &dataplane))
+        .transpose()?;
     let (config, shards) = (&dataplane.config, dataplane.shards);
-    let mut banner = format!(
-        "bitmap filter: {{{} x 2^{}}} = {} KiB, T_e = {:.0} s, m = {}",
-        config.vectors(),
-        config.vector_bits(),
-        config.memory_bytes() / 1024,
-        config.expiry_timer().as_secs_f64(),
-        config.hash_functions(),
-    );
-    if shards > 1 {
-        banner += &format!(", {shards} shards");
+    if tenants.is_none() {
+        let mut banner = format!(
+            "bitmap filter: {{{} x 2^{}}} = {} KiB, T_e = {:.0} s, m = {}",
+            config.vectors(),
+            config.vector_bits(),
+            config.memory_bytes() / 1024,
+            config.expiry_timer().as_secs_f64(),
+            config.hash_functions(),
+        );
+        if shards > 1 {
+            banner += &format!(", {shards} shards");
+        }
+        if config.fail_mode() == FailMode::Open {
+            banner += ", fail-open";
+        }
+        if dataplane.overload.enabled() {
+            banner += ", overload ladder armed";
+        }
+        println!("{banner}");
     }
-    if config.fail_mode() == FailMode::Open {
-        banner += ", fail-open";
-    }
-    if dataplane.overload.enabled() {
-        banner += ", overload ladder armed";
-    }
-    println!("{banner}");
     let registry = new_registry();
-
     // The black box rides along on every run (it is just a pair of ring
     // buffers); only --flight-dump gives it somewhere to land. Dumps
     // fire on panic, on SIGUSR1, and — fail-open deployments' scariest
@@ -1447,27 +1267,6 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
     let health = HealthState::new();
     health.set_fail_mode(dataplane.config.fail_mode().label());
 
-    // All shards share one uplink monitor (global P_d) and publish into
-    // the same registry — `counter()` is get-or-create, so the per-shard
-    // observers merge into one set of metrics. The initial shards panic
-    // on the fault plan's schedule; the supervisor's rebuilds do not.
-    let uplink = Arc::new(config.uplink_monitor());
-    let shard = |config, injector| {
-        let observer = TelemetryObserver::with_default_journal(&registry, "core")
-            .with_flight_recorder(flight.clone());
-        BitmapFilter::with_observer(config, FaultingObserver::new(observer, injector))
-            .with_shared_uplink(Arc::clone(&uplink))
-            .with_overload_policy(dataplane.overload.clone())
-    };
-    let shard_filters = (0..shards)
-        .map(|_| shard(config.clone(), dataplane.fault_plan.injector()))
-        .collect();
-    let bank = ShardedFilter::from_shards(
-        FlowHash::new(config.hole_punching()),
-        Arc::clone(&uplink),
-        shard_filters,
-    );
-
     let server = match &metrics_addr {
         Some(addr) => {
             let server = MetricsServer::start(addr, registry.clone(), health.clone())
@@ -1486,12 +1285,17 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
     let mut source = FilterSource {
         inner: dataplane.open_capture(in_path, policy, false)?,
         ahead: Vec::new(),
-        interval: metrics_interval,
-        next_report: (metrics_interval > 0.0).then_some(metrics_interval),
+        interval: TimeDelta::from_secs(metrics_interval),
+        next_report: (metrics_interval > 0.0).then(|| Timestamp::from_secs(metrics_interval)),
         prev_snapshot: registry.snapshot(),
         registry: &registry,
         flight: &flight,
         read_latency: trace_latency.then_some(&ingest_metrics),
+        tenants: tenants.as_ref().map(|bank| TenantView {
+            bank,
+            classifier: bank.table().classifier(),
+            telemetry: SubscriberTelemetry::new(registry.clone()),
+        }),
         interrupted: false,
     };
     let mut writer = out_writer(args)?;
@@ -1499,22 +1303,32 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
         .runner()
         .block_connections(!args.has("no-block"))
         .observability(PipelineObservability {
-            supervisor: Some(SupervisorTelemetry::new(&registry)),
+            supervisor: tenants
+                .is_none()
+                .then(|| SupervisorTelemetry::new(&registry)),
             tracer: trace_latency.then(|| StageTracer::new(&registry, "cli")),
             flight: Some(flight.clone()),
             health: Some(health.clone()),
         });
     let control = ServeControl::new().with_telemetry(&registry);
-    let rebuild = |config| shard(config, PlannedInjector::disarmed());
-    let report = runner
-        .serve_with(
-            &bank,
-            rebuild,
+    let sink = |packets: &[(Packet, Direction)], verdicts: &[Verdict]| {
+        write_passed(&mut writer, packets, verdicts)
+    };
+    let served = match &tenants {
+        Some(bank) => runner.serve_with(bank, &mut source, &control, sink),
+        // The shards' observers publish into one registry: `counter()`
+        // is get-or-create, so they merge into one set of metrics.
+        None => runner.serve_observed(
+            || {
+                TelemetryObserver::with_default_journal(&registry, "core")
+                    .with_flight_recorder(flight.clone())
+            },
             &mut source,
             &control,
-            |packets, verdicts| write_passed(&mut writer, packets, verdicts),
-        )
-        .map_err(|e| runtime(e.to_string()))?;
+            sink,
+        ),
+    };
+    let report = served.map_err(|e| runtime(e.to_string()))?;
     let mut outcome = if source.interrupted {
         Outcome::Interrupted
     } else {
@@ -1525,7 +1339,8 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
     }
     ingest_metrics.publish(&report.ingest);
     report_skips(&report.ingest);
-    dataplane.report_checkpoints(&report);
+    let table = tenants.as_ref().map(TenantBank::table);
+    dataplane.report_checkpoints(&report, table.as_deref());
     Dataplane::report_supervisor(&report);
 
     print_summary(
@@ -1533,7 +1348,25 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
         (report.uplink_offered_bits, report.uplink_kept_bits),
         report.watermark,
     );
+    if let Some(table) = &table {
+        let (reuses, fresh) = table.arena_counters();
+        println!(
+            "subscribers: {} active / {} provisioned; {} B resident, {} B pooled \
+             (arena: {} reuse(s), {} fresh); {} outbound drop anomaly(ies)",
+            table.active_subscribers(),
+            table.len(),
+            table.memory_bytes(),
+            table.arena_pooled_bytes(),
+            reuses,
+            fresh,
+            table.outbound_drop_anomalies()
+        );
+        print_tenant_table(table);
+    }
     if let Some((path, format)) = &metrics {
+        if let Some(tenants) = &mut source.tenants {
+            tenants.publish();
+        }
         write_metrics(path, format, &registry.snapshot()).map_err(runtime)?;
     }
 
@@ -1567,7 +1400,7 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
     Ok(outcome)
 }
 
-/// `upbound debug <read-dump|parse-metrics> <FILE>` — operator tooling
+/// `upbound debug <read-dump|parse-metrics> <FILE>` — operator tooling/// `upbound debug <read-dump|parse-metrics> <FILE>` — operator tooling
 /// over the observability artifacts.
 fn cmd_debug(rest: &[String]) -> Result<(), CliError> {
     let (sub, path) = match rest {
@@ -1851,7 +1684,7 @@ fn cmd_serve(args: &Args) -> Result<Outcome, CliError> {
     let report = served?;
 
     report_skips(&report.ingest);
-    dataplane.report_checkpoints(&report);
+    dataplane.report_checkpoints(&report, None);
     Dataplane::report_supervisor(&report);
     println!(
         "serve finished ({}): {} packet(s), {} passed, {} dropped, {} reconfig(s) applied, \

@@ -418,3 +418,146 @@ fn eviction_survives_checkpoint_and_reactivates_losslessly() {
         oracle.filters[2].as_ref().map(|f| f.stats())
     );
 }
+
+/// A campus trace over two active tenants, one provisioned-but-idle
+/// tenant and transit traffic, labeled with the table's classifier. The
+/// second tenant falls silent from 10 s to 20 s, past its idle-eviction
+/// threshold.
+fn labeled_campus(table: &SubscriberTable) -> Vec<(Packet, Direction)> {
+    let trace = upbound::traffic::generate(
+        &upbound::traffic::TraceConfig::builder()
+            .duration_secs(30.0)
+            .flow_rate_per_sec(20.0)
+            .seed(11)
+            .build()
+            .expect("valid trace config"),
+    );
+    let classifier = table.classifier();
+    let silent = |p: &Packet| {
+        let (tuple, t) = (p.tuple(), p.ts().as_secs_f64());
+        let tenant = [tuple.src(), tuple.dst()].map(|a| classifier.subscriber_of(*a.ip()));
+        (10.0..20.0).contains(&t) && tenant.contains(&Some(1))
+    };
+    trace
+        .packets
+        .into_iter()
+        .filter(|lp| !silent(&lp.packet))
+        .map(|lp| {
+            let direction = classifier.direction_of(&lp.packet);
+            (lp.packet, direction)
+        })
+        .collect()
+}
+
+/// Campus tenants with tight thresholds, so both drop classes and the
+/// blocked-σ store are exercised; eviction is on, so the bank parks
+/// tenants the replay never parks.
+fn campus_table() -> SubscriberTable {
+    let config = |low_mbps: f64, high_mbps: f64, seed: u64| {
+        BitmapFilterConfig::builder()
+            .vector_bits(16)
+            .rotate_every_secs(2.0)
+            .drop_policy(
+                upbound::core::DropPolicy::new(low_mbps * 1e6, high_mbps * 1e6)
+                    .expect("valid policy"),
+            )
+            .rng_seed(seed)
+            .build()
+            .expect("valid config")
+    };
+    let mut table = SubscriberTable::new();
+    for (prefix, tenant) in [
+        ("10.0.0.0/25", config(0.5, 2.0, 1)),
+        ("10.0.0.128/25", config(0.2, 1.0, 2)),
+        ("10.9.0.0/16", config(0.5, 2.0, 3)),
+    ] {
+        let cidr = prefix.parse().expect("static prefix is valid");
+        table
+            .add_subscriber(cidr, tenant)
+            .expect("prefixes are distinct");
+    }
+    table.evict_idle_after(TimeDelta::from_secs(8.0));
+    table
+}
+
+/// `serve_with` over a [`TenantBank`](upbound::sim::TenantBank) decides
+/// exactly what the replay engine decides through the same table: the
+/// same drops, blocked connections, uplink before and after filtering,
+/// merged counters and per-tenant counters, with the blocked-σ store on
+/// and off and at every batch size.
+#[test]
+fn tenant_bank_serve_matches_the_replay_engine() {
+    use upbound::net::{pcap::IngestStats, BufferedSource};
+    use upbound::sim::{
+        PipelineConfig, PipelineRunner, ReplayConfig, ReplayEngine, ServeControl, TenantBank,
+    };
+
+    let packets = labeled_campus(&campus_table());
+    let outbound = packets
+        .iter()
+        .filter(|(_, d)| *d == Direction::Outbound)
+        .count() as u64;
+    let last = packets.iter().map(|(p, _)| p.ts()).max().expect("packets");
+    for block in [true, false] {
+        for batch_size in [1, 7, 64] {
+            let label = format!("block={block} batch={batch_size}");
+            let mut replayed = campus_table();
+            let replay = ReplayEngine::new(ReplayConfig {
+                block_connections: block,
+                batch_size,
+                ..ReplayConfig::default()
+            })
+            .run_iter(packets.iter().map(|(p, d)| (p, *d)), &mut replayed);
+            // The bank advances the table after every run; bring the
+            // replayed table to the same instant.
+            replayed.advance(last);
+
+            let bank = TenantBank::new(campus_table(), TimeDelta::from_secs(8.0));
+            let mut source = BufferedSource::new(packets.clone(), IngestStats::default());
+            let report =
+                PipelineRunner::new("10.0.0.0/16".parse().expect("cidr"), tenant_config(0))
+                    .block_connections(block)
+                    .pipeline_config(PipelineConfig { batch_size })
+                    .serve_with(&bank, &mut source, &ServeControl::new(), |_, _| Ok(()))
+                    .expect("serve");
+            let served = bank.table();
+
+            assert!(replay.total_dropped_packets > 0, "{label}: nothing dropped");
+            let (reuses, _) = served.arena_counters();
+            assert!(reuses > 0, "{label}: the silent tenant never parked");
+            assert_eq!(report.packets, replay.total_packets, "{label}: packets");
+            // `serve` also counts the suppressed outbound packets of
+            // blocked connections as drops.
+            let blocked_outbound = outbound - report.filter_stats.outbound_packets;
+            assert_eq!(
+                report.dropped - blocked_outbound,
+                replay.total_dropped_packets,
+                "{label}: drops"
+            );
+            assert_eq!(
+                report.blocked_connections, replay.blocked_connections,
+                "{label}: blocked connections"
+            );
+            assert_eq!(
+                report.uplink_offered_bits as f64,
+                replay.pre_uplink.total(),
+                "{label}: offered uplink"
+            );
+            assert_eq!(
+                report.uplink_kept_bits as f64,
+                replay.post_uplink.total(),
+                "{label}: kept uplink"
+            );
+            assert_eq!(
+                report.filter_stats,
+                replayed.merged_stats(),
+                "{label}: merged stats"
+            );
+            assert_eq!(
+                served.per_subscriber_stats(),
+                replayed.per_subscriber_stats(),
+                "{label}: per-tenant stats"
+            );
+        }
+    }
+}

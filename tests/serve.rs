@@ -595,6 +595,59 @@ fn serve_retries_failed_checkpoints_then_disables_them() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A clock-skew spike drags the watermark an hour ahead. Periodic
+/// checkpoints fall due at multiples of the interval in trace time, so
+/// the spike costs one write, not one full bitmap and fsync per later
+/// batch: at most one periodic write per batch whose watermark enters a
+/// later interval, plus the final one.
+#[test]
+fn a_skew_spike_writes_one_checkpoint_not_one_per_batch() {
+    let path = tmp("skew.snap");
+    let _ = std::fs::remove_file(&path);
+    let every = TimeDelta::from_secs(10.0);
+    let packets: Vec<Packet> = generate(
+        &TraceConfig::builder()
+            .duration_secs(40.0)
+            .flow_rate_per_sec(10.0)
+            .seed(23)
+            .build()
+            .expect("valid trace config"),
+    )
+    .packets
+    .into_iter()
+    .map(|lp| lp.packet)
+    .collect();
+    let plan = FaultPlan::parse("seed=1,skew=1,skew-secs=3600").expect("plan");
+    let (packets, distortion) = plan.distort_stream(packets);
+    assert!(distortion.skewed > 0);
+
+    // Intervals entered, counted per packet: no batching enters more.
+    let interval = |us: u64| us / every.as_micros();
+    let (mut watermark, mut entered) = (0, 0u64);
+    for packet in &packets {
+        let next = packet.ts().as_micros().max(watermark);
+        entered += u64::from(interval(next) > interval(watermark));
+        watermark = next;
+    }
+
+    let config = BitmapFilterConfig::builder()
+        .vector_bits(12)
+        .build()
+        .expect("valid config");
+    let mut source = BufferedSource::labeled(packets, inside());
+    let report = PipelineRunner::new(inside(), config)
+        .checkpoint(&path, every)
+        .serve(&mut source, &ServeControl::new())
+        .expect("serve");
+    assert!(report.checkpoints_written >= 2, "periodic + final");
+    assert!(
+        report.checkpoints_written <= entered + 1,
+        "{} checkpoints for {entered} interval(s) entered",
+        report.checkpoints_written
+    );
+    std::fs::remove_file(&path).ok();
+}
+
 /// The same failure model through `upbound serve --fault-plan ckpt=N`.
 #[test]
 fn cli_serve_accepts_checkpoint_faults() {
