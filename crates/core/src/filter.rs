@@ -1059,6 +1059,10 @@ impl<O: FilterObserver> PacketFilter for BitmapFilter<O> {
         BitmapFilter::stats(self)
     }
 
+    fn ticks(&self) -> u64 {
+        self.stats.rotations.load(Ordering::Relaxed)
+    }
+
     fn memory_bytes(&self) -> usize {
         BitmapFilter::memory_bytes(self)
     }

@@ -124,6 +124,12 @@ pub trait PacketFilter {
     /// A snapshot of the running counters.
     fn stats(&self) -> Self::Stats;
 
+    /// Timer ticks performed so far — bitmap rotations, SPI purge
+    /// sweeps, 0 for a filter without a timer — without building the
+    /// rest of [`stats`](Self::stats). Like the timer counter of
+    /// [`MergeStats`], it merges across shards as the maximum.
+    fn ticks(&self) -> u64;
+
     /// Memory footprint of the filter state in bytes.
     fn memory_bytes(&self) -> usize;
 

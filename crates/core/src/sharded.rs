@@ -43,6 +43,7 @@ use crate::{
 };
 use parking_lot::RwLock;
 use std::fmt;
+use std::ops::Deref;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -134,6 +135,22 @@ struct Inner<F> {
     /// calls so a shard that received no packets in a high-timestamp
     /// batch still advances to the sequential clock on its next packet.
     watermark: AtomicU64,
+    /// The largest shard [`PacketFilter::ticks`] at the end of the last
+    /// call that held every shard (see [`ShardedFilter::ticks_seen`]),
+    /// read there through the guards the call already holds.
+    ticks: AtomicU64,
+}
+
+impl<F: PacketFilter> Inner<F> {
+    /// Stores the largest of `shards`' tick counts for
+    /// [`ShardedFilter::ticks_seen`].
+    fn note_ticks<'g>(&self, shards: impl Iterator<Item = &'g F>)
+    where
+        F: 'g,
+    {
+        let ticks = shards.map(F::ticks).max().unwrap_or(0);
+        self.ticks.store(ticks, Ordering::Relaxed);
+    }
 }
 
 /// N independently locked filter shards jointly bounding one client
@@ -323,6 +340,7 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
                 drop_policy: RwLock::new(drop_policy),
                 name,
                 watermark: AtomicU64::new(0),
+                ticks: AtomicU64::new(0),
             }),
         }
     }
@@ -426,31 +444,30 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
     pub fn process_batch(&self, packets: &[(Packet, Direction)], verdicts: &mut Vec<Verdict>) {
         verdicts.reserve(packets.len());
         let flow = self.inner.flow;
-        let mut wm = WatermarkGuard {
-            cell: &self.inner.watermark,
-            micros: self.inner.watermark.load(Ordering::Relaxed),
-        };
+        let micros = self.inner.watermark.load(Ordering::Relaxed);
         if F::CONCURRENT {
-            let guards: Vec<_> = self.inner.shards.iter().map(|shard| shard.read()).collect();
+            let guards = self.inner.shards.iter().map(|shard| shard.read()).collect();
+            let mut batch = BatchEnd::new(&self.inner, guards, micros);
             for (packet, direction) in packets {
-                wm.micros = wm.micros.max(packet.ts().as_micros());
+                let now = batch.witness(packet);
                 let key = flow.hashed(packet, *direction);
-                let guard = &guards[self.shard_index(&key)];
-                guard.advance_shared(Timestamp::from_micros(wm.micros));
+                let guard = &batch.guards[self.shard_index(&key)];
+                guard.advance_shared(now);
                 verdicts.push(guard.decide_keyed_shared(&key, packet, *direction));
             }
         } else {
-            let mut guards: Vec<_> = self
+            let guards = self
                 .inner
                 .shards
                 .iter()
                 .map(|shard| shard.write())
                 .collect();
+            let mut batch = BatchEnd::new(&self.inner, guards, micros);
             for (packet, direction) in packets {
-                wm.micros = wm.micros.max(packet.ts().as_micros());
+                let now = batch.witness(packet);
                 let key = flow.hashed(packet, *direction);
-                let guard = &mut guards[self.shard_index(&key)];
-                guard.advance(Timestamp::from_micros(wm.micros));
+                let guard = &mut batch.guards[self.shard_index(&key)];
+                guard.advance(now);
                 verdicts.push(guard.decide_keyed(&key, packet, *direction));
             }
         }
@@ -460,15 +477,31 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
     /// shards, bringing them to a common tick phase (e.g. before reading
     /// [`stats`](Self::stats) at a trace boundary).
     pub fn advance(&self, now: Timestamp) {
-        if F::CONCURRENT {
-            for shard in &self.inner.shards {
-                shard.read().advance_shared(now);
-            }
-        } else {
-            for shard in &self.inner.shards {
-                shard.write().advance(now);
-            }
+        let mut ticks = 0;
+        for shard in &self.inner.shards {
+            let ticked = if F::CONCURRENT {
+                let guard = shard.read();
+                guard.advance_shared(now);
+                guard.ticks()
+            } else {
+                let mut guard = shard.write();
+                guard.advance(now);
+                guard.ticks()
+            };
+            ticks = ticks.max(ticked);
         }
+        self.inner.ticks.store(ticks, Ordering::Relaxed);
+    }
+
+    /// The largest shard tick count (bitmap rotations) at the end of the
+    /// last call that held every shard — [`process_batch`](Self::process_batch),
+    /// [`advance`](Self::advance), [`checkpoint_bytes`](Self::checkpoint_bytes)
+    /// or [`restore_bytes`](Self::restore_bytes) — read without a lock.
+    /// A caller that owns the batching thread polls it between batches
+    /// instead of merging [`stats`](Self::stats); ticks done through
+    /// other methods show at the next such call.
+    pub fn ticks_seen(&self) -> u64 {
+        self.inner.ticks.load(Ordering::Relaxed)
     }
 
     /// Merged statistics across all shards (see [`MergeStats::merge`]
@@ -575,6 +608,7 @@ impl<F: PacketFilter + Send + Sync + Snapshottable> ShardedFilter<F> {
             w.put_u64(bytes.len() as u64);
             w.put_slice(&bytes);
         }
+        self.inner.note_ticks(guards.iter().map(|g| &**g));
         snapshot::encode_container(Self::snapshot_kind(), watermark, w.as_slice())
     }
 
@@ -637,6 +671,7 @@ impl<F: PacketFilter + Send + Sync + Snapshottable> ShardedFilter<F> {
         if !r.is_empty() {
             return Err(SnapshotError::Malformed("payload has trailing bytes"));
         }
+        self.inner.note_ticks(guards.iter().map(|g| &**g));
         if stale {
             for guard in guards.iter_mut() {
                 guard.start_cold_at(now);
@@ -673,17 +708,38 @@ impl<F: PacketFilter + Send + Sync + Snapshottable> ShardedFilter<F> {
     }
 }
 
-/// The running watermark of one [`ShardedFilter::process_batch`] call,
-/// stored back into the handle when the call ends — on return or while
-/// unwinding out of a panicking decision.
-struct WatermarkGuard<'a> {
-    cell: &'a AtomicU64,
+/// One [`ShardedFilter::process_batch`] call's shard guards and running
+/// watermark. When the call ends — on return or while unwinding out of a
+/// panicking decision — the watermark is stored back into the handle and
+/// the largest shard tick count is read through the guards still held.
+struct BatchEnd<'a, F: PacketFilter, G: Deref<Target = F>> {
+    inner: &'a Inner<F>,
+    guards: Vec<G>,
     micros: u64,
 }
 
-impl Drop for WatermarkGuard<'_> {
+impl<'a, F: PacketFilter, G: Deref<Target = F>> BatchEnd<'a, F, G> {
+    fn new(inner: &'a Inner<F>, guards: Vec<G>, micros: u64) -> Self {
+        Self {
+            inner,
+            guards,
+            micros,
+        }
+    }
+
+    /// Advances the watermark over `packet`; returns it.
+    #[inline]
+    fn witness(&mut self, packet: &Packet) -> Timestamp {
+        self.micros = self.micros.max(packet.ts().as_micros());
+        Timestamp::from_micros(self.micros)
+    }
+}
+
+impl<F: PacketFilter, G: Deref<Target = F>> Drop for BatchEnd<'_, F, G> {
     fn drop(&mut self) {
-        self.cell.fetch_max(self.micros, Ordering::Relaxed);
+        let inner = self.inner;
+        inner.watermark.fetch_max(self.micros, Ordering::Relaxed);
+        inner.note_ticks(self.guards.iter().map(|g| &**g));
     }
 }
 
@@ -716,6 +772,11 @@ impl<F: PacketFilter + Send + Sync> PacketFilter for ShardedFilter<F> {
 
     fn stats(&self) -> F::Stats {
         ShardedFilter::stats(self)
+    }
+
+    fn ticks(&self) -> u64 {
+        let shards = self.inner.shards.iter();
+        shards.map(|s| s.read().ticks()).max().unwrap_or(0)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -979,6 +1040,31 @@ mod tests {
         sharded.advance(last);
         let merged: FilterStats = sharded.stats();
         assert_eq!(merged, seq.stats());
+    }
+
+    #[test]
+    fn ticks_seen_follows_the_merged_rotations_without_a_lock() {
+        let sharded = handle(4);
+        assert_eq!(sharded.ticks_seen(), 0);
+        // Paper timing rotates every 5 s; 40 s of outbound packets
+        // rotate the shards that see them.
+        let packets: Vec<_> = (0..400u16)
+            .map(|i| {
+                (
+                    outbound_packet(1024 + i, i as f64 * 0.1),
+                    Direction::Outbound,
+                )
+            })
+            .collect();
+        let mut verdicts = Vec::new();
+        for batch in packets.chunks(64) {
+            sharded.process_batch(batch, &mut verdicts);
+            assert_eq!(sharded.ticks_seen(), sharded.stats().rotations);
+        }
+        assert!(sharded.ticks_seen() > 0);
+        sharded.advance(Timestamp::from_secs(100.0));
+        assert_eq!(sharded.ticks_seen(), sharded.stats().rotations);
+        assert_eq!(PacketFilter::ticks(&sharded), sharded.stats().rotations);
     }
 
     #[test]

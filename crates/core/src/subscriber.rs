@@ -849,6 +849,14 @@ impl<F: PacketFilter> PacketFilter for SubscriberTable<F> {
         self.merged_stats()
     }
 
+    fn ticks(&self) -> u64 {
+        self.tenants
+            .iter()
+            .filter_map(|t| t.filter.as_ref().map(F::ticks))
+            .max()
+            .unwrap_or(0)
+    }
+
     fn memory_bytes(&self) -> usize {
         SubscriberTable::memory_bytes(self)
     }
@@ -1392,6 +1400,9 @@ mod tests {
         fn advance(&mut self, _now: Timestamp) {}
         fn stats(&self) -> FilterStats {
             self.stats
+        }
+        fn ticks(&self) -> u64 {
+            0
         }
         fn memory_bytes(&self) -> usize {
             0

@@ -84,6 +84,10 @@ impl PacketFilter for OracleFilter {
         self.stats
     }
 
+    fn ticks(&self) -> u64 {
+        0
+    }
+
     fn memory_bytes(&self) -> usize {
         self.last_outbound.len()
             * (std::mem::size_of::<FiveTuple>() + std::mem::size_of::<Timestamp>())

@@ -59,19 +59,19 @@ use std::cell::{Ref, RefCell};
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use upbound_core::{
     snapshot, BitmapFilter, BitmapFilterConfig, ConfigCell, DropPolicy, FailMode, FilterObserver,
-    FilterStats, FlowHash, NoopObserver, OverloadPolicy, RestoreOutcome, RuntimeOverrides,
-    ShardedFilter, SnapshotError, Snapshottable, SubscriberTable, Verdict,
+    FilterStats, FlowHash, NoopObserver, OverloadPolicy, PacketFilter, RestoreOutcome,
+    RuntimeOverrides, ShardedFilter, SnapshotError, Snapshottable, SubscriberTable, Verdict,
 };
 use upbound_net::pcap::IngestStats;
 use upbound_net::{
     Cidr, Direction, NetError, Packet, PacketSource, SourcePoll, TimeDelta, Timestamp,
 };
-use upbound_telemetry::{Counter, Gauge, Registry, Stage};
+use upbound_telemetry::{Registry, Stage};
 
 /// Why a [`PipelineRunner`] terminal method failed.
 #[derive(Debug)]
@@ -161,6 +161,10 @@ pub struct ServeReport {
     pub supervisor: SupervisorReport,
 }
 
+/// How long the serve loop sleeps when the source reports
+/// [`SourcePoll::Idle`].
+const IDLE_SLEEP: Duration = Duration::from_millis(1);
+
 /// The control half of a [`PipelineRunner::serve`] session: clone it,
 /// hand one clone to the serving thread and keep the other wherever
 /// reconfiguration requests arrive (an HTTP handler, a signal handler,
@@ -170,39 +174,20 @@ pub struct ServeControl {
     cell: ConfigCell,
     drain: Arc<AtomicBool>,
     telemetry: Option<ServeTelemetry>,
-    idle_sleep: Duration,
 }
 
 impl ServeControl {
-    /// A fresh control: nothing staged, no drain requested, 1 ms idle
-    /// poll, no telemetry.
+    /// A fresh control: nothing staged, no drain requested, no
+    /// telemetry.
     pub fn new() -> Self {
-        Self {
-            cell: ConfigCell::new(),
-            drain: Arc::new(AtomicBool::new(false)),
-            telemetry: None,
-            idle_sleep: Duration::from_millis(1),
-        }
+        Self::default()
     }
 
-    /// Publishes the serve loop's live state into `registry`
+    /// Exports the serve loop's live state from `registry`
     /// (`upbound_serve_*`).
     pub fn with_telemetry(mut self, registry: &Registry) -> Self {
         self.telemetry = Some(ServeTelemetry::new(registry));
         self
-    }
-
-    /// How long the serve loop sleeps when the source reports
-    /// [`SourcePoll::Idle`].
-    pub fn with_idle_sleep(mut self, idle_sleep: Duration) -> Self {
-        self.idle_sleep = idle_sleep;
-        self
-    }
-
-    /// The configuration cell the serve loop watches; stage overrides
-    /// here (or via [`stage`](Self::stage)).
-    pub fn cell(&self) -> &ConfigCell {
-        &self.cell
     }
 
     /// Stages `overrides` for the serve loop to apply at its next safe
@@ -227,88 +212,140 @@ impl ServeControl {
 /// (`upbound_serve_*`), so `/metrics` shows throughput, the active
 /// configuration generation and the effective policy without touching
 /// the dataplane thread.
+///
+/// The serving thread stores its state into one block of atomics with
+/// relaxed stores — after each batch, at session start and when a
+/// reconfiguration or a checkpoint lands — and every series is a
+/// scrape-time reading of that block ([`Registry::counter_fn`],
+/// [`Registry::gauge_fn`]). A snapshot therefore sees the state as of
+/// the last finished batch and takes no lock the dataplane holds.
+/// Counters carry on across sessions served through the same control;
+/// serve one session at a time per control.
 #[derive(Debug, Clone)]
 pub struct ServeTelemetry {
     registry: Registry,
-    packets_total: Arc<Counter>,
-    passed_total: Arc<Counter>,
-    dropped_total: Arc<Counter>,
-    reconfigs_total: Arc<Counter>,
-    checkpoints_total: Arc<Counter>,
-    batch_size: Arc<Gauge>,
-    config_generation: Arc<Gauge>,
-    rotations: Arc<Gauge>,
-    watermark_secs: Arc<Gauge>,
-    drop_low_bps: Arc<Gauge>,
-    drop_high_bps: Arc<Gauge>,
-    ingest_errors: Arc<Gauge>,
-    kernel_drops: Arc<Gauge>,
+    live: Arc<Live>,
+}
+
+/// The block [`ServeTelemetry`]'s series read; written only by the
+/// serving thread.
+#[derive(Debug, Default)]
+struct Live {
+    packets: AtomicU64,
+    passed: AtomicU64,
+    dropped: AtomicU64,
+    reconfigs: AtomicU64,
+    checkpoints: AtomicU64,
+    batch_size: AtomicU64,
+    generation: AtomicU64,
+    rotations: AtomicU64,
+    watermark_micros: AtomicU64,
+    drop_low_bits: AtomicU64,
+    drop_high_bits: AtomicU64,
+    ingest_errors: AtomicU64,
+    kernel_drops: AtomicU64,
+}
+
+/// A relaxed load, the one way a scrape reads [`Live`].
+fn load(cell: &AtomicU64) -> u64 {
+    cell.load(Ordering::Relaxed)
 }
 
 impl ServeTelemetry {
     /// Registers the serve metrics in `registry`.
     pub fn new(registry: &Registry) -> Self {
+        let live = Arc::new(Live::default());
+        let counter = |name: &str, help: &str, cell: fn(&Live) -> &AtomicU64| {
+            let live = Arc::clone(&live);
+            registry.counter_fn(name, help, move || load(cell(&live)));
+        };
+        counter(
+            "upbound_serve_packets_total",
+            "Packets pulled from the source by the serve loop",
+            |l| &l.packets,
+        );
+        counter(
+            "upbound_serve_passed_total",
+            "Packets forwarded by the serve loop",
+            |l| &l.passed,
+        );
+        counter(
+            "upbound_serve_dropped_total",
+            "Inbound packets dropped by the serve loop",
+            |l| &l.dropped,
+        );
+        counter(
+            "upbound_serve_reconfigs_total",
+            "Runtime reconfigurations applied",
+            |l| &l.reconfigs,
+        );
+        counter(
+            "upbound_serve_checkpoints_total",
+            "Checkpoints written by the serve loop",
+            |l| &l.checkpoints,
+        );
+        let gauge = |name: &str, help: &str, read: fn(&Live) -> f64| {
+            let live = Arc::clone(&live);
+            registry.gauge_fn(name, help, move || read(&live));
+        };
+        gauge(
+            "upbound_serve_batch_size",
+            "Effective per-poll batch size of the serve loop",
+            |l| load(&l.batch_size) as f64,
+        );
+        gauge(
+            "upbound_serve_config_generation",
+            "Configuration generation the dataplane has applied",
+            |l| load(&l.generation) as f64,
+        );
+        gauge(
+            "upbound_serve_rotations",
+            "Bitmap rotations performed by the serving filter",
+            |l| load(&l.rotations) as f64,
+        );
+        gauge(
+            "upbound_serve_watermark_secs",
+            "Timestamp of the last packet processed, in seconds",
+            |l| Timestamp::from_micros(load(&l.watermark_micros)).as_secs_f64(),
+        );
+        gauge(
+            "upbound_serve_drop_low_bps",
+            "Effective P_d low threshold (Equation 1 L), bits/s",
+            |l| f64::from_bits(load(&l.drop_low_bits)),
+        );
+        gauge(
+            "upbound_serve_drop_high_bps",
+            "Effective P_d high threshold (Equation 1 H), bits/s",
+            |l| f64::from_bits(load(&l.drop_high_bits)),
+        );
+        gauge(
+            "upbound_serve_ingest_errors",
+            "Source decode/IO errors observed so far",
+            |l| load(&l.ingest_errors) as f64,
+        );
+        gauge(
+            "upbound_serve_kernel_drops",
+            "Packets the kernel dropped before the serve loop saw them",
+            |l| load(&l.kernel_drops) as f64,
+        );
         Self {
             registry: registry.clone(),
-            packets_total: registry.counter(
-                "upbound_serve_packets_total",
-                "Packets pulled from the source by the serve loop",
-            ),
-            passed_total: registry.counter(
-                "upbound_serve_passed_total",
-                "Packets forwarded by the serve loop",
-            ),
-            dropped_total: registry.counter(
-                "upbound_serve_dropped_total",
-                "Inbound packets dropped by the serve loop",
-            ),
-            reconfigs_total: registry.counter(
-                "upbound_serve_reconfigs_total",
-                "Runtime reconfigurations applied",
-            ),
-            checkpoints_total: registry.counter(
-                "upbound_serve_checkpoints_total",
-                "Checkpoints written by the serve loop",
-            ),
-            batch_size: registry.gauge(
-                "upbound_serve_batch_size",
-                "Effective per-poll batch size of the serve loop",
-            ),
-            config_generation: registry.gauge(
-                "upbound_serve_config_generation",
-                "Configuration generation the dataplane has applied",
-            ),
-            rotations: registry.gauge(
-                "upbound_serve_rotations",
-                "Bitmap rotations performed by the serving filter",
-            ),
-            watermark_secs: registry.gauge(
-                "upbound_serve_watermark_secs",
-                "Timestamp of the last packet processed, in seconds",
-            ),
-            drop_low_bps: registry.gauge(
-                "upbound_serve_drop_low_bps",
-                "Effective P_d low threshold (Equation 1 L), bits/s",
-            ),
-            drop_high_bps: registry.gauge(
-                "upbound_serve_drop_high_bps",
-                "Effective P_d high threshold (Equation 1 H), bits/s",
-            ),
-            ingest_errors: registry.gauge(
-                "upbound_serve_ingest_errors",
-                "Source decode/IO errors observed so far",
-            ),
-            kernel_drops: registry.gauge(
-                "upbound_serve_kernel_drops",
-                "Packets the kernel dropped before the serve loop saw them",
-            ),
+            live,
         }
     }
 
-    fn record_batch(&self, packets: usize, passed: u64, dropped: u64) {
-        self.packets_total.add(packets as u64);
-        self.passed_total.add(passed);
-        self.dropped_total.add(dropped);
+    /// The counters earlier sessions left, for a new session to count on
+    /// top of.
+    fn carried(&self) -> Tally {
+        let live = &self.live;
+        Tally {
+            packets: load(&live.packets),
+            passed: load(&live.passed),
+            dropped: load(&live.dropped),
+            reconfigs: load(&live.reconfigs),
+            checkpoints: load(&live.checkpoints),
+            ..Tally::default()
+        }
     }
 }
 
@@ -550,7 +587,7 @@ impl PipelineRunner {
         let mut session = Session {
             bank,
             incidents: Vec::new(),
-            telemetry,
+            live: telemetry.map(|t| (&*t.live, t.carried())),
             obs: &self.obs,
             sink,
             verdicts: Vec::new(),
@@ -569,6 +606,7 @@ impl PipelineRunner {
         let mut ckpt_sink =
             FaultingCheckpointSink::new(AtomicCheckpointSink, self.fault.injector());
         let mut buf: Vec<(Packet, Direction)> = Vec::with_capacity(session.batch_size);
+        session.publish_config();
 
         let exit = loop {
             if control.drain_requested() {
@@ -576,7 +614,7 @@ impl PipelineRunner {
             }
             if pending.is_none() {
                 if let Some((generation, overrides)) = control.cell.poll(session.seen_gen) {
-                    pending = Some((generation, overrides, session.bank.stats().rotations));
+                    pending = Some((generation, overrides, session.bank.rotations()));
                 }
             }
             buf.clear();
@@ -592,7 +630,7 @@ impl PipelineRunner {
                     if let Some((generation, overrides, _)) = pending.take() {
                         session.apply(generation, &overrides);
                     }
-                    std::thread::sleep(control.idle_sleep);
+                    std::thread::sleep(IDLE_SLEEP);
                 }
                 SourcePoll::Batch(_) => {
                     let Some((first, _)) = buf.first() else {
@@ -607,17 +645,15 @@ impl PipelineRunner {
                             next_due = Some(next_boundary(Timestamp::ZERO, first.ts(), *every));
                         }
                     }
-                    let (passed, dropped) = (session.tally.passed, session.tally.dropped);
                     session.batch(&buf)?;
                     session.tally.packets += buf.len() as u64;
                     let watermark = session.tally.watermark;
 
-                    let stats = session.bank.stats();
                     // A rotation has retired a vector since the
                     // overrides were staged — the batch boundary right
                     // after it is the quiesce point.
                     if let Some((generation, overrides, _)) =
-                        pending.take_if(|(_, _, staged_at)| stats.rotations > *staged_at)
+                        pending.take_if(|(_, _, staged_at)| session.bank.rotations() > *staged_at)
                     {
                         session.apply(generation, &overrides);
                     }
@@ -640,10 +676,8 @@ impl PipelineRunner {
                     if let Some(health) = &self.obs.health {
                         health.set_watermark(watermark.as_micros());
                     }
-                    if let Some(t) = telemetry {
-                        let tally = &session.tally;
-                        t.record_batch(buf.len(), tally.passed - passed, tally.dropped - dropped);
-                        session.publish(t, &stats, &source.stats());
+                    if session.live.is_some() {
+                        session.publish(session.bank.rotations(), &source.stats());
                     }
                 }
             }
@@ -658,9 +692,7 @@ impl PipelineRunner {
         }
         let filter_stats = session.bank.stats();
         let ingest = source.stats();
-        if let Some(t) = telemetry {
-            session.publish(t, &filter_stats, &ingest);
-        }
+        session.publish(filter_stats.rotations, &ingest);
         let tally = session.tally;
         self.obs.settle(tally.watermark);
         let mut incidents = session.incidents;
@@ -718,8 +750,13 @@ pub trait ServeBank {
     /// Applies staged runtime overrides.
     fn apply_overrides(&mut self, overrides: &RuntimeOverrides);
 
-    /// The merged counters; staged overrides wait for `rotations` to grow.
+    /// The merged counters, read once a session ends.
     fn stats(&self) -> FilterStats;
+
+    /// The bitmap rotations of [`stats`](Self::stats) without merging
+    /// the rest, read on the serving thread after every batch: staged
+    /// overrides wait for it to grow, and telemetry exports it.
+    fn rotations(&self) -> u64;
 
     /// A checkpoint image valid at trace time `watermark`.
     fn checkpoint_bytes(&self, watermark: Timestamp) -> Vec<u8>;
@@ -801,6 +838,10 @@ where
         self.bank.stats()
     }
 
+    fn rotations(&self) -> u64 {
+        self.bank.ticks_seen()
+    }
+
     fn checkpoint_bytes(&self, watermark: Timestamp) -> Vec<u8> {
         self.bank.checkpoint_bytes(watermark)
     }
@@ -863,6 +904,10 @@ impl ServeBank for &TenantBank {
         self.table.borrow().merged_stats()
     }
 
+    fn rotations(&self) -> u64 {
+        PacketFilter::ticks(&*self.table.borrow())
+    }
+
     fn checkpoint_bytes(&self, watermark: Timestamp) -> Vec<u8> {
         let mut table = self.table.borrow_mut();
         table.advance(watermark);
@@ -894,7 +939,8 @@ struct Tally {
 struct Session<'a, B, F> {
     bank: B,
     incidents: Vec<ShardIncident>,
-    telemetry: Option<&'a ServeTelemetry>,
+    /// The telemetry block, and the counters earlier sessions left in it.
+    live: Option<(&'a Live, Tally)>,
     obs: &'a PipelineObservability,
     sink: F,
     verdicts: Vec<Verdict>,
@@ -921,27 +967,43 @@ where
         }
         self.seen_gen = generation;
         self.tally.reconfigs += 1;
-        if let Some(t) = self.telemetry {
-            t.reconfigs_total.inc();
+        self.publish_config();
+    }
+
+    /// Stores the configuration the session runs under, and the
+    /// reconfigurations it applied, into the telemetry block.
+    fn publish_config(&self) {
+        if let Some((live, carried)) = &self.live {
+            let store = |cell: &AtomicU64, v| cell.store(v, Ordering::Relaxed);
+            store(&live.drop_low_bits, self.policy.low_bps().to_bits());
+            store(&live.drop_high_bits, self.policy.high_bps().to_bits());
+            store(&live.batch_size, self.batch_size as u64);
+            store(&live.generation, self.seen_gen);
+            store(&live.reconfigs, carried.reconfigs + self.tally.reconfigs);
         }
     }
 
-    /// Sets the `upbound_serve_*` gauges to the session's live state.
-    fn publish(&self, t: &ServeTelemetry, stats: &FilterStats, ingest: &IngestStats) {
-        t.watermark_secs.set(self.tally.watermark.as_secs_f64());
-        t.rotations.set_u64(stats.rotations);
-        t.drop_low_bps.set(self.policy.low_bps());
-        t.drop_high_bps.set(self.policy.high_bps());
-        t.batch_size.set_u64(self.batch_size as u64);
-        t.config_generation.set_u64(self.seen_gen);
-        t.ingest_errors.set_u64(ingest.errors_total());
-        t.kernel_drops.set_u64(ingest.kernel_drops());
+    /// Stores the session's live state after a batch: plain relaxed
+    /// stores, no read-modify-write.
+    fn publish(&self, rotations: u64, ingest: &IngestStats) {
+        if let Some((live, carried)) = &self.live {
+            let store = |cell: &AtomicU64, v| cell.store(v, Ordering::Relaxed);
+            let tally = &self.tally;
+            store(&live.packets, carried.packets + tally.packets);
+            store(&live.passed, carried.passed + tally.passed);
+            store(&live.dropped, carried.dropped + tally.dropped);
+            store(&live.watermark_micros, tally.watermark.as_micros());
+            store(&live.rotations, rotations);
+            store(&live.ingest_errors, ingest.errors_total());
+            store(&live.kernel_drops, ingest.kernel_drops());
+        }
     }
 
     fn checkpointed(&mut self) {
         self.tally.checkpoints += 1;
-        if let Some(t) = self.telemetry {
-            t.checkpoints_total.inc();
+        if let Some((live, carried)) = &self.live {
+            let total = carried.checkpoints + self.tally.checkpoints;
+            live.checkpoints.store(total, Ordering::Relaxed);
         }
     }
 

@@ -464,6 +464,10 @@ impl<O: FilterObserver> PacketFilter for SpiFilter<O> {
         SpiFilter::stats(self)
     }
 
+    fn ticks(&self) -> u64 {
+        self.stats.purge_sweeps
+    }
+
     fn memory_bytes(&self) -> usize {
         self.table.approx_memory_bytes()
     }

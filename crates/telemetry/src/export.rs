@@ -22,6 +22,19 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
+/// `name{k="v",...}`, or the bare name of an unlabeled series.
+fn render_series(name: &str, labels: &[(String, String)]) -> String {
+    if labels.is_empty() {
+        return name.to_string();
+    }
+    let body = labels
+        .iter()
+        .map(|(k, v)| format!("{k}=\"{}\"", prometheus::escape_label_value(v)))
+        .collect::<Vec<_>>()
+        .join(",");
+    format!("{name}{{{body}}}")
+}
+
 /// Prometheus text exposition format (version 0.0.4).
 pub mod prometheus {
     use super::*;
@@ -39,18 +52,6 @@ pub mod prometheus {
             }
         }
         out
-    }
-
-    fn render_series(name: &str, labels: &[(String, String)]) -> String {
-        if labels.is_empty() {
-            return name.to_string();
-        }
-        let body = labels
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("{name}{{{body}}}")
     }
 
     /// Renders a snapshot in Prometheus text exposition format.
@@ -499,19 +500,23 @@ pub mod human {
     // `fmt::Write` into a `String` cannot fail.
     #[allow(clippy::unwrap_used)]
     pub fn render(snapshot: &Snapshot, previous: Option<(&Snapshot, f64)>) -> String {
-        let width = snapshot
+        let series: Vec<String> = snapshot
             .samples
             .iter()
-            .map(|s| s.name.len())
-            .max()
-            .unwrap_or(0);
+            .map(|s| render_series(&s.name, &s.labels))
+            .collect();
+        let width = series.iter().map(String::len).max().unwrap_or(0);
         let mut out = String::new();
-        for sample in &snapshot.samples {
+        for (sample, series) in snapshot.samples.iter().zip(&series) {
             match &sample.value {
                 MetricValue::Counter(v) => {
-                    write!(out, "{:<width$} {v}", sample.name).unwrap();
+                    write!(out, "{series:<width$} {v}").unwrap();
                     if let Some((prev, elapsed)) = previous {
-                        if let Some(p) = prev.counter(&sample.name) {
+                        let same = prev
+                            .samples
+                            .iter()
+                            .find(|p| p.name == sample.name && p.labels == sample.labels);
+                        if let Some(&MetricValue::Counter(p)) = same.map(|p| &p.value) {
                             let delta = v.saturating_sub(p);
                             write!(out, "  (+{delta}").unwrap();
                             if elapsed > 0.0 {
@@ -523,7 +528,7 @@ pub mod human {
                     out.push('\n');
                 }
                 MetricValue::Gauge(v) => {
-                    writeln!(out, "{:<width$} {}", sample.name, fmt_f64(*v)).unwrap();
+                    writeln!(out, "{series:<width$} {}", fmt_f64(*v)).unwrap();
                 }
                 MetricValue::Histogram(h) => {
                     let mean = if h.count > 0 {
@@ -533,8 +538,7 @@ pub mod human {
                     };
                     write!(
                         out,
-                        "{:<width$} count={} sum={} mean={}",
-                        sample.name,
+                        "{series:<width$} count={} sum={} mean={}",
                         h.count,
                         fmt_f64(h.sum),
                         fmt_f64(mean)
@@ -705,5 +709,27 @@ upbound_y_count 5
         assert!(report.contains("upbound_test_packets_total"), "{report}");
         assert!(report.contains("(+100, 50.0/s)"), "{report}");
         assert!(report.contains("mean="), "{report}");
+    }
+
+    #[test]
+    fn human_report_keys_labeled_series_by_name_and_labels() {
+        let registry = Registry::new();
+        let tenant = |t: &str| {
+            registry.labeled_counter("upbound_test_drops_total", "Drops", &[("subscriber", t)])
+        };
+        tenant("a").add(253);
+        tenant("b").add(144);
+        let before = registry.snapshot();
+        tenant("a").add(10);
+        tenant("b").add(171);
+        let report = human::render(&registry.snapshot(), Some((&before, 1.0)));
+        assert!(
+            report.contains("upbound_test_drops_total{subscriber=\"a\"} 263  (+10, 10.0/s)"),
+            "{report}"
+        );
+        assert!(
+            report.contains("upbound_test_drops_total{subscriber=\"b\"} 315  (+171, 171.0/s)"),
+            "{report}"
+        );
     }
 }

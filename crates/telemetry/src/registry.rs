@@ -6,6 +6,11 @@
 //! contends on the registry. Metric names follow the workspace
 //! convention `upbound_<crate>_<name>` (checked loosely at
 //! registration: lowercase identifiers and underscores only).
+//!
+//! A series can also be *scrape-time*: [`Registry::counter_fn`] and
+//! [`Registry::gauge_fn`] register a function that [`Registry::snapshot`]
+//! calls to read the value, so a producer that keeps its own plain state
+//! pays nothing per update for exporting it.
 
 use crate::latency::LatencyRecorder;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
@@ -66,11 +71,39 @@ impl Snapshot {
     }
 }
 
+/// A scrape-time reading, called inside [`Registry::snapshot`].
+type Read<T> = Box<dyn Fn() -> T + Send + Sync>;
+
 enum Instrument {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
     Latency(Arc<LatencyRecorder>),
+    CounterFn(Read<u64>),
+    GaugeFn(Read<f64>),
+}
+
+impl Instrument {
+    /// The exported type: one per metric name across its label sets.
+    fn kind(&self) -> &'static str {
+        match self {
+            Instrument::Counter(_) | Instrument::CounterFn(_) => "counter",
+            Instrument::Gauge(_) | Instrument::GaugeFn(_) => "gauge",
+            Instrument::Histogram(_) => "histogram",
+            Instrument::Latency(_) => "latency",
+        }
+    }
+
+    fn value(&self) -> MetricValue {
+        match self {
+            Instrument::Counter(c) => MetricValue::Counter(c.get()),
+            Instrument::Gauge(g) => MetricValue::Gauge(g.get()),
+            Instrument::Histogram(h) => MetricValue::Histogram(h.load()),
+            Instrument::Latency(r) => MetricValue::Histogram(r.load().to_histogram_snapshot()),
+            Instrument::CounterFn(read) => MetricValue::Counter(read()),
+            Instrument::GaugeFn(read) => MetricValue::Gauge(read()),
+        }
+    }
 }
 
 struct Entry {
@@ -142,7 +175,7 @@ impl Registry {
         // (Prometheus requires one TYPE per family).
         let instrument = make();
         if let Some(clashing) = entries.iter().find(|e| e.name == name) {
-            if std::mem::discriminant(&clashing.instrument) != std::mem::discriminant(&instrument) {
+            if clashing.instrument.kind() != instrument.kind() {
                 panic!("metric {name:?} already registered with a different type");
             }
         }
@@ -260,6 +293,60 @@ impl Registry {
         )
     }
 
+    /// Adds or replaces an unlabeled scrape-time series.
+    fn register_fn(&self, name: &str, help: &str, instrument: Instrument) {
+        assert_valid_name(name);
+        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        match entries.iter_mut().find(|e| e.name == name) {
+            Some(e) => match (&e.instrument, &instrument) {
+                (Instrument::CounterFn(_), Instrument::CounterFn(_))
+                | (Instrument::GaugeFn(_), Instrument::GaugeFn(_))
+                    if e.labels.is_empty() =>
+                {
+                    e.instrument = instrument;
+                }
+                _ => panic!("metric {name:?} already registered with a different type"),
+            },
+            None => entries.push(Entry {
+                name: name.to_string(),
+                help: help.to_string(),
+                labels: Vec::new(),
+                instrument,
+            }),
+        }
+    }
+
+    /// Registers a counter whose value `read` computes at scrape time.
+    ///
+    /// `read` is called inside every [`snapshot`](Self::snapshot), with
+    /// the registry locked, so it must be cheap, must not touch this
+    /// registry and must not take a lock that a thread taking a snapshot
+    /// may hold. It must never return less than it returned before.
+    /// Registering the same name again replaces the function.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is invalid or already holds an instrument other
+    /// than an unlabeled scrape-time series of the same type.
+    pub fn counter_fn(
+        &self,
+        name: &str,
+        help: &str,
+        read: impl Fn() -> u64 + Send + Sync + 'static,
+    ) {
+        self.register_fn(name, help, Instrument::CounterFn(Box::new(read)));
+    }
+
+    /// Registers a gauge whose value `read` computes at scrape time,
+    /// under the rules of [`counter_fn`](Self::counter_fn).
+    ///
+    /// # Panics
+    ///
+    /// As [`counter_fn`](Self::counter_fn).
+    pub fn gauge_fn(&self, name: &str, help: &str, read: impl Fn() -> f64 + Send + Sync + 'static) {
+        self.register_fn(name, help, Instrument::GaugeFn(Box::new(read)));
+    }
+
     /// Registers the standard `upbound_build_info` gauge (constant 1,
     /// labels `version` and `revision`).
     pub fn build_info(&self, version: &str, revision: Option<&str>) -> Arc<Gauge> {
@@ -285,14 +372,7 @@ impl Registry {
                 name: e.name.clone(),
                 help: e.help.clone(),
                 labels: e.labels.clone(),
-                value: match &e.instrument {
-                    Instrument::Counter(c) => MetricValue::Counter(c.get()),
-                    Instrument::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Instrument::Histogram(h) => MetricValue::Histogram(h.load()),
-                    Instrument::Latency(r) => {
-                        MetricValue::Histogram(r.load().to_histogram_snapshot())
-                    }
-                },
+                value: e.instrument.value(),
             })
             .collect();
         samples.sort_by(|a, b| a.name.cmp(&b.name).then_with(|| a.labels.cmp(&b.labels)));
@@ -388,6 +468,57 @@ mod tests {
         let registry = Registry::new();
         registry.labeled_counter("upbound_test_mixed", "x", &[("a", "1")]);
         registry.labeled_gauge("upbound_test_mixed", "x", &[("a", "2")]);
+    }
+
+    #[test]
+    fn scrape_time_series_are_read_at_snapshot_across_threads() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let registry = Registry::new();
+        let live = Arc::new(AtomicU64::new(0));
+        let read = Arc::clone(&live);
+        registry.counter_fn("upbound_test_live_total", "live", move || {
+            read.load(Ordering::Relaxed)
+        });
+        let read = Arc::clone(&live);
+        registry.gauge_fn("upbound_test_live_half", "half", move || {
+            read.load(Ordering::Relaxed) as f64 / 2.0
+        });
+        let writer = {
+            let live = Arc::clone(&live);
+            std::thread::spawn(move || {
+                for n in 1..=20_000 {
+                    live.store(n, Ordering::Relaxed);
+                }
+            })
+        };
+        let mut last = 0;
+        while !writer.is_finished() {
+            let seen = registry
+                .snapshot()
+                .counter("upbound_test_live_total")
+                .expect("registered");
+            assert!(seen >= last, "counter went back from {last} to {seen}");
+            last = seen;
+        }
+        writer.join().expect("writer");
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("upbound_test_live_total"), Some(20_000));
+        assert_eq!(snap.gauge("upbound_test_live_half"), Some(10_000.0));
+
+        // Registering again replaces the function.
+        registry.counter_fn("upbound_test_live_total", "live", || 7);
+        assert_eq!(
+            registry.snapshot().counter("upbound_test_live_total"),
+            Some(7)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "different type")]
+    fn scrape_time_series_cannot_shadow_a_plain_instrument() {
+        let registry = Registry::new();
+        registry.counter("upbound_test_plain_total", "x");
+        registry.counter_fn("upbound_test_plain_total", "x", || 1);
     }
 
     #[test]

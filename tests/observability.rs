@@ -327,3 +327,102 @@ fn filter_serves_http_and_dumps_on_sigusr1() {
     let _ = std::fs::remove_file(&trace);
     let _ = std::fs::remove_file(&dump);
 }
+
+// ---------------------------------------------------------------------
+// Flight dumps taken on the decide thread: the recorder snapshots the
+// registry while the observed shards' write guards are held, so a
+// scrape-time metric that took a shard lock would hang these runs.
+
+/// Runs `upbound filter <args>` and fails if it has not exited within a
+/// minute (a deadlock), killing it first.
+fn filter_within_deadline(args: &[&str]) -> Output {
+    let mut child = bin()
+        .arg("filter")
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn filter");
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while child.try_wait().expect("poll filter").is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!(
+                "`upbound filter {}` did not finish: deadlocked",
+                args.join(" ")
+            );
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect filter output")
+}
+
+#[test]
+fn flight_dumps_on_the_decide_thread_finish_and_carry_serve_metrics() {
+    let trace = tmp("dump-deadline.pcap");
+    let trace_s = trace.to_str().expect("utf8");
+    let out = run(&[
+        "generate",
+        "--out",
+        trace_s,
+        "--duration",
+        "60",
+        "--rate",
+        "30",
+        "--seed",
+        "7",
+    ]);
+    assert!(out.status.success(), "generate failed: {:?}", out.stderr);
+    let cases: [(&str, &[&str], DumpTrigger); 2] = [
+        // Each rebuilt shard arms fail-open while the others hold marks.
+        (
+            "panics",
+            &["--shards", "2", "--fault-plan", "seed=3,panics=2"],
+            DumpTrigger::FailOpen,
+        ),
+        // 2^8-bit vectors saturate, and entering Saturated dumps.
+        (
+            "saturated",
+            &[
+                "--shards",
+                "2",
+                "--vector-bits",
+                "8",
+                "--overload-policy",
+                "balanced",
+            ],
+            DumpTrigger::Overload,
+        ),
+    ];
+    for (name, extra, trigger) in cases {
+        let dump = tmp(&format!("dump-deadline-{name}.dump"));
+        let _ = std::fs::remove_file(&dump);
+        let mut args = vec![
+            "--in",
+            trace_s,
+            "--inside",
+            "10.0.0.0/16",
+            "--flight-dump",
+            dump.to_str().expect("utf8"),
+        ];
+        args.extend_from_slice(extra);
+        let out = filter_within_deadline(&args);
+        assert!(
+            out.status.success(),
+            "{name}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout(&out).contains("flight recorder wrote"), "{name}");
+        let text = std::fs::read_to_string(&dump).expect("read dump");
+        let parsed = FlightRecorder::parse(&text).expect("dump parses");
+        assert_eq!(parsed.trigger, trigger, "{name}");
+        let metrics = parsed.metrics.expect("dump embeds metrics");
+        assert!(
+            metrics.counter("upbound_serve_packets_total").is_some(),
+            "{name}: {text}"
+        );
+        let _ = std::fs::remove_file(&dump);
+    }
+    let _ = std::fs::remove_file(&trace);
+}

@@ -13,7 +13,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use upbound::core::{
-    BitmapFilterConfig, DropPolicy, RestoreOutcome, RuntimeOverrides, SnapshotError,
+    BitmapFilterConfig, DropPolicy, NoopObserver, RestoreOutcome, RuntimeOverrides, SnapshotError,
+    Verdict,
 };
 use upbound::net::{BufferedSource, Cidr, Packet, TimeDelta};
 use upbound::sim::{FaultPlan, PipelineRunner, RunnerError, ServeControl, ServeExit, ServeReport};
@@ -255,6 +256,75 @@ fn cli_serve_reconfigures_over_http_and_drains() {
         "missing reconfig count in: {lines:?}"
     );
     std::fs::remove_file(&trace).ok();
+}
+
+/// One line per metric family of a `/metrics` scrape: name, type, label
+/// keys (a histogram's `le` excluded) and help text.
+fn metric_families(exposition: &str) -> Vec<String> {
+    let snapshot =
+        upbound::telemetry::export::prometheus::parse(exposition).expect("valid exposition");
+    snapshot
+        .samples
+        .iter()
+        .map(|s| {
+            let kind = match s.value {
+                upbound::telemetry::MetricValue::Counter(_) => "counter",
+                upbound::telemetry::MetricValue::Gauge(_) => "gauge",
+                upbound::telemetry::MetricValue::Histogram(_) => "histogram",
+            };
+            let keys: Vec<&str> = s
+                .labels
+                .iter()
+                .map(|(k, _)| k.as_str())
+                // A build from a described git checkout adds a revision.
+                .filter(|k| *k != "revision" || option_env!("UPBOUND_GIT_DESCRIBE").is_none())
+                .collect();
+            format!("{} {kind} {{{}}} {}", s.name, keys.join(","), s.help)
+        })
+        .collect()
+}
+
+/// The metric families a running `upbound serve` exports are pinned by
+/// `tests/golden/serve_metrics.txt`: a series that is lost, renamed,
+/// retyped, relabeled or re-described fails here.
+#[test]
+fn cli_serve_metric_names_match_the_golden() {
+    let trace = tmp("names.pcap");
+    let trace_s = trace.to_str().expect("utf8 path");
+    generate_pcap(&trace, "11");
+    let (mut child, addr, stop, reader) = spawn_serve(&[
+        "serve",
+        "--in",
+        trace_s,
+        "--loop",
+        "--listen",
+        "127.0.0.1:0",
+    ]);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let metrics = loop {
+        assert!(Instant::now() < deadline, "serve never counted a packet");
+        let (head, metrics) = http(&addr, "GET", "/metrics", "");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        let snapshot =
+            upbound::telemetry::export::prometheus::parse(&metrics).expect("valid exposition");
+        if snapshot
+            .counter("upbound_serve_packets_total")
+            .is_some_and(|n| n > 0)
+        {
+            break metrics;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let (head, _) = http(&addr, "POST", "/drain", "");
+    assert!(head.starts_with("HTTP/1.1 202"), "{head}");
+    assert_eq!(child.wait().expect("wait for serve").code(), Some(0));
+    stop.store(true, Ordering::Relaxed);
+    reader.join().expect("reader thread");
+    std::fs::remove_file(&trace).ok();
+
+    let golden = include_str!("golden/serve_metrics.txt");
+    let expected: Vec<&str> = golden.lines().collect();
+    assert_eq!(metric_families(&metrics), expected, "{metrics}");
 }
 
 /// A finite (non-looped) replay serves to end-of-stream and exits 0.
@@ -686,4 +756,120 @@ fn cli_serve_accepts_checkpoint_faults() {
     assert!(stderr.contains("checkpoint"), "{stderr}");
     std::fs::remove_file(&trace).ok();
     std::fs::remove_file(&ckpt).ok();
+}
+
+/// What a serve session decided, field by field.
+fn decided(report: &ServeReport) -> impl PartialEq + std::fmt::Debug {
+    (
+        (report.packets, report.passed, report.dropped),
+        (report.blocked_packets, report.blocked_connections),
+        (report.uplink_offered_bits, report.uplink_kept_bits),
+        report.filter_stats,
+        report.watermark,
+        report.exit,
+    )
+}
+
+/// `serve` exports its live state at scrape time: a thread snapshotting
+/// the registry in a tight loop while a 2-shard session runs changes no
+/// verdict, sees the counters and the watermark only grow, and ends on
+/// the session's own totals.
+#[test]
+fn scraping_in_a_tight_loop_changes_no_verdict() {
+    let config = BitmapFilterConfig::builder()
+        .rotate_every_secs(1.0)
+        .drop_policy(DropPolicy::new(0.5e6, 2e6).expect("valid policy"))
+        .build()
+        .expect("valid config");
+    let packets: Vec<Packet> = generate(
+        &TraceConfig::builder()
+            .duration_secs(60.0)
+            .flow_rate_per_sec(30.0)
+            .seed(7)
+            .build()
+            .expect("valid trace config"),
+    )
+    .packets
+    .into_iter()
+    .map(|lp| lp.packet)
+    .collect();
+    let runner = PipelineRunner::new(inside(), config)
+        .shards(2)
+        .block_connections(true);
+
+    // Each session twice over: `serve` on the lock-free shard path, and
+    // `serve_observed` with a sink digesting every verdict.
+    let session = |registry: Option<&Registry>| {
+        let control = match registry {
+            Some(registry) => ServeControl::new().with_telemetry(registry),
+            None => ServeControl::new(),
+        };
+        let mut source = BufferedSource::labeled(packets.clone(), inside());
+        let report = runner.serve(&mut source, &control).expect("serve");
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let sink = |_: &[(Packet, upbound::net::Direction)], verdicts: &[Verdict]| {
+            for verdict in verdicts {
+                digest =
+                    (digest ^ u64::from(*verdict == Verdict::Drop)).wrapping_mul(0x100_0000_01b3);
+            }
+            Ok(())
+        };
+        let control = ServeControl::new();
+        let mut source = BufferedSource::labeled(packets.clone(), inside());
+        let observed = runner
+            .serve_observed(|| NoopObserver, &mut source, &control, sink)
+            .expect("serve_observed");
+        (report, observed, digest)
+    };
+    let (plain, plain_observed, plain_digest) = session(None);
+    assert!(plain.dropped > 0 && plain.filter_stats.rotations > 0);
+
+    let registry = Registry::new();
+    let done = AtomicBool::new(false);
+    let scraping = std::sync::Barrier::new(2);
+    let (scraped, observed, digest) = std::thread::scope(|scope| {
+        let scraper = scope.spawn(|| {
+            let (mut packets, mut watermark) = (0, 0.0);
+            scraping.wait();
+            while !done.load(Ordering::Acquire) {
+                let snapshot = registry.snapshot();
+                let (Some(p), Some(w)) = (
+                    snapshot.counter("upbound_serve_packets_total"),
+                    snapshot.gauge("upbound_serve_watermark_secs"),
+                ) else {
+                    continue;
+                };
+                assert!(p >= packets, "packets went back from {packets} to {p}");
+                assert!(
+                    w >= watermark,
+                    "watermark went back from {watermark} to {w}"
+                );
+                (packets, watermark) = (p, w);
+            }
+        });
+        scraping.wait();
+        let session = session(Some(&registry));
+        done.store(true, Ordering::Release);
+        scraper.join().expect("scraper");
+        session
+    });
+    assert_eq!(decided(&scraped), decided(&plain));
+    assert_eq!(decided(&observed), decided(&plain_observed));
+    assert_eq!(digest, plain_digest);
+
+    let snapshot = registry.snapshot();
+    let counter = |name| snapshot.counter(name).expect("registered");
+    assert_eq!(counter("upbound_serve_packets_total"), scraped.packets);
+    assert_eq!(
+        counter("upbound_serve_passed_total") + counter("upbound_serve_dropped_total"),
+        scraped.packets
+    );
+    assert_eq!(
+        snapshot.gauge("upbound_serve_rotations"),
+        Some(scraped.filter_stats.rotations as f64)
+    );
+    assert_eq!(
+        snapshot.gauge("upbound_serve_watermark_secs"),
+        Some(scraped.watermark.as_secs_f64())
+    );
 }
