@@ -123,12 +123,13 @@ impl AtomicBitmap {
 
     /// Marks `key` in **all** `k` vectors (Algorithm 2, outbound path) —
     /// no lock, and a `fetch_or` only for a bit that is not already set
-    /// ([`AtomicBitVec::set`] skips the write for a set bit).
+    /// ([`AtomicBitVec::set_many`] skips the write for a set bit).
     ///
     /// The loop is vector-outer: all `m` bits of one vector are set
     /// before moving to the next, so each vector's cache lines are
     /// touched consecutively instead of striding across all `k` vectors
-    /// per bit. If a rotation completes concurrently, the mark re-runs
+    /// per bit, and each vector's fill count takes one add per mark
+    /// however many of its bits were new. If a rotation completes concurrently, the mark re-runs
     /// (setting is idempotent), so a mark that returns after `rotate()`
     /// returned is fully present in the post-rotation bitmap — whether
     /// it wrote a bit or only read it as set.
@@ -148,9 +149,7 @@ impl AtomicBitmap {
                 continue;
             }
             for v in self.vectors.iter() {
-                for bit in indexes.clone() {
-                    v.set(bit);
-                }
+                v.set_many(indexes.clone());
             }
             #[cfg(test)]
             tests::rotate_if_armed(self);
@@ -628,6 +627,31 @@ mod tests {
         for t in 0..4u32 {
             for i in 0..500u32 {
                 assert!(bm.lookup(&(t * 10_000 + i).to_le_bytes()));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The fill count each vector keeps incrementally (one add per
+        /// mark) equals the popcount of its words after any sequence of
+        /// marks and rotations.
+        #[test]
+        fn fill_counts_match_word_popcounts(
+            ops in proptest::collection::vec((0u32..10, 0u32..5_000), 1..400),
+            m in 1usize..6,
+        ) {
+            let bm = AtomicBitmap::new(3, 9, m);
+            for (op, key) in ops {
+                // One rotation per ten operations on average.
+                if op == 0 {
+                    bm.rotate();
+                } else {
+                    bm.mark(&key.to_le_bytes());
+                }
+                for v in bm.vectors.iter() {
+                    let popcount: u32 = v.words_snapshot().iter().map(|w| w.count_ones()).sum();
+                    proptest::prop_assert_eq!(v.count_ones(), popcount as usize);
+                }
             }
         }
     }

@@ -8,12 +8,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// Every operation takes `&self`:
 /// [`set`](Self::set) is a relaxed load, plus an `AtomicU64::fetch_or`
-/// only when the bit reads as clear; [`get`](Self::get) is a relaxed
-/// load; and [`clear`](Self::clear) swaps each non-zero word to zero.
-/// Any number of markers and readers may run concurrently with one
-/// clearer; the ones-count stays exact under every interleaving because
-/// each 0→1 transition is observed by exactly one `fetch_or` and each
-/// word's set bits are subtracted by exactly one `swap`.
+/// only when the bit reads as clear; [`set_many`](Self::set_many) does
+/// the same per bit and adds the newly set bits to the ones-count once;
+/// [`get`](Self::get) is a relaxed load; and [`clear`](Self::clear)
+/// swaps each non-zero word to zero. Any number of markers and readers
+/// may run concurrently with one clearer; once they are done the
+/// ones-count is exact under every interleaving, because each 0→1
+/// transition is observed by exactly one `fetch_or` and each word's set
+/// bits are subtracted by exactly one `swap`.
 ///
 /// Memory ordering: bit reads and writes are `Relaxed`. Publication
 /// ordering between threads is the caller's job — the
@@ -73,6 +75,20 @@ impl AtomicBitVec {
 
     /// Sets bit `i` to one; returns `true` when the bit was newly set by
     /// this call. Safe to race with other setters, readers, and
+    /// [`clear`](Self::clear). The one-bit case of
+    /// [`set_many`](Self::set_many).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub fn set(&self, i: usize) -> bool {
+        self.set_many([i]) == 1
+    }
+
+    /// Sets every bit in `bits` to one and returns how many of them this
+    /// call newly set (an index repeated within the call counts once).
+    /// Safe to race with other setters, readers, and
     /// [`clear`](Self::clear).
     ///
     /// A bit that already reads as set is left alone: the relaxed load
@@ -83,24 +99,43 @@ impl AtomicBitVec {
     /// write (the [`AtomicBitmap`](crate::AtomicBitmap) mark's epoch
     /// recheck).
     ///
+    /// The ones-count takes one add for the whole call, after the last
+    /// bit: a reader sees the new bits counted once the call returns,
+    /// and the count stays exact at rest because each 0→1 transition is
+    /// still seen by exactly one `fetch_or`.
+    ///
     /// # Panics
     ///
-    /// Panics if `i >= len()`.
+    /// Panics if any index is `>= len()`; the bits before it stay set
+    /// and counted.
     #[inline]
-    pub fn set(&self, i: usize) -> bool {
-        assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        let mask = 1u64 << (i % 64);
-        let word = &self.words[i / 64];
-        if word.load(Ordering::Relaxed) & mask != 0 {
-            return false;
+    pub fn set_many(&self, bits: impl IntoIterator<Item = usize>) -> usize {
+        let mut newly = 0u64;
+        for i in bits {
+            if i >= self.len {
+                self.out_of_range(i, newly);
+            }
+            let mask = 1u64 << (i % 64);
+            let word = &self.words[i / 64];
+            if word.load(Ordering::Relaxed) & mask == 0
+                && word.fetch_or(mask, Ordering::Relaxed) & mask == 0
+            {
+                newly += 1;
+            }
         }
-        let prev = word.fetch_or(mask, Ordering::Relaxed);
-        if prev & mask == 0 {
-            self.ones.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
+        if newly != 0 {
+            self.ones.fetch_add(newly, Ordering::Relaxed);
         }
+        newly as usize
+    }
+
+    /// Counts the `newly` set bits of a [`set_many`](Self::set_many)
+    /// call cut short by index `i`, then panics.
+    #[cold]
+    #[inline(never)]
+    fn out_of_range(&self, i: usize, newly: u64) -> ! {
+        self.ones.fetch_add(newly, Ordering::Relaxed);
+        panic!("bit index {i} out of range {}", self.len);
     }
 
     /// Reads bit `i` (relaxed load).
@@ -299,6 +334,40 @@ mod tests {
     }
 
     #[test]
+    fn set_many_counts_each_new_bit_once() {
+        // Word boundaries, a bit set before the call, and indexes
+        // repeated within one call.
+        let batches: [&[usize]; 4] = [
+            &[0, 63, 64, 63, 0, 129],
+            &[5, 5, 5],
+            &[64, 0, 200, 199, 200],
+            &[],
+        ];
+        let many = AtomicBitVec::new(201);
+        let one_by_one = AtomicBitVec::new(201);
+        many.set(129);
+        one_by_one.set(129);
+        for bits in batches {
+            let expected = bits.iter().filter(|&&i| one_by_one.set(i)).count();
+            assert_eq!(many.set_many(bits.iter().copied()), expected, "{bits:?}");
+            assert_eq!(many.words_snapshot(), one_by_one.words_snapshot());
+            assert_eq!(many.count_ones(), one_by_one.count_ones());
+        }
+        assert_eq!(many.count_ones(), 7);
+        assert_eq!(many.set_many([0, 63, 64]), 0);
+        assert_eq!(many.count_ones(), 7);
+    }
+
+    #[test]
+    fn set_many_cut_short_still_counts_its_bits() {
+        let v = AtomicBitVec::new(70);
+        let cut = std::panic::catch_unwind(|| v.set_many([1, 65, 70, 2]));
+        assert!(cut.is_err());
+        assert!(v.get(1) && v.get(65) && !v.get(2));
+        assert_eq!(v.count_ones(), 2);
+    }
+
+    #[test]
     fn sparse_clear_leaves_an_exact_zero_count() {
         // A few bits in a mostly-zero vector: the clear skips the zero
         // words and must still subtract every set bit.
@@ -334,7 +403,14 @@ mod tests {
                 let v = &v;
                 scope.spawn(move || {
                     for i in 0..(1usize << 12) {
-                        v.set((i * 4 + t) % (1 << 14));
+                        // Odd threads also set their neighbour's bit, so
+                        // two setters race for the same 0→1 transition.
+                        let bit = (i * 4 + t) % (1 << 14);
+                        if t % 2 == 0 {
+                            v.set(bit);
+                        } else {
+                            v.set_many([bit, (bit + 1) % (1 << 14)]);
+                        }
                     }
                 });
             }

@@ -166,10 +166,12 @@ impl<O: FilterObserver> FilterEngine<O> {
     }
 
     /// The drop probability Equation 1 yields for the currently measured
-    /// uplink throughput.
+    /// uplink throughput. The monitor is read only when the policy's
+    /// curve can depend on it ([`DropPolicy::drop_probability_lazy`]):
+    /// a drop-all filter's inbound misses skip the window scan.
     pub fn drop_probability(&self, now: Timestamp) -> f64 {
         self.drop_policy
-            .drop_probability(self.uplink.monitor().rate_bps(now))
+            .drop_probability_lazy(|| self.uplink.monitor().rate_bps(now))
     }
 
     /// The most ticks one [`advance`](Self::advance) call will

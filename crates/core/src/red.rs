@@ -85,6 +85,23 @@ impl DropPolicy {
             (throughput_bps - self.low_bps) / (self.high_bps - self.low_bps)
         }
     }
+
+    /// Equation 1 with the throughput read lazily: `rate_bps` is called
+    /// only when the result can depend on it.
+    ///
+    /// A measured rate is never negative, so under `H ≤ 0` (the
+    /// [`drop_all`](Self::drop_all) policy) every rate lies in the
+    /// `b ≥ H` region and `P_d` is 1 without a read. The packet path
+    /// derives `P_d` through this entry point, so a drop-all filter
+    /// never scans its uplink monitor. For any `rate_bps() ≥ 0` the
+    /// result equals `drop_probability(rate_bps())`.
+    #[inline]
+    pub fn drop_probability_lazy(&self, rate_bps: impl FnOnce() -> f64) -> f64 {
+        if self.high_bps <= 0.0 {
+            return 1.0;
+        }
+        self.drop_probability(rate_bps())
+    }
 }
 
 #[cfg(test)]
@@ -120,6 +137,42 @@ mod tests {
         let p = DropPolicy::drop_all();
         assert_eq!(p.drop_probability(0.0), 1.0);
         assert_eq!(p.drop_probability(1e9), 1.0);
+    }
+
+    /// Evaluates the lazy entry point at `rate`, returning `P_d` and how
+    /// many times the rate closure ran.
+    fn lazy_at(policy: &DropPolicy, rate: f64) -> (f64, u32) {
+        let mut calls = 0;
+        let p_d = policy.drop_probability_lazy(|| {
+            calls += 1;
+            rate
+        });
+        (p_d, calls)
+    }
+
+    #[test]
+    fn drop_all_never_reads_the_rate() {
+        let p = DropPolicy::drop_all();
+        for rate in [0.0, 1e-9, 1.0, 5e7, 1e12, f64::MAX] {
+            assert_eq!(lazy_at(&p, rate), (p.drop_probability(rate), 0));
+        }
+    }
+
+    proptest::proptest! {
+        /// The lazy entry point is Equation 1 for every valid curve at
+        /// every non-negative rate, and a curve with `H > 0` reads the
+        /// rate exactly once.
+        #[test]
+        fn lazy_rate_matches_equation_one(
+            low in 0.0f64..1e9,
+            width in 1e-3f64..1e9,
+            rate in proptest::prop_oneof![0.0f64..2e9, proptest::strategy::Just(0.0)],
+        ) {
+            let p = DropPolicy::new(low, low + width).unwrap();
+            proptest::prop_assert_eq!(lazy_at(&p, rate), (p.drop_probability(rate), 1));
+            let all = DropPolicy::drop_all();
+            proptest::prop_assert_eq!(lazy_at(&all, rate), (all.drop_probability(rate), 0));
+        }
     }
 
     #[test]

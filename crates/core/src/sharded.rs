@@ -528,11 +528,13 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
     ///
     /// Builder-assembled filters cache the RED curve and apply it to the
     /// shared monitor directly, so this telemetry read touches no shard
-    /// lock; [`from_shards`](Self::from_shards) assemblies (whose
-    /// policies the container cannot see) fall back to asking shard 0.
+    /// lock, and reads the monitor only when the curve can depend on
+    /// it ([`DropPolicy::drop_probability_lazy`]);
+    /// [`from_shards`](Self::from_shards) assemblies (whose policies the
+    /// container cannot see) fall back to asking shard 0.
     pub fn drop_probability(&self, now: Timestamp) -> f64 {
         match *self.inner.drop_policy.read() {
-            Some(policy) => policy.drop_probability(self.inner.uplink.rate_bps(now)),
+            Some(policy) => policy.drop_probability_lazy(|| self.inner.uplink.rate_bps(now)),
             None => self.inner.shards[0].read().drop_probability(now),
         }
     }

@@ -117,7 +117,13 @@ impl ThroughputMonitor {
             self.slots[idx].store(0, Ordering::Release);
         }
         self.slots[idx].fetch_add(bytes, Ordering::AcqRel);
-        self.first_slot.fetch_min(slot, Ordering::AcqRel);
+        // Outside `reset` and snapshot restore `first_slot` only falls,
+        // so a load at or below `slot` proves the `fetch_min` would
+        // change nothing: only a session's first record (or a backward
+        // timestamp) pays for it.
+        if slot < self.first_slot.load(Ordering::Relaxed) {
+            self.first_slot.fetch_min(slot, Ordering::AcqRel);
+        }
         self.total_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 

@@ -163,6 +163,13 @@ impl<R: Read> PacketSource for PcapSource<R> {
 /// [`looped`](Self::looped) restamps each pass so trace time keeps
 /// advancing monotonically, which is how `upbound serve` turns a finite
 /// capture into an indefinite traffic generator.
+///
+/// [`next_batch`](PacketSource::next_batch) hands packets over in runs,
+/// not one at a time: a run of the first pass is one `extend_from_slice`,
+/// and a run of a looped pass one `extend` that restamps as it copies.
+/// A run ends at the poll's `max` or at the end of a pass, so the
+/// packets, their timestamps and the `Batch`/`End` sequence are those of
+/// a packet-by-packet copy.
 #[derive(Debug, Clone)]
 pub struct BufferedSource {
     packets: Vec<(Packet, Direction)>,
@@ -251,8 +258,9 @@ impl PacketSource for BufferedSource {
         if self.packets.is_empty() {
             return Ok(SourcePoll::End);
         }
+        let want = max.max(1);
         let mut appended = 0;
-        while appended < max.max(1) {
+        while appended < want {
             if self.pos >= self.packets.len() {
                 if !self.looped {
                     break;
@@ -260,18 +268,21 @@ impl PacketSource for BufferedSource {
                 self.pos = 0;
                 self.cycle += 1;
             }
-            let (packet, direction) = &self.packets[self.pos];
-            self.pos += 1;
+            // Hand over the longest run this pass and this poll allow:
+            // the first pass as stored, later passes restamped.
+            let take = (self.packets.len() - self.pos).min(want - appended);
+            let run = &self.packets[self.pos..self.pos + take];
             let shift = self.period.as_micros() * self.cycle;
-            let restamped = if shift == 0 {
-                packet.clone()
+            if shift == 0 {
+                out.extend_from_slice(run);
             } else {
-                packet
-                    .clone()
-                    .with_ts(Timestamp::from_micros(packet.ts().as_micros() + shift))
-            };
-            out.push((restamped, *direction));
-            appended += 1;
+                out.extend(run.iter().map(|(packet, direction)| {
+                    let ts = Timestamp::from_micros(packet.ts().as_micros() + shift);
+                    (packet.clone().with_ts(ts), *direction)
+                }));
+            }
+            self.pos += take;
+            appended += take;
         }
         if appended == 0 {
             Ok(SourcePoll::End)
@@ -824,6 +835,92 @@ mod tests {
         }
         // Cycle 2's first packet is one whole span later than cycle 1's.
         assert!(out[10].0.ts() > out[9].0.ts());
+    }
+
+    /// What `polls` calls of `next_batch(out, max)` must produce: each
+    /// packet cloned on its own and restamped by `cycle × period`.
+    fn per_packet_reference(
+        packets: &[(Packet, Direction)],
+        looped: bool,
+        max: usize,
+        polls: usize,
+    ) -> (Vec<(Packet, Direction)>, Vec<SourcePoll>) {
+        let period = match (packets.first(), packets.last()) {
+            (Some((first, _)), Some((last, _))) => {
+                last.ts().saturating_since(first.ts()).as_micros() + 1
+            }
+            _ => 1,
+        };
+        let (mut out, mut seen) = (Vec::new(), Vec::new());
+        let (mut pos, mut cycle) = (0, 0u64);
+        for _ in 0..polls {
+            let mut n = 0;
+            while !packets.is_empty() && n < max.max(1) {
+                if pos == packets.len() {
+                    if !looped {
+                        break;
+                    }
+                    pos = 0;
+                    cycle += 1;
+                }
+                let (packet, direction) = &packets[pos];
+                let ts = Timestamp::from_micros(packet.ts().as_micros() + cycle * period);
+                out.push((packet.clone().with_ts(ts), *direction));
+                pos += 1;
+                n += 1;
+            }
+            seen.push(if n == 0 {
+                SourcePoll::End
+            } else {
+                SourcePoll::Batch(n)
+            });
+        }
+        (out, seen)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+
+        /// Runs handed over in bulk are exactly the packets, timestamps
+        /// and poll results of a packet-by-packet copy, through several
+        /// wraps of a looped source and past the end of a finite one.
+        #[test]
+        fn buffered_source_matches_a_per_packet_copy(
+            gaps in proptest::collection::vec(
+                (0u64..3_000_000, proptest::strategy::any::<bool>()),
+                0..201,
+            ),
+            max in 0usize..131,
+            looped in proptest::strategy::any::<bool>(),
+        ) {
+            let mut ts = 1_000_000;
+            let packets: Vec<(Packet, Direction)> = gaps
+                .iter()
+                .enumerate()
+                .map(|(i, &(gap, outbound))| {
+                    ts += gap;
+                    let src = format!("10.0.0.{}:4000", i % 200 + 1);
+                    let p = packet(0.0, &src, "198.51.100.9:6881")
+                        .with_ts(Timestamp::from_micros(ts));
+                    (p, if outbound { Direction::Outbound } else { Direction::Inbound })
+                })
+                .collect();
+            // Enough polls to wrap a looped source three times over.
+            let polls = 3 * packets.len() / max.max(1) + 4;
+            let (want, want_polls) = per_packet_reference(&packets, looped, max, polls);
+            let mut source = BufferedSource::new(packets, IngestStats::default()).looped(looped);
+            let mut got = Vec::new();
+            let got_polls: Vec<SourcePoll> = (0..polls)
+                .map(|_| source.next_batch(&mut got, max).unwrap())
+                .collect();
+            proptest::prop_assert_eq!(got_polls, want_polls);
+            proptest::prop_assert!(
+                got == want,
+                "{} packets handed over, {} expected",
+                got.len(),
+                want.len()
+            );
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use crate::metrics::HistogramSnapshot;
 use crate::registry::{MetricSample, MetricValue, Snapshot};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
 
 fn fmt_f64(v: f64) -> String {
@@ -55,31 +56,42 @@ pub mod prometheus {
     }
 
     /// Renders a snapshot in Prometheus text exposition format.
+    ///
+    /// Samples sharing a name are one metric family: the family gets one
+    /// `# HELP` and one `# TYPE` (from its first sample), followed by
+    /// every series of the family, so a labeled counter with one series
+    /// per tenant is exported as a single family.
     // `fmt::Write` into a `String` cannot fail.
     #[allow(clippy::unwrap_used)]
     pub fn render(snapshot: &Snapshot) -> String {
-        let mut out = String::new();
+        let mut families: BTreeMap<&str, Vec<&MetricSample>> = BTreeMap::new();
         for sample in &snapshot.samples {
-            let name = &sample.name;
-            let series = render_series(name, &sample.labels);
-            writeln!(out, "# HELP {name} {}", sample.help.replace('\n', " ")).unwrap();
-            match &sample.value {
-                MetricValue::Counter(v) => {
-                    writeln!(out, "# TYPE {name} counter").unwrap();
-                    writeln!(out, "{series} {v}").unwrap();
-                }
-                MetricValue::Gauge(v) => {
-                    writeln!(out, "# TYPE {name} gauge").unwrap();
-                    writeln!(out, "{series} {}", fmt_f64(*v)).unwrap();
-                }
-                MetricValue::Histogram(h) => {
-                    writeln!(out, "# TYPE {name} histogram").unwrap();
-                    for (bound, cum) in h.bounds.iter().zip(h.cumulative()) {
-                        writeln!(out, "{name}_bucket{{le=\"{}\"}} {cum}", fmt_f64(*bound)).unwrap();
+            families.entry(&sample.name).or_default().push(sample);
+        }
+        let mut out = String::new();
+        for (name, samples) in families {
+            let first = samples[0];
+            let kind = match first.value {
+                MetricValue::Counter(_) => "counter",
+                MetricValue::Gauge(_) => "gauge",
+                MetricValue::Histogram(_) => "histogram",
+            };
+            writeln!(out, "# HELP {name} {}", first.help.replace('\n', " ")).unwrap();
+            writeln!(out, "# TYPE {name} {kind}").unwrap();
+            for sample in samples {
+                let series = render_series(name, &sample.labels);
+                match &sample.value {
+                    MetricValue::Counter(v) => writeln!(out, "{series} {v}").unwrap(),
+                    MetricValue::Gauge(v) => writeln!(out, "{series} {}", fmt_f64(*v)).unwrap(),
+                    MetricValue::Histogram(h) => {
+                        for (bound, cum) in h.bounds.iter().zip(h.cumulative()) {
+                            writeln!(out, "{name}_bucket{{le=\"{}\"}} {cum}", fmt_f64(*bound))
+                                .unwrap();
+                        }
+                        writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count).unwrap();
+                        writeln!(out, "{name}_sum {}", fmt_f64(h.sum)).unwrap();
+                        writeln!(out, "{name}_count {}", h.count).unwrap();
                     }
-                    writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count).unwrap();
-                    writeln!(out, "{name}_sum {}", fmt_f64(h.sum)).unwrap();
-                    writeln!(out, "{name}_count {}", h.count).unwrap();
                 }
             }
         }
@@ -89,14 +101,16 @@ pub mod prometheus {
     /// Parses Prometheus text exposition back into a [`Snapshot`].
     ///
     /// Validates the structure this crate emits: every sample line must
-    /// be covered by a preceding `# TYPE`, histogram series must be
-    /// complete (`_bucket` cumulative and ascending, `+Inf` equal to
-    /// `_count`), and values must parse. Returns a description of the
-    /// first problem found.
+    /// be covered by a preceding `# TYPE`, a family has one `# TYPE`
+    /// (its labeled series all follow it, each label set once),
+    /// histogram series must be complete (`_bucket` cumulative and
+    /// ascending, `+Inf` equal to `_count`), and values must parse.
+    /// Returns a description of the first problem found.
     pub fn parse(text: &str) -> Result<Snapshot, String> {
         let mut samples: Vec<MetricSample> = Vec::new();
         let mut help: Option<(String, String)> = None;
         let mut current: Option<PendingMetric> = None;
+        let mut typed: HashSet<String> = HashSet::new();
 
         for (lineno, line) in text.lines().enumerate() {
             let err = |msg: &str| format!("line {}: {msg}: {line:?}", lineno + 1);
@@ -114,8 +128,11 @@ pub mod prometheus {
             }
             if let Some(rest) = line.strip_prefix("# TYPE ") {
                 let (name, kind) = rest.split_once(' ').ok_or_else(|| err("bad TYPE line"))?;
+                if !typed.insert(name.to_string()) {
+                    return Err(err("second TYPE for a family already typed"));
+                }
                 if let Some(done) = current.take() {
-                    samples.push(done.finish()?);
+                    samples.extend(done.finish()?);
                 }
                 let help_text = match &help {
                     Some((n, h)) if n == name => h.clone(),
@@ -132,9 +149,9 @@ pub mod prometheus {
             pending.accept(series, value, &err)?;
         }
         if let Some(done) = current.take() {
-            samples.push(done.finish()?);
+            samples.extend(done.finish()?);
         }
-        samples.sort_by(|a, b| a.name.cmp(&b.name));
+        samples.sort_by(|a, b| a.name.cmp(&b.name).then_with(|| a.labels.cmp(&b.labels)));
         Ok(Snapshot { samples })
     }
 
@@ -215,9 +232,29 @@ pub mod prometheus {
         }
     }
 
+    /// The labels of `series`, a sample line of the counter or gauge
+    /// family `family`, unless the line names another metric or repeats
+    /// a label set the family already has.
+    fn new_series<T>(
+        family: &str,
+        series: &str,
+        seen: &[(T, ParsedLabels)],
+        err: &dyn Fn(&str) -> String,
+    ) -> Result<ParsedLabels, String> {
+        let (name, labels) = parse_series(series).map_err(|e| err(&e))?;
+        if name != family {
+            return Err(err(&format!("sample outside the {family} family")));
+        }
+        if seen.iter().any(|(_, l)| *l == labels) {
+            return Err(err("duplicate series in one family"));
+        }
+        Ok(labels)
+    }
+
     enum PendingKind {
-        Counter(Option<(u64, Vec<(String, String)>)>),
-        Gauge(Option<(f64, Vec<(String, String)>)>),
+        /// One `(value, labels)` entry per series of the family.
+        Counter(Vec<(u64, ParsedLabels)>),
+        Gauge(Vec<(f64, ParsedLabels)>),
         Histogram {
             bounds: Vec<f64>,
             cumulative: Vec<u64>,
@@ -241,8 +278,8 @@ pub mod prometheus {
             err: &dyn Fn(&str) -> String,
         ) -> Result<Self, String> {
             let kind = match kind {
-                "counter" => PendingKind::Counter(None),
-                "gauge" => PendingKind::Gauge(None),
+                "counter" => PendingKind::Counter(Vec::new()),
+                "gauge" => PendingKind::Gauge(Vec::new()),
                 "histogram" => PendingKind::Histogram {
                     bounds: Vec::new(),
                     cumulative: Vec::new(),
@@ -266,23 +303,17 @@ pub mod prometheus {
             err: &dyn Fn(&str) -> String,
         ) -> Result<(), String> {
             match &mut self.kind {
-                PendingKind::Counter(slot) => {
-                    let (name, labels) = parse_series(series).map_err(|e| err(&e))?;
-                    if name != self.name || slot.is_some() {
-                        return Err(err("unexpected counter sample"));
-                    }
+                PendingKind::Counter(series_seen) => {
+                    let labels = new_series(&self.name, series, series_seen, err)?;
                     let v = value
                         .parse::<u64>()
                         .map_err(|e| err(&format!("counter must be a u64: {e}")))?;
-                    *slot = Some((v, labels));
+                    series_seen.push((v, labels));
                 }
-                PendingKind::Gauge(slot) => {
-                    let (name, labels) = parse_series(series).map_err(|e| err(&e))?;
-                    if name != self.name || slot.is_some() {
-                        return Err(err("unexpected gauge sample"));
-                    }
+                PendingKind::Gauge(series_seen) => {
+                    let labels = new_series(&self.name, series, series_seen, err)?;
                     let v = parse_value(value).map_err(|e| err(&e))?;
-                    *slot = Some((v, labels));
+                    series_seen.push((v, labels));
                 }
                 PendingKind::Histogram {
                     bounds,
@@ -332,19 +363,18 @@ pub mod prometheus {
             Ok(())
         }
 
-        fn finish(self) -> Result<MetricSample, String> {
-            let mut labels = Vec::new();
-            let value = match self.kind {
-                PendingKind::Counter(v) => {
-                    let (v, l) = v.ok_or_else(|| format!("counter {} has no sample", self.name))?;
-                    labels = l;
-                    MetricValue::Counter(v)
-                }
-                PendingKind::Gauge(v) => {
-                    let (v, l) = v.ok_or_else(|| format!("gauge {} has no sample", self.name))?;
-                    labels = l;
-                    MetricValue::Gauge(v)
-                }
+        /// The family's samples, one per series.
+        fn finish(self) -> Result<Vec<MetricSample>, String> {
+            let Self { name, help, kind } = self;
+            let series: Vec<(ParsedLabels, MetricValue)> = match kind {
+                PendingKind::Counter(series) => series
+                    .into_iter()
+                    .map(|(v, labels)| (labels, MetricValue::Counter(v)))
+                    .collect(),
+                PendingKind::Gauge(series) => series
+                    .into_iter()
+                    .map(|(v, labels)| (labels, MetricValue::Gauge(v)))
+                    .collect(),
                 PendingKind::Histogram {
                     bounds,
                     cumulative,
@@ -352,7 +382,6 @@ pub mod prometheus {
                     sum,
                     count,
                 } => {
-                    let name = &self.name;
                     let count = count.ok_or_else(|| format!("histogram {name} missing _count"))?;
                     let sum = sum.ok_or_else(|| format!("histogram {name} missing _sum"))?;
                     let inf = inf.ok_or_else(|| format!("histogram {name} missing +Inf bucket"))?;
@@ -375,20 +404,27 @@ pub mod prometheus {
                         counts.push(c - prev);
                         prev = c;
                     }
-                    MetricValue::Histogram(HistogramSnapshot {
+                    let histogram = HistogramSnapshot {
                         bounds,
                         counts,
                         count,
                         sum,
-                    })
+                    };
+                    vec![(Vec::new(), MetricValue::Histogram(histogram))]
                 }
             };
-            Ok(MetricSample {
-                name: self.name,
-                help: self.help,
-                labels,
-                value,
-            })
+            if series.is_empty() {
+                return Err(format!("{name} has a TYPE but no sample"));
+            }
+            Ok(series
+                .into_iter()
+                .map(|(labels, value)| MetricSample {
+                    name: name.clone(),
+                    help: help.clone(),
+                    labels,
+                    value,
+                })
+                .collect())
         }
     }
 }
@@ -652,6 +688,76 @@ upbound_y_count 5
         );
         let parsed = prometheus::parse(&text).expect("rendered labeled output parses");
         assert_eq!(parsed, snapshot);
+    }
+
+    #[test]
+    fn labeled_family_renders_one_help_and_type() {
+        let registry = Registry::new();
+        for (tenant, drops) in [("b", 144), ("a", 253)] {
+            registry
+                .labeled_counter(
+                    "upbound_test_drops_total",
+                    "Drops",
+                    &[("subscriber", tenant)],
+                )
+                .add(drops);
+        }
+        registry
+            .counter("upbound_test_packets_total", "Packets")
+            .add(7);
+        let snapshot = registry.snapshot();
+        let text = prometheus::render(&snapshot);
+        assert_eq!(
+            text.lines().take(4).collect::<Vec<_>>(),
+            [
+                "# HELP upbound_test_drops_total Drops",
+                "# TYPE upbound_test_drops_total counter",
+                "upbound_test_drops_total{subscriber=\"a\"} 253",
+                "upbound_test_drops_total{subscriber=\"b\"} 144",
+            ],
+            "{text}"
+        );
+        assert_eq!(text.matches("# TYPE").count(), 2, "{text}");
+        assert_eq!(text.matches("# HELP").count(), 2, "{text}");
+        let parsed = prometheus::parse(&text).expect("one family of two series parses");
+        assert_eq!(parsed, snapshot);
+    }
+
+    #[test]
+    fn parser_rejects_a_family_typed_twice() {
+        let split = "\
+# TYPE upbound_x_total counter
+upbound_x_total{subscriber=\"a\"} 1
+# TYPE upbound_x_total counter
+upbound_x_total{subscriber=\"b\"} 2
+";
+        let e = prometheus::parse(split).unwrap_err();
+        assert!(e.contains("line 3") && e.contains("second TYPE"), "{e}");
+        // Not only when the two TYPE lines are adjacent.
+        let apart = "\
+# TYPE upbound_x gauge
+upbound_x 1
+# TYPE upbound_y gauge
+upbound_y 2
+# TYPE upbound_x gauge
+upbound_x{a=\"1\"} 3
+";
+        assert!(prometheus::parse(apart).unwrap_err().contains("line 5"));
+    }
+
+    #[test]
+    fn parser_rejects_a_repeated_or_foreign_series() {
+        for bad in [
+            "# TYPE upbound_x gauge\nupbound_x{a=\"1\"} 1\nupbound_x{a=\"1\"} 2\n",
+            "# TYPE upbound_x counter\nupbound_x 1\nupbound_x 2\n",
+            "# TYPE upbound_x counter\nupbound_x 1\nupbound_y 2\n",
+            "# TYPE upbound_x counter\n",
+        ] {
+            assert!(prometheus::parse(bad).is_err(), "{bad:?}");
+        }
+        let ok =
+            "# TYPE upbound_x gauge\nupbound_x{a=\"1\"} 1\nupbound_x{a=\"2\"} 2\nupbound_x 3\n";
+        assert_eq!(prometheus::parse(ok).unwrap().samples.len(), 3);
     }
 
     #[test]
