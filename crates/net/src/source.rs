@@ -94,6 +94,12 @@ pub trait PacketSource {
 /// [`IngestStats`] of the historical "drain the reader, then replay"
 /// path, so replay results are byte-identical whichever way the engine
 /// is driven.
+///
+/// `next_batch` decodes a run of records already wholly buffered in the
+/// reader in one loop and labels each as it goes; a record that crosses
+/// the buffer's end or fails to decode takes the reader's per-record
+/// path, which applies its [`RecoveryPolicy`](crate::pcap::RecoveryPolicy).
+/// A strict error mid-batch leaves the batch's earlier packets in `out`.
 #[derive(Debug)]
 pub struct PcapSource<R: Read> {
     reader: PcapReader<R>,
@@ -126,20 +132,13 @@ impl<R: Read> PacketSource for PcapSource<R> {
         if self.done {
             return Ok(SourcePoll::End);
         }
-        let mut appended = 0;
-        while appended < max.max(1) {
-            match self.reader.read_packet()? {
-                Some(packet) => {
-                    let direction = self.client_net.direction_of(&packet.tuple());
-                    out.push((packet, direction));
-                    appended += 1;
-                }
-                None => {
-                    self.done = true;
-                    break;
-                }
-            }
-        }
+        let before = out.len();
+        let client_net = self.client_net;
+        self.done = self.reader.read_batch(out, max.max(1), |packet| {
+            let direction = client_net.direction_of(&packet.tuple());
+            (packet, direction)
+        })?;
+        let appended = out.len() - before;
         if appended == 0 {
             Ok(SourcePoll::End)
         } else {
@@ -751,7 +750,7 @@ mod unsupported {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pcap;
+    use crate::pcap::{self, RecoveryPolicy};
     use crate::{FiveTuple, Protocol, TcpFlags};
 
     fn packet(secs: f64, src: &str, dst: &str) -> Packet {
@@ -920,6 +919,210 @@ mod tests {
                 got.len(),
                 want.len()
             );
+        }
+    }
+
+    /// A `Read` that hands out one byte per call, so the reader never
+    /// holds more than the record it is reading and every record takes
+    /// the per-record path.
+    struct ByteAtATime<'a>(&'a [u8]);
+
+    impl Read for ByteAtATime<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match (self.0.split_first(), buf.first_mut()) {
+                (Some((&byte, rest)), Some(slot)) => {
+                    *slot = byte;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    /// The capture written with the opposite byte order: every
+    /// global-header and record-header field swapped, bodies verbatim.
+    fn byte_swapped(native: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(native.len());
+        let swap = |out: &mut Vec<u8>, field: &[u8]| out.extend(field.iter().rev());
+        for field in [0..4, 4..6, 6..8, 8..12, 12..16, 16..20, 20..24] {
+            swap(&mut out, &native[field]);
+        }
+        let mut at = 24;
+        while at < native.len() {
+            let incl = u32::from_le_bytes([
+                native[at + 8],
+                native[at + 9],
+                native[at + 10],
+                native[at + 11],
+            ]) as usize;
+            for field in 0..4 {
+                swap(&mut out, &native[at + field * 4..at + field * 4 + 4]);
+            }
+            out.extend_from_slice(&native[at + 16..at + 16 + incl]);
+            at += 16 + incl;
+        }
+        out
+    }
+
+    /// The corruptions of `tests/packet_source.rs`: truncate mid-record,
+    /// flip a burst of bits, or stomp a range; `op` 3 leaves it clean.
+    fn mutate(bytes: &[u8], op: u8, offset: usize, burst: usize) -> Vec<u8> {
+        let mut b = bytes.to_vec();
+        let len = b.len();
+        match op {
+            0 => b.truncate(25 + offset % (len - 25)),
+            1 => {
+                for i in 0..burst {
+                    let at = (offset + i * 37) % len;
+                    b[at] ^= 1 << (i % 8) as u8;
+                }
+            }
+            2 => {
+                let start = offset % len;
+                let end = (start + burst).min(len);
+                for (i, byte) in b[start..end].iter_mut().enumerate() {
+                    *byte = (i as u8).wrapping_mul(31).wrapping_add(7);
+                }
+            }
+            _ => {}
+        }
+        b
+    }
+
+    /// What one poll said, and the accounting right after it.
+    type PollLog = Vec<(Result<SourcePoll, String>, IngestStats)>;
+
+    /// Polls `source` with `max` until it ends or fails.
+    fn poll_to_the_end<S: PacketSource>(
+        source: &mut S,
+        max: usize,
+    ) -> (Vec<(Packet, Direction)>, PollLog) {
+        let (mut out, mut log) = (Vec::new(), Vec::new());
+        loop {
+            let poll = source.next_batch(&mut out, max);
+            let last = !matches!(poll, Ok(SourcePoll::Batch(_)));
+            log.push((poll.map_err(|e| format!("{e:?}")), source.stats()));
+            if last {
+                return (out, log);
+            }
+        }
+    }
+
+    /// The batches `read_packet` one record at a time makes of a byte
+    /// trickle: up to `max` packets a poll, `End` at end of input, and
+    /// the first error as the last poll.
+    fn per_record_reference(
+        mut reader: PcapReader<ByteAtATime<'_>>,
+        net: Cidr,
+        max: usize,
+    ) -> (Vec<(Packet, Direction)>, PollLog) {
+        let (mut out, mut log) = (Vec::new(), Vec::new());
+        loop {
+            let mut n = 0;
+            let poll = loop {
+                if n == max {
+                    break Ok(SourcePoll::Batch(n));
+                }
+                match reader.read_packet() {
+                    Ok(Some(packet)) => {
+                        let direction = net.direction_of(&packet.tuple());
+                        out.push((packet, direction));
+                        n += 1;
+                    }
+                    Ok(None) if n == 0 => break Ok(SourcePoll::End),
+                    Ok(None) => break Ok(SourcePoll::Batch(n)),
+                    Err(e) => break Err(format!("{e:?}")),
+                }
+            };
+            let last = !matches!(poll, Ok(SourcePoll::Batch(_)));
+            log.push((poll, *reader.stats()));
+            if last {
+                // A batch cut short by the end of input ends on the next poll.
+                return (out, log);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+
+        /// The batch loop over 8 KiB reads is a per-record `read_packet`
+        /// loop over a byte trickle: same packets, directions, polls,
+        /// accounting and errors, under both policies and byte orders,
+        /// on clean and corrupted captures.
+        #[test]
+        fn pcap_batches_match_per_record_reads(
+            records in proptest::collection::vec(
+                (
+                    0usize..200,
+                    proptest::strategy::any::<bool>(),
+                    proptest::strategy::any::<bool>(),
+                ),
+                1..60,
+            ),
+            snaplen in 0usize..3,
+            max in 1usize..131,
+            skip in proptest::strategy::any::<bool>(),
+            swapped in proptest::strategy::any::<bool>(),
+            op in 0u8..4,
+            offset in 0usize..40_000,
+            burst in 1usize..64,
+        ) {
+            let packets: Vec<Packet> = records
+                .iter()
+                .enumerate()
+                .map(|(i, &(payload, outbound, udp))| {
+                    let inside = format!("10.0.{}.{}:{}", i % 7, i % 250 + 1, 4000 + i);
+                    let outside = format!("198.51.100.{}:6881", i % 250 + 1);
+                    let (src, dst) = if outbound { (inside, outside) } else { (outside, inside) };
+                    let ts = Timestamp::from_micros(1_000_000 + 997 * i as u64);
+                    let (src, dst) = (src.parse().unwrap(), dst.parse().unwrap());
+                    if udp {
+                        Packet::udp(ts, FiveTuple::new(Protocol::Udp, src, dst), vec![i as u8; payload])
+                    } else {
+                        let tuple = FiveTuple::new(Protocol::Tcp, src, dst);
+                        Packet::tcp(ts, tuple, TcpFlags::ACK, vec![i as u8; payload])
+                    }
+                })
+                .collect();
+            let snaplen = [pcap::HEADER_SNAPLEN, 120, 65535][snaplen];
+            let native = pcap::to_bytes(packets.iter(), snaplen).unwrap();
+            let bytes = if swapped { byte_swapped(&native) } else { native.clone() };
+            let bytes = mutate(&bytes, op, offset, burst);
+            let policy = if skip { RecoveryPolicy::Skip } else { RecoveryPolicy::Strict };
+            let net: Cidr = "10.0.0.0/16".parse().unwrap();
+
+            let batched = PcapReader::with_policy(&bytes[..], policy);
+            let trickled = PcapReader::with_policy(ByteAtATime(&bytes), policy);
+            let (batched, trickled) = match (batched, trickled) {
+                (Ok(batched), Ok(trickled)) => (batched, trickled),
+                (batched, trickled) => {
+                    proptest::prop_assert_eq!(
+                        format!("{:?}", batched.err()),
+                        format!("{:?}", trickled.err())
+                    );
+                    return Ok(());
+                }
+            };
+            let (got, got_log) = poll_to_the_end(&mut PcapSource::new(batched, net), max);
+            let (want, want_log) = per_record_reference(trickled, net, max);
+            proptest::prop_assert_eq!(&got_log, &want_log);
+            proptest::prop_assert!(
+                got == want,
+                "{} packets batched, {} read one by one",
+                got.len(),
+                want.len()
+            );
+            if swapped && op == 3 {
+                // Both sides share the header parser, so a byte-order slip
+                // would agree with itself: a clean swapped capture must
+                // also read exactly like its native twin.
+                let twin = PcapReader::with_policy(&native[..], policy).unwrap();
+                let (twin, twin_log) = poll_to_the_end(&mut PcapSource::new(twin, net), max);
+                proptest::prop_assert_eq!(got_log, twin_log);
+                proptest::prop_assert!(got == twin, "a swapped capture reads unlike its twin");
+            }
         }
     }
 

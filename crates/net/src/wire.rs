@@ -24,29 +24,42 @@ const ETHERTYPE_IPV4: u16 = 0x0800;
 /// The one's-complement sum of 16-bit words; odd trailing byte is padded
 /// with zero. Returns the final complemented sum.
 pub fn internet_checksum(data: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
+    fold(word_sum(data))
+}
+
+/// The plain sum of `data`'s big-endian 16-bit words, an odd trailing
+/// byte padded with zero. Sums of even-length pieces add up to the sum of
+/// their concatenation.
+fn word_sum(data: &[u8]) -> u64 {
+    let mut sum = 0u64;
     let mut chunks = data.chunks_exact(2);
     for w in &mut chunks {
-        sum += u16::from_be_bytes([w[0], w[1]]) as u32;
+        sum += u64::from(u16::from_be_bytes([w[0], w[1]]));
     }
     if let [last] = chunks.remainder() {
-        sum += u16::from_be_bytes([*last, 0]) as u32;
+        sum += u64::from(u16::from_be_bytes([*last, 0]));
     }
+    sum
+}
+
+/// Folds a word sum into 16 bits with end-around carry and complements it.
+fn fold(mut sum: u64) -> u16 {
     while sum > 0xFFFF {
         sum = (sum & 0xFFFF) + (sum >> 16);
     }
     !(sum as u16)
 }
 
+/// The TCP/UDP checksum of `segment` under the IPv4 pseudo-header,
+/// summed in place: the 12-byte pseudo-header and the segment are folded
+/// into one ones'-complement sum, with no buffer holding both.
 fn transport_checksum(src: Ipv4Addr, dst: Ipv4Addr, protocol: Protocol, segment: &[u8]) -> u16 {
-    let mut pseudo = Vec::with_capacity(12 + segment.len());
-    pseudo.extend_from_slice(&src.octets());
-    pseudo.extend_from_slice(&dst.octets());
-    pseudo.push(0);
-    pseudo.push(protocol.ip_number());
-    pseudo.extend_from_slice(&(segment.len() as u16).to_be_bytes());
-    pseudo.extend_from_slice(segment);
-    internet_checksum(&pseudo)
+    let mut pseudo = [0u8; 12];
+    pseudo[0..4].copy_from_slice(&src.octets());
+    pseudo[4..8].copy_from_slice(&dst.octets());
+    pseudo[9] = protocol.ip_number();
+    pseudo[10..12].copy_from_slice(&(segment.len() as u16).to_be_bytes());
+    fold(word_sum(&pseudo) + word_sum(segment))
 }
 
 /// Derives a deterministic locally-administered MAC address from an IPv4
@@ -150,6 +163,12 @@ pub enum ChecksumPolicy {
 /// * [`NetError::UnsupportedProtocol`] for transports other than TCP/UDP.
 /// * [`NetError::BadChecksum`] under [`ChecksumPolicy::Verify`] when a
 ///   checksum fails.
+///
+/// A header-only frame allocates nothing; a non-empty payload is copied
+/// with one allocation. Checksums are verified without a buffer. The
+/// function is `#[inline]` so the pcap reader's batch loop, compiled in
+/// the caller's crate, decodes without a cross-crate call.
+#[inline]
 pub fn decode(
     frame: &[u8],
     ts: Timestamp,
@@ -229,7 +248,12 @@ pub fn decode(
                 SocketAddrV4::new(src_ip, sport),
                 SocketAddrV4::new(dst_ip, dport),
             );
-            Packet::tcp(ts, tuple, flags, transport[data_off..].to_vec())
+            Packet::tcp(
+                ts,
+                tuple,
+                flags,
+                Bytes::copy_from_slice(&transport[data_off..]),
+            )
         }
         Protocol::Udp => {
             if transport.len() < UDP_HDR_LEN {
@@ -258,7 +282,11 @@ pub fn decode(
                 SocketAddrV4::new(src_ip, sport),
                 SocketAddrV4::new(dst_ip, dport),
             );
-            Packet::udp(ts, tuple, transport[UDP_HDR_LEN..udp_len].to_vec())
+            Packet::udp(
+                ts,
+                tuple,
+                Bytes::copy_from_slice(&transport[UDP_HDR_LEN..udp_len]),
+            )
         }
     };
     Ok(packet.with_wire_len(orig_len))
@@ -433,6 +461,46 @@ mod tests {
         let frame = encode(&p);
         let q = decode(&frame, p.ts(), 9999, ChecksumPolicy::Verify).unwrap();
         assert_eq!(q.wire_len(), 9999);
+    }
+
+    /// The transport checksum as a copy of the pseudo-header and the
+    /// segment into one buffer, summed whole: the reference the in-place
+    /// sum must match.
+    fn transport_checksum_of_a_copy(
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        protocol: Protocol,
+        segment: &[u8],
+    ) -> u16 {
+        let mut pseudo = Vec::with_capacity(12 + segment.len());
+        pseudo.extend_from_slice(&src.octets());
+        pseudo.extend_from_slice(&dst.octets());
+        pseudo.push(0);
+        pseudo.push(protocol.ip_number());
+        pseudo.extend_from_slice(&(segment.len() as u16).to_be_bytes());
+        pseudo.extend_from_slice(segment);
+        internet_checksum(&pseudo)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(512))]
+
+        /// Folding the pseudo-header and the segment into one sum gives
+        /// the checksum of their concatenation, for odd and even lengths.
+        #[test]
+        fn transport_checksum_matches_a_copied_pseudo_header(
+            segment in proptest::collection::vec(proptest::strategy::any::<u8>(), 0..1501),
+            src in proptest::strategy::any::<u32>(),
+            dst in proptest::strategy::any::<u32>(),
+            udp in proptest::strategy::any::<bool>(),
+        ) {
+            let protocol = if udp { Protocol::Udp } else { Protocol::Tcp };
+            let (src, dst) = (Ipv4Addr::from(src), Ipv4Addr::from(dst));
+            proptest::prop_assert_eq!(
+                transport_checksum(src, dst, protocol, &segment),
+                transport_checksum_of_a_copy(src, dst, protocol, &segment)
+            );
+        }
     }
 
     #[test]
