@@ -77,7 +77,7 @@ fn per_packet_vs_m(c: &mut Criterion) {
 fn rotate_vs_n(c: &mut Criterion) {
     let mut group = c.benchmark_group("bitmap_rotate_vs_N");
     for &n in &[16u32, 20, 24] {
-        let bitmap = AtomicBitmap::new(4, n, 3);
+        let mut bitmap = AtomicBitmap::new(4, n, 3);
         group.bench_with_input(BenchmarkId::new("rotate", format!("2^{n}")), &n, |b, _| {
             b.iter(|| black_box(bitmap.rotate()));
         });

@@ -1,13 +1,12 @@
-//! The concurrent `{k × N}` bitmap: lock-free marks and lookups with
-//! epoch-based (seqlock) rotation.
+//! The `{k × N}` bitmap of the paper's Fig. 7: marks, lookups and
+//! rotation over `k` exclusively owned bit vectors.
 
 use crate::atomic_bitvec::AtomicBitVec;
 use crate::hash::Indexes;
 use crate::HashFamily;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
 
-/// The result of one consistent inbound probe: whether all `m` hashed
-/// bits were set in the current vector, and how many were not.
+/// The result of one inbound probe: whether all `m` hashed bits were
+/// set in the current vector, and how many were not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitmapProbe {
     /// `true` when every hashed bit was set — the key was marked within
@@ -19,41 +18,30 @@ pub struct BitmapProbe {
 }
 
 /// The `{k × N}` bitmap (paper §4.2, Fig. 7): `k` Bloom-filter bit
-/// vectors of `N = 2^n` bits sharing `m` hash functions, lock-free and
-/// shared by reference across worker threads (its `&self` API serves
-/// single-threaded callers just as well):
+/// vectors of `N = 2^n` bits sharing `m` hash functions.
 ///
-/// * **mark** is a relaxed load per hashed bit, plus an
-///   `AtomicU64::fetch_or` only for a bit that reads as clear (a
-///   re-marked flow's bits are almost always set already), vector-outer
+/// * **mark** ORs the key's `m` bits into every vector, vector-outer
 ///   for cache locality;
-/// * **lookup**/**probe** are relaxed loads of the current vector;
-/// * **rotate** (every `Δt`) is an epoch/seqlock swap of the
-///   current-vector index — readers retry the rare probe that overlaps a
-///   rotation instead of every packet taking a lock, and the departed
-///   vector is zeroed inside the (reader-excluded, lock-free for the
-///   rotator) epoch window, swapping only its non-zero words.
+/// * **lookup**/**probe** read the key's bits in the current vector;
+/// * **rotate** (every `Δt`) advances the current-vector index and
+///   zeroes the vector just left.
 ///
-/// # Consistency contract
-///
-/// A [`probe`](Self::probe) is *seqlock-consistent*: it reflects the
-/// bitmap entirely before or entirely after any concurrent rotation,
-/// never a half-rotated state, so a verdict can never flip Pass→Drop
-/// because a lookup raced the index swap against the vector zeroing. A
-/// [`mark`](Self::mark) that observes a concurrent rotation re-marks, so
-/// a mark that *completes* after a rotation survives the full `k − 1`
-/// further rotations; a mark racing a rotation keeps at least the
-/// "marked just before rotation" lower bound. Either way marks expire
-/// within the paper's `T_e ∈ [(k−1)·Δt, k·Δt]` window. The memory-
-/// ordering argument lives in DESIGN.md ("Epoch-rotation memory
-/// ordering").
+/// Writes ([`mark`](Self::mark), [`rotate`](Self::rotate),
+/// [`reset`](Self::reset)) take `&mut self` and reads take `&self`, so
+/// a probe can never see a half-rotated bitmap and a mark lives in all
+/// `k` vectors until the rotations that clear them. Marks therefore
+/// expire within the paper's `T_e ∈ [(k−1)·Δt, k·Δt]` window. Threads
+/// that decide concurrently share a bitmap through a lock that hands
+/// out `&mut` — [`ShardedFilter`](crate::ShardedFilter)'s shard write
+/// guard; see DESIGN.md, "Exclusive shards". The name is kept from the
+/// lock-free bitmap this type replaced.
 ///
 /// # Examples
 ///
 /// ```
 /// use upbound_core::AtomicBitmap;
 ///
-/// let bm = AtomicBitmap::new(4, 10, 3); // {4 × 2^10}, m = 3
+/// let mut bm = AtomicBitmap::new(4, 10, 3); // {4 × 2^10}, m = 3
 /// bm.mark(b"conn");
 /// assert!(bm.lookup(b"conn"));
 /// for _ in 0..4 {
@@ -61,18 +49,14 @@ pub struct BitmapProbe {
 /// }
 /// assert!(!bm.lookup(b"conn")); // expired
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AtomicBitmap {
     vectors: Box<[AtomicBitVec]>,
     hashes: HashFamily,
-    /// Index of the current vector; mutated only inside the epoch
-    /// window.
-    idx: AtomicU64,
+    /// Index of the current vector.
+    idx: usize,
     /// Total rotations performed.
-    rotations: AtomicU64,
-    /// Seqlock epoch: odd while a rotation is in progress. Readers and
-    /// markers validate against it; the rotator increments it twice.
-    epoch: AtomicU64,
+    rotations: u64,
 }
 
 impl AtomicBitmap {
@@ -83,16 +67,24 @@ impl AtomicBitmap {
     /// Panics if `k < 2` (rotation needs at least a current and a
     /// clearable vector) or on [`HashFamily::new`] bounds.
     pub fn new(k: usize, n_bits: u32, m: usize) -> Self {
+        Self::with_vectors(k, n_bits, m, AtomicBitVec::new)
+    }
+
+    /// A bitmap of `k` vectors that `vector` builds from the vector
+    /// length, with `m` hash functions over `2^n_bits` bits.
+    fn with_vectors(
+        k: usize,
+        n_bits: u32,
+        m: usize,
+        vector: impl Fn(usize) -> AtomicBitVec,
+    ) -> Self {
         assert!(k >= 2, "need at least two bit vectors, got {k}");
         let hashes = HashFamily::new(m, n_bits);
         Self {
-            vectors: (0..k)
-                .map(|_| AtomicBitVec::new(hashes.table_size()))
-                .collect(),
+            vectors: (0..k).map(|_| vector(hashes.table_size())).collect(),
             hashes,
-            idx: AtomicU64::new(0),
-            rotations: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
+            idx: 0,
+            rotations: 0,
         }
     }
 
@@ -113,27 +105,22 @@ impl AtomicBitmap {
 
     /// Index of the current bit vector.
     pub fn current_index(&self) -> usize {
-        self.idx.load(Ordering::Relaxed) as usize
+        self.idx
     }
 
     /// Total rotations performed.
     pub fn rotations(&self) -> u64 {
-        self.rotations.load(Ordering::Relaxed)
+        self.rotations
     }
 
-    /// Marks `key` in **all** `k` vectors (Algorithm 2, outbound path) —
-    /// no lock, and a `fetch_or` only for a bit that is not already set
-    /// ([`AtomicBitVec::set_many`] skips the write for a set bit).
+    /// Marks `key` in **all** `k` vectors (Algorithm 2, outbound path).
     ///
     /// The loop is vector-outer: all `m` bits of one vector are set
     /// before moving to the next, so each vector's cache lines are
     /// touched consecutively instead of striding across all `k` vectors
     /// per bit, and each vector's fill count takes one add per mark
-    /// however many of its bits were new. If a rotation completes concurrently, the mark re-runs
-    /// (setting is idempotent), so a mark that returns after `rotate()`
-    /// returned is fully present in the post-rotation bitmap — whether
-    /// it wrote a bit or only read it as set.
-    pub fn mark(&self, key: &[u8]) {
+    /// however many of its bits were new.
+    pub fn mark(&mut self, key: &[u8]) {
         self.mark_indexes(self.hashes.indexes(key));
     }
 
@@ -141,27 +128,9 @@ impl AtomicBitmap {
     /// this bitmap's [`hash_family`](Self::hash_family). The index
     /// iterator is cheap to clone per vector.
     #[inline]
-    pub(crate) fn mark_indexes(&self, indexes: Indexes) {
-        loop {
-            let e1 = self.epoch.load(Ordering::Acquire);
-            if e1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            for v in self.vectors.iter() {
-                v.set_many(indexes.clone());
-            }
-            #[cfg(test)]
-            tests::rotate_if_armed(self);
-            // SeqCst pairs with the rotator's fence: either our writes
-            // *and* our reads of already-set bits are ordered before the
-            // rotation (it re-zeroes only the departed vector — within
-            // the expiry contract), or we observe the epoch change here
-            // and re-mark.
-            fence(Ordering::SeqCst);
-            if self.epoch.load(Ordering::Relaxed) == e1 {
-                return;
-            }
+    pub(crate) fn mark_indexes(&mut self, indexes: Indexes) {
+        for v in self.vectors.iter_mut() {
+            v.set_many(indexes.clone());
         }
     }
 
@@ -171,13 +140,9 @@ impl AtomicBitmap {
         self.probe(key).known
     }
 
-    /// One seqlock-consistent inbound check: reads the current-vector
-    /// index and all `m` hashed bits as of a single rotation epoch,
-    /// retrying the (rare) read that overlaps a rotation.
-    ///
-    /// This replaces the legacy lookup-then-count-unmarked pair with one
-    /// consistent read, so the drop-draw count can never mix pre- and
-    /// post-rotation bits.
+    /// One inbound check: reads all `m` hashed bits of `key` in the
+    /// current vector, so the drop-draw count comes from the same read
+    /// as the verdict.
     pub fn probe(&self, key: &[u8]) -> BitmapProbe {
         self.probe_indexes(self.hashes.indexes(key))
     }
@@ -186,72 +151,31 @@ impl AtomicBitmap {
     /// from this bitmap's [`hash_family`](Self::hash_family).
     #[inline]
     pub(crate) fn probe_indexes(&self, indexes: Indexes) -> BitmapProbe {
-        loop {
-            let e1 = self.epoch.load(Ordering::Acquire);
-            if e1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let idx = self.idx.load(Ordering::Relaxed) as usize;
-            let current = &self.vectors[idx];
-            let unmarked = indexes.clone().filter(|&bit| !current.get(bit)).count();
-            fence(Ordering::Acquire);
-            if self.epoch.load(Ordering::Relaxed) == e1 {
-                return BitmapProbe {
-                    known: unmarked == 0,
-                    unmarked,
-                };
-            }
+        let current = &self.vectors[self.idx];
+        let mut unmarked = 0;
+        for bit in indexes {
+            unmarked += usize::from(!current.get(bit));
+        }
+        BitmapProbe {
+            known: unmarked == 0,
+            unmarked,
         }
     }
 
     /// The timer handler `b.rotate()` (Algorithm 1): advances the
-    /// current index to the next vector and zeroes the vector just left,
-    /// inside an epoch window that concurrent probes validate against.
+    /// current index to the next vector and zeroes the vector just left.
     /// Returns the new current index.
-    ///
-    /// Concurrent rotators serialize on the epoch word itself (the
-    /// second spins through the first's window); the embedding filter's
-    /// tick lock makes that contention impossible in practice.
-    pub fn rotate(&self) -> usize {
-        let mut e = self.epoch.load(Ordering::Acquire);
-        loop {
-            if e & 1 == 1 {
-                std::hint::spin_loop();
-                e = self.epoch.load(Ordering::Acquire);
-                continue;
-            }
-            match self
-                .epoch
-                .compare_exchange_weak(e, e + 1, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => break,
-                Err(current) => e = current,
-            }
-        }
-        // Epoch is odd: probes spin, marks will re-validate.
-        fence(Ordering::SeqCst);
-        let last = self.idx.load(Ordering::Relaxed) as usize;
-        let next = (last + 1) % self.vectors.len();
-        self.idx.store(next as u64, Ordering::Relaxed);
+    pub fn rotate(&mut self) -> usize {
+        let last = self.idx;
+        self.idx = (last + 1) % self.vectors.len();
         self.vectors[last].clear();
-        self.rotations.fetch_add(1, Ordering::Relaxed);
-        self.epoch.store(e + 2, Ordering::Release);
-        next
+        self.rotations += 1;
+        self.idx
     }
 
     /// Utilization `U = b/N` of the current vector (paper Eq. 2).
     pub fn utilization(&self) -> f64 {
-        let e1 = self.epoch.load(Ordering::Acquire);
-        let u = self.vectors[self.idx.load(Ordering::Relaxed) as usize % self.vectors.len()]
-            .utilization();
-        // Telemetry read: a concurrent rotation makes the value
-        // momentarily approximate; re-read once for the common case.
-        if self.epoch.load(Ordering::Acquire) == e1 && e1 & 1 == 0 {
-            u
-        } else {
-            self.vectors[self.current_index()].utilization()
-        }
+        self.vectors[self.idx].utilization()
     }
 
     /// Expected penetration probability `U^m` for a random unknown key
@@ -265,15 +189,13 @@ impl AtomicBitmap {
         self.vectors.iter().map(AtomicBitVec::memory_bytes).sum()
     }
 
-    /// Zeroes every vector and resets the rotation clock. Exclusive
-    /// (`&mut`): callers reset through the control plane, never
-    /// concurrently with deciders.
+    /// Zeroes every vector and resets the rotation clock.
     pub fn reset(&mut self) {
-        for v in self.vectors.iter() {
+        for v in self.vectors.iter_mut() {
             v.clear();
         }
-        *self.idx.get_mut() = 0;
-        *self.rotations.get_mut() = 0;
+        self.idx = 0;
+        self.rotations = 0;
     }
 
     /// Creates a *parked* bitmap: full `{k × 2^n_bits}` geometry but no
@@ -286,17 +208,7 @@ impl AtomicBitmap {
     ///
     /// Same bounds as [`AtomicBitmap::new`].
     pub(crate) fn new_parked(k: usize, n_bits: u32, m: usize) -> Self {
-        assert!(k >= 2, "need at least two bit vectors, got {k}");
-        let hashes = HashFamily::new(m, n_bits);
-        Self {
-            vectors: (0..k)
-                .map(|_| AtomicBitVec::new_parked(hashes.table_size()))
-                .collect(),
-            hashes,
-            idx: AtomicU64::new(0),
-            rotations: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-        }
+        Self::with_vectors(k, n_bits, m, AtomicBitVec::new_parked)
     }
 
     /// Detaches and returns the `k` word buffers, leaving the bitmap
@@ -334,34 +246,20 @@ impl AtomicBitmap {
         if idx >= self.vectors.len() {
             return false;
         }
-        *self.idx.get_mut() = idx as u64;
-        *self.rotations.get_mut() = rotations;
+        self.idx = idx;
+        self.rotations = rotations;
         true
     }
 
     /// Exports `(per-vector words, current index, rotations)` for
-    /// snapshot encoding, as one seqlock-consistent read (a concurrent
-    /// rotation retries the copy). Parked vectors export empty word
-    /// arrays.
+    /// snapshot encoding. Parked vectors export empty word arrays.
     pub(crate) fn snapshot_words(&self) -> (Vec<Vec<u64>>, usize, u64) {
-        loop {
-            let e1 = self.epoch.load(Ordering::Acquire);
-            if e1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let words: Vec<Vec<u64>> = self
-                .vectors
-                .iter()
-                .map(AtomicBitVec::words_snapshot)
-                .collect();
-            let idx = self.idx.load(Ordering::Relaxed) as usize;
-            let rotations = self.rotations.load(Ordering::Relaxed);
-            fence(Ordering::Acquire);
-            if self.epoch.load(Ordering::Relaxed) == e1 {
-                return (words, idx, rotations);
-            }
-        }
+        let words = self
+            .vectors
+            .iter()
+            .map(AtomicBitVec::words_snapshot)
+            .collect();
+        (words, self.idx, self.rotations)
     }
 
     /// Overwrites the bit-vector contents and rotation clock from
@@ -381,71 +279,15 @@ impl AtomicBitmap {
             return false;
         }
         self.vectors = vectors.into_boxed_slice();
-        *self.idx.get_mut() = idx as u64;
-        *self.rotations.get_mut() = rotations;
+        self.idx = idx;
+        self.rotations = rotations;
         true
-    }
-}
-
-impl Clone for AtomicBitmap {
-    fn clone(&self) -> Self {
-        let (words, idx, rotations) = self.snapshot_words();
-        let vectors = self
-            .vectors
-            .iter()
-            .zip(words)
-            .map(|(v, w)| {
-                if w.is_empty() {
-                    AtomicBitVec::new_parked(v.len())
-                } else {
-                    // Words came straight out of this bitmap, so the
-                    // rebuild cannot fail.
-                    AtomicBitVec::from_words(v.len(), w)
-                        .unwrap_or_else(|| AtomicBitVec::new(v.len()))
-                }
-            })
-            .collect();
-        Self {
-            vectors,
-            hashes: self.hashes,
-            idx: AtomicU64::new(idx as u64),
-            rotations: AtomicU64::new(rotations),
-            epoch: AtomicU64::new(0),
-        }
-    }
-}
-
-impl PartialEq for AtomicBitmap {
-    fn eq(&self, other: &Self) -> bool {
-        self.hashes == other.hashes
-            && self.current_index() == other.current_index()
-            && self.rotations() == other.rotations()
-            && self.vectors.len() == other.vectors.len()
-            && self
-                .vectors
-                .iter()
-                .zip(other.vectors.iter())
-                .all(|(a, b)| a == b)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
-
-    thread_local! {
-        /// Arms one rotation inside the next `mark` on this thread,
-        /// between its bit accesses and its fence.
-        static ROTATE_IN_MARK: Cell<bool> = const { Cell::new(false) };
-    }
-
-    /// Runs the rotation armed by `ROTATE_IN_MARK`, once.
-    pub(super) fn rotate_if_armed(bm: &AtomicBitmap) {
-        if ROTATE_IN_MARK.with(|armed| armed.replace(false)) {
-            bm.rotate();
-        }
-    }
 
     #[test]
     fn paper_configuration_memory() {
@@ -457,7 +299,7 @@ mod tests {
 
     #[test]
     fn marked_key_is_found() {
-        let bm = AtomicBitmap::new(4, 12, 3);
+        let mut bm = AtomicBitmap::new(4, 12, 3);
         bm.mark(b"abc");
         assert!(bm.lookup(b"abc"));
         assert!(!bm.lookup(b"xyz"));
@@ -477,7 +319,7 @@ mod tests {
     #[test]
     fn mark_survives_k_minus_one_rotations() {
         let k = 4;
-        let bm = AtomicBitmap::new(k, 12, 3);
+        let mut bm = AtomicBitmap::new(k, 12, 3);
         bm.mark(b"conn");
         for r in 1..k {
             bm.rotate();
@@ -489,7 +331,7 @@ mod tests {
 
     #[test]
     fn remarking_refreshes_lifetime() {
-        let bm = AtomicBitmap::new(3, 12, 2);
+        let mut bm = AtomicBitmap::new(3, 12, 2);
         bm.mark(b"conn");
         bm.rotate();
         bm.rotate();
@@ -501,7 +343,7 @@ mod tests {
 
     #[test]
     fn rotation_index_wraps() {
-        let bm = AtomicBitmap::new(3, 8, 1);
+        let mut bm = AtomicBitmap::new(3, 8, 1);
         assert_eq!(bm.current_index(), 0);
         assert_eq!(bm.rotate(), 1);
         assert_eq!(bm.rotate(), 2);
@@ -511,7 +353,7 @@ mod tests {
 
     #[test]
     fn rotate_clears_only_departed_vector() {
-        let bm = AtomicBitmap::new(2, 10, 2);
+        let mut bm = AtomicBitmap::new(2, 10, 2);
         bm.mark(b"a");
         bm.rotate();
         assert!(bm.lookup(b"a"));
@@ -529,7 +371,7 @@ mod tests {
         // reference bitmap the atomic one replaced was still in the
         // tree, after asserting the two agreed on every lookup, the
         // current index and the rotation count.
-        let bm = AtomicBitmap::new(4, 14, 3);
+        let mut bm = AtomicBitmap::new(4, 14, 3);
         for i in 0..500u32 {
             bm.mark(&i.to_le_bytes());
             if i % 97 == 0 {
@@ -565,10 +407,10 @@ mod tests {
 
     #[test]
     fn clone_and_eq_compare_contents() {
-        let bm = AtomicBitmap::new(3, 10, 2);
+        let mut bm = AtomicBitmap::new(3, 10, 2);
         bm.mark(b"flow");
         bm.rotate();
-        let copy = bm.clone();
+        let mut copy = bm.clone();
         assert_eq!(copy, bm);
         assert!(copy.lookup(b"flow"));
         copy.mark(b"other");
@@ -577,7 +419,7 @@ mod tests {
 
     #[test]
     fn snapshot_words_roundtrips_through_restore() {
-        let bm = AtomicBitmap::new(3, 10, 2);
+        let mut bm = AtomicBitmap::new(3, 10, 2);
         bm.mark(b"flow");
         bm.rotate();
         let (words, idx, rotations) = bm.snapshot_words();
@@ -611,42 +453,42 @@ mod tests {
         let _ = AtomicBitmap::new(1, 8, 1);
     }
 
-    #[test]
-    fn concurrent_marks_are_never_lost() {
-        let bm = AtomicBitmap::new(4, 14, 3);
-        std::thread::scope(|scope| {
-            for t in 0..4u32 {
-                let bm = &bm;
-                scope.spawn(move || {
-                    for i in 0..500u32 {
-                        bm.mark(&(t * 10_000 + i).to_le_bytes());
-                    }
-                });
-            }
-        });
-        for t in 0..4u32 {
-            for i in 0..500u32 {
-                assert!(bm.lookup(&(t * 10_000 + i).to_le_bytes()));
-            }
-        }
-    }
-
     proptest::proptest! {
         /// The fill count each vector keeps incrementally (one add per
         /// mark) equals the popcount of its words after any sequence of
-        /// marks and rotations.
+        /// marks, rotations, resets, park/unpark cycles and snapshot
+        /// restores.
         #[test]
         fn fill_counts_match_word_popcounts(
-            ops in proptest::collection::vec((0u32..10, 0u32..5_000), 1..400),
+            ops in proptest::collection::vec((0u32..20, 0u32..5_000), 1..400),
             m in 1usize..6,
         ) {
-            let bm = AtomicBitmap::new(3, 9, m);
+            let mut bm = AtomicBitmap::new(3, 9, m);
             for (op, key) in ops {
-                // One rotation per ten operations on average.
-                if op == 0 {
-                    bm.rotate();
-                } else {
-                    bm.mark(&key.to_le_bytes());
+                // One rotation per ten operations on average; resets,
+                // park/unpark cycles and restores one in twenty each.
+                match op {
+                    0 | 1 => {
+                        bm.rotate();
+                    }
+                    2 => bm.reset(),
+                    3 => {
+                        let buffers = bm.park();
+                        proptest::prop_assert!(bm.is_parked());
+                        bm.unpark(buffers.into_iter().map(|b| vec![0; b.len()]).collect());
+                    }
+                    4 => {
+                        let (words, idx, rotations) = bm.snapshot_words();
+                        let vectors = words
+                            .into_iter()
+                            .map(|w| AtomicBitVec::from_words(bm.vector_len(), w).unwrap())
+                            .collect();
+                        let mut restored = AtomicBitmap::new(3, 9, m);
+                        proptest::prop_assert!(restored.restore_fields(vectors, idx, rotations));
+                        proptest::prop_assert_eq!(&restored, &bm);
+                        bm = restored;
+                    }
+                    _ => bm.mark(&key.to_le_bytes()),
                 }
                 for v in bm.vectors.iter() {
                     let popcount: u32 = v.words_snapshot().iter().map(|w| w.count_ones()).sum();
@@ -654,60 +496,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn concurrent_rotation_after_a_skipped_mark_is_remarked() {
-        // A re-mark of a marked key reads every bit as set and writes
-        // none. A rotation landing between those reads and the mark's
-        // fence clears the oldest vector, which the mark read as
-        // marked; the epoch recheck must re-mark it so the key lives
-        // k − 1 further rotations.
-        let k = 4;
-        let bm = AtomicBitmap::new(k, 12, 3);
-        let key = b"remarked flow";
-        bm.mark(key);
-        ROTATE_IN_MARK.with(|armed| armed.set(true));
-        bm.mark(key);
-        assert_eq!(bm.rotations(), 1, "the armed rotation ran inside the mark");
-        for _ in 1..k {
-            bm.rotate();
-            assert!(bm.lookup(key), "re-mark lost inside the k−1 window");
-        }
-        bm.rotate();
-        assert!(!bm.lookup(key));
-    }
-
-    #[test]
-    fn probe_never_sees_half_rotated_state() {
-        // A key marked in all k vectors must stay `known` through k−1
-        // rotations no matter how probes interleave with the rotator.
-        let bm = AtomicBitmap::new(4, 12, 3);
-        bm.mark(b"pinned");
-        std::thread::scope(|scope| {
-            let rotator = {
-                let bm = &bm;
-                scope.spawn(move || {
-                    for _ in 0..3 {
-                        // k − 1 rotations
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                        bm.rotate();
-                    }
-                })
-            };
-            let bm = &bm;
-            scope.spawn(move || {
-                while bm.rotations() < 3 {
-                    assert!(
-                        bm.probe(b"pinned").known,
-                        "probe lost the key inside the k−1 window"
-                    );
-                }
-            });
-            rotator.join().unwrap();
-        });
-        assert!(bm.lookup(b"pinned"));
-        bm.rotate();
-        assert!(!bm.lookup(b"pinned"));
     }
 }

@@ -20,7 +20,7 @@ mod bitmap {
 
         #[test]
         fn marked_key_is_found() {
-            let bm = AtomicBitmap::new(4, 12, 3);
+            let mut bm = AtomicBitmap::new(4, 12, 3);
             bm.mark(b"abc");
             assert!(bm.lookup(b"abc"));
             assert!(!bm.lookup(b"xyz"));
@@ -31,7 +31,7 @@ mod bitmap {
             // Marked right after a rotation, a key must survive k−1
             // further rotations and disappear on the k-th.
             let k = 4;
-            let bm = AtomicBitmap::new(k, 12, 3);
+            let mut bm = AtomicBitmap::new(k, 12, 3);
             bm.mark(b"conn");
             for r in 1..k {
                 bm.rotate();
@@ -43,7 +43,7 @@ mod bitmap {
 
         #[test]
         fn remarking_refreshes_lifetime() {
-            let bm = AtomicBitmap::new(3, 12, 2);
+            let mut bm = AtomicBitmap::new(3, 12, 2);
             bm.mark(b"conn");
             bm.rotate();
             bm.rotate();
@@ -55,7 +55,7 @@ mod bitmap {
 
         #[test]
         fn rotation_index_wraps() {
-            let bm = AtomicBitmap::new(3, 8, 1);
+            let mut bm = AtomicBitmap::new(3, 8, 1);
             assert_eq!(bm.current_index(), 0);
             assert_eq!(bm.rotate(), 1);
             assert_eq!(bm.rotate(), 2);
@@ -65,7 +65,7 @@ mod bitmap {
 
         #[test]
         fn rotate_clears_only_departed_vector() {
-            let bm = AtomicBitmap::new(2, 10, 2);
+            let mut bm = AtomicBitmap::new(2, 10, 2);
             bm.mark(b"a");
             bm.rotate(); // vector 0 cleared; vector 1 (now current) still marked
             assert!(bm.lookup(b"a"));
@@ -78,7 +78,7 @@ mod bitmap {
 
         #[test]
         fn utilization_and_penetration_grow_with_load() {
-            let bm = AtomicBitmap::new(4, 10, 3);
+            let mut bm = AtomicBitmap::new(4, 10, 3);
             assert_eq!(bm.penetration_probability(), 0.0);
             for i in 0..200u32 {
                 bm.mark(&i.to_le_bytes());
@@ -103,7 +103,7 @@ mod bitmap {
 
         #[test]
         fn no_false_negatives_within_window_bulk() {
-            let bm = AtomicBitmap::new(4, 16, 3);
+            let mut bm = AtomicBitmap::new(4, 16, 3);
             let keys: Vec<[u8; 4]> = (0..2000u32).map(|i| i.to_le_bytes()).collect();
             for key in &keys {
                 bm.mark(key);
@@ -137,7 +137,7 @@ mod bitvec {
 
         #[test]
         fn set_and_get_across_word_boundaries() {
-            let v = AtomicBitVec::new(130);
+            let mut v = AtomicBitVec::new(130);
             for i in [0, 1, 63, 64, 65, 127, 128, 129] {
                 v.set(i);
                 assert!(v.get(i), "bit {i}");
@@ -148,7 +148,7 @@ mod bitvec {
 
         #[test]
         fn double_set_counts_once() {
-            let v = AtomicBitVec::new(10);
+            let mut v = AtomicBitVec::new(10);
             v.set(3);
             v.set(3);
             assert_eq!(v.count_ones(), 1);
@@ -156,7 +156,7 @@ mod bitvec {
 
         #[test]
         fn clear_resets_everything() {
-            let v = AtomicBitVec::new(200);
+            let mut v = AtomicBitVec::new(200);
             for i in (0..200).step_by(7) {
                 v.set(i);
             }
@@ -168,7 +168,7 @@ mod bitvec {
         #[test]
         #[should_panic(expected = "out of range")]
         fn out_of_range_set_panics() {
-            let v = AtomicBitVec::new(8);
+            let mut v = AtomicBitVec::new(8);
             v.set(9);
         }
 
@@ -180,7 +180,7 @@ mod bitvec {
 
         #[test]
         fn from_words_roundtrips() {
-            let v = AtomicBitVec::new(130);
+            let mut v = AtomicBitVec::new(130);
             for i in [0, 64, 129] {
                 v.set(i);
             }
@@ -217,7 +217,7 @@ mod bloom {
 
         #[test]
         fn no_false_negatives() {
-            let b = bloom(12, 3);
+            let mut b = bloom(12, 3);
             let keys: Vec<[u8; 4]> = (0..500u32).map(|i| i.to_le_bytes()).collect();
             for k in &keys {
                 b.mark(k);
@@ -227,7 +227,7 @@ mod bloom {
 
         #[test]
         fn false_positive_rate_is_low_when_underloaded() {
-            let b = bloom(16, 4); // 65536 bits
+            let mut b = bloom(16, 4); // 65536 bits
             for i in 0..1000u32 {
                 b.mark(&i.to_le_bytes());
             }
@@ -241,7 +241,7 @@ mod bloom {
 
         #[test]
         fn measured_fp_tracks_expected_fp() {
-            let b = bloom(12, 2); // 4096 bits, deliberately loaded
+            let mut b = bloom(12, 2); // 4096 bits, deliberately loaded
             for i in 0..800u32 {
                 b.mark(&i.to_le_bytes());
             }
@@ -259,7 +259,7 @@ mod bloom {
 
         #[test]
         fn utilization_grows_with_insertions() {
-            let b = bloom(10, 3);
+            let mut b = bloom(10, 3);
             let u0 = b.utilization();
             for i in 0..50u32 {
                 b.mark(&i.to_le_bytes());
@@ -280,7 +280,9 @@ mod bloom {
 #[cfg(test)]
 mod shared_engine {
     mod tests {
-        use crate::{DropPolicy, FilterEngine, NoopObserver, ThroughputMonitor};
+        use crate::{
+            DropPolicy, FilterEngine, FilterObserver, NoopObserver, RotationEvent, ThroughputMonitor,
+        };
         use upbound_net::{TimeDelta, Timestamp};
 
         fn engine(seed: u64) -> FilterEngine<NoopObserver> {
@@ -295,35 +297,45 @@ mod shared_engine {
 
         #[test]
         fn advance_matches_exclusive_engine_semantics() {
-            let e = engine(0);
-            let mut fired = Vec::new();
-            // The tick counter moves only after `on_tick` returns.
-            e.advance(Timestamp::from_secs(17.0), |at| {
-                fired.push((at, e.ticks() + 1));
-            });
-            assert_eq!(
-                fired,
-                vec![
-                    (Timestamp::from_secs(5.0), 1),
-                    (Timestamp::from_secs(10.0), 2),
-                    (Timestamp::from_secs(15.0), 3),
-                ]
+            /// Records each rotation event's time and tick count.
+            #[derive(Debug, Default)]
+            struct Log(Vec<(Timestamp, u64)>);
+            impl FilterObserver for Log {
+                fn on_rotation(&mut self, rotation: &RotationEvent<'_>) {
+                    self.0.push((rotation.now, rotation.rotations));
+                }
+            }
+            let mut e = FilterEngine::new(
+                TimeDelta::from_secs(5.0),
+                ThroughputMonitor::new(TimeDelta::from_secs(1.0), 20),
+                DropPolicy::drop_all(),
+                0,
+                Log::default(),
             );
+            let mut fired = Vec::new();
+            e.advance_observed(Timestamp::from_secs(17.0), |at, _| fired.push(at));
+            // Each tick is reported with the tick count including it.
+            let secs = |s: f64| Timestamp::from_secs(s);
+            assert_eq!(
+                e.observer().0,
+                vec![(secs(5.0), 1), (secs(10.0), 2), (secs(15.0), 3)]
+            );
+            assert_eq!(fired, vec![secs(5.0), secs(10.0), secs(15.0)]);
             assert_eq!(e.ticks(), 3);
-            e.advance(Timestamp::from_secs(17.0), |_| panic!("no tick due"));
-            e.advance(Timestamp::from_secs(3.0), |_| {
+            e.advance_observed(Timestamp::from_secs(17.0), |_, _| panic!("no tick due"));
+            e.advance_observed(Timestamp::from_secs(3.0), |_, _| {
                 panic!("backward time must not tick")
             });
         }
 
         #[test]
         fn far_future_advance_is_bounded() {
-            let e = engine(0);
+            let mut e = engine(0);
             let mut fired = 0u64;
-            e.advance(Timestamp::from_secs(1e8), |_| fired += 1);
+            e.advance_observed(Timestamp::from_secs(1e8), |_, _| fired += 1);
             assert_eq!(fired, FilterEngine::<NoopObserver>::MAX_TICK_CATCHUP);
             assert_eq!(e.ticks(), 20_000_000);
-            e.advance(Timestamp::from_secs(1e8), |_| panic!("no tick due"));
+            e.advance_observed(Timestamp::from_secs(1e8), |_, _| panic!("no tick due"));
         }
     }
 }

@@ -28,8 +28,6 @@ use crate::hash::{fnv1a, splitmix64};
 use crate::observe::{FilterObserver, InboundDecision, RotationEvent};
 use crate::red::DropPolicy;
 use crate::{ThroughputMonitor, Verdict};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use upbound_net::{TimeDelta, Timestamp};
 
@@ -62,31 +60,23 @@ impl Uplink {
 ///
 /// The filter that embeds an engine keeps only its data structure (the
 /// rotating bitmap, the flow table) and passes a closure to
-/// [`advance`](Self::advance) describing what one tick does to it.
+/// [`advance_observed`](Self::advance_observed) describing what one
+/// tick does to it.
 ///
-/// # Concurrency
-///
-/// Everything but the observer is usable through `&self`. The tick
-/// phase lives in two atomics (`ticks`, `next_tick`) guarded by a mutex
-/// that only the thread *performing* a due tick takes; the packet-rate
-/// fast path ([`tick_due`](Self::tick_due)) is a single `Acquire` load.
-/// Ticks come once per `Δt` (seconds) while packets come millions per
-/// second, so the lock is uncontended in any sane configuration and
-/// absent from the hot path entirely. Observer hooks take `&mut self`
-/// and run only on the exclusive paths
-/// ([`advance_observed`](Self::advance_observed), the `notify_*`
-/// methods), so observers never need to be `Sync`.
-#[derive(Debug)]
+/// The tick phase and the observer are written through `&mut self`:
+/// the embedding filter decides exclusively (a
+/// [`ShardedFilter`](crate::ShardedFilter) shard under its write
+/// guard), so observers never need to be `Sync`. Only the uplink
+/// monitor is shared, by sibling shards.
+#[derive(Debug, Clone)]
 pub struct FilterEngine<O: FilterObserver> {
     drop_policy: DropPolicy,
     seed: u64,
     tick_every: TimeDelta,
     /// Microseconds of the next due tick.
-    next_tick: AtomicU64,
+    next_tick: u64,
     /// Ticks performed (the rotation epoch reported to observers).
-    ticks: AtomicU64,
-    /// Serializes tick execution; never taken between ticks.
-    tick_lock: Mutex<()>,
+    ticks: u64,
     uplink: Uplink,
     observer: O,
 }
@@ -106,9 +96,8 @@ impl<O: FilterObserver> FilterEngine<O> {
             drop_policy,
             seed,
             tick_every,
-            next_tick: AtomicU64::new((Timestamp::ZERO + tick_every).as_micros()),
-            ticks: AtomicU64::new(0),
-            tick_lock: Mutex::new(()),
+            next_tick: (Timestamp::ZERO + tick_every).as_micros(),
+            ticks: 0,
             uplink: Uplink::Local(monitor),
             observer,
         }
@@ -138,7 +127,7 @@ impl<O: FilterObserver> FilterEngine<O> {
 
     /// Ticks performed so far (rotations or purge sweeps).
     pub fn ticks(&self) -> u64 {
-        self.ticks.load(Ordering::Acquire)
+        self.ticks
     }
 
     /// The drop policy in force.
@@ -154,10 +143,10 @@ impl<O: FilterObserver> FilterEngine<O> {
     }
 
     /// `true` when at least one tick is due at or before `now` — the
-    /// single-load guard the per-packet path pays between ticks.
+    /// one comparison the per-packet path pays between ticks.
     #[inline]
     pub fn tick_due(&self, now: Timestamp) -> bool {
-        now.as_micros() >= self.next_tick.load(Ordering::Acquire)
+        now.as_micros() >= self.next_tick
     }
 
     /// Records `bytes` of uplink traffic at time `now`.
@@ -174,46 +163,26 @@ impl<O: FilterObserver> FilterEngine<O> {
             .drop_probability_lazy(|| self.uplink.monitor().rate_bps(now))
     }
 
-    /// The most ticks one [`advance`](Self::advance) call will
-    /// *execute*. A far-future timestamp (clock glitch, corrupt trace
-    /// record) can put millions of ticks in arrears; executing each one
-    /// would stall the filter for minutes. After `k` consecutive
-    /// rotations every bitmap vector has been cleared once, so any state
-    /// the skipped ticks would have produced is already all-zero — the
-    /// engine jumps the tick counter and runs only the trailing
-    /// `MAX_TICK_CATCHUP` ticks (enough for every practical `k`).
+    /// The most ticks one [`advance_observed`](Self::advance_observed)
+    /// call will *execute*. A far-future timestamp (clock glitch,
+    /// corrupt trace record) can put millions of ticks in arrears;
+    /// executing each one would stall the filter for minutes. After `k`
+    /// consecutive rotations every bitmap vector has been cleared once,
+    /// so any state the skipped ticks would have produced is already
+    /// all-zero — the engine jumps the tick counter and runs only the
+    /// trailing `MAX_TICK_CATCHUP` ticks (enough for every practical
+    /// `k`).
     pub const MAX_TICK_CATCHUP: u64 = 64;
 
-    /// Applies every tick due at or before `now` through `&self`,
-    /// calling `on_tick` with each tick's scheduled timestamp (the
-    /// `b.rotate` timer of paper Algorithm 1, or the SPI purge sweep).
-    /// The observer is not told; see
-    /// [`advance_observed`](Self::advance_observed).
+    /// Applies every tick due at or before `now`, calling `on_tick` with
+    /// each tick's scheduled timestamp (the `b.rotate` timer of paper
+    /// Algorithm 1, or the SPI purge sweep). Each due tick is first
+    /// reported to the observer as a [`RotationEvent`], then `on_tick`
+    /// runs with the observer in hand, so events the tick triggers (an
+    /// overload transition) follow it in any journal.
     ///
-    /// Concurrent callers race benignly: one thread takes the tick lock
-    /// and performs the due ticks, the rest re-check under the lock and
-    /// find nothing due. `next_tick` moves only after `on_tick` returns,
-    /// so a caller that sees no tick due also sees its effects. Backward
-    /// timestamps never tick, and far-future arrears beyond
+    /// Backward timestamps never tick, and far-future arrears beyond
     /// [`MAX_TICK_CATCHUP`](Self::MAX_TICK_CATCHUP) are skipped in O(1).
-    #[inline]
-    pub fn advance(&self, now: Timestamp, mut on_tick: impl FnMut(Timestamp)) {
-        if self.tick_due(now) {
-            Self::run_due_ticks(
-                &self.next_tick,
-                &self.ticks,
-                &self.tick_lock,
-                self.tick_every,
-                now,
-                |at, _| on_tick(at),
-            );
-        }
-    }
-
-    /// [`advance`](Self::advance) with observer dispatch: each due tick
-    /// is first reported to the observer as a [`RotationEvent`], then
-    /// `on_tick` runs with the observer in hand, so events the tick
-    /// triggers (an overload transition) follow it in any journal.
     #[inline]
     pub fn advance_observed(&mut self, now: Timestamp, mut on_tick: impl FnMut(Timestamp, &mut O)) {
         if !self.tick_due(now) {
@@ -224,31 +193,23 @@ impl<O: FilterObserver> FilterEngine<O> {
             tick_every,
             next_tick,
             ticks,
-            tick_lock,
             uplink,
             observer,
             ..
         } = self;
-        Self::run_due_ticks(
-            next_tick,
-            ticks,
-            tick_lock,
-            *tick_every,
-            now,
-            |at, rotations| {
-                // Ticks are rare (once per Δt), so the operating point is
-                // computed eagerly for the observer.
-                let monitor = uplink.monitor();
-                let p_d = drop_policy.drop_probability(monitor.rate_bps(at));
-                observer.on_rotation(&RotationEvent {
-                    now: at,
-                    rotations,
-                    monitor,
-                    p_d,
-                });
-                on_tick(at, observer);
-            },
-        );
+        Self::run_due_ticks(next_tick, ticks, *tick_every, now, |at, rotations| {
+            // Ticks are rare (once per Δt), so the operating point is
+            // computed eagerly for the observer.
+            let monitor = uplink.monitor();
+            let p_d = drop_policy.drop_probability(monitor.rate_bps(at));
+            observer.on_rotation(&RotationEvent {
+                now: at,
+                rotations,
+                monitor,
+                p_d,
+            });
+            on_tick(at, observer);
+        });
     }
 
     /// One deterministic drop draw for the packet identified by
@@ -317,27 +278,23 @@ impl<O: FilterObserver> FilterEngine<O> {
             fail_open,
             warming,
             key,
-            rotation_epoch: *self.ticks.get_mut(),
+            rotation_epoch: self.ticks,
             monitor: self.uplink.monitor(),
         });
     }
 
     /// Exports the tick phase `(ticks, next_tick)` for snapshot encoding.
     pub fn tick_phase(&self) -> (u64, Timestamp) {
-        let _guard = self.tick_lock.lock();
-        (
-            self.ticks.load(Ordering::Relaxed),
-            Timestamp::from_micros(self.next_tick.load(Ordering::Relaxed)),
-        )
+        (self.ticks, Timestamp::from_micros(self.next_tick))
     }
 
     /// Restores a tick phase captured by [`tick_phase`](Self::tick_phase).
     /// A restored `next_tick` far behind the next packet is harmless:
-    /// [`advance`](Self::advance) catches up in O(1) past
+    /// [`advance_observed`](Self::advance_observed) catches up in O(1) past
     /// [`MAX_TICK_CATCHUP`](Self::MAX_TICK_CATCHUP).
     pub fn restore_tick_phase(&mut self, ticks: u64, next_tick: Timestamp) {
-        *self.ticks.get_mut() = ticks;
-        *self.next_tick.get_mut() = next_tick.as_micros();
+        self.ticks = ticks;
+        self.next_tick = next_tick.as_micros();
     }
 
     /// Clears tick phase and the uplink monitor.
@@ -345,58 +302,38 @@ impl<O: FilterObserver> FilterEngine<O> {
     /// Note that with a [shared](Self::share_uplink) uplink this resets
     /// the aggregate measurement for every sibling shard as well.
     pub fn reset(&mut self) {
-        *self.ticks.get_mut() = 0;
-        *self.next_tick.get_mut() = (Timestamp::ZERO + self.tick_every).as_micros();
+        self.ticks = 0;
+        self.next_tick = (Timestamp::ZERO + self.tick_every).as_micros();
         self.uplink.monitor().reset();
     }
 
-    /// The one tick loop behind [`advance`](Self::advance) and
-    /// [`advance_observed`](Self::advance_observed), calling `on_tick(at, ticks)` with
-    /// each due tick's timestamp and the tick count *including* it. It takes
-    /// the clock fields rather than the engine so `advance_observed` can
-    /// lend the observer out mutably at the same time.
+    /// The tick loop of [`advance_observed`](Self::advance_observed),
+    /// calling `on_tick(at, ticks)` with each due tick's timestamp and
+    /// the tick count *including* it. It takes the clock fields rather
+    /// than the engine so the caller can lend the observer out mutably at
+    /// the same time.
     fn run_due_ticks(
-        next_tick: &AtomicU64,
-        ticks: &AtomicU64,
-        tick_lock: &Mutex<()>,
+        next_tick: &mut u64,
+        ticks: &mut u64,
         tick_every: TimeDelta,
         now: Timestamp,
         mut on_tick: impl FnMut(Timestamp, u64),
     ) {
-        let _guard = tick_lock.lock();
         let every = tick_every.as_micros();
-        let mut next = next_tick.load(Ordering::Acquire);
-        if now.as_micros() >= next {
-            let due = (now.as_micros() - next) / every + 1;
+        let now = now.as_micros();
+        if now >= *next_tick {
+            let due = (now - *next_tick) / every + 1;
             if due > Self::MAX_TICK_CATCHUP {
                 let skipped = due - Self::MAX_TICK_CATCHUP;
-                ticks.fetch_add(skipped, Ordering::Relaxed);
-                next += every * skipped;
+                *ticks += skipped;
+                *next_tick += every * skipped;
             }
         }
-        while now.as_micros() >= next {
-            let at = Timestamp::from_micros(next);
-            let ticks_after = ticks.load(Ordering::Relaxed) + 1;
-            on_tick(at, ticks_after);
-            ticks.store(ticks_after, Ordering::Release);
-            next += every;
-            next_tick.store(next, Ordering::Release);
-        }
-    }
-}
-
-impl<O: FilterObserver + Clone> Clone for FilterEngine<O> {
-    fn clone(&self) -> Self {
-        let (ticks, next_tick) = self.tick_phase();
-        Self {
-            drop_policy: self.drop_policy,
-            seed: self.seed,
-            tick_every: self.tick_every,
-            next_tick: AtomicU64::new(next_tick.as_micros()),
-            ticks: AtomicU64::new(ticks),
-            tick_lock: Mutex::new(()),
-            uplink: self.uplink.clone(),
-            observer: self.observer.clone(),
+        while now >= *next_tick {
+            let ticks_after = *ticks + 1;
+            on_tick(Timestamp::from_micros(*next_tick), ticks_after);
+            *ticks = ticks_after;
+            *next_tick += every;
         }
     }
 }
@@ -442,9 +379,9 @@ mod tests {
 
     #[test]
     fn advance_catches_up_all_due_ticks() {
-        let e = engine(0);
+        let mut e = engine(0);
         let mut fired = Vec::new();
-        e.advance(Timestamp::from_secs(17.0), |at| fired.push(at));
+        e.advance_observed(Timestamp::from_secs(17.0), |at, _| fired.push(at));
         assert_eq!(e.ticks(), 3); // at 5, 10, 15 s
         assert_eq!(
             fired,
@@ -454,32 +391,32 @@ mod tests {
                 Timestamp::from_secs(15.0)
             ]
         );
-        e.advance(Timestamp::from_secs(17.0), |_| panic!("no tick due"));
+        e.advance_observed(Timestamp::from_secs(17.0), |_, _| panic!("no tick due"));
         assert_eq!(e.ticks(), 3);
     }
 
     #[test]
     fn far_future_advance_is_bounded() {
-        let e = engine(0); // ticks every 5 s
+        let mut e = engine(0); // ticks every 5 s
         let mut fired = 0u64;
         // 20 million ticks in arrears; only the trailing window executes.
-        e.advance(Timestamp::from_secs(1e8), |_| fired += 1);
+        e.advance_observed(Timestamp::from_secs(1e8), |_, _| fired += 1);
         assert_eq!(fired, MAX_TICK_CATCHUP);
         // The tick counter still reflects every due tick.
         assert_eq!(e.ticks(), 20_000_000);
         // The phase is fully caught up afterwards.
-        e.advance(Timestamp::from_secs(1e8), |_| panic!("no tick due"));
+        e.advance_observed(Timestamp::from_secs(1e8), |_, _| panic!("no tick due"));
         let mut later = Vec::new();
-        e.advance(Timestamp::from_secs(1e8 + 5.0), |at| later.push(at));
+        e.advance_observed(Timestamp::from_secs(1e8 + 5.0), |at, _| later.push(at));
         assert_eq!(later, vec![Timestamp::from_secs(1e8 + 5.0)]);
     }
 
     #[test]
     fn backward_now_never_ticks() {
-        let e = engine(0);
-        e.advance(Timestamp::from_secs(12.0), |_| {});
+        let mut e = engine(0);
+        e.advance_observed(Timestamp::from_secs(12.0), |_, _| {});
         assert_eq!(e.ticks(), 2);
-        e.advance(Timestamp::from_secs(3.0), |_| {
+        e.advance_observed(Timestamp::from_secs(3.0), |_, _| {
             panic!("backward time must not tick")
         });
         assert_eq!(e.ticks(), 2);
@@ -506,27 +443,6 @@ mod tests {
         });
         assert_eq!(e.observer().0, ["event 1", "tick 5", "event 2", "tick 10"]);
         e.advance_observed(Timestamp::from_secs(11.0), |_, _| panic!("no tick due"));
-    }
-
-    #[test]
-    fn concurrent_advance_ticks_exactly_once() {
-        let e = engine(0);
-        let fired = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let (e, fired) = (&e, &fired);
-                scope.spawn(move || {
-                    for s in 1..=40u64 {
-                        e.advance(Timestamp::from_secs(s as f64), |_| {
-                            fired.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                });
-            }
-        });
-        // 40 s / 5 s = 8 due ticks, each performed by exactly one thread.
-        assert_eq!(fired.load(Ordering::Relaxed), 8);
-        assert_eq!(e.ticks(), 8);
     }
 
     #[test]
@@ -590,25 +506,25 @@ mod tests {
 
     #[test]
     fn tick_phase_roundtrips() {
-        let e = engine(0);
-        e.advance(Timestamp::from_secs(12.0), |_| {});
+        let mut e = engine(0);
+        e.advance_observed(Timestamp::from_secs(12.0), |_, _| {});
         let (ticks, next) = e.tick_phase();
         assert_eq!(ticks, 2);
         let mut restored = engine(0);
         restored.restore_tick_phase(ticks, next);
         assert_eq!(restored.ticks(), 2);
-        restored.advance(Timestamp::from_secs(12.0), |_| panic!("caught up"));
+        restored.advance_observed(Timestamp::from_secs(12.0), |_, _| panic!("caught up"));
     }
 
     #[test]
     fn reset_restores_tick_phase() {
         let mut e = engine(0);
-        e.advance(Timestamp::from_secs(12.0), |_| {});
+        e.advance_observed(Timestamp::from_secs(12.0), |_, _| {});
         assert_eq!(e.ticks(), 2);
         e.reset();
         assert_eq!(e.ticks(), 0);
         let mut fired = 0;
-        e.advance(Timestamp::from_secs(5.0), |_| fired += 1);
+        e.advance_observed(Timestamp::from_secs(5.0), |_, _| fired += 1);
         assert_eq!(fired, 1);
     }
 }

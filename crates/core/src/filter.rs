@@ -11,12 +11,8 @@ use crate::{
     ThroughputMonitor,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use upbound_net::{Direction, FiveTuple, Packet, Timestamp};
-
-/// Sentinel for "clock not anchored" in the atomic warm-up fields.
-const UNSET: u64 = u64::MAX;
 
 /// The decision of a filter for one packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -73,117 +69,22 @@ impl MergeStats for FilterStats {
     }
 }
 
-/// The atomic backing store of [`FilterStats`], so concurrent decision
-/// paths count through `&self`. Counters are `Relaxed`: each is
-/// independently monotone and only ever read as a snapshot.
-#[derive(Debug, Default)]
-struct SharedStats {
-    outbound_packets: AtomicU64,
-    inbound_packets: AtomicU64,
-    inbound_hits: AtomicU64,
-    inbound_misses: AtomicU64,
-    dropped: AtomicU64,
-    fail_open_passes: AtomicU64,
-    rotations: AtomicU64,
-}
-
-impl SharedStats {
-    fn load(&self) -> FilterStats {
-        FilterStats {
-            outbound_packets: self.outbound_packets.load(Ordering::Relaxed),
-            inbound_packets: self.inbound_packets.load(Ordering::Relaxed),
-            inbound_hits: self.inbound_hits.load(Ordering::Relaxed),
-            inbound_misses: self.inbound_misses.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            fail_open_passes: self.fail_open_passes.load(Ordering::Relaxed),
-            rotations: self.rotations.load(Ordering::Relaxed),
-        }
-    }
-
-    fn store(&mut self, s: FilterStats) {
-        *self.outbound_packets.get_mut() = s.outbound_packets;
-        *self.inbound_packets.get_mut() = s.inbound_packets;
-        *self.inbound_hits.get_mut() = s.inbound_hits;
-        *self.inbound_misses.get_mut() = s.inbound_misses;
-        *self.dropped.get_mut() = s.dropped;
-        *self.fail_open_passes.get_mut() = s.fail_open_passes;
-        *self.rotations.get_mut() = s.rotations;
-    }
-}
-
-impl Clone for SharedStats {
-    fn clone(&self) -> Self {
-        let s = self.load();
-        let mut out = Self::default();
-        out.store(s);
-        out
-    }
-}
-
-/// The warm-up clock in atomic form, so anchoring and arming queries run
-/// through `&self`. Timestamps are stored as microseconds with
-/// [`UNSET`] (`u64::MAX`) standing in for `None`; anchoring is a
-/// compare-exchange from `UNSET`, so exactly one thread wins a racing
-/// first-packet anchor and the anchored value never moves afterwards —
-/// the same "pure function of `(arm_at, now)`" arming the exclusive
-/// filter had.
-#[derive(Debug)]
+/// The warm-up clock: when drops arm, when the warm-up window ends, and
+/// whether the one-shot armed notification fired.
+#[derive(Debug, Clone, Copy, Default)]
 struct WarmupClock {
-    /// Trace time at which drops arm (fail-open), `UNSET` until
+    /// Trace time at which drops arm (fail-open), `None` until
     /// anchored.
-    arm_at: AtomicU64,
-    /// End of the warm-up window (telemetry only), `UNSET` until
+    arm_at: Option<Timestamp>,
+    /// End of the warm-up window (telemetry only), `None` until
     /// anchored.
-    warm_until: AtomicU64,
+    warm_until: Option<Timestamp>,
     /// Whether the one-shot armed notification fired (telemetry only).
-    arm_notified: AtomicBool,
-}
-
-impl Default for WarmupClock {
-    fn default() -> Self {
-        Self {
-            arm_at: AtomicU64::new(UNSET),
-            warm_until: AtomicU64::new(UNSET),
-            arm_notified: AtomicBool::new(false),
-        }
-    }
-}
-
-impl WarmupClock {
-    fn arm_at(&self) -> Option<Timestamp> {
-        match self.arm_at.load(Ordering::Acquire) {
-            UNSET => None,
-            micros => Some(Timestamp::from_micros(micros)),
-        }
-    }
-
-    fn warm_until(&self) -> Option<Timestamp> {
-        match self.warm_until.load(Ordering::Acquire) {
-            UNSET => None,
-            micros => Some(Timestamp::from_micros(micros)),
-        }
-    }
-
-    /// Exclusive overwrite (restore / reset paths).
-    fn set(&mut self, arm_at: Option<Timestamp>, warm_until: Option<Timestamp>, notified: bool) {
-        *self.arm_at.get_mut() = arm_at.map_or(UNSET, Timestamp::as_micros);
-        *self.warm_until.get_mut() = warm_until.map_or(UNSET, Timestamp::as_micros);
-        *self.arm_notified.get_mut() = notified;
-    }
-}
-
-impl Clone for WarmupClock {
-    fn clone(&self) -> Self {
-        Self {
-            arm_at: AtomicU64::new(self.arm_at.load(Ordering::Acquire)),
-            warm_until: AtomicU64::new(self.warm_until.load(Ordering::Acquire)),
-            arm_notified: AtomicBool::new(self.arm_notified.load(Ordering::Acquire)),
-        }
-    }
+    arm_notified: bool,
 }
 
 /// What [`BitmapFilter`]'s keyed decide core did with one packet,
-/// handed back so the exclusive path can report it to the observer.
+/// handed back so the caller can report it to the observer.
 #[derive(Debug)]
 struct Decided {
     verdict: Verdict,
@@ -228,24 +129,18 @@ struct Decided {
 ///
 /// # Concurrency
 ///
-/// All state except the observer is atomic: the bitmap is an
-/// [`AtomicBitmap`], counters and the warm-up clock are atomics, and the
-/// tick scheduler is a [`FilterEngine`], whose clockwork works through
-/// `&self`. An unobserved
-/// filter (`O = NoopObserver`, [`PacketFilter::CONCURRENT`]) can
-/// therefore be driven through `&self` from many threads at once via
-/// [`process_packet_shared`](Self::process_packet_shared) /
-/// [`advance_shared`](Self::advance_shared) with verdicts and statistics
-/// identical to the exclusive path — which is what lets
-/// [`ShardedFilter`](crate::ShardedFilter) decide packets under a shard
-/// *read* lock. Observed filters serialize through `&mut` as before, so
-/// observers never need to be `Sync`.
-#[derive(Debug)]
+/// Every decision and rotation takes `&mut self`, and the counters, the
+/// warm-up clock and the bitmap are plain fields. Threads that decide
+/// concurrently share filters through
+/// [`ShardedFilter`](crate::ShardedFilter), which decides each packet
+/// under its shard's write guard. Only the uplink monitor is shared
+/// between shards.
+#[derive(Debug, Clone)]
 pub struct BitmapFilter<O: FilterObserver = NoopObserver> {
     config: BitmapFilterConfig,
     bitmap: AtomicBitmap,
     engine: FilterEngine<O>,
-    stats: SharedStats,
+    stats: FilterStats,
     /// The warm-up clock. `arm_at`: under [`FailMode::Open`], the trace
     /// time at which drops arm (one expiry window past the cold start),
     /// unset until anchored — by
@@ -273,19 +168,6 @@ pub struct BitmapFilter<O: FilterObserver = NoopObserver> {
     /// of the snapshot format: a restored filter re-derives it from the
     /// restored bitmap on its first packet.
     overload: OverloadLadder,
-}
-
-impl<O: FilterObserver + Clone> Clone for BitmapFilter<O> {
-    fn clone(&self) -> Self {
-        Self {
-            config: self.config.clone(),
-            bitmap: self.bitmap.clone(),
-            engine: self.engine.clone(),
-            stats: self.stats.clone(),
-            warmup: self.warmup.clone(),
-            overload: self.overload.clone(),
-        }
-    }
 }
 
 impl BitmapFilter {
@@ -318,7 +200,7 @@ impl BitmapFilter {
             bitmap,
             engine,
             config,
-            stats: SharedStats::default(),
+            stats: FilterStats::default(),
             warmup: WarmupClock::default(),
             overload: OverloadLadder::new(OverloadPolicy::off()),
         }
@@ -341,7 +223,7 @@ impl<O: FilterObserver> BitmapFilter<O> {
             bitmap,
             engine,
             config,
-            stats: SharedStats::default(),
+            stats: FilterStats::default(),
             warmup: WarmupClock::default(),
             overload: OverloadLadder::new(OverloadPolicy::off()),
         }
@@ -425,7 +307,7 @@ impl<O: FilterObserver> BitmapFilter<O> {
 
     /// Running counters.
     pub fn stats(&self) -> FilterStats {
-        self.stats.load()
+        self.stats
     }
 
     /// Total memory of the bit storage in bytes.
@@ -452,33 +334,23 @@ impl<O: FilterObserver> BitmapFilter<O> {
         });
     }
 
-    /// Lock-free twin of [`advance`](Self::advance), skipping observer
-    /// dispatch — callers guarantee `O` is [`NoopObserver`]
-    /// ([`FilterObserver::IS_NOOP`]), so nothing observable is skipped.
-    pub fn advance_shared(&self, now: Timestamp) {
-        debug_assert!(O::IS_NOOP, "advance_shared requires a no-op observer");
-        self.engine.advance(now, |at| {
-            Self::tick(&self.bitmap, &self.stats, &self.overload, at);
-        });
-    }
-
     /// One timer tick: rotates the bitmap, then lets the ladder
     /// re-evaluate the shed fill. Returns the ladder's transition, if any.
     fn tick(
-        bitmap: &AtomicBitmap,
-        stats: &SharedStats,
+        bitmap: &mut AtomicBitmap,
+        stats: &mut FilterStats,
         overload: &OverloadLadder,
         at: Timestamp,
     ) -> Option<OverloadEvent> {
         bitmap.rotate();
-        stats.rotations.fetch_add(1, Ordering::Relaxed);
+        stats.rotations += 1;
         // Graceful degradation: a Saturated ladder sheds marks at twice
         // the configured rate — one extra rotation per tick, never more,
         // so the ⌊(k−1)/2⌋·Δt mark-survival floor the overload docs
         // promise stays intact.
         if overload.wants_early_rotation() {
             bitmap.rotate();
-            stats.rotations.fetch_add(1, Ordering::Relaxed);
+            stats.rotations += 1;
             overload.note_early_rotation();
         }
         overload.evaluate(bitmap, at)
@@ -490,7 +362,7 @@ impl<O: FilterObserver> BitmapFilter<O> {
     pub fn is_armed(&self, now: Timestamp) -> bool {
         match self.config.fail_mode() {
             FailMode::Closed => true,
-            FailMode::Open => self.warmup.arm_at().is_some_and(|at| now >= at),
+            FailMode::Open => self.warmup.arm_at.is_some_and(|at| now >= at),
         }
     }
 
@@ -498,7 +370,7 @@ impl<O: FilterObserver> BitmapFilter<O> {
     /// been anchored. `None` for a fail-open filter that has seen no
     /// packet and no explicit cold start yet.
     pub fn armed_at(&self) -> Option<Timestamp> {
-        self.warmup.arm_at()
+        self.warmup.arm_at
     }
 
     /// Anchors the warm-up clock lazily at the first packet a fail-open
@@ -508,41 +380,18 @@ impl<O: FilterObserver> BitmapFilter<O> {
     /// packet's timestamp) or shard verdicts diverge from a sequential
     /// run during warm-up.
     ///
-    /// Compare-exchange from the unset sentinel, so racing first packets
-    /// anchor exactly once. Returns the arming time when *this call*
-    /// won the fail-open anchor (the exclusive path fires the cold-start
-    /// notification then). Each anchor is tested with a plain load
-    /// first, so an anchored filter does no read-modify-write per
-    /// packet.
-    fn anchor_warmup_shared(&self, now: Timestamp) -> Option<Timestamp> {
+    /// Returns the arming time when this call anchored the fail-open
+    /// clock (the observer's cold-start notification fires then).
+    #[inline]
+    fn anchor_warmup(&mut self, now: Timestamp) -> Option<Timestamp> {
+        let until = || now + self.config.expiry_timer();
         // Telemetry-only warm-window anchor, kept for both fail modes.
-        if self.warmup.warm_until.load(Ordering::Relaxed) == UNSET {
-            let until = (now + self.config.expiry_timer()).as_micros();
-            let _ = self.warmup.warm_until.compare_exchange(
-                UNSET,
-                until,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            );
-        }
-        if self.config.fail_mode() == FailMode::Open
-            && self.warmup.arm_at.load(Ordering::Acquire) == UNSET
-        {
-            let armed_at = now + self.config.expiry_timer();
-            if self
-                .warmup
-                .arm_at
-                .compare_exchange(
-                    UNSET,
-                    armed_at.as_micros(),
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                )
-                .is_ok()
-            {
-                self.warmup.arm_notified.store(false, Ordering::Release);
-                return Some(armed_at);
-            }
+        self.warmup.warm_until.get_or_insert_with(until);
+        if self.config.fail_mode() == FailMode::Open && self.warmup.arm_at.is_none() {
+            let armed_at = until();
+            self.warmup.arm_at = Some(armed_at);
+            self.warmup.arm_notified = false;
+            return Some(armed_at);
         }
         None
     }
@@ -550,16 +399,16 @@ impl<O: FilterObserver> BitmapFilter<O> {
     /// `true` while `now` is inside the warm-up window after a cold
     /// start (telemetry only; never affects verdicts).
     pub fn is_warming(&self, now: Timestamp) -> bool {
-        self.warmup.warm_until().is_some_and(|until| now < until)
+        self.warmup.warm_until.is_some_and(|until| now < until)
     }
 
     /// Fires the one-shot armed notification when warm-up has elapsed.
     fn maybe_notify_armed(&mut self, now: Timestamp) {
-        if !*self.warmup.arm_notified.get_mut()
+        if !self.warmup.arm_notified
             && self.config.fail_mode() == FailMode::Open
-            && self.warmup.arm_at().is_some_and(|at| now >= at)
+            && self.warmup.arm_at.is_some_and(|at| now >= at)
         {
-            *self.warmup.arm_notified.get_mut() = true;
+            self.warmup.arm_notified = true;
             self.engine.observer_mut().on_armed(now);
         }
     }
@@ -569,7 +418,7 @@ impl<O: FilterObserver> BitmapFilter<O> {
     pub fn observe_outbound(&mut self, tuple: &FiveTuple, now: Timestamp) {
         self.advance(now);
         let key = HashedKey::new(tuple, Direction::Outbound, self.config.hole_punching());
-        let decided = self.decide_core(&key, Direction::Outbound, now, || 0.0);
+        let decided = self.decide_core(&key, Direction::Outbound, now, |_| 0.0);
         self.report(decided, &key, tuple, Direction::Outbound, now, |_| 0.0);
     }
 
@@ -586,15 +435,14 @@ impl<O: FilterObserver> BitmapFilter<O> {
     pub fn check_inbound(&mut self, tuple: &FiveTuple, now: Timestamp, p_d: f64) -> Verdict {
         self.advance(now);
         let key = HashedKey::new(tuple, Direction::Inbound, self.config.hole_punching());
-        let decided = self.decide_core(&key, Direction::Inbound, now, || p_d);
+        let decided = self.decide_core(&key, Direction::Inbound, now, |_| p_d);
         self.report(decided, &key, tuple, Direction::Inbound, now, |_| p_d)
     }
 
-    /// The keyed decide core every path runs, exclusive or shared: the
-    /// warm-up anchor, the counters, the ladder sample, and then either
-    /// the outbound mark in all vectors or the inbound probe of the
-    /// current vector with its per-bit drop draws (Algorithm 2, lines
-    /// 9–13). Advancing the clock, recording uplink bytes and observer
+    /// The keyed decide core every path runs: the warm-up anchor, the
+    /// counters, the ladder sample, and then either the outbound mark in
+    /// all vectors or the inbound probe of the current vector with its
+    /// per-bit drop draws (Algorithm 2, lines 9–13). Advancing the clock, recording uplink bytes and observer
     /// dispatch belong to the callers.
     ///
     /// `p_d` is called only on an inbound miss, so a path that derives
@@ -604,13 +452,13 @@ impl<O: FilterObserver> BitmapFilter<O> {
     /// (solicited) flows, which pass before any draw.
     #[inline]
     fn decide_core(
-        &self,
+        &mut self,
         key: &HashedKey,
         direction: Direction,
         now: Timestamp,
-        p_d: impl FnOnce() -> f64,
+        p_d: impl FnOnce(&Self) -> f64,
     ) -> Decided {
-        let anchored = self.anchor_warmup_shared(now);
+        let anchored = self.anchor_warmup(now);
         let indexes = key.indexes(&self.bitmap.hash_family());
         let mut decided = Decided {
             verdict: Verdict::Pass,
@@ -622,7 +470,7 @@ impl<O: FilterObserver> BitmapFilter<O> {
             p_d: None,
         };
         if direction == Direction::Outbound {
-            self.stats.outbound_packets.fetch_add(1, Ordering::Relaxed);
+            self.stats.outbound_packets += 1;
             self.bitmap.mark_indexes(indexes);
             // Outbound marks are what raise the fill (a SYN flood's
             // elicited RSTs arrive here), so the sentinel samples after
@@ -631,15 +479,15 @@ impl<O: FilterObserver> BitmapFilter<O> {
             return decided;
         }
         decided.overload = self.overload.evaluate(&self.bitmap, now);
-        self.stats.inbound_packets.fetch_add(1, Ordering::Relaxed);
+        self.stats.inbound_packets += 1;
         let probe = self.bitmap.probe_indexes(indexes);
         if probe.known {
-            self.stats.inbound_hits.fetch_add(1, Ordering::Relaxed);
+            self.stats.inbound_hits += 1;
             decided.known = true;
             return decided;
         }
-        self.stats.inbound_misses.fetch_add(1, Ordering::Relaxed);
-        let p_d = p_d().max(self.overload.clamp(self.config.fail_mode()));
+        self.stats.inbound_misses += 1;
+        let p_d = p_d(self).max(self.overload.clamp(self.config.fail_mode()));
         decided.p_d = Some(p_d);
         decided.drop_draws = probe.unmarked;
         // Every unmarked bit is one draw; the draws share one hash of
@@ -654,13 +502,13 @@ impl<O: FilterObserver> BitmapFilter<O> {
             (0..probe.unmarked as u32).any(|draw| draws.unit(draw) < p_d)
         };
         if would_drop && self.is_armed(now) {
-            self.stats.dropped.fetch_add(1, Ordering::Relaxed);
+            self.stats.dropped += 1;
             decided.verdict = Verdict::Drop;
         } else if would_drop {
             // Warm-up grace: the draws said drop, but the filter's
             // memory is too cold to trust — pass, and account the
             // override so degradation stays observable.
-            self.stats.fail_open_passes.fetch_add(1, Ordering::Relaxed);
+            self.stats.fail_open_passes += 1;
             decided.fail_open = true;
         }
         decided
@@ -728,27 +576,8 @@ impl<O: FilterObserver> BitmapFilter<O> {
         self.decide_observed(&key, packet, direction)
     }
 
-    /// Lock-free twin of [`process_packet`](Self::process_packet): the
-    /// full per-packet pipeline through `&self`, verdict- and
-    /// stats-identical to the exclusive path. Callers guarantee `O` is
-    /// [`NoopObserver`] ([`FilterObserver::IS_NOOP`]) — with no hooks to
-    /// serialize, skipping observer dispatch changes nothing observable.
-    ///
-    /// [`ShardedFilter`](crate::ShardedFilter) drives this under a shard
-    /// *read* lock, so any number of workers decide packets on the same
-    /// shard concurrently.
-    pub fn process_packet_shared(&self, packet: &Packet, direction: Direction) -> Verdict {
-        debug_assert!(
-            O::IS_NOOP,
-            "process_packet_shared requires a no-op observer"
-        );
-        self.advance_shared(packet.ts());
-        let key = HashedKey::new(&packet.tuple(), direction, self.config.hole_punching());
-        self.decide_packet(&key, packet, direction).verdict
-    }
-
     /// [`decide_packet`](Self::decide_packet) plus observer dispatch:
-    /// the exclusive per-packet path after the clock has advanced.
+    /// the per-packet path after the clock has advanced.
     fn decide_observed(
         &mut self,
         key: &HashedKey,
@@ -769,9 +598,9 @@ impl<O: FilterObserver> BitmapFilter<O> {
     /// on a miss gives the value an eager read before the decision
     /// would.
     #[inline]
-    fn decide_packet(&self, key: &HashedKey, packet: &Packet, direction: Direction) -> Decided {
+    fn decide_packet(&mut self, key: &HashedKey, packet: &Packet, direction: Direction) -> Decided {
         let now = packet.ts();
-        let decided = self.decide_core(key, direction, now, || self.drop_probability(now));
+        let decided = self.decide_core(key, direction, now, |f| f.drop_probability(now));
         if direction == Direction::Outbound {
             self.engine.record_uplink(now, packet.wire_len() as u64);
         }
@@ -824,9 +653,9 @@ impl<O: FilterObserver> BitmapFilter<O> {
     /// the aggregate measurement for every sibling shard.
     pub fn reset(&mut self) {
         self.bitmap.reset();
-        self.stats.store(FilterStats::default());
+        self.stats = FilterStats::default();
         self.engine.reset();
-        self.warmup.set(None, None, false);
+        self.warmup = WarmupClock::default();
         self.overload.reset();
     }
 }
@@ -851,9 +680,8 @@ impl<O: FilterObserver> Snapshottable for BitmapFilter<O> {
         w.put_u64(next_tick.as_micros());
         // Uplink measurement window.
         snapshot::encode_monitor(self.engine.monitor(), w);
-        // Bitmap: rotation clock plus every vector's backing words, as
-        // one seqlock-consistent copy (parked vectors encode zero
-        // words).
+        // Bitmap: rotation clock plus every vector's backing words
+        // (parked vectors encode zero words).
         let (vectors, idx, rotations) = self.bitmap.snapshot_words();
         w.put_u32(idx as u32);
         w.put_u64(rotations);
@@ -864,7 +692,7 @@ impl<O: FilterObserver> Snapshottable for BitmapFilter<O> {
             }
         }
         // Running statistics.
-        let stats = self.stats.load();
+        let stats = self.stats;
         w.put_u64(stats.outbound_packets);
         w.put_u64(stats.inbound_packets);
         w.put_u64(stats.inbound_hits);
@@ -873,7 +701,7 @@ impl<O: FilterObserver> Snapshottable for BitmapFilter<O> {
         w.put_u64(stats.fail_open_passes);
         w.put_u64(stats.rotations);
         // Warm-up clock.
-        match self.warmup.arm_at() {
+        match self.warmup.arm_at {
             Some(at) => {
                 w.put_bool(true);
                 w.put_u64(at.as_micros());
@@ -964,7 +792,7 @@ impl<O: FilterObserver> Snapshottable for BitmapFilter<O> {
                 return Err(SnapshotError::Malformed("bitmap geometry"));
             }
         }
-        self.stats.store(FilterStats {
+        self.stats = FilterStats {
             outbound_packets: r.u64()?,
             inbound_packets: r.u64()?,
             inbound_hits: r.u64()?,
@@ -972,7 +800,7 @@ impl<O: FilterObserver> Snapshottable for BitmapFilter<O> {
             dropped: r.u64()?,
             fail_open_passes: r.u64()?,
             rotations: r.u64()?,
-        });
+        };
         let arm_set = r.bool()?;
         let arm_micros = r.u64()?;
         if mode == RestoreMode::Full {
@@ -982,11 +810,11 @@ impl<O: FilterObserver> Snapshottable for BitmapFilter<O> {
             // warm restore carries real filter state: treat the warm
             // window as elapsed unless the restored arm clock says
             // otherwise.
-            self.warmup.set(
+            self.warmup = WarmupClock {
                 arm_at,
-                Some(arm_at.unwrap_or(Timestamp::ZERO)),
-                arm_at.is_none(),
-            );
+                warm_until: Some(arm_at.unwrap_or(Timestamp::ZERO)),
+                arm_notified: arm_at.is_none(),
+            };
         }
         Ok(())
     }
@@ -996,7 +824,11 @@ impl<O: FilterObserver> Snapshottable for BitmapFilter<O> {
         // Derived state: an empty bitmap is by definition Normal.
         self.overload.reset();
         let armed_at = epoch + self.config.expiry_timer();
-        self.warmup.set(Some(armed_at), Some(armed_at), false);
+        self.warmup = WarmupClock {
+            arm_at: Some(armed_at),
+            warm_until: Some(armed_at),
+            arm_notified: false,
+        };
         self.engine.observer_mut().on_cold_start(epoch, armed_at);
     }
 }
@@ -1004,38 +836,13 @@ impl<O: FilterObserver> Snapshottable for BitmapFilter<O> {
 impl<O: FilterObserver> PacketFilter for BitmapFilter<O> {
     type Stats = FilterStats;
 
-    /// Concurrent exactly when the observer is a no-op: with no hooks to
-    /// serialize, the atomic bitmap/counters make `&self` decisions
-    /// verdict-identical to `&mut` ones.
-    const CONCURRENT: bool = O::IS_NOOP;
-
     fn decide(&mut self, packet: &Packet, direction: Direction) -> Verdict {
         self.process_packet(packet, direction)
-    }
-
-    fn decide_shared(&self, packet: &Packet, direction: Direction) -> Verdict {
-        self.process_packet_shared(packet, direction)
     }
 
     fn decide_keyed(&mut self, key: &HashedKey, packet: &Packet, direction: Direction) -> Verdict {
         let own = self.own_key(key, packet, direction);
         self.decide_observed(own.as_ref().unwrap_or(key), packet, direction)
-    }
-
-    fn decide_keyed_shared(
-        &self,
-        key: &HashedKey,
-        packet: &Packet,
-        direction: Direction,
-    ) -> Verdict {
-        debug_assert!(O::IS_NOOP, "decide_keyed_shared requires a no-op observer");
-        let own = self.own_key(key, packet, direction);
-        self.decide_packet(own.as_ref().unwrap_or(key), packet, direction)
-            .verdict
-    }
-
-    fn advance_shared(&self, now: Timestamp) {
-        BitmapFilter::advance_shared(self, now);
     }
 
     fn decide_batch(&mut self, packets: &[(Packet, Direction)], verdicts: &mut Vec<Verdict>) {
@@ -1060,7 +867,7 @@ impl<O: FilterObserver> PacketFilter for BitmapFilter<O> {
     }
 
     fn ticks(&self) -> u64 {
-        self.stats.rotations.load(Ordering::Relaxed)
+        self.stats.rotations
     }
 
     fn memory_bytes(&self) -> usize {

@@ -120,10 +120,8 @@ pub struct RotationEvent<'a> {
 /// implements what it cares about.
 pub trait FilterObserver {
     /// `true` only for [`NoopObserver`]: every hook is a no-op, so the
-    /// filter may take concurrent (`&self`) decision paths that skip
-    /// observer dispatch entirely. Observers with real hooks keep the
-    /// default `false` and are driven exclusively through `&mut` entry
-    /// points.
+    /// filter skips building the reports it would hand to them.
+    /// Observers with real hooks keep the default `false`.
     const IS_NOOP: bool = false;
 
     /// An outbound packet was observed (always passed).

@@ -345,8 +345,7 @@ pub struct OverloadEvent {
 }
 
 /// The ladder's runtime state: an atomic rung plus transition counters,
-/// so the concurrent (`&self`) decision paths of
-/// [`BitmapFilter`](crate::BitmapFilter) can evaluate it lock-free.
+/// evaluated through `&self`; a transition is one compare-exchange.
 #[derive(Debug)]
 pub struct OverloadLadder {
     policy: OverloadPolicy,
@@ -425,9 +424,9 @@ impl OverloadLadder {
         if to == from {
             return None;
         }
-        // One winner per transition: racing evaluators that observed the
-        // same `from` rung agree on `to` (same policy, near-identical
-        // fill), and the exchange makes exactly one of them report it.
+        // Every filter reaches its ladder through `&mut`, so no two
+        // evaluators race; the exchange only keeps the `&self` API that
+        // perfbench compiles against, and reports a transition once.
         if self
             .state
             .compare_exchange(
@@ -572,7 +571,7 @@ mod tests {
 
     #[test]
     fn disabled_ladder_never_moves() {
-        let bitmap = AtomicBitmap::new(4, 4, 3);
+        let mut bitmap = AtomicBitmap::new(4, 4, 3);
         let ladder = OverloadLadder::new(OverloadPolicy::off());
         for i in 0..200u32 {
             bitmap.mark(&i.to_le_bytes());
@@ -586,7 +585,7 @@ mod tests {
     #[test]
     fn ladder_escalates_on_fill_and_reports_projection() {
         // Tiny vectors (2^4 = 16 bits) saturate fast.
-        let bitmap = AtomicBitmap::new(4, 4, 3);
+        let mut bitmap = AtomicBitmap::new(4, 4, 3);
         let ladder = OverloadLadder::new(OverloadPolicy::balanced());
         assert!(ladder.evaluate(&bitmap, Timestamp::ZERO).is_none());
         for i in 0..300u32 {

@@ -1,9 +1,11 @@
 //! The packet-filter abstraction every deployment surface drives.
 //!
 //! Hoisted out of the simulator so the replay engine, the sharded
-//! concurrent engine, the CLI, benches, and examples all program against
-//! one interface instead of special-casing `BitmapFilter` vs the SPI
-//! baseline.
+//! engine, the CLI, benches, and examples all program against one
+//! interface instead of special-casing `BitmapFilter` vs the SPI
+//! baseline. Every filter decides through `&mut self`; a container
+//! that shares filters across threads hands out `&mut` under a lock
+//! (see [`ShardedFilter`](crate::ShardedFilter)).
 
 use crate::{HashedKey, Verdict};
 use upbound_net::{Direction, Packet, Timestamp};
@@ -36,33 +38,8 @@ pub trait PacketFilter {
     /// The aggregate-counter type this filter reports.
     type Stats: MergeStats;
 
-    /// `true` when [`decide_shared`](Self::decide_shared) /
-    /// [`advance_shared`](Self::advance_shared) are implemented and
-    /// verdict-identical to their `&mut` twins, so containers like
-    /// [`ShardedFilter`](crate::ShardedFilter) may drive the filter
-    /// through a shared reference from many threads at once. The
-    /// constant is resolved at monomorphization, so the dispatch
-    /// branches in those containers fold away.
-    ///
-    /// `BitmapFilter<NoopObserver>` is concurrent (atomic bitmap, atomic
-    /// counters, no observer to serialize); observed filters and the SPI
-    /// baseline (whose flow table needs `&mut`) are not.
-    const CONCURRENT: bool = false;
-
     /// Decides the fate of one packet.
     fn decide(&mut self, packet: &Packet, direction: Direction) -> Verdict;
-
-    /// Lock-free twin of [`decide`](Self::decide): the full per-packet
-    /// pipeline through a shared reference.
-    ///
-    /// Must be verdict- and stats-identical to [`decide`](Self::decide).
-    /// Only callable when [`CONCURRENT`](Self::CONCURRENT) is `true`;
-    /// the default body is unreachable because callers dispatch on that
-    /// constant.
-    fn decide_shared(&self, packet: &Packet, direction: Direction) -> Verdict {
-        let _ = (packet, direction);
-        unreachable!("decide_shared called on a filter with CONCURRENT == false")
-    }
 
     /// [`decide`](Self::decide) for a packet whose key the caller has
     /// already built and hashed, after advancing the filter to at least
@@ -80,29 +57,9 @@ pub trait PacketFilter {
         self.decide(packet, direction)
     }
 
-    /// Lock-free twin of [`decide_keyed`](Self::decide_keyed); the
-    /// default calls [`decide_shared`](Self::decide_shared).
-    fn decide_keyed_shared(
-        &self,
-        key: &HashedKey,
-        packet: &Packet,
-        direction: Direction,
-    ) -> Verdict {
-        let _ = key;
-        self.decide_shared(packet, direction)
-    }
-
     /// Applies every timer event (rotation, purge sweep) due at or
     /// before `now` without processing a packet.
     fn advance(&mut self, now: Timestamp);
-
-    /// Lock-free twin of [`advance`](Self::advance). Only callable when
-    /// [`CONCURRENT`](Self::CONCURRENT) is `true`; see
-    /// [`decide_shared`](Self::decide_shared).
-    fn advance_shared(&self, now: Timestamp) {
-        let _ = now;
-        unreachable!("advance_shared called on a filter with CONCURRENT == false")
-    }
 
     /// Decides a batch of packets, appending one verdict per packet to
     /// `verdicts` in input order.

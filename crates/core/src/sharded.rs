@@ -1,15 +1,13 @@
-//! Flow-hash sharding: the concurrent deployment surface.
+//! Flow-hash sharding: the deployment surface shared between threads.
 //!
 //! The paper's filter does O(1) work per packet, but a single filter
 //! behind a single lock serializes every packet and caps throughput at
 //! one core. [`ShardedFilter`] partitions the five-tuple space by a
-//! direction-symmetric [`FlowHash`] across N shards. For concurrent
-//! filters ([`PacketFilter::CONCURRENT`], i.e. the unobserved
-//! `BitmapFilter` with its atomic bitmap) the per-packet path takes only
-//! a shard *read* lock — any number of workers decide packets on any
-//! shard simultaneously, and the shard count controls data partitioning
-//! rather than lock granularity. Exclusive filters (SPI, observed
-//! filters) keep the original one-writer-per-shard locking.
+//! direction-symmetric [`FlowHash`] across N shards, each behind its
+//! own lock. A shard decides through `&mut` under its write guard, so
+//! its bitmap, counters and clocks are plain loads and stores; a batch
+//! takes every guard once, so concurrent batches serialize on the whole
+//! bank; only per-packet callers on different shards run in parallel.
 //!
 //! Three invariants make the sharded filter behave exactly like one big
 //! sequential filter:
@@ -43,7 +41,7 @@ use crate::{
 };
 use parking_lot::RwLock;
 use std::fmt;
-use std::ops::Deref;
+use std::ops::DerefMut;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -365,12 +363,8 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
         (self.inner.flow.key(tuple, direction) % self.inner.shards.len() as u64) as usize
     }
 
-    /// Runs the full per-packet pipeline on the packet's shard. For a
-    /// concurrent filter ([`PacketFilter::CONCURRENT`]) this takes only
-    /// the shard's *read* lock — the decision itself is lock-free on the
-    /// atomic bitmap, so workers on the same shard proceed in parallel;
-    /// exclusive filters take the write lock as before. The branch is on
-    /// an associated constant, so it folds away at monomorphization.
+    /// Runs the full per-packet pipeline on the packet's shard, under
+    /// that shard's write guard.
     pub fn process_packet(&self, packet: &Packet, direction: Direction) -> Verdict {
         self.process_packet_at(packet, direction, packet.ts())
     }
@@ -393,16 +387,9 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
         watermark: Timestamp,
     ) -> Verdict {
         let key = self.inner.flow.hashed(packet, direction);
-        let shard = self.shard_index(&key);
-        if F::CONCURRENT {
-            let guard = self.inner.shards[shard].read();
-            guard.advance_shared(watermark);
-            guard.decide_keyed_shared(&key, packet, direction)
-        } else {
-            let mut guard = self.inner.shards[shard].write();
-            guard.advance(watermark);
-            guard.decide_keyed(&key, packet, direction)
-        }
+        let mut guard = self.inner.shards[self.shard_index(&key)].write();
+        guard.advance(watermark);
+        guard.decide_keyed(&key, packet, direction)
     }
 
     /// The shard a hashed key belongs to.
@@ -414,16 +401,13 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
     /// Runs the full per-packet pipeline on a batch of packets,
     /// appending one verdict per packet to `verdicts` in input order.
     ///
-    /// Every shard lock is taken **once per batch** — up front, in
-    /// shard-index order (the fixed hierarchy all multi-lock paths
+    /// Every shard's write guard is taken **once per batch** — up front,
+    /// in shard-index order (the fixed hierarchy all multi-lock paths
     /// share, so concurrent batches cannot deadlock) — and the batch is
-    /// then decided strictly in input order. Concurrent filters
-    /// ([`PacketFilter::CONCURRENT`]) take *read* locks, so many worker
-    /// handles batch against the same shards simultaneously; exclusive
-    /// filters take write locks and serialize per shard. Either way the
-    /// amortized lock/dispatch cost keeps verdicts byte-identical to
-    /// feeding the same stream through a sequential filter one packet at
-    /// a time:
+    /// then decided strictly in input order through `&mut`, so
+    /// concurrent batches serialize. The amortized lock/dispatch cost
+    /// keeps verdicts byte-identical to feeding the same stream through
+    /// a sequential filter one packet at a time:
     ///
     /// * packets are decided in input order, so an inbound decision
     ///   observes exactly the uplink bytes recorded by the outbound
@@ -444,32 +428,22 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
     pub fn process_batch(&self, packets: &[(Packet, Direction)], verdicts: &mut Vec<Verdict>) {
         verdicts.reserve(packets.len());
         let flow = self.inner.flow;
-        let micros = self.inner.watermark.load(Ordering::Relaxed);
-        if F::CONCURRENT {
-            let guards = self.inner.shards.iter().map(|shard| shard.read()).collect();
-            let mut batch = BatchEnd::new(&self.inner, guards, micros);
-            for (packet, direction) in packets {
-                let now = batch.witness(packet);
-                let key = flow.hashed(packet, *direction);
-                let guard = &batch.guards[self.shard_index(&key)];
-                guard.advance_shared(now);
-                verdicts.push(guard.decide_keyed_shared(&key, packet, *direction));
-            }
-        } else {
-            let guards = self
+        let mut batch = BatchEnd {
+            inner: &self.inner,
+            guards: self
                 .inner
                 .shards
                 .iter()
                 .map(|shard| shard.write())
-                .collect();
-            let mut batch = BatchEnd::new(&self.inner, guards, micros);
-            for (packet, direction) in packets {
-                let now = batch.witness(packet);
-                let key = flow.hashed(packet, *direction);
-                let guard = &mut batch.guards[self.shard_index(&key)];
-                guard.advance(now);
-                verdicts.push(guard.decide_keyed(&key, packet, *direction));
-            }
+                .collect(),
+            micros: self.inner.watermark.load(Ordering::Relaxed),
+        };
+        for (packet, direction) in packets {
+            let now = batch.witness(packet);
+            let key = flow.hashed(packet, *direction);
+            let guard = &mut batch.guards[self.shard_index(&key)];
+            guard.advance(now);
+            verdicts.push(guard.decide_keyed(&key, packet, *direction));
         }
     }
 
@@ -479,16 +453,9 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
     pub fn advance(&self, now: Timestamp) {
         let mut ticks = 0;
         for shard in &self.inner.shards {
-            let ticked = if F::CONCURRENT {
-                let guard = shard.read();
-                guard.advance_shared(now);
-                guard.ticks()
-            } else {
-                let mut guard = shard.write();
-                guard.advance(now);
-                guard.ticks()
-            };
-            ticks = ticks.max(ticked);
+            let mut guard = shard.write();
+            guard.advance(now);
+            ticks = ticks.max(guard.ticks());
         }
         self.inner.ticks.store(ticks, Ordering::Relaxed);
     }
@@ -714,21 +681,13 @@ impl<F: PacketFilter + Send + Sync + Snapshottable> ShardedFilter<F> {
 /// watermark. When the call ends — on return or while unwinding out of a
 /// panicking decision — the watermark is stored back into the handle and
 /// the largest shard tick count is read through the guards still held.
-struct BatchEnd<'a, F: PacketFilter, G: Deref<Target = F>> {
+struct BatchEnd<'a, F: PacketFilter, G: DerefMut<Target = F>> {
     inner: &'a Inner<F>,
     guards: Vec<G>,
     micros: u64,
 }
 
-impl<'a, F: PacketFilter, G: Deref<Target = F>> BatchEnd<'a, F, G> {
-    fn new(inner: &'a Inner<F>, guards: Vec<G>, micros: u64) -> Self {
-        Self {
-            inner,
-            guards,
-            micros,
-        }
-    }
-
+impl<F: PacketFilter, G: DerefMut<Target = F>> BatchEnd<'_, F, G> {
     /// Advances the watermark over `packet`; returns it.
     #[inline]
     fn witness(&mut self, packet: &Packet) -> Timestamp {
@@ -737,7 +696,7 @@ impl<'a, F: PacketFilter, G: Deref<Target = F>> BatchEnd<'a, F, G> {
     }
 }
 
-impl<F: PacketFilter, G: Deref<Target = F>> Drop for BatchEnd<'_, F, G> {
+impl<F: PacketFilter, G: DerefMut<Target = F>> Drop for BatchEnd<'_, F, G> {
     fn drop(&mut self) {
         let inner = self.inner;
         inner.watermark.fetch_max(self.micros, Ordering::Relaxed);
@@ -748,15 +707,7 @@ impl<F: PacketFilter, G: Deref<Target = F>> Drop for BatchEnd<'_, F, G> {
 impl<F: PacketFilter + Send + Sync> PacketFilter for ShardedFilter<F> {
     type Stats = F::Stats;
 
-    /// The handle decides through `&self` already, so a sharded filter
-    /// is itself concurrent whenever its shards are.
-    const CONCURRENT: bool = F::CONCURRENT;
-
     fn decide(&mut self, packet: &Packet, direction: Direction) -> Verdict {
-        ShardedFilter::process_packet(self, packet, direction)
-    }
-
-    fn decide_shared(&self, packet: &Packet, direction: Direction) -> Verdict {
         ShardedFilter::process_packet(self, packet, direction)
     }
 
@@ -765,10 +716,6 @@ impl<F: PacketFilter + Send + Sync> PacketFilter for ShardedFilter<F> {
     }
 
     fn advance(&mut self, now: Timestamp) {
-        ShardedFilter::advance(self, now);
-    }
-
-    fn advance_shared(&self, now: Timestamp) {
         ShardedFilter::advance(self, now);
     }
 
@@ -896,8 +843,8 @@ mod tests {
 
     #[test]
     fn concurrent_batches_match_a_sequential_filter() {
-        // Workers batch disjoint flows through the keyed path under
-        // shard read locks; a barrier starts them together. Marks land
+        // Workers batch disjoint flows through the keyed path under the
+        // shard write guards; a barrier starts them together. Marks land
         // before the responses are batched, so every response passes
         // and the merged counters equal one sequential filter's.
         const WORKERS: u16 = 4;

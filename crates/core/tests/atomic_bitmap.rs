@@ -1,16 +1,14 @@
-//! Multi-threaded stress tests for the atomic `{k × N}` bitmap and the
-//! shared (lock-free) filter hot path built on it.
+//! Expiry and concurrency tests for the `{k × N}` bitmap and the
+//! sharded filter that shares it between threads.
 //!
-//! The invariant under attack: a **completed** mark behaves exactly like
-//! a sequential mark — it lives in all `k` vectors of some epoch and
-//! therefore survives at least `k − 1` subsequent rotations. Rotation
-//! racing a mark may only steal writes in the *departed* (zeroed)
-//! vector, which the mark's epoch-validation retry repairs, so no
-//! verdict may flip Pass→Drop across an epoch swap.
+//! The invariant under attack: a completed mark lives in all `k`
+//! vectors and therefore survives at least `k − 1` subsequent
+//! rotations, so no verdict may flip Pass→Drop across a rotation. The
+//! bitmap's writes take `&mut self`, so threads share it only through
+//! [`ShardedFilter`]'s shard write guards; the concurrent tests drive
+//! that path.
 
-use upbound_core::{
-    AtomicBitmap, BitmapFilter, BitmapFilterConfig, PacketFilter, ShardedFilter, Verdict,
-};
+use upbound_core::{AtomicBitmap, BitmapFilter, BitmapFilterConfig, ShardedFilter, Verdict};
 use upbound_net::{Direction, FiveTuple, Packet, Protocol, TcpFlags, Timestamp};
 
 fn client_conn(port: u16) -> FiveTuple {
@@ -39,104 +37,21 @@ fn response(port: u16, t: f64) -> Packet {
     )
 }
 
-/// Writers mark disjoint key ranges while a rotator performs `k − 2`
-/// rotations mid-stream. Every completed mark must survive: it landed in
-/// all `k` vectors of some epoch, and fewer than `k − 1` rotations
-/// followed.
-#[test]
-fn completed_marks_survive_concurrent_rotation() {
-    const WRITERS: usize = 4;
-    const KEYS_PER_WRITER: u32 = 400;
-    let bm = AtomicBitmap::new(4, 16, 3);
-    std::thread::scope(|scope| {
-        for w in 0..WRITERS as u32 {
-            let bm = &bm;
-            scope.spawn(move || {
-                for i in 0..KEYS_PER_WRITER {
-                    let key = (w * KEYS_PER_WRITER + i).to_le_bytes();
-                    bm.mark(&key);
-                    // A mark that returned is immediately visible.
-                    assert!(bm.lookup(&key), "fresh mark invisible: {key:?}");
-                }
-            });
-        }
-        let bm = &bm;
-        scope.spawn(move || {
-            // k − 2 = 2 rotations, spread across the writers' lifetime.
-            for _ in 0..2 {
-                std::thread::yield_now();
-                bm.rotate();
-            }
-        });
-    });
-    assert_eq!(bm.rotations(), 2);
-    for key in 0..(WRITERS as u32 * KEYS_PER_WRITER) {
-        assert!(
-            bm.lookup(&key.to_le_bytes()),
-            "key {key} lost across epoch swaps"
-        );
-    }
-}
-
-/// Readers hammer `probe` while a writer re-marks and a rotator cycles
-/// epochs continuously. Probes must always be internally consistent —
-/// `known` implies zero unmarked bits, `unmarked` never exceeds `m` —
-/// and utilization must stay a valid fraction.
-#[test]
-fn probes_are_epoch_consistent_under_churn() {
-    let bm = AtomicBitmap::new(4, 12, 3);
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let bm_ref = &bm;
-        let stop_ref = &stop;
-        scope.spawn(move || {
-            for i in 0..20_000u32 {
-                bm_ref.mark(&(i % 64).to_le_bytes());
-            }
-            stop_ref.store(true, std::sync::atomic::Ordering::Release);
-        });
-        scope.spawn(move || {
-            while !stop_ref.load(std::sync::atomic::Ordering::Acquire) {
-                bm_ref.rotate();
-                std::thread::yield_now();
-            }
-        });
-        for _ in 0..2 {
-            scope.spawn(move || {
-                while !stop_ref.load(std::sync::atomic::Ordering::Acquire) {
-                    let probe = bm_ref.probe(&7u32.to_le_bytes());
-                    assert_eq!(probe.known, probe.unmarked == 0);
-                    assert!(probe.unmarked <= 3, "unmarked {} > m", probe.unmarked);
-                    let u = bm_ref.utilization();
-                    assert!((0.0..=1.0).contains(&u), "utilization {u} out of range");
-                }
-            });
-        }
-    });
-}
-
-/// The paper's expiry bound holds even when the final rotations race
-/// fresh marks of *other* keys: a key never re-marked is gone after `k`
-/// rotations, no matter what else the bitmap absorbed meanwhile.
+/// The paper's expiry bound holds even when the rotations are
+/// interleaved with fresh marks of *other* keys: a key never re-marked
+/// is gone after `k` rotations, no matter what else the bitmap absorbed
+/// meanwhile.
 #[test]
 fn unrefreshed_keys_expire_after_k_rotations_despite_churn() {
-    let bm = AtomicBitmap::new(4, 14, 3);
+    let mut bm = AtomicBitmap::new(4, 14, 3);
     bm.mark(b"victim");
-    std::thread::scope(|scope| {
-        let bm_ref = &bm;
-        scope.spawn(move || {
-            for i in 0..4_000u32 {
-                // Churn on a disjoint keyspace; never touches "victim".
-                bm_ref.mark(&(0x8000_0000 | i).to_le_bytes());
-            }
-        });
-        scope.spawn(move || {
-            for _ in 0..4 {
-                bm_ref.rotate();
-                std::thread::yield_now();
-            }
-        });
-    });
+    for i in 0..4_000u32 {
+        // Churn on a disjoint keyspace; never touches "victim".
+        bm.mark(&(0x8000_0000 | i).to_le_bytes());
+        if i % 1_000 == 999 {
+            bm.rotate();
+        }
+    }
     assert_eq!(bm.rotations(), 4);
     assert!(
         !bm.lookup(b"victim"),
@@ -144,27 +59,31 @@ fn unrefreshed_keys_expire_after_k_rotations_despite_churn() {
     );
 }
 
-/// Filter-level oracle: flows marked concurrently through the shared
-/// (`&self`) hot path, with epoch rotations racing the marks, must all
-/// pass on their responses — exactly what a sequential filter yields for
-/// the same stream. `P_d ≡ 1` makes any lost mark an immediate
-/// Pass→Drop flip, so this fails loudly if rotation can eat a mark.
+/// Filter-level oracle: flows marked by four threads through one shared
+/// shard, with rotations coming due among the marks, must all pass on
+/// their responses — exactly what a sequential filter yields for the
+/// same stream. `P_d ≡ 1` makes any lost mark an immediate Pass→Drop
+/// flip, so this fails loudly if a rotation can eat a mark.
 #[test]
 fn no_verdict_flips_pass_to_drop_across_epoch_swap() {
     const WORKERS: u16 = 4;
     const FLOWS: u16 = 120;
     let config = BitmapFilterConfig::paper_evaluation(); // Δt = 5 s, k = 4
-    let shared = BitmapFilter::new(config.clone());
+    let shared = ShardedFilter::builder(config.clone())
+        .build()
+        .expect("one shard");
+    let barrier = std::sync::Barrier::new(usize::from(WORKERS));
     std::thread::scope(|scope| {
         for w in 0..WORKERS {
-            let shared = &shared;
+            let (shared, barrier) = (shared.clone(), &barrier);
             scope.spawn(move || {
+                barrier.wait();
                 for i in 0..FLOWS {
                     let port = 20_000 + w * FLOWS + i;
                     // Timestamps crawl toward the first two rotations
-                    // (t = 5 s, 10 s) so marks race epoch swaps.
+                    // (t = 5 s, 10 s) so marks interleave with them.
                     let t = 0.5 + f64::from(i) * (10.0 / f64::from(FLOWS));
-                    let verdict = shared.decide_shared(&outbound(port, t), Direction::Outbound);
+                    let verdict = shared.process_packet(&outbound(port, t), Direction::Outbound);
                     assert_eq!(verdict, Verdict::Pass);
                 }
             });
@@ -182,7 +101,7 @@ fn no_verdict_flips_pass_to_drop_across_epoch_swap() {
         let expect = oracle.process_packet(&resp, Direction::Inbound);
         assert_eq!(expect, Verdict::Pass, "oracle must accept its own flows");
         assert_eq!(
-            shared.decide_shared(&resp, Direction::Inbound),
+            shared.process_packet(&resp, Direction::Inbound),
             expect,
             "shared filter flipped Pass→Drop for port {}",
             20_000 + port
@@ -190,7 +109,7 @@ fn no_verdict_flips_pass_to_drop_across_epoch_swap() {
     }
     let stranger = response(61_111, 11.0);
     assert_eq!(
-        shared.decide_shared(&stranger, Direction::Inbound),
+        shared.process_packet(&stranger, Direction::Inbound),
         oracle.process_packet(&stranger, Direction::Inbound),
     );
     assert_eq!(
@@ -199,12 +118,12 @@ fn no_verdict_flips_pass_to_drop_across_epoch_swap() {
     );
 }
 
-/// The sharded read-lock path under full concurrency: workers mark and
-/// immediately verify their own flows while a dedicated ticker advances
-/// the clock through two epoch swaps (t = 5 s, 10 s — within `k − 1`).
-/// Merged stats must account every packet exactly once.
+/// The sharded write-guard path under full concurrency: workers mark
+/// and immediately verify their own flows while a dedicated ticker
+/// advances the clock through two rotations (t = 5 s, 10 s — within
+/// `k − 1`). Merged stats must account every packet exactly once.
 #[test]
-fn sharded_read_path_is_linearizable_for_own_flows() {
+fn sharded_write_guard_path_is_linearizable_for_own_flows() {
     const WORKERS: u16 = 4;
     const FLOWS: u16 = 100;
     let filter = ShardedFilter::builder(BitmapFilterConfig::paper_evaluation())
@@ -254,7 +173,7 @@ fn sharded_read_path_is_linearizable_for_own_flows() {
             assert_eq!(
                 filter.process_packet(&response(port, 11.2), Direction::Inbound),
                 Verdict::Pass,
-                "mark for port {port} lost across epoch swaps"
+                "mark for port {port} lost across rotations"
             );
         }
     }

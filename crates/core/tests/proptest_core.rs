@@ -18,7 +18,7 @@ proptest! {
         len in 1usize..2000,
         indices in proptest::collection::vec(any::<usize>(), 0..200),
     ) {
-        let v = AtomicBitVec::new(len);
+        let mut v = AtomicBitVec::new(len);
         let mut reference = HashSet::new();
         for raw in indices {
             let i = raw % len;
@@ -38,7 +38,7 @@ proptest! {
         keys in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..32), 0..100),
         m in 1usize..6,
     ) {
-        let b = AtomicBitmap::new(2, 12, m);
+        let mut b = AtomicBitmap::new(2, 12, m);
         for k in &keys {
             b.mark(k);
         }
@@ -55,7 +55,7 @@ proptest! {
         k in 2usize..8,
         pre_rotations in 0usize..10,
     ) {
-        let bm = AtomicBitmap::new(k, 12, 3);
+        let mut bm = AtomicBitmap::new(k, 12, 3);
         for _ in 0..pre_rotations {
             bm.rotate(); // phase should not matter
         }
@@ -74,7 +74,7 @@ proptest! {
     fn bitmap_marking_is_monotone(
         keys in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..16), 1..50),
     ) {
-        let bm = AtomicBitmap::new(4, 10, 2);
+        let mut bm = AtomicBitmap::new(4, 10, 2);
         let mut prev = 0.0;
         for key in &keys {
             bm.mark(key);
@@ -150,7 +150,7 @@ proptest! {
     fn measured_penetration_matches_prediction(seed_keys in 50usize..400) {
         let n_bits = 12u32;
         let m = 2usize;
-        let bm = AtomicBitmap::new(4, n_bits, m);
+        let mut bm = AtomicBitmap::new(4, n_bits, m);
         for i in 0..seed_keys as u64 {
             bm.mark(&i.to_le_bytes());
         }
@@ -234,7 +234,7 @@ proptest! {
         m in 1usize..4,
     ) {
         let n_bits = 8;
-        let bitmap = AtomicBitmap::new(k, n_bits, m);
+        let mut bitmap = AtomicBitmap::new(k, n_bits, m);
         let mut spec = BitmapSpec::new(k, n_bits, m);
         for op in &ops {
             match op {
@@ -274,7 +274,7 @@ fn penetration_matches_eq_2_and_3() {
     for m in [2usize, 3, 4] {
         for load in [0.1, 0.3, 0.6] {
             let c = (load * N as f64 / m as f64).round() as u64;
-            let bitmap = AtomicBitmap::new(4, N_BITS, m);
+            let mut bitmap = AtomicBitmap::new(4, N_BITS, m);
             for i in 0..c {
                 bitmap.mark(&i.to_le_bytes());
             }

@@ -453,8 +453,7 @@ impl PipelineRunner {
     ///
     /// A fault plan with panics serves through
     /// [`serve_observed`](Self::serve_observed), whose shards panic on the
-    /// plan's schedule. Without panics the shards carry no observer and
-    /// decide on the lock-free concurrent path.
+    /// plan's schedule. Without panics the shards carry no observer.
     ///
     /// # Errors
     ///

@@ -1,18 +1,23 @@
 //! Property-based tests for the overload ladder's safety and efficacy.
 //!
-//! Two claims from DESIGN.md's overload model are exercised here:
+//! Three claims from DESIGN.md's overload model are exercised here:
 //!
 //! 1. **Safety** — no matter how intense an inbound SYN flood gets, the
 //!    ladder never flips a *solicited* flow from Pass to Drop inside the
 //!    documented rotation bound: a mark survives at least
 //!    `⌊(k−1)/2⌋·Δt` of watermark time even with early rotation running
 //!    at double rate (for the default `k = 4`, `Δt = 5 s`: 5 seconds).
-//! 2. **Efficacy** — under a seeded SYN flood sized to saturate the
+//! 2. **Expiry** — early rotation only shortens a mark's life: a mark
+//!    made while the ladder is `Saturated` is gone `k·Δt` after it was
+//!    made, the paper's upper bound.
+//! 3. **Efficacy** — under a seeded SYN flood sized to saturate the
 //!    filter, the ladder-enabled arm admits strictly fewer probe-wave
 //!    false positives than the ladder-disabled arm, for any seed.
 
 use proptest::prelude::*;
-use upbound::core::{BitmapFilter, BitmapFilterConfig, OverloadPolicy, PacketFilter, Verdict};
+use upbound::core::{
+    BitmapFilter, BitmapFilterConfig, OverloadPolicy, OverloadState, PacketFilter, Verdict,
+};
 use upbound::net::{Direction, FiveTuple, Packet, Protocol, TcpFlags, TimeDelta, Timestamp};
 use upbound::traffic::{attack, AttackConfig};
 
@@ -105,6 +110,62 @@ proptest! {
             bound.as_micros(),
             flood_rate
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A flow marked once while a flood holds the ladder at `Saturated`
+    /// probes unknown `k·Δt` after its mark: the ladder's early
+    /// rotations never extend a mark past the paper's expiry bound.
+    #[test]
+    fn saturated_ladder_never_extends_a_mark_past_k_delta_t(
+        flood_rate in 1000.0f64..1500.0,
+        mark_secs in 8.0f64..10.0,
+        seed in any::<u64>(),
+    ) {
+        let config = flood_config(10);
+        let lifetime = TimeDelta::from_micros(
+            config.rotate_every().as_micros() * config.vectors() as u64,
+        );
+        // The flood ends before the mark, so by `mark + k·Δt` every bit
+        // it set is as old as the mark's and a hit could only be the
+        // mark itself.
+        let mark_ts = Timestamp::from_secs(mark_secs);
+        let flood = attack::syn_flood(&AttackConfig {
+            seed,
+            start: Timestamp::from_secs(0.0),
+            duration: TimeDelta::from_secs(8.0),
+            rate_per_sec: flood_rate,
+            victim: "10.0.0.9:6881".parse().expect("static addr"),
+        });
+        let tuple = FiveTuple::new(
+            Protocol::Tcp,
+            "10.0.0.9:7777".parse().expect("static addr"),
+            "203.0.113.5:9999".parse().expect("static addr"),
+        );
+        let mut filter =
+            BitmapFilter::new(config.clone()).with_overload_policy(OverloadPolicy::balanced());
+        for lp in &flood.packets {
+            filter.decide(&lp.packet, lp.direction);
+        }
+        let outbound = Packet::tcp(mark_ts, tuple, TcpFlags::from_bits(0x18), vec![1]);
+        filter.decide(&outbound, Direction::Outbound);
+        prop_assert_eq!(filter.overload_state(), OverloadState::Saturated);
+        let key = tuple.outbound_key(config.hole_punching()).to_bytes();
+        prop_assert!(filter.bitmap().lookup(&key), "the mark itself was lost");
+
+        let reply = Packet::tcp(
+            mark_ts + lifetime,
+            tuple.inverse(),
+            TcpFlags::from_bits(0x18),
+            vec![2],
+        );
+        // Drop-all: an unknown reply drops.
+        prop_assert_eq!(filter.decide(&reply, Direction::Inbound), Verdict::Drop);
+        prop_assert!(!filter.bitmap().lookup(&key), "mark outlived k·Δt");
+        prop_assert!(filter.overload().early_rotations() > 0);
     }
 }
 

@@ -100,7 +100,7 @@ proptest! {
         keys in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..40), 1..50),
         rotations in 0usize..3,
     ) {
-        let bitmap = AtomicBitmap::new(4, 12, 3);
+        let mut bitmap = AtomicBitmap::new(4, 12, 3);
         for key in &keys {
             bitmap.mark(key);
         }
@@ -117,7 +117,7 @@ proptest! {
     fn bitmap_forgets_after_k_rotations(
         keys in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..40), 1..20),
     ) {
-        let bitmap = AtomicBitmap::new(3, 14, 2);
+        let mut bitmap = AtomicBitmap::new(3, 14, 2);
         for key in &keys {
             bitmap.mark(key);
         }
@@ -227,13 +227,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The shared (`&self`) inbound path derives `P_d` only on a miss;
-    /// the exclusive path derives it eagerly. With a live `P_d` (mean
-    /// uplink between L and H) and the overload ladder clamping during a
-    /// SYN flood, both must still produce the same verdict for every
-    /// packet and the same counters.
+    /// The packet path derives `P_d` only on an inbound miss. With a live
+    /// `P_d` (mean uplink between L and H) and the overload ladder
+    /// clamping during a SYN flood, it must give the verdicts and
+    /// counters of a filter handed `P_d` read before every inbound
+    /// decision.
     #[test]
-    fn shared_path_matches_exclusive_with_live_pd_and_ladder(seed in any::<u64>()) {
+    fn lazy_pd_matches_eager_with_live_pd_and_ladder(seed in any::<u64>()) {
         let trace = generate(
             &TraceConfig::builder()
                 .duration_secs(40.0)
@@ -270,20 +270,26 @@ proptest! {
             BitmapFilter::new(config.clone()).with_overload_policy(OverloadPolicy::balanced())
         };
 
-        let mut exclusive = build();
-        let shared = build();
+        let mut eager = build();
+        let mut lazy = build();
         let mut laddered = false;
         let mut live_pd = false;
         for (packet, direction) in &stream {
-            let p_d = exclusive.drop_probability(packet.ts());
-            live_pd |= p_d > 0.0 && p_d < 1.0;
-            let want = exclusive.process_packet(packet, *direction);
-            laddered |= exclusive.overload_state() != OverloadState::Normal;
-            prop_assert_eq!(shared.process_packet_shared(packet, *direction), want);
+            let now = packet.ts();
+            let want = match direction {
+                Direction::Outbound => eager.process_packet(packet, *direction),
+                Direction::Inbound => {
+                    let p_d = eager.drop_probability(now);
+                    live_pd |= p_d > 0.0 && p_d < 1.0;
+                    eager.check_inbound(&packet.tuple(), now, p_d)
+                }
+            };
+            laddered |= eager.overload_state() != OverloadState::Normal;
+            prop_assert_eq!(lazy.process_packet(packet, *direction), want);
         }
-        prop_assert_eq!(shared.stats(), exclusive.stats());
+        prop_assert_eq!(lazy.stats(), eager.stats());
         prop_assert!(live_pd, "P_d never strictly between 0 and 1");
         prop_assert!(laddered, "the flood never engaged the ladder");
-        prop_assert!(exclusive.stats().dropped > 0);
+        prop_assert!(eager.stats().dropped > 0);
     }
 }

@@ -797,7 +797,7 @@ fn scraping_in_a_tight_loop_changes_no_verdict() {
         .shards(2)
         .block_connections(true);
 
-    // Each session twice over: `serve` on the lock-free shard path, and
+    // Each session twice over: `serve` with unobserved shards, and
     // `serve_observed` with a sink digesting every verdict.
     let session = |registry: Option<&Registry>| {
         let control = match registry {

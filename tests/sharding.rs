@@ -276,13 +276,12 @@ proptest! {
     }
 }
 
-/// Rotation-vs-mark race: workers mark flows through the lock-free
-/// shared path while a ticker drives epoch rotations underneath them.
-/// A mark whose epoch changed mid-write retries, so every *completed*
-/// mark lives in all `k` vectors of some epoch and survives the
-/// `< k − 1` rotations that follow — with `P_d ≡ 1`, any mark a
-/// rotation managed to eat would flip its response Pass→Drop, which is
-/// exactly what this asserts cannot happen.
+/// Rotation-vs-mark race: workers mark flows through the shard write
+/// guards while a ticker drives rotations from another thread. Every
+/// completed mark lives in all `k` vectors and survives the `< k − 1`
+/// rotations that follow — with `P_d ≡ 1`, any mark a rotation managed
+/// to eat would flip its response Pass→Drop, which is exactly what
+/// this asserts cannot happen.
 #[test]
 fn rotation_racing_marks_never_flips_pass_to_drop() {
     const WORKERS: u16 = 4;
@@ -307,7 +306,7 @@ fn rotation_racing_marks_never_flips_pass_to_drop() {
                 }
             });
         }
-        // Two epoch swaps (t = 5 s, 10 s) racing the marks above —
+        // Two rotations (t = 5 s, 10 s) racing the marks above —
         // still < k − 1 = 3, so no completed mark may expire.
         let ticker = filter.clone();
         scope.spawn(move || {
