@@ -339,7 +339,7 @@ impl<O: FilterObserver> BitmapFilter<O> {
     fn tick(
         bitmap: &mut AtomicBitmap,
         stats: &mut FilterStats,
-        overload: &OverloadLadder,
+        overload: &mut OverloadLadder,
         at: Timestamp,
     ) -> Option<OverloadEvent> {
         bitmap.rotate();

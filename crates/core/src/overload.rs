@@ -38,7 +38,6 @@
 
 use crate::config::FailMode;
 use crate::AtomicBitmap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use upbound_net::Timestamp;
 
 /// The rungs of the degradation ladder, in escalation order.
@@ -344,25 +343,13 @@ pub struct OverloadEvent {
     pub transitions: u64,
 }
 
-/// The ladder's runtime state: an atomic rung plus transition counters,
-/// evaluated through `&self`; a transition is one compare-exchange.
-#[derive(Debug)]
+/// The ladder's runtime state: the rung plus transition counters.
+#[derive(Debug, Clone)]
 pub struct OverloadLadder {
     policy: OverloadPolicy,
-    state: AtomicU8,
-    transitions: AtomicU64,
-    early_rotations: AtomicU64,
-}
-
-impl Clone for OverloadLadder {
-    fn clone(&self) -> Self {
-        OverloadLadder {
-            policy: self.policy.clone(),
-            state: AtomicU8::new(self.state.load(Ordering::Relaxed)),
-            transitions: AtomicU64::new(self.transitions.load(Ordering::Relaxed)),
-            early_rotations: AtomicU64::new(self.early_rotations.load(Ordering::Relaxed)),
-        }
-    }
+    state: OverloadState,
+    transitions: u64,
+    early_rotations: u64,
 }
 
 impl OverloadLadder {
@@ -370,9 +357,9 @@ impl OverloadLadder {
     pub fn new(policy: OverloadPolicy) -> Self {
         OverloadLadder {
             policy,
-            state: AtomicU8::new(OverloadState::Normal.as_u8()),
-            transitions: AtomicU64::new(0),
-            early_rotations: AtomicU64::new(0),
+            state: OverloadState::Normal,
+            transitions: 0,
+            early_rotations: 0,
         }
     }
 
@@ -391,62 +378,48 @@ impl OverloadLadder {
             // A disabled ladder reports `Normal` everywhere clamps and
             // rotation are derived; drop the stale rung too so state
             // gauges agree.
-            *self.state.get_mut() = OverloadState::Normal.as_u8();
+            self.state = OverloadState::Normal;
         }
         self.policy = policy;
     }
 
     /// The current rung.
     pub fn state(&self) -> OverloadState {
-        OverloadState::from_u8(self.state.load(Ordering::Relaxed))
+        self.state
     }
 
     /// Total transitions performed.
     pub fn transitions(&self) -> u64 {
-        self.transitions.load(Ordering::Relaxed)
+        self.transitions
     }
 
     /// Extra rotations performed because the ladder was `Saturated`.
     pub fn early_rotations(&self) -> u64 {
-        self.early_rotations.load(Ordering::Relaxed)
+        self.early_rotations
     }
 
     /// Samples the sentinel against `bitmap` and moves the ladder if the
     /// fill crossed a (hysteresis-guarded) threshold. Returns the
     /// transition when one happened — `None` on the hot path.
-    pub fn evaluate(&self, bitmap: &AtomicBitmap, now: Timestamp) -> Option<OverloadEvent> {
+    pub fn evaluate(&mut self, bitmap: &AtomicBitmap, now: Timestamp) -> Option<OverloadEvent> {
         if !self.policy.enabled {
             return None;
         }
-        let from = self.state();
+        let from = self.state;
         let fill = bitmap.utilization();
         let to = self.policy.target_state(from, fill);
         if to == from {
             return None;
         }
-        // Every filter reaches its ladder through `&mut`, so no two
-        // evaluators race; the exchange only keeps the `&self` API that
-        // perfbench compiles against, and reports a transition once.
-        if self
-            .state
-            .compare_exchange(
-                from.as_u8(),
-                to.as_u8(),
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            )
-            .is_err()
-        {
-            return None;
-        }
-        let transitions = self.transitions.fetch_add(1, Ordering::Relaxed) + 1;
+        self.state = to;
+        self.transitions += 1;
         Some(OverloadEvent {
             now,
             from,
             to,
             fill,
             projected_fp: fill.powi(bitmap.hash_family().m() as i32),
-            transitions,
+            transitions: self.transitions,
         })
     }
 
@@ -468,16 +441,16 @@ impl OverloadLadder {
     }
 
     /// Accounts one early rotation.
-    pub fn note_early_rotation(&self) {
-        self.early_rotations.fetch_add(1, Ordering::Relaxed);
+    pub fn note_early_rotation(&mut self) {
+        self.early_rotations += 1;
     }
 
     /// Returns the ladder to `Normal` and zeroes its counters
-    /// (exclusive; used by [`BitmapFilter::reset`](crate::BitmapFilter)).
+    /// (used by [`BitmapFilter::reset`](crate::BitmapFilter)).
     pub fn reset(&mut self) {
-        *self.state.get_mut() = OverloadState::Normal.as_u8();
-        *self.transitions.get_mut() = 0;
-        *self.early_rotations.get_mut() = 0;
+        self.state = OverloadState::Normal;
+        self.transitions = 0;
+        self.early_rotations = 0;
     }
 }
 
@@ -572,7 +545,7 @@ mod tests {
     #[test]
     fn disabled_ladder_never_moves() {
         let mut bitmap = AtomicBitmap::new(4, 4, 3);
-        let ladder = OverloadLadder::new(OverloadPolicy::off());
+        let mut ladder = OverloadLadder::new(OverloadPolicy::off());
         for i in 0..200u32 {
             bitmap.mark(&i.to_le_bytes());
         }
@@ -586,7 +559,7 @@ mod tests {
     fn ladder_escalates_on_fill_and_reports_projection() {
         // Tiny vectors (2^4 = 16 bits) saturate fast.
         let mut bitmap = AtomicBitmap::new(4, 4, 3);
-        let ladder = OverloadLadder::new(OverloadPolicy::balanced());
+        let mut ladder = OverloadLadder::new(OverloadPolicy::balanced());
         assert!(ladder.evaluate(&bitmap, Timestamp::ZERO).is_none());
         for i in 0..300u32 {
             bitmap.mark(&i.to_le_bytes());

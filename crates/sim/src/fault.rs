@@ -6,36 +6,30 @@
 //! of a [`FaultPlan`] — a small, seeded description that can be printed,
 //! re-run, and attached to a CI artifact when a combination fails.
 //!
-//! Three injection surfaces, matching the places a real deployment
-//! breaks:
+//! Three kinds of fault, matching the places a real deployment breaks:
 //!
 //! * **Stream distortion** ([`FaultPlan::distort_stream`]) — payload/
 //!   header corruption, reorder bursts, and clock-skew spikes applied to
 //!   the packet stream before it reaches any filter. Pure and
 //!   deterministic: same plan + same stream → byte-identical output.
-//! * **Decide-path faults** ([`FaultingObserver`]) — a
-//!   [`FilterObserver`] wrapper that consults a [`PlannedInjector`] per
-//!   decided packet and panics on command, exercising the shard
-//!   supervisor's quarantine path exactly the way a real shard bug
-//!   would.
-//! * **Checkpoint I/O faults** ([`CheckpointSink`]) — an injectable
-//!   write layer for periodic checkpoints; [`FaultingCheckpointSink`]
-//!   fails writes on the injector's schedule, and
-//!   `serve` retries them with bounded backoff before giving up on
-//!   periodic checkpointing.
+//!   The caller distorts the stream it feeds
+//!   [`serve`](crate::PipelineRunner::serve).
+//! * **Decide-path panics** (`panics=N`) — `serve`'s shard bank keeps a
+//!   `PlannedInjector` and a decided-packet count per shard. When the
+//!   injector's lottery picks a packet, the bank decides the run up to
+//!   and including it, then panics, exercising the shard supervisor's
+//!   quarantine path exactly the way a real shard bug would.
+//! * **Checkpoint I/O faults** (`ckpt=N`) — `serve` writes every
+//!   checkpoint through one function that fails the first `N` writes
+//!   and hands the rest to [`snapshot::write_atomic`]; periodic writes
+//!   retry with bounded backoff before `serve` gives up on them.
 //!
 //! [`PipelineRunner::fault_plan`](crate::PipelineRunner::fault_plan)
-//! arms the last two: [`serve`](crate::PipelineRunner::serve) arms
-//! every initial shard with the plan's panics and writes its checkpoints
-//! through a sink armed from the same plan. The caller distorts the
-//! stream it feeds `serve`. That is what the CI chaos matrix drives.
+//! arms the last two. That is what the CI chaos matrix drives.
 
 use std::path::Path;
-use upbound_core::{
-    snapshot, FilterObserver, InboundDecision, NoopObserver, OverloadEvent, RotationEvent,
-    SnapshotError,
-};
-use upbound_net::{FiveTuple, Packet, TimeDelta, Timestamp};
+use upbound_core::{snapshot, SnapshotError};
+use upbound_net::{Packet, TimeDelta};
 use upbound_telemetry::Registry;
 
 /// Error parsing a [`FaultPlan`] spec string.
@@ -192,7 +186,7 @@ impl FaultPlan {
 
     /// An armed per-instance injector for the decide-path and
     /// checkpoint faults of this plan.
-    pub fn injector(&self) -> PlannedInjector {
+    pub(crate) fn injector(&self) -> PlannedInjector {
         PlannedInjector {
             seed: self.seed,
             panics_left: self.panics,
@@ -269,29 +263,11 @@ fn corrupt_packet(packet: &Packet, draw: u64) -> Packet {
     rebuilt.with_wire_len(packet.wire_len())
 }
 
-/// Decides, per injection point, whether a fault fires. Implementations
-/// must be deterministic for a fixed construction — the whole point is
-/// that a failing run can be replayed byte-for-byte.
-pub trait FaultInjector {
-    /// `true` → the decide path panics for this packet (exercising the
-    /// shard supervisor's quarantine path).
-    fn inject_panic(&mut self, seq: u64, packet: &Packet) -> bool {
-        let _ = (seq, packet);
-        false
-    }
-
-    /// `Some(err)` → checkpoint write number `write_index` fails.
-    fn inject_checkpoint_error(&mut self, write_index: u64) -> Option<std::io::Error> {
-        let _ = write_index;
-        None
-    }
-}
-
 /// The injector derived from a [`FaultPlan`]: a seeded lottery arms
 /// roughly one panic per `PANIC_STRIDE` (199) packets until the plan's
 /// budget is spent, and fails the first `ckpt` checkpoint writes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlannedInjector {
+pub(crate) struct PlannedInjector {
     seed: u64,
     panics_left: u32,
     ckpt_left: u32,
@@ -301,12 +277,17 @@ impl PlannedInjector {
     /// A spent injector: same type, no faults left — what rebuilt
     /// (post-quarantine) shards get so a replacement filter is not
     /// re-poisoned by its own medicine.
-    pub fn disarmed() -> Self {
+    pub(crate) fn disarmed() -> Self {
         PlannedInjector {
             seed: 0,
             panics_left: 0,
             ckpt_left: 0,
         }
+    }
+
+    /// `true` while the injector has panics left to fire.
+    pub(crate) fn armed(&self) -> bool {
+        self.panics_left > 0
     }
 
     /// `true` → decided packet `seq` panics, spending one panic of the
@@ -322,14 +303,10 @@ impl PlannedInjector {
             false
         }
     }
-}
 
-impl FaultInjector for PlannedInjector {
-    fn inject_panic(&mut self, seq: u64, _packet: &Packet) -> bool {
-        self.panic_due(seq)
-    }
-
-    fn inject_checkpoint_error(&mut self, write_index: u64) -> Option<std::io::Error> {
+    /// `Some(err)` → checkpoint write number `write_index` fails,
+    /// spending one failure of the budget.
+    pub(crate) fn checkpoint_error(&mut self, write_index: u64) -> Option<std::io::Error> {
         if self.ckpt_left == 0 {
             return None;
         }
@@ -340,127 +317,26 @@ impl FaultInjector for PlannedInjector {
     }
 }
 
-/// A [`FilterObserver`] wrapper that panics on the injector's schedule —
-/// the deliberate version of the bug the shard supervisor exists to
-/// contain. The filter fires exactly one of `on_outbound`/`on_inbound`
-/// per decided packet, so packet `seq` of a shard is the `seq`-th of
-/// those hooks; the panic comes after the decision and before the
-/// wrapped observer hears of the packet. Every hook delegates to the
-/// wrapped observer.
-#[derive(Debug, Clone)]
-pub struct FaultingObserver<O = NoopObserver> {
-    inner: O,
-    injector: PlannedInjector,
-    seq: u64,
-}
-
-impl<O> FaultingObserver<O> {
-    /// Wraps `inner`, consulting `injector` on every decided packet.
-    pub fn new(inner: O, injector: PlannedInjector) -> Self {
-        FaultingObserver {
-            inner,
-            injector,
-            seq: 0,
-        }
-    }
-
-    fn decided(&mut self) {
-        let seq = self.seq;
-        self.seq += 1;
-        if self.injector.panic_due(seq) {
-            panic!("injected shard fault (packet #{seq})");
-        }
-    }
-}
-
-impl<O: FilterObserver> FilterObserver for FaultingObserver<O> {
-    fn on_outbound(&mut self, tuple: &FiveTuple, now: Timestamp) {
-        self.decided();
-        self.inner.on_outbound(tuple, now);
-    }
-
-    fn on_inbound(&mut self, decision: &InboundDecision<'_>) {
-        self.decided();
-        self.inner.on_inbound(decision);
-    }
-
-    fn on_rotation(&mut self, rotation: &RotationEvent<'_>) {
-        self.inner.on_rotation(rotation);
-    }
-
-    fn on_cold_start(&mut self, now: Timestamp, armed_at: Timestamp) {
-        self.inner.on_cold_start(now, armed_at);
-    }
-
-    fn on_armed(&mut self, now: Timestamp) {
-        self.inner.on_armed(now);
-    }
-
-    fn on_overload(&mut self, event: &OverloadEvent) {
-        self.inner.on_overload(event);
-    }
-}
-
-/// The injectable checkpoint write layer.
+/// Writes one checkpoint image as the session's write number `*writes`,
+/// counting it: `faults` fails it while the plan's `ckpt` budget lasts,
+/// otherwise [`snapshot::write_atomic`] (temp file + fsync + rename)
+/// lands it.
 ///
-/// [`serve`](crate::PipelineRunner::serve) (and any deployment loop)
-/// writes periodic checkpoints through this seam instead of calling
-/// [`snapshot::write_atomic`] directly, so I/O failure behavior is
-/// testable without touching the filesystem's failure modes.
-pub trait CheckpointSink {
-    /// Persists one checkpoint image.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying write failure as a [`SnapshotError`].
-    fn write(&mut self, path: &Path, bytes: &[u8]) -> Result<(), SnapshotError>;
-}
-
-/// The production sink: [`snapshot::write_atomic`] (temp file + fsync +
-/// rename).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AtomicCheckpointSink;
-
-impl CheckpointSink for AtomicCheckpointSink {
-    fn write(&mut self, path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
-        snapshot::write_atomic(path, bytes)
+/// # Errors
+///
+/// The injected failure, or the real write's.
+pub(crate) fn write_checkpoint(
+    faults: &mut PlannedInjector,
+    writes: &mut u64,
+    path: &Path,
+    bytes: &[u8],
+) -> Result<(), SnapshotError> {
+    let index = *writes;
+    *writes += 1;
+    if let Some(err) = faults.checkpoint_error(index) {
+        return Err(SnapshotError::Io(err));
     }
-}
-
-/// A sink that fails writes on the injector's schedule and otherwise
-/// delegates to the wrapped sink.
-#[derive(Debug, Clone)]
-pub struct FaultingCheckpointSink<S = AtomicCheckpointSink, J = PlannedInjector> {
-    inner: S,
-    injector: J,
-    writes: u64,
-}
-
-impl<S, J> FaultingCheckpointSink<S, J> {
-    /// Wraps `inner`, consulting `injector` before every write.
-    pub fn new(inner: S, injector: J) -> Self {
-        FaultingCheckpointSink {
-            inner,
-            injector,
-            writes: 0,
-        }
-    }
-
-    /// Writes attempted so far (failed ones included).
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
-}
-
-impl<S: CheckpointSink, J: FaultInjector> CheckpointSink for FaultingCheckpointSink<S, J> {
-    fn write(&mut self, path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let index = self.writes;
-        self.writes += 1;
-        if let Some(err) = self.injector.inject_checkpoint_error(index) {
-            return Err(SnapshotError::Io(err));
-        }
-        self.inner.write(path, bytes)
-    }
+    snapshot::write_atomic(path, bytes)
 }
 
 /// Retries a *periodic* checkpoint write with bounded exponential
@@ -572,14 +448,20 @@ mod tests {
         assert_eq!(none_report, DistortionReport::default());
     }
 
+    /// The release-miscompile canary. Its `probe` closure takes the
+    /// injector by value as `mut inj`, builds `packets(22)` inside, and
+    /// spends the injector from a `.filter` adapter. Built with
+    /// optimizations (rustc 1.95.0, `--release`), the second fresh
+    /// injector reaches the closure already spent, and `second` is empty.
+    /// Plain loops over `panic_due` are right at every opt level, as is
+    /// this test without the `packets(22)` call. Keep its shape, so a
+    /// toolchain change shows whether the bug is fixed.
     #[test]
     fn planned_injector_spends_its_budget_deterministically() {
         let plan = FaultPlan::parse("seed=3,panics=2").unwrap();
         let probe = |mut inj: PlannedInjector| -> Vec<u64> {
-            let p = packets(22);
-            (0..4000u64)
-                .filter(|&seq| inj.inject_panic(seq, &p[seq as usize % p.len()]))
-                .collect()
+            let _p = packets(22);
+            (0..4000u64).filter(|&seq| inj.panic_due(seq)).collect()
         };
         let first = probe(plan.injector());
         let second = probe(plan.injector());
@@ -590,23 +472,18 @@ mod tests {
 
     #[test]
     fn faulting_checkpoint_sink_fails_on_schedule() {
-        let plan = FaultPlan::parse("ckpt=2").unwrap();
-        let mut sink = FaultingCheckpointSink::new(AtomicCheckpointSink, plan.injector());
+        let mut faults = FaultPlan::parse("ckpt=2").unwrap().injector();
+        let mut writes = 0;
         let dir = std::env::temp_dir().join(format!("upbound-fault-sink-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt.snap");
-        assert!(matches!(
-            sink.write(&path, b"one"),
-            Err(SnapshotError::Io(_))
-        ));
-        assert!(matches!(
-            sink.write(&path, b"two"),
-            Err(SnapshotError::Io(_))
-        ));
+        let mut write = |bytes: &[u8]| write_checkpoint(&mut faults, &mut writes, &path, bytes);
+        assert!(matches!(write(b"one"), Err(SnapshotError::Io(_))));
+        assert!(matches!(write(b"two"), Err(SnapshotError::Io(_))));
         // Budget spent: the third write lands.
-        sink.write(&path, b"three").unwrap();
+        write(b"three").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"three");
-        assert_eq!(sink.writes(), 3);
+        assert_eq!(writes, 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

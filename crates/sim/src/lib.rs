@@ -33,10 +33,11 @@
 //!   surviving shards keep filtering.
 //! * [`fault`] — deterministic fault injection: a seeded [`FaultPlan`]
 //!   describing stream corruption, reorder bursts, clock-skew spikes,
-//!   decide-path shard panics, and checkpoint I/O failures, applied via
-//!   [`FaultPlan::distort_stream`] / [`FaultingObserver`] /
-//!   [`CheckpointSink`], so every chaos run is reproducible from its
-//!   plan string.
+//!   decide-path shard panics, and checkpoint I/O failures, so every
+//!   chaos run is reproducible from its plan string. The caller distorts
+//!   the stream ([`FaultPlan::distort_stream`]); `serve`'s shard bank
+//!   panics on the plan's schedule, and its session fails checkpoint
+//!   writes on it ([`PipelineRunner::fault_plan`]).
 //!
 //! [`BitmapFilter`]: upbound_core::BitmapFilter
 //! [`SpiFilter`]: upbound_spi::SpiFilter
@@ -72,10 +73,7 @@ pub mod runner;
 pub mod sweep;
 
 pub use compare::{compare, ComparisonResult};
-pub use fault::{
-    AtomicCheckpointSink, CheckpointSink, DistortionReport, FaultInjector, FaultPlan,
-    FaultPlanError, FaultingCheckpointSink, FaultingObserver, PlannedInjector,
-};
+pub use fault::{DistortionReport, FaultPlan, FaultPlanError};
 pub use oracle::OracleFilter;
 pub use pipeline::{
     PipelineConfig, PipelineObservability, ShardIncident, SupervisorReport, SupervisorTelemetry,

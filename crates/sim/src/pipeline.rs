@@ -242,6 +242,7 @@ impl PipelineObservability {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::runner::{PipelineRunner, ServeControl, ServeReport, ShardBank};
     use upbound_core::{
         BitmapFilter, BitmapFilterConfig, FilterObserver, FilterStats, FlowHash, InboundDecision,
@@ -382,7 +383,7 @@ mod tests {
         );
         let report = PipelineRunner::new(inside(), config.clone())
             .serve_with(
-                ShardBank::new(&sharded, config.clone(), shard),
+                ShardBank::new(sharded.clone(), config.clone(), shard, &FaultPlan::none()),
                 &mut source,
                 &ServeControl::new(),
                 |_, _| Ok(()),
@@ -557,7 +558,7 @@ mod tests {
             let mut source = BufferedSource::labeled(packets.clone(), inside());
             let report = PipelineRunner::new(inside(), config.clone())
                 .serve_with(
-                    ShardBank::new(&bank, config.clone(), rebuild),
+                    ShardBank::new(bank.clone(), config.clone(), rebuild, &FaultPlan::none()),
                     &mut source,
                     &ServeControl::new(),
                     |_, _| Ok(()),
@@ -623,7 +624,7 @@ mod tests {
         let report = PipelineRunner::new(inside(), config.clone())
             .observability(obs)
             .serve_with(
-                ShardBank::new(&bank, config, rebuild),
+                ShardBank::new(bank, config, rebuild, &FaultPlan::none()),
                 &mut source,
                 &ServeControl::new(),
                 |_, _| Ok(()),

@@ -49,10 +49,7 @@
 //! a final checkpoint if checkpointing is configured, and returns — the
 //! same graceful path end-of-stream takes.
 
-use crate::fault::{
-    checkpoint_with_backoff, AtomicCheckpointSink, CheckpointSink, FaultPlan,
-    FaultingCheckpointSink, FaultingObserver, PlannedInjector,
-};
+use crate::fault::{checkpoint_with_backoff, write_checkpoint, FaultPlan, PlannedInjector};
 use crate::pipeline::{PipelineConfig, PipelineObservability, ShardIncident, SupervisorReport};
 use crate::replay::BlockedConnections;
 use std::cell::{Ref, RefCell};
@@ -405,10 +402,13 @@ impl PipelineRunner {
         self
     }
 
-    /// Applies a deterministic fault plan: [`serve`](Self::serve) lets
-    /// each initial shard panic and fails checkpoint writes on the plan's
-    /// schedule. Stream faults are the caller's to apply
-    /// ([`FaultPlan::distort_stream`]).
+    /// Applies a deterministic fault plan. The shard bank of
+    /// [`serve`](Self::serve) and [`serve_observed`](Self::serve_observed)
+    /// keeps the plan's injector per initial shard and panics on its
+    /// schedule after deciding the fatal packet; the session of
+    /// [`serve_with`](Self::serve_with) fails checkpoint writes on the
+    /// plan's schedule, whatever the bank. Stream faults are the
+    /// caller's to apply ([`FaultPlan::distort_stream`]).
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = plan;
         self
@@ -451,9 +451,9 @@ impl PipelineRunner {
     /// [`serve_with`](Self::serve_with) for checkpoints, blocking and the
     /// shard supervisor.
     ///
-    /// A fault plan with panics serves through
-    /// [`serve_observed`](Self::serve_observed), whose shards panic on the
-    /// plan's schedule. Without panics the shards carry no observer.
+    /// The shards carry no observer, with or without a fault plan:
+    /// `serve` is [`serve_observed`](Self::serve_observed) over
+    /// [`NoopObserver`] shards.
     ///
     /// # Errors
     ///
@@ -466,18 +466,15 @@ impl PipelineRunner {
     where
         S: PacketSource + ?Sized,
     {
-        let no_sink = |_: &[(Packet, Direction)], _: &[Verdict]| Ok(());
-        if self.fault.panics() > 0 {
-            return self.serve_observed(|| NoopObserver, source, control, no_sink);
-        }
-        self.serve_shards(|_| NoopObserver, source, control, no_sink)
+        self.serve_observed(|| NoopObserver, source, control, |_, _| Ok(()))
     }
 
     /// [`serve_with`](Self::serve_with) through a shard bank built from
-    /// the runner's configuration, each shard reporting to a fresh
-    /// `observer()` behind a [`FaultingObserver`] that panics on the
-    /// fault plan's schedule. A shard the supervisor rebuilds gets a
-    /// fresh, disarmed observer.
+    /// the runner's full configuration, the overload policy included,
+    /// whose shards share one uplink monitor and each report to a fresh
+    /// `observer()`. The bank panics on the fault plan's schedule (see
+    /// [`fault_plan`](Self::fault_plan)); a shard the supervisor rebuilds
+    /// gets a fresh observer and no fault.
     ///
     /// # Errors
     ///
@@ -494,40 +491,18 @@ impl PipelineRunner {
         S: PacketSource + ?Sized,
         F: FnMut(&[(Packet, Direction)], &[Verdict]) -> Result<(), NetError>,
     {
-        let observer = |injector| FaultingObserver::new(observer(), injector);
-        self.serve_shards(observer, source, control, sink)
-    }
-
-    /// [`serve_with`](Self::serve_with) through a shard bank built from the
-    /// runner's full configuration, the overload policy included, whose
-    /// shards share one uplink monitor and report to `observer(injector)`:
-    /// the fault plan's injector for the initial shards, a disarmed one for
-    /// the supervisor's rebuilds.
-    fn serve_shards<O, S, F>(
-        &self,
-        observer: impl Fn(PlannedInjector) -> O,
-        source: &mut S,
-        control: &ServeControl,
-        sink: F,
-    ) -> Result<ServeReport, RunnerError>
-    where
-        O: FilterObserver + Send + Sync,
-        S: PacketSource + ?Sized,
-        F: FnMut(&[(Packet, Direction)], &[Verdict]) -> Result<(), NetError>,
-    {
         let uplink = Arc::new(self.filter.uplink_monitor());
-        let shard = |config, injector| {
-            BitmapFilter::with_observer(config, observer(injector))
+        let shard = |config| {
+            BitmapFilter::with_observer(config, observer())
                 .with_shared_uplink(Arc::clone(&uplink))
                 .with_overload_policy(self.overload.clone())
         };
-        let armed = (0..self.shards)
-            .map(|_| shard(self.filter.clone(), self.fault.injector()))
+        let shards = (0..self.shards)
+            .map(|_| shard(self.filter.clone()))
             .collect();
         let flow = FlowHash::new(self.filter.hole_punching());
-        let bank = ShardedFilter::from_shards(flow, Arc::clone(&uplink), armed);
-        let rebuild = |config| shard(config, PlannedInjector::disarmed());
-        let bank = ShardBank::new(&bank, self.filter.clone(), rebuild);
+        let bank = ShardedFilter::from_shards(flow, Arc::clone(&uplink), shards);
+        let bank = ShardBank::new(bank, self.filter.clone(), shard, &self.fault);
         self.serve_with(bank, source, control, sink)
     }
 
@@ -550,8 +525,9 @@ impl PipelineRunner {
     ///   missing file is a cold start. A periodic checkpoint is written
     ///   after the first batch whose watermark reaches the next multiple
     ///   of `every` in trace time; the one after it is due at the first
-    ///   multiple past that watermark ([`next_boundary`]). Writes go
-    ///   through a [`FaultingCheckpointSink`] armed from the fault plan;
+    ///   multiple past that watermark ([`next_boundary`]). Every write
+    ///   goes through one function, which fails the first writes the
+    ///   fault plan's `ckpt` budget names;
     ///   periodic ones retry twice, 50 ms then 200 ms apart, after which
     ///   the session goes on without them. No final write follows a
     ///   session that processed no packet.
@@ -602,8 +578,7 @@ impl PipelineRunner {
         // Set at the first packet; `None` again once periodic
         // checkpointing gave up after its retries.
         let mut next_due = None;
-        let mut ckpt_sink =
-            FaultingCheckpointSink::new(AtomicCheckpointSink, self.fault.injector());
+        let (mut ckpt_faults, mut ckpt_writes) = (self.fault.injector(), 0);
         let mut buf: Vec<(Packet, Direction)> = Vec::with_capacity(session.batch_size);
         session.publish_config();
 
@@ -662,7 +637,7 @@ impl PipelineRunner {
                             let bytes = session.bank.checkpoint_bytes(watermark);
                             let registry = telemetry.map(|t| &t.registry);
                             next_due = checkpoint_with_backoff(registry, path, || {
-                                ckpt_sink.write(path, &bytes)
+                                write_checkpoint(&mut ckpt_faults, &mut ckpt_writes, path, &bytes)
                             })
                             .ok()
                             .map(|()| next_boundary(due, watermark, *every));
@@ -685,7 +660,7 @@ impl PipelineRunner {
         if let Some((path, _)) = &self.checkpoint {
             if session.tally.packets > 0 {
                 let bytes = session.bank.checkpoint_bytes(session.tally.watermark);
-                ckpt_sink.write(path, &bytes)?;
+                write_checkpoint(&mut ckpt_faults, &mut ckpt_writes, path, &bytes)?;
                 session.checkpointed();
             }
         }
@@ -773,22 +748,32 @@ pub trait ServeBank {
 /// panics is replaced by `rebuild(config)` (the constructor that built
 /// the bank), switched to fail-open under the overrides applied so far
 /// and started cold.
-pub(crate) struct ShardBank<'a, O: FilterObserver + Send + Sync, R> {
-    bank: &'a ShardedFilter<BitmapFilter<O>>,
+///
+/// It also runs the fault plan's decide-path panics: per shard, the
+/// plan's [`PlannedInjector`] and the packets that shard has decided.
+/// While any shard has panics left, a run is decided up to and including
+/// the first packet whose injector fires, and then the bank panics: the
+/// fatal packet's uplink bytes and timestamp reach the shared monitor and
+/// the watermark, its verdict is discarded. A rebuilt shard gets no fault.
+pub(crate) struct ShardBank<O: FilterObserver + Send + Sync, R> {
+    bank: ShardedFilter<BitmapFilter<O>>,
     config: BitmapFilterConfig,
     rebuild: R,
     overrides: RuntimeOverrides,
+    faults: Vec<(PlannedInjector, u64)>,
 }
 
-impl<'a, O: FilterObserver + Send + Sync, R> ShardBank<'a, O, R> {
-    /// `bank`, built from `config`; a checkpoint older than its `T_e`
-    /// restores cold.
+impl<O: FilterObserver + Send + Sync, R> ShardBank<O, R> {
+    /// `bank`, built from `config`, every shard armed with `plan`'s
+    /// panics; a checkpoint older than its `T_e` restores cold.
     pub(crate) fn new(
-        bank: &'a ShardedFilter<BitmapFilter<O>>,
+        bank: ShardedFilter<BitmapFilter<O>>,
         config: BitmapFilterConfig,
         rebuild: R,
+        plan: &FaultPlan,
     ) -> Self {
         Self {
+            faults: vec![(plan.injector(), 0); bank.shards()],
             bank,
             config,
             rebuild,
@@ -797,12 +782,25 @@ impl<'a, O: FilterObserver + Send + Sync, R> ShardBank<'a, O, R> {
     }
 }
 
-impl<O, R> ServeBank for ShardBank<'_, O, R>
+impl<O, R> ServeBank for ShardBank<O, R>
 where
     O: FilterObserver + Send + Sync,
     R: Fn(BitmapFilterConfig) -> BitmapFilter<O>,
 {
     fn decide(&mut self, run: &[(Packet, Direction)], _: Timestamp, out: &mut Vec<Verdict>) {
+        if !self.faults.iter().any(|(faults, _)| faults.armed()) {
+            return self.bank.process_batch(run, out);
+        }
+        for (i, (packet, dir)) in run.iter().enumerate() {
+            let (faults, decided) = &mut self.faults[self.bank.shard_of(&packet.tuple(), *dir)];
+            let seq = *decided;
+            *decided += 1;
+            if faults.panic_due(seq) {
+                self.bank.process_batch(&run[..=i], out);
+                out.pop();
+                panic!("injected shard fault (packet #{seq})");
+            }
+        }
         self.bank.process_batch(run, out);
     }
 
@@ -821,6 +819,7 @@ where
         fresh.start_cold_at(at);
         // `shard_of` is in range, so the swap cannot fail.
         let _ = self.bank.replace_shard(shard, fresh);
+        self.faults[shard] = (PlannedInjector::disarmed(), 0);
         Some(ShardIncident {
             shard,
             at,

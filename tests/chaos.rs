@@ -33,11 +33,14 @@
 use std::panic::catch_unwind;
 use std::path::PathBuf;
 
-use upbound::core::{BitmapFilter, BitmapFilterConfig, OverloadPolicy, PacketFilter, Verdict};
+use upbound::core::{
+    BitmapFilter, BitmapFilterConfig, OverloadPolicy, PacketFilter, TelemetryObserver, Verdict,
+};
 use upbound::net::{BufferedSource, Cidr, Direction, FiveTuple, Packet, TimeDelta, Timestamp};
 use upbound::sim::{
     FaultPlan, PipelineConfig, PipelineRunner, ServeControl, ServeExit, ServeReport,
 };
+use upbound::telemetry::Registry;
 use upbound::traffic::{attack, generate, AttackConfig, SyntheticTrace, TraceConfig};
 
 /// The fixed-seed plan matrix: each axis alone, then combinations.
@@ -346,6 +349,50 @@ fn serve_matches_run_under_stream_faults() {
                 });
             }
         }
+    }
+}
+
+/// The fault schedule belongs to the shard bank, not to its observers:
+/// the panic plans served through observing shards (as `upbound filter`
+/// serves) give the same verdicts, filter counters and incidents as
+/// through `serve`'s no-op shards.
+#[test]
+fn observers_do_not_move_the_fault_schedule() {
+    let trace = chaos_trace();
+    let stream: Vec<Packet> = trace.packets.iter().map(|lp| lp.packet.clone()).collect();
+    for spec in [PLANS[4], PLANS[5]] {
+        let plan = FaultPlan::parse(spec).expect("matrix plans parse");
+        let (distorted, _) = plan.distort_stream(stream.clone());
+        let runner = PipelineRunner::new(inside(), filter_config())
+            .shards(4)
+            .fault_plan(plan);
+        let control = ServeControl::new();
+        let plain = runner
+            .serve(
+                &mut BufferedSource::labeled(distorted.clone(), inside()),
+                &control,
+            )
+            .expect("serve");
+        let registry = Registry::new();
+        let observed = runner
+            .serve_observed(
+                || TelemetryObserver::new(&registry, "core", 256),
+                &mut BufferedSource::labeled(distorted, inside()),
+                &control,
+                |_, _| Ok(()),
+            )
+            .expect("serve_observed");
+        assert!(plain.supervisor.panics >= 1, "{spec} fired no panic");
+        assert_eq!(
+            (plain.packets, plain.passed, plain.dropped),
+            (observed.packets, observed.passed, observed.dropped),
+            "{spec}"
+        );
+        assert_eq!(plain.filter_stats, observed.filter_stats, "{spec}");
+        assert_eq!(
+            plain.supervisor.incidents, observed.supervisor.incidents,
+            "{spec}"
+        );
     }
 }
 
