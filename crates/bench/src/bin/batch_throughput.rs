@@ -1,19 +1,18 @@
 //! Batched decision-path throughput benchmark.
 //!
 //! Quantifies the payoff of [`ShardedFilter::process_batch`] over the
-//! per-packet path that takes a shard lock for every single decision:
+//! per-packet path that takes the bank lock for every single decision:
 //! W workers replay the trace concurrently through one sharded filter
 //! at batch sizes 1, 4, 16, 64, and 256. Batch size 1 degenerates to a
 //! lock acquisition per packet (the pre-batching hot path); larger
-//! batches acquire every shard lock once up front and decide the whole
-//! batch in input order, so both the acquisition cost and the
-//! cache-line bouncing of a contended mutex are amortized across the
-//! whole batch.
+//! batches take the lock once and decide the whole batch in input
+//! order, so both the acquisition cost and the cache-line bouncing of
+//! a contended mutex are amortized across the whole batch.
 //!
 //! Every worker replays the *full* trace (no flow partitioning), which
 //! is the worst case for the per-packet path: all workers contend on
-//! the same few shard locks. Results are printed as a table and written
-//! to `BENCH_batch_throughput.json` for the CI artifact; the headline
+//! the one lock. Results are printed as a table and written to
+//! `BENCH_batch_throughput.json` for the CI artifact; the headline
 //! number is the batch-64 speedup over batch-1.
 //!
 //! [`ShardedFilter::process_batch`]: upbound_core::ShardedFilter::process_batch
@@ -194,10 +193,10 @@ fn main() {
     // tracer in the hot path vs without. The scope timer is the whole
     // cost of --trace-latency, so this bounds what observability steals
     // from the decision path. It runs on one decide thread, as `serve`
-    // does: every batch takes all shard write guards, so several
-    // workers would time how the scheduler hands those guards around,
-    // not the tracer. UPBOUND_OVERHEAD_GATE_PCT (default 5) fails the
-    // run when exceeded and UPBOUND_OVERHEAD_GATE=1 is set.
+    // does: every batch takes the bank lock, so several workers would
+    // time how the scheduler hands that lock around, not the tracer.
+    // UPBOUND_OVERHEAD_GATE_PCT (default 5) fails the run when exceeded
+    // and UPBOUND_OVERHEAD_GATE=1 is set.
     let registry = Registry::new();
     registry.build_info(
         env!("CARGO_PKG_VERSION"),

@@ -32,8 +32,8 @@ pub struct BitmapProbe {
 /// `k` vectors until the rotations that clear them. Marks therefore
 /// expire within the paper's `T_e ∈ [(k−1)·Δt, k·Δt]` window. Threads
 /// that decide concurrently share a bitmap through a lock that hands
-/// out `&mut` — [`ShardedFilter`](crate::ShardedFilter)'s shard write
-/// guard; see DESIGN.md, "Exclusive shards". The name is kept from the
+/// out `&mut` — [`ShardedFilter`](crate::ShardedFilter)'s bank lock;
+/// see DESIGN.md, "Exclusive shards". The name is kept from the
 /// lock-free bitmap this type replaced.
 ///
 /// # Examples

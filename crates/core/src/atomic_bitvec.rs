@@ -12,7 +12,7 @@
 /// makes every write.
 ///
 /// Concurrent deciders share a vector only through a lock that hands
-/// out `&mut` (the shard write guard of
+/// out `&mut` (the bank lock of
 /// [`ShardedFilter`](crate::ShardedFilter)); see DESIGN.md, "Exclusive
 /// shards". The name is kept from the lock-free vector this type
 /// replaced.

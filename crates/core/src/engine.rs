@@ -65,8 +65,8 @@ impl Uplink {
 ///
 /// The tick phase and the observer are written through `&mut self`:
 /// the embedding filter decides exclusively (a
-/// [`ShardedFilter`](crate::ShardedFilter) shard under its write
-/// guard), so observers never need to be `Sync`. Only the uplink
+/// [`ShardedFilter`](crate::ShardedFilter) shard under its bank's
+/// lock), so observers never need to be `Sync`. Only the uplink
 /// monitor is shared, by sibling shards.
 #[derive(Debug, Clone)]
 pub struct FilterEngine<O: FilterObserver> {

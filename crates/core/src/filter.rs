@@ -133,7 +133,7 @@ struct Decided {
 /// warm-up clock and the bitmap are plain fields. Threads that decide
 /// concurrently share filters through
 /// [`ShardedFilter`](crate::ShardedFilter), which decides each packet
-/// under its shard's write guard. Only the uplink monitor is shared
+/// under its bank's one lock. Only the uplink monitor is shared
 /// between shards.
 #[derive(Debug, Clone)]
 pub struct BitmapFilter<O: FilterObserver = NoopObserver> {

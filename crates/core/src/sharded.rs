@@ -1,13 +1,13 @@
-//! Flow-hash sharding: the deployment surface shared between threads.
+//! Flow-hash sharding: N filters bounding one client network.
 //!
-//! The paper's filter does O(1) work per packet, but a single filter
-//! behind a single lock serializes every packet and caps throughput at
-//! one core. [`ShardedFilter`] partitions the five-tuple space by a
-//! direction-symmetric [`FlowHash`] across N shards, each behind its
-//! own lock. A shard decides through `&mut` under its write guard, so
-//! its bitmap, counters and clocks are plain loads and stores; a batch
-//! takes every guard once, so concurrent batches serialize on the whole
-//! bank; only per-packet callers on different shards run in parallel.
+//! The paper's filter does O(1) work per packet. [`ShardedFilter`]
+//! partitions the five-tuple space by a direction-symmetric
+//! [`FlowHash`] across N shards, each with its own bitmap, counters and
+//! clocks. The whole bank — every shard and the running watermark —
+//! sits behind one mutex: a batch takes it once and decides through
+//! `&mut`, so bitmap, counter and clock updates are plain loads and
+//! stores. `serve` decides on one thread, so the lock is uncontended
+//! there; concurrent callers stay correct but serialize on the bank.
 //!
 //! Three invariants make the sharded filter behave exactly like one big
 //! sequential filter:
@@ -39,9 +39,8 @@ use crate::{
     BitmapFilter, BitmapFilterConfig, ConfigError, DropPolicy, OverloadPolicy, ThroughputMonitor,
     Verdict,
 };
-use parking_lot::RwLock;
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::fmt;
-use std::ops::DerefMut;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -115,48 +114,67 @@ impl fmt::Display for ShardIndexError {
 
 impl std::error::Error for ShardIndexError {}
 
-struct Inner<F> {
-    shards: Vec<RwLock<F>>,
-    flow: FlowHash,
-    uplink: Arc<ThroughputMonitor>,
-    /// The RED curve every shard applies, cached here so telemetry reads
-    /// of the global `P_d` derive it straight from the aggregate uplink
-    /// monitor without touching any shard lock. `None` for
-    /// [`ShardedFilter::from_shards`] assemblies, whose shards' policies
-    /// the container cannot see — those fall back to asking shard 0.
-    /// Behind its own lock (never a shard lock) so runtime
-    /// reconfiguration can swap the curve through a shared handle.
-    drop_policy: RwLock<Option<DropPolicy>>,
-    name: String,
+/// Everything a decision mutates, behind [`Inner`]'s one lock.
+struct Bank<F> {
+    shards: Vec<F>,
     /// Running-max timestamp (in microseconds) over every packet this
     /// handle has batched, persisted across [`ShardedFilter::process_batch`]
     /// calls so a shard that received no packets in a high-timestamp
     /// batch still advances to the sequential clock on its next packet.
-    watermark: AtomicU64,
+    watermark: u64,
+}
+
+struct Inner<F> {
+    bank: Mutex<Bank<F>>,
+    /// `bank.shards.len()`, fixed at assembly and read without the lock.
+    shard_count: usize,
+    flow: FlowHash,
+    uplink: Arc<ThroughputMonitor>,
+    /// The RED curve every shard applies, cached here so telemetry reads
+    /// of the global `P_d` derive it straight from the aggregate uplink
+    /// monitor without taking the bank's lock. `None` for
+    /// [`ShardedFilter::from_shards`] assemblies, whose shards' policies
+    /// the container cannot see — those fall back to asking shard 0.
+    /// Behind its own lock (never the bank's) so runtime
+    /// reconfiguration can swap the curve through a shared handle.
+    drop_policy: RwLock<Option<DropPolicy>>,
+    name: String,
     /// The largest shard [`PacketFilter::ticks`] at the end of the last
-    /// call that held every shard (see [`ShardedFilter::ticks_seen`]),
-    /// read there through the guards the call already holds.
+    /// call that held the bank (see [`ShardedFilter::ticks_seen`]).
     ticks: AtomicU64,
 }
 
 impl<F: PacketFilter> Inner<F> {
-    /// Stores the largest of `shards`' tick counts for
-    /// [`ShardedFilter::ticks_seen`].
-    fn note_ticks<'g>(&self, shards: impl Iterator<Item = &'g F>)
-    where
-        F: 'g,
-    {
-        let ticks = shards.map(F::ticks).max().unwrap_or(0);
+    /// Takes the bank's lock for one call.
+    fn hold(&self) -> Held<'_, F> {
+        Held {
+            bank: self.bank.lock(),
+            ticks: &self.ticks,
+        }
+    }
+}
+
+/// The bank, held for one call. When the call ends — on return or while
+/// unwinding out of a panicking decision — the largest shard tick count
+/// is stored for [`ShardedFilter::ticks_seen`]. The vendored lock
+/// recovers from poisoning, so a panic never wedges the next call.
+struct Held<'a, F: PacketFilter> {
+    bank: MutexGuard<'a, Bank<F>>,
+    ticks: &'a AtomicU64,
+}
+
+impl<F: PacketFilter> Drop for Held<'_, F> {
+    fn drop(&mut self) {
+        let ticks = self.bank.shards.iter().map(F::ticks).max().unwrap_or(0);
         self.ticks.store(ticks, Ordering::Relaxed);
     }
 }
 
-/// N independently locked filter shards jointly bounding one client
-/// network — the replacement for the old single-lock shared filter,
-/// which survives as the `N = 1` degenerate case.
+/// N filter shards jointly bounding one client network, behind one
+/// lock — the `N = 1` case is a single filter.
 ///
-/// The handle is `Clone + Send + Sync`; clones share the same shards, so
-/// one handle per worker thread is the intended deployment shape.
+/// The handle is `Clone + Send + Sync`; clones share the same bank, and
+/// every call takes its lock once, so concurrent callers serialize.
 /// Packets are routed by [`FlowHash`], statistics merge via
 /// [`MergeStats`], and `P_d` derives from the shared aggregate uplink
 /// monitor (see DESIGN.md's "Sharding model" section for why verdicts
@@ -199,7 +217,7 @@ impl<F: PacketFilter + Send + Sync> fmt::Debug for ShardedFilter<F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardedFilter")
             .field("name", &self.inner.name)
-            .field("shards", &self.inner.shards.len())
+            .field("shards", &self.inner.shard_count)
             .finish()
     }
 }
@@ -220,14 +238,9 @@ impl ShardedFilter<BitmapFilter> {
 impl<O: FilterObserver + Send + Sync> ShardedFilter<BitmapFilter<O>> {
     /// Applies a [`RuntimeOverrides`] to every shard (see
     /// [`BitmapFilter::apply_overrides`]) and to the cached telemetry
-    /// `P_d` curve, through a shared handle.
-    ///
-    /// Shards are updated one at a time under their write locks, so a
-    /// concurrent decider can observe shard `i` on the new curve while
-    /// shard `j` is still on the old one for the duration of this call.
-    /// The dataplane avoids even that window by applying overrides
-    /// between batches at a rotation boundary, when no decider is
-    /// in flight.
+    /// `P_d` curve, through a shared handle. Every shard switches under
+    /// one hold of the bank, so no decision runs while some shards are
+    /// on the old overrides and some on the new.
     pub fn apply_overrides(&self, overrides: &RuntimeOverrides) {
         if let Some(policy) = overrides.drop_policy {
             let mut cached = self.inner.drop_policy.write();
@@ -238,8 +251,8 @@ impl<O: FilterObserver + Send + Sync> ShardedFilter<BitmapFilter<O>> {
                 *cached = Some(policy);
             }
         }
-        for shard in &self.inner.shards {
-            shard.write().apply_overrides(overrides);
+        for shard in &mut self.inner.hold().bank.shards {
+            shard.apply_overrides(overrides);
         }
     }
 }
@@ -266,7 +279,7 @@ pub struct ShardedFilterBuilder {
 }
 
 impl ShardedFilterBuilder {
-    /// Sets the number of independently locked shards.
+    /// Sets the number of shards.
     pub fn shards(&mut self, shards: usize) -> &mut Self {
         self.shards = shards;
         self
@@ -332,12 +345,15 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
         let name = format!("sharded-{}x{}", filters[0].name(), filters.len());
         Self {
             inner: Arc::new(Inner {
-                shards: filters.into_iter().map(RwLock::new).collect(),
+                shard_count: filters.len(),
+                bank: Mutex::new(Bank {
+                    shards: filters,
+                    watermark: 0,
+                }),
                 flow,
                 uplink,
                 drop_policy: RwLock::new(drop_policy),
                 name,
-                watermark: AtomicU64::new(0),
                 ticks: AtomicU64::new(0),
             }),
         }
@@ -345,7 +361,7 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.inner.shards.len()
+        self.inner.shard_count
     }
 
     /// The flow hash used for shard assignment.
@@ -360,11 +376,11 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
 
     /// The shard index `tuple` maps to when seen from `direction`.
     pub fn shard_of(&self, tuple: &FiveTuple, direction: Direction) -> usize {
-        (self.inner.flow.key(tuple, direction) % self.inner.shards.len() as u64) as usize
+        (self.inner.flow.key(tuple, direction) % self.inner.shard_count as u64) as usize
     }
 
-    /// Runs the full per-packet pipeline on the packet's shard, under
-    /// that shard's write guard.
+    /// Runs the full per-packet pipeline on the packet's shard, under the
+    /// bank's lock.
     pub fn process_packet(&self, packet: &Packet, direction: Direction) -> Verdict {
         self.process_packet_at(packet, direction, packet.ts())
     }
@@ -387,27 +403,26 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
         watermark: Timestamp,
     ) -> Verdict {
         let key = self.inner.flow.hashed(packet, direction);
-        let mut guard = self.inner.shards[self.shard_index(&key)].write();
-        guard.advance(watermark);
-        guard.decide_keyed(&key, packet, direction)
+        let mut held = self.inner.hold();
+        let shard = &mut held.bank.shards[self.shard_index(&key)];
+        shard.advance(watermark);
+        shard.decide_keyed(&key, packet, direction)
     }
 
     /// The shard a hashed key belongs to.
     #[inline]
     fn shard_index(&self, key: &HashedKey) -> usize {
-        (key.flow() % self.inner.shards.len() as u64) as usize
+        (key.flow() % self.inner.shard_count as u64) as usize
     }
 
     /// Runs the full per-packet pipeline on a batch of packets,
     /// appending one verdict per packet to `verdicts` in input order.
     ///
-    /// Every shard's write guard is taken **once per batch** — up front,
-    /// in shard-index order (the fixed hierarchy all multi-lock paths
-    /// share, so concurrent batches cannot deadlock) — and the batch is
-    /// then decided strictly in input order through `&mut`, so
-    /// concurrent batches serialize. The amortized lock/dispatch cost
-    /// keeps verdicts byte-identical to feeding the same stream through
-    /// a sequential filter one packet at a time:
+    /// The bank's lock is taken **once per batch**, and the batch is then
+    /// decided strictly in input order through `&mut`, so concurrent
+    /// batches serialize. The call allocates nothing beyond growing
+    /// `verdicts`. Verdicts stay byte-identical to feeding the same
+    /// stream through a sequential filter one packet at a time:
     ///
     /// * packets are decided in input order, so an inbound decision
     ///   observes exactly the uplink bytes recorded by the outbound
@@ -428,22 +443,14 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
     pub fn process_batch(&self, packets: &[(Packet, Direction)], verdicts: &mut Vec<Verdict>) {
         verdicts.reserve(packets.len());
         let flow = self.inner.flow;
-        let mut batch = BatchEnd {
-            inner: &self.inner,
-            guards: self
-                .inner
-                .shards
-                .iter()
-                .map(|shard| shard.write())
-                .collect(),
-            micros: self.inner.watermark.load(Ordering::Relaxed),
-        };
+        let mut held = self.inner.hold();
+        let Bank { shards, watermark } = &mut *held.bank;
         for (packet, direction) in packets {
-            let now = batch.witness(packet);
+            *watermark = (*watermark).max(packet.ts().as_micros());
             let key = flow.hashed(packet, *direction);
-            let guard = &mut batch.guards[self.shard_index(&key)];
-            guard.advance(now);
-            verdicts.push(guard.decide_keyed(&key, packet, *direction));
+            let shard = &mut shards[self.shard_index(&key)];
+            shard.advance(Timestamp::from_micros(*watermark));
+            verdicts.push(shard.decide_keyed(&key, packet, *direction));
         }
     }
 
@@ -451,22 +458,15 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
     /// shards, bringing them to a common tick phase (e.g. before reading
     /// [`stats`](Self::stats) at a trace boundary).
     pub fn advance(&self, now: Timestamp) {
-        let mut ticks = 0;
-        for shard in &self.inner.shards {
-            let mut guard = shard.write();
-            guard.advance(now);
-            ticks = ticks.max(guard.ticks());
+        for shard in &mut self.inner.hold().bank.shards {
+            shard.advance(now);
         }
-        self.inner.ticks.store(ticks, Ordering::Relaxed);
     }
 
     /// The largest shard tick count (bitmap rotations) at the end of the
-    /// last call that held every shard — [`process_batch`](Self::process_batch),
-    /// [`advance`](Self::advance), [`checkpoint_bytes`](Self::checkpoint_bytes)
-    /// or [`restore_bytes`](Self::restore_bytes) — read without a lock.
-    /// A caller that owns the batching thread polls it between batches
-    /// instead of merging [`stats`](Self::stats); ticks done through
-    /// other methods show at the next such call.
+    /// last call that held the bank, read without the lock. A caller that
+    /// owns the batching thread polls it between batches instead of
+    /// merging [`stats`](Self::stats).
     pub fn ticks_seen(&self) -> u64 {
         self.inner.ticks.load(Ordering::Relaxed)
     }
@@ -475,19 +475,16 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
     /// for the fold semantics).
     pub fn stats(&self) -> F::Stats {
         let mut merged = F::Stats::default();
-        for shard in &self.inner.shards {
-            merged.merge(&shard.read().stats());
+        for shard in &self.inner.hold().bank.shards {
+            merged.merge(&shard.stats());
         }
         merged
     }
 
     /// Total memory of all shards' filter state in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.read().memory_bytes())
-            .sum()
+        let held = self.inner.hold();
+        held.bank.shards.iter().map(F::memory_bytes).sum()
     }
 
     /// The drop probability derived from the shared aggregate uplink
@@ -502,11 +499,12 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
     pub fn drop_probability(&self, now: Timestamp) -> f64 {
         match *self.inner.drop_policy.read() {
             Some(policy) => policy.drop_probability_lazy(|| self.inner.uplink.rate_bps(now)),
-            None => self.inner.shards[0].read().drop_probability(now),
+            None => self.inner.hold().bank.shards[0].drop_probability(now),
         }
     }
 
-    /// Runs `f` with exclusive access to shard `index`.
+    /// Runs `f` with exclusive access to shard `index`, under the bank's
+    /// lock: `f` must not call back into this filter, or it deadlocks.
     ///
     /// # Errors
     ///
@@ -516,18 +514,19 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
         index: usize,
         f: impl FnOnce(&mut F) -> R,
     ) -> Result<R, ShardIndexError> {
-        let shard = self.inner.shards.get(index).ok_or(ShardIndexError {
+        let mut held = self.inner.hold();
+        let shard = held.bank.shards.get_mut(index).ok_or(ShardIndexError {
             index,
-            shards: self.inner.shards.len(),
+            shards: self.inner.shard_count,
         })?;
-        Ok(f(&mut shard.write()))
+        Ok(f(shard))
     }
 
     /// Swaps shard `index` for `filter`, discarding the old shard state.
     ///
     /// This is the supervisor's quarantine-and-rebuild primitive: when a
     /// shard worker panics mid-decision the shard's internal state is
-    /// suspect (parking_lot mutexes do not poison), so the supervisor
+    /// suspect (the bank's lock does not poison), so the supervisor
     /// installs a fresh, empty replacement — typically one anchored with
     /// [`Snapshottable::start_cold_at`] so it fails open through its own
     /// warm-up while the other shards keep filtering.
@@ -536,11 +535,12 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
     ///
     /// Returns [`ShardIndexError`] when `index >= self.shards()`.
     pub fn replace_shard(&self, index: usize, filter: F) -> Result<(), ShardIndexError> {
-        let shard = self.inner.shards.get(index).ok_or(ShardIndexError {
+        let mut held = self.inner.hold();
+        let shard = held.bank.shards.get_mut(index).ok_or(ShardIndexError {
             index,
-            shards: self.inner.shards.len(),
+            shards: self.inner.shard_count,
         })?;
-        *shard.write() = filter;
+        *shard = filter;
         Ok(())
     }
 
@@ -560,24 +560,24 @@ impl<F: PacketFilter + Send + Sync + Snapshottable> ShardedFilter<F> {
     /// Serializes every shard into one container valid at trace time
     /// `watermark`.
     ///
-    /// All shard locks are held simultaneously while encoding, and each
-    /// shard is first advanced to `watermark`, so the checkpoint is a
+    /// The bank is held while encoding, and each shard is first
+    /// advanced to `watermark`, so the checkpoint is a
     /// *consistent cut*: every shard's timer phase and bitmap state
     /// correspond to the same instant, exactly as a sequential filter
     /// would have been at `watermark`.
     pub fn checkpoint_bytes(&self, watermark: Timestamp) -> Vec<u8> {
-        let mut guards: Vec<_> = self.inner.shards.iter().map(|s| s.write()).collect();
+        let mut held = self.inner.hold();
         let mut w = ByteWriter::new();
-        w.put_u32(guards.len() as u32);
-        for guard in &mut guards {
-            guard.advance(watermark);
+        w.put_u32(self.inner.shard_count as u32);
+        for shard in &mut held.bank.shards {
+            shard.advance(watermark);
             let mut shard_w = ByteWriter::new();
-            guard.encode_snapshot(&mut shard_w);
+            shard.encode_snapshot(&mut shard_w);
             let bytes = shard_w.into_bytes();
             w.put_u64(bytes.len() as u64);
             w.put_slice(&bytes);
         }
-        self.inner.note_ticks(guards.iter().map(|g| &**g));
+        drop(held);
         snapshot::encode_container(Self::snapshot_kind(), watermark, w.as_slice())
     }
 
@@ -591,8 +591,8 @@ impl<F: PacketFilter + Send + Sync + Snapshottable> ShardedFilter<F> {
         snapshot::write_atomic(path, &self.checkpoint_bytes(watermark))
     }
 
-    /// Validates `bytes` and restores every shard from it, holding all
-    /// shard locks for the duration. A snapshot whose watermark is more
+    /// Validates `bytes` and restores every shard from it, holding the
+    /// bank for the duration. A snapshot whose watermark is more
     /// than `stale_after` behind `now` restores statistics only and
     /// restarts every shard cold at `now` (returning
     /// [`RestoreOutcome::Cold`]).
@@ -618,7 +618,7 @@ impl<F: PacketFilter + Send + Sync + Snapshottable> ShardedFilter<F> {
             });
         }
         let mut r = ByteReader::new(view.payload);
-        if r.u32()? as usize != self.inner.shards.len() {
+        if r.u32()? as usize != self.inner.shard_count {
             return Err(SnapshotError::ConfigMismatch("shard count"));
         }
         let stale = now.saturating_since(view.watermark) > stale_after;
@@ -627,12 +627,12 @@ impl<F: PacketFilter + Send + Sync + Snapshottable> ShardedFilter<F> {
         } else {
             RestoreMode::Full
         };
-        let mut guards: Vec<_> = self.inner.shards.iter().map(|s| s.write()).collect();
-        for guard in guards.iter_mut() {
+        let mut held = self.inner.hold();
+        for shard in &mut held.bank.shards {
             let len = r.u64()? as usize;
             let payload = r.take(len)?;
             let mut shard_r = ByteReader::new(payload);
-            guard.restore_snapshot(&mut shard_r, mode)?;
+            shard.restore_snapshot(&mut shard_r, mode)?;
             if !shard_r.is_empty() {
                 return Err(SnapshotError::Malformed("shard payload has trailing bytes"));
             }
@@ -640,10 +640,9 @@ impl<F: PacketFilter + Send + Sync + Snapshottable> ShardedFilter<F> {
         if !r.is_empty() {
             return Err(SnapshotError::Malformed("payload has trailing bytes"));
         }
-        self.inner.note_ticks(guards.iter().map(|g| &**g));
         if stale {
-            for guard in guards.iter_mut() {
-                guard.start_cold_at(now);
+            for shard in &mut held.bank.shards {
+                shard.start_cold_at(now);
             }
             Ok(RestoreOutcome::Cold)
         } else {
@@ -671,36 +670,9 @@ impl<F: PacketFilter + Send + Sync + Snapshottable> ShardedFilter<F> {
     /// `epoch` — the uniform anchor that keeps sharded fail-open
     /// verdicts identical to a sequential filter's.
     pub fn start_cold_at(&self, epoch: Timestamp) {
-        for shard in &self.inner.shards {
-            shard.write().start_cold_at(epoch);
+        for shard in &mut self.inner.hold().bank.shards {
+            shard.start_cold_at(epoch);
         }
-    }
-}
-
-/// One [`ShardedFilter::process_batch`] call's shard guards and running
-/// watermark. When the call ends — on return or while unwinding out of a
-/// panicking decision — the watermark is stored back into the handle and
-/// the largest shard tick count is read through the guards still held.
-struct BatchEnd<'a, F: PacketFilter, G: DerefMut<Target = F>> {
-    inner: &'a Inner<F>,
-    guards: Vec<G>,
-    micros: u64,
-}
-
-impl<F: PacketFilter, G: DerefMut<Target = F>> BatchEnd<'_, F, G> {
-    /// Advances the watermark over `packet`; returns it.
-    #[inline]
-    fn witness(&mut self, packet: &Packet) -> Timestamp {
-        self.micros = self.micros.max(packet.ts().as_micros());
-        Timestamp::from_micros(self.micros)
-    }
-}
-
-impl<F: PacketFilter, G: DerefMut<Target = F>> Drop for BatchEnd<'_, F, G> {
-    fn drop(&mut self) {
-        let inner = self.inner;
-        inner.watermark.fetch_max(self.micros, Ordering::Relaxed);
-        inner.note_ticks(self.guards.iter().map(|g| &**g));
     }
 }
 
@@ -724,8 +696,8 @@ impl<F: PacketFilter + Send + Sync> PacketFilter for ShardedFilter<F> {
     }
 
     fn ticks(&self) -> u64 {
-        let shards = self.inner.shards.iter();
-        shards.map(|s| s.read().ticks()).max().unwrap_or(0)
+        let held = self.inner.hold();
+        held.bank.shards.iter().map(F::ticks).max().unwrap_or(0)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -844,7 +816,7 @@ mod tests {
     #[test]
     fn concurrent_batches_match_a_sequential_filter() {
         // Workers batch disjoint flows through the keyed path under the
-        // shard write guards; a barrier starts them together. Marks land
+        // bank's lock; a barrier starts them together. Marks land
         // before the responses are batched, so every response passes
         // and the merged counters equal one sequential filter's.
         const WORKERS: u16 = 4;
@@ -1082,6 +1054,72 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_panicking_decision_leaves_its_batch_resumable() {
+        /// Panics once, while deciding the outbound packet of one
+        /// connection.
+        struct PanicOn(Option<FiveTuple>);
+        impl FilterObserver for PanicOn {
+            fn on_outbound(&mut self, tuple: &FiveTuple, _: Timestamp) {
+                if self.0 == Some(*tuple) {
+                    self.0 = None;
+                    panic!("injected decision fault");
+                }
+            }
+        }
+        let config = BitmapFilterConfig::paper_evaluation();
+        let uplink = Arc::new(config.uplink_monitor());
+        let fatal = out_tuple(5000);
+        let shards = (0..2)
+            .map(|_| {
+                BitmapFilter::with_observer(config.clone(), PanicOn(Some(fatal)))
+                    .with_shared_uplink(Arc::clone(&uplink))
+            })
+            .collect();
+        let f = ShardedFilter::from_shards(FlowHash::new(config.hole_punching()), uplink, shards);
+        let fatal_shard = f.shard_of(&fatal, Direction::Outbound);
+        let early = (1024..)
+            .map(out_tuple)
+            .find(|t| f.shard_of(t, Direction::Outbound) != fatal_shard)
+            .unwrap();
+        let packet = |tuple: FiveTuple, t: f64| {
+            Packet::tcp(Timestamp::from_secs(t), tuple, TcpFlags::ACK, &[][..])
+        };
+
+        // The fatal packet jumps the clock 100 s ahead; `early`'s shard
+        // sees none of that batch after its mark.
+        let batch = [
+            (packet(early, 0.5), Direction::Outbound),
+            (packet(out_tuple(6000).inverse(), 0.8), Direction::Inbound),
+            (packet(fatal, 100.0), Direction::Outbound),
+            (packet(out_tuple(7000), 100.5), Direction::Outbound),
+        ];
+        let mut verdicts = Vec::new();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            f.process_batch(&batch, &mut verdicts)
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(verdicts, [Verdict::Pass, Verdict::Drop]);
+        let seen = f.ticks_seen();
+        let rotations = f.with_shard(fatal_shard, |s| s.ticks()).unwrap();
+        assert_eq!(seen, rotations);
+        assert_eq!(seen, 20, "100 s of 5 s rotations");
+
+        // `early`'s reply is older than the fatal packet, yet decided at
+        // its time: the mark has expired. A fresh connection marks and
+        // passes as usual.
+        let fresh = out_tuple(8000);
+        let next = [
+            (packet(early.inverse(), 1.0), Direction::Inbound),
+            (packet(fresh, 1.1), Direction::Outbound),
+            (packet(fresh.inverse(), 1.2), Direction::Inbound),
+        ];
+        verdicts.clear();
+        f.process_batch(&next, &mut verdicts);
+        assert_eq!(verdicts, [Verdict::Drop, Verdict::Pass, Verdict::Pass]);
+        assert_eq!(f.stats().rotations, 20);
     }
 
     #[test]

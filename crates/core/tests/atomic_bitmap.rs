@@ -5,7 +5,7 @@
 //! vectors and therefore survives at least `k − 1` subsequent
 //! rotations, so no verdict may flip Pass→Drop across a rotation. The
 //! bitmap's writes take `&mut self`, so threads share it only through
-//! [`ShardedFilter`]'s shard write guards; the concurrent tests drive
+//! [`ShardedFilter`]'s bank lock; the concurrent tests drive
 //! that path.
 
 use upbound_core::{AtomicBitmap, BitmapFilter, BitmapFilterConfig, ShardedFilter, Verdict};
@@ -118,10 +118,11 @@ fn no_verdict_flips_pass_to_drop_across_epoch_swap() {
     );
 }
 
-/// The sharded write-guard path under full concurrency: workers mark
-/// and immediately verify their own flows while a dedicated ticker
-/// advances the clock through two rotations (t = 5 s, 10 s — within
-/// `k − 1`). Merged stats must account every packet exactly once.
+/// The sharded path under full concurrency, through the bank lock:
+/// workers mark and immediately verify their own flows while a
+/// dedicated ticker advances the clock through two rotations (t = 5 s,
+/// 10 s — within `k − 1`). Merged stats must account every packet
+/// exactly once.
 #[test]
 fn sharded_write_guard_path_is_linearizable_for_own_flows() {
     const WORKERS: u16 = 4;

@@ -35,11 +35,12 @@ fn bucket_index(nanos: u64) -> usize {
     (63 - (nanos | 1).leading_zeros()) as usize
 }
 
-/// Lock-free log-bucketed latency histogram (nanosecond domain).
+/// Lock-free log-bucketed latency histogram (nanosecond domain). The
+/// observation count is the sum of the buckets, never stored apart, so
+/// a snapshot's count always matches its buckets.
 #[derive(Debug)]
 pub struct LatencyRecorder {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum_nanos: AtomicU64,
 }
 
@@ -54,7 +55,6 @@ impl LatencyRecorder {
     pub fn new() -> Self {
         LatencyRecorder {
             buckets: [const { AtomicU64::new(0) }; BUCKETS],
-            count: AtomicU64::new(0),
             sum_nanos: AtomicU64::new(0),
         }
     }
@@ -63,7 +63,6 @@ impl LatencyRecorder {
     #[inline]
     pub fn record_nanos(&self, nanos: u64) {
         self.buckets[bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
@@ -75,18 +74,19 @@ impl LatencyRecorder {
 
     /// Total recorded observations.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// A point-in-time copy of the recorder state.
     pub fn load(&self) -> LatencySnapshot {
+        let counts: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
         LatencySnapshot {
-            counts: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count.load(Ordering::Relaxed),
+            count: counts.iter().sum(),
+            counts,
             sum_nanos: self.sum_nanos.load(Ordering::Relaxed),
         }
     }
@@ -307,6 +307,31 @@ mod tests {
         assert_eq!(s.sum_nanos, 1_000_200);
         assert_eq!(s.counts[6], 2);
         assert_eq!(s.counts[19], 1);
+    }
+
+    #[test]
+    fn concurrent_snapshots_count_exactly_their_buckets() {
+        const THREADS: u64 = 4;
+        const EACH: u64 = 10_000;
+        let r = LatencyRecorder::new();
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let r = &r;
+                scope.spawn(move || {
+                    for i in 0..EACH {
+                        r.record_nanos((t * EACH + i) % 5_000);
+                        if i % 1_000 == 0 {
+                            let s = r.load();
+                            assert_eq!(s.count, s.counts.iter().sum::<u64>());
+                        }
+                    }
+                });
+            }
+        });
+        let s = r.load();
+        assert_eq!(s.count, s.counts.iter().sum::<u64>());
+        assert_eq!(s.count, THREADS * EACH);
+        assert_eq!(r.count(), THREADS * EACH);
     }
 
     #[test]

@@ -330,8 +330,8 @@ fn filter_serves_http_and_dumps_on_sigusr1() {
 
 // ---------------------------------------------------------------------
 // Flight dumps taken on the decide thread: the recorder snapshots the
-// registry while the observed shards' write guards are held, so a
-// scrape-time metric that took a shard lock would hang these runs.
+// registry while the observed bank's lock is held, so a scrape-time
+// metric that took the bank lock would hang these runs.
 
 /// Runs `upbound filter <args>` and fails if it has not exited within a
 /// minute (a deadlock), killing it first.

@@ -276,8 +276,8 @@ proptest! {
     }
 }
 
-/// Rotation-vs-mark race: workers mark flows through the shard write
-/// guards while a ticker drives rotations from another thread. Every
+/// Rotation-vs-mark race: workers mark flows through the bank lock
+/// while a ticker drives rotations from another thread. Every
 /// completed mark lives in all `k` vectors and survives the `< k − 1`
 /// rotations that follow — with `P_d ≡ 1`, any mark a rotation managed
 /// to eat would flip its response Pass→Drop, which is exactly what
