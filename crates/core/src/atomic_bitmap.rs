@@ -178,6 +178,14 @@ impl AtomicBitmap {
         self.vectors[self.idx].utilization()
     }
 
+    /// The current vector's ones-count and length: the integers whose
+    /// ratio is [`utilization`](Self::utilization).
+    #[inline]
+    pub(crate) fn fill_count(&self) -> (usize, usize) {
+        let current = &self.vectors[self.idx];
+        (current.count_ones(), current.len())
+    }
+
     /// Expected penetration probability `U^m` for a random unknown key
     /// (paper Eq. 2).
     pub fn penetration_probability(&self) -> f64 {

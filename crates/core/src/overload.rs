@@ -343,6 +343,57 @@ pub struct OverloadEvent {
     pub transitions: u64,
 }
 
+/// The ones-counts `lo..hi` of a `len`-bit vector at which the policy
+/// keeps the ladder on one rung: [`OverloadPolicy::target_state`] is
+/// monotone in the fill for a fixed rung, so the counts that map back to
+/// that rung form one interval, found by bisecting the rule itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RungBand {
+    len: usize,
+    lo: usize,
+    hi: usize,
+}
+
+impl RungBand {
+    /// Holds no count: the next sample runs the rule.
+    const NONE: RungBand = RungBand {
+        len: 0,
+        lo: 0,
+        hi: 0,
+    };
+
+    /// The band of `rung` under `policy` for a `len`-bit vector.
+    fn derive(policy: &OverloadPolicy, rung: OverloadState, len: usize) -> Self {
+        let target = |ones: usize| policy.target_state(rung, ones as f64 / len as f64);
+        RungBand {
+            len,
+            lo: first_count(len, |ones| target(ones) >= rung),
+            hi: first_count(len, |ones| target(ones) > rung),
+        }
+    }
+
+    /// `true` when `ones` of `len` bits keeps the rung.
+    #[inline]
+    fn holds(&self, ones: usize, len: usize) -> bool {
+        len == self.len && (self.lo..self.hi).contains(&ones)
+    }
+}
+
+/// The smallest count in `0..=len` at which `past` holds (`len + 1` if
+/// none), for a `past` that turns true once and then stays true.
+fn first_count(len: usize, past: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, len + 1);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if past(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
 /// The ladder's runtime state: the rung plus transition counters.
 #[derive(Debug, Clone)]
 pub struct OverloadLadder {
@@ -350,6 +401,10 @@ pub struct OverloadLadder {
     state: OverloadState,
     transitions: u64,
     early_rotations: u64,
+    /// The counts at which the current rung holds under the policy, so
+    /// a sample compares integers and runs the float rule only when the
+    /// count leaves them.
+    band: RungBand,
 }
 
 impl OverloadLadder {
@@ -360,6 +415,7 @@ impl OverloadLadder {
             state: OverloadState::Normal,
             transitions: 0,
             early_rotations: 0,
+            band: RungBand::NONE,
         }
     }
 
@@ -381,6 +437,7 @@ impl OverloadLadder {
             self.state = OverloadState::Normal;
         }
         self.policy = policy;
+        self.band = RungBand::NONE;
     }
 
     /// The current rung.
@@ -401,18 +458,42 @@ impl OverloadLadder {
     /// Samples the sentinel against `bitmap` and moves the ladder if the
     /// fill crossed a (hysteresis-guarded) threshold. Returns the
     /// transition when one happened — `None` on the hot path.
+    ///
+    /// The hot path compares the current vector's ones-count with the
+    /// cached band of counts that keep the rung; only a count outside it
+    /// runs the threshold rule on the fill ratio.
+    #[inline]
     pub fn evaluate(&mut self, bitmap: &AtomicBitmap, now: Timestamp) -> Option<OverloadEvent> {
         if !self.policy.enabled {
             return None;
         }
+        let (ones, len) = bitmap.fill_count();
+        if self.band.holds(ones, len) {
+            return None;
+        }
+        self.sample(bitmap, ones, len, now)
+    }
+
+    /// The threshold rule on a count outside the cached band: caches the
+    /// band when the rung holds, moves the ladder when it does not.
+    #[cold]
+    fn sample(
+        &mut self,
+        bitmap: &AtomicBitmap,
+        ones: usize,
+        len: usize,
+        now: Timestamp,
+    ) -> Option<OverloadEvent> {
         let from = self.state;
-        let fill = bitmap.utilization();
+        let fill = ones as f64 / len as f64;
         let to = self.policy.target_state(from, fill);
         if to == from {
+            self.band = RungBand::derive(&self.policy, from, len);
             return None;
         }
         self.state = to;
         self.transitions += 1;
+        self.band = RungBand::NONE;
         Some(OverloadEvent {
             now,
             from,
@@ -451,6 +532,7 @@ impl OverloadLadder {
         self.state = OverloadState::Normal;
         self.transitions = 0;
         self.early_rotations = 0;
+        self.band = RungBand::NONE;
     }
 }
 
@@ -528,6 +610,66 @@ mod tests {
             p.target_state(OverloadState::Saturated, 0.1),
             OverloadState::Normal
         );
+    }
+
+    /// Vector lengths the band property runs every count of.
+    const BAND_LENS: [usize; 6] = [2, 3, 64, 1000, 4099, 1 << 16];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(48))]
+
+        /// The cached band is exact: at every count of the vector, it
+        /// holds the count just when the threshold rule keeps the rung,
+        /// for every rung, thresholds anywhere or exactly on a count, and
+        /// any hysteresis.
+        #[test]
+        fn rung_band_matches_the_rule_at_every_count(
+            len in 0usize..BAND_LENS.len(),
+            on_counts in proptest::strategy::any::<bool>(),
+            pressure in 0.0f64..1.0,
+            saturated in 0.0f64..1.0,
+            hysteresis in 0.0f64..1.0,
+        ) {
+            let len = BAND_LENS[len];
+            let (pressure_fill, saturated_fill, hysteresis) = if on_counts {
+                // Counts 1 <= p < s <= len and h < p, as ratios of len.
+                let p = 1 + ((pressure * (len - 1) as f64) as usize).min(len - 2);
+                let s = p + 1 + ((saturated * (len - p) as f64) as usize).min(len - p - 1);
+                let h = ((hysteresis * p as f64) as usize).min(p - 1);
+                let ratio = |count: usize| count as f64 / len as f64;
+                (ratio(p), ratio(s), ratio(h))
+            } else {
+                let p = 0.001 + pressure * 0.99;
+                (p, p + (1.0 - p) * saturated.max(1e-3), p * hysteresis)
+            };
+            let policy = OverloadPolicy {
+                pressure_fill,
+                saturated_fill,
+                hysteresis,
+                ..OverloadPolicy::balanced()
+            };
+            for rung in [
+                OverloadState::Normal,
+                OverloadState::Pressure,
+                OverloadState::Saturated,
+            ] {
+                let band = RungBand::derive(&policy, rung, len);
+                for ones in 0..=len {
+                    let keeps = policy.target_state(rung, ones as f64 / len as f64) == rung;
+                    proptest::prop_assert_eq!(
+                        band.holds(ones, len),
+                        keeps,
+                        "{:?} at {} of {} under {:?}",
+                        rung,
+                        ones,
+                        len,
+                        policy
+                    );
+                }
+                // A band is for one length only.
+                proptest::prop_assert!(!band.holds(band.lo, len + 1));
+            }
+        }
     }
 
     #[test]

@@ -93,6 +93,10 @@ impl FlowHash {
     }
 }
 
+/// Packets whose keys [`ShardedFilter::process_batch`] hashes before
+/// deciding them.
+const HASH_AHEAD: usize = 16;
+
 /// Error addressing a shard index that does not exist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardIndexError {
@@ -122,12 +126,47 @@ struct Bank<F> {
     /// calls so a shard that received no packets in a high-timestamp
     /// batch still advances to the sequential clock on its next packet.
     watermark: u64,
+    /// The keys of the chunk [`ShardedFilter::process_batch`] is
+    /// deciding, hashed ahead; sized at assembly, so a batch never grows
+    /// it.
+    keys: Vec<HashedKey>,
+}
+
+/// The shard count, and the pick of a flow's shard, `flow % count`,
+/// without a division: Lemire's direct remainder, exact for every 64-bit
+/// flow and count. The multiplier `⌈2^128 / count⌉` is worked out once;
+/// for a count of 1 it wraps to 0, which picks shard 0.
+#[derive(Debug, Clone, Copy)]
+struct ShardPick {
+    count: usize,
+    multiplier: u128,
+}
+
+impl ShardPick {
+    fn new(count: usize) -> Self {
+        Self {
+            count,
+            multiplier: (u128::MAX / count as u128).wrapping_add(1),
+        }
+    }
+
+    /// `flow % count`: the high 64 bits of the fraction
+    /// `multiplier · flow` (mod 2^128) times `count`.
+    #[inline]
+    fn of(&self, flow: u64) -> usize {
+        let fraction = self.multiplier.wrapping_mul(u128::from(flow));
+        let count = self.count as u128;
+        let low = ((fraction & u128::from(u64::MAX)) * count) >> 64;
+        let high = (fraction >> 64) * count;
+        ((low + high) >> 64) as usize
+    }
 }
 
 struct Inner<F> {
     bank: Mutex<Bank<F>>,
-    /// `bank.shards.len()`, fixed at assembly and read without the lock.
-    shard_count: usize,
+    /// `bank.shards.len()` and the shard pick, fixed at assembly and
+    /// read without the lock.
+    shards: ShardPick,
     flow: FlowHash,
     uplink: Arc<ThroughputMonitor>,
     /// The RED curve every shard applies, cached here so telemetry reads
@@ -217,7 +256,7 @@ impl<F: PacketFilter + Send + Sync> fmt::Debug for ShardedFilter<F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardedFilter")
             .field("name", &self.inner.name)
-            .field("shards", &self.inner.shard_count)
+            .field("shards", &self.inner.shards.count)
             .finish()
     }
 }
@@ -345,10 +384,11 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
         let name = format!("sharded-{}x{}", filters[0].name(), filters.len());
         Self {
             inner: Arc::new(Inner {
-                shard_count: filters.len(),
+                shards: ShardPick::new(filters.len()),
                 bank: Mutex::new(Bank {
                     shards: filters,
                     watermark: 0,
+                    keys: Vec::with_capacity(HASH_AHEAD),
                 }),
                 flow,
                 uplink,
@@ -361,7 +401,7 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.inner.shard_count
+        self.inner.shards.count
     }
 
     /// The flow hash used for shard assignment.
@@ -376,7 +416,7 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
 
     /// The shard index `tuple` maps to when seen from `direction`.
     pub fn shard_of(&self, tuple: &FiveTuple, direction: Direction) -> usize {
-        (self.inner.flow.key(tuple, direction) % self.inner.shard_count as u64) as usize
+        self.inner.shards.of(self.inner.flow.key(tuple, direction))
     }
 
     /// Runs the full per-packet pipeline on the packet's shard, under the
@@ -404,15 +444,9 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
     ) -> Verdict {
         let key = self.inner.flow.hashed(packet, direction);
         let mut held = self.inner.hold();
-        let shard = &mut held.bank.shards[self.shard_index(&key)];
+        let shard = &mut held.bank.shards[self.inner.shards.of(key.flow())];
         shard.advance(watermark);
         shard.decide_keyed(&key, packet, direction)
-    }
-
-    /// The shard a hashed key belongs to.
-    #[inline]
-    fn shard_index(&self, key: &HashedKey) -> usize {
-        (key.flow() % self.inner.shard_count as u64) as usize
     }
 
     /// Runs the full per-packet pipeline on a batch of packets,
@@ -442,15 +476,31 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
     /// so a caller that catches the unwind can resume the batch after it.
     pub fn process_batch(&self, packets: &[(Packet, Direction)], verdicts: &mut Vec<Verdict>) {
         verdicts.reserve(packets.len());
-        let flow = self.inner.flow;
+        let Inner {
+            flow, shards: pick, ..
+        } = *self.inner;
         let mut held = self.inner.hold();
-        let Bank { shards, watermark } = &mut *held.bank;
-        for (packet, direction) in packets {
-            *watermark = (*watermark).max(packet.ts().as_micros());
-            let key = flow.hashed(packet, *direction);
-            let shard = &mut shards[self.shard_index(&key)];
-            shard.advance(Timestamp::from_micros(*watermark));
-            verdicts.push(shard.decide_keyed(&key, packet, *direction));
+        let Bank {
+            shards,
+            watermark,
+            keys,
+        } = &mut *held.bank;
+        for chunk in packets.chunks(HASH_AHEAD) {
+            // Hash the chunk's keys before deciding any of it, so the
+            // key hashes of consecutive packets overlap instead of each
+            // waiting behind the decision before it.
+            keys.clear();
+            keys.extend(
+                chunk
+                    .iter()
+                    .map(|(packet, direction)| flow.hashed(packet, *direction)),
+            );
+            for ((packet, direction), key) in chunk.iter().zip(keys.iter()) {
+                *watermark = (*watermark).max(packet.ts().as_micros());
+                let shard = &mut shards[pick.of(key.flow())];
+                shard.advance(Timestamp::from_micros(*watermark));
+                verdicts.push(shard.decide_keyed(key, packet, *direction));
+            }
         }
     }
 
@@ -517,7 +567,7 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
         let mut held = self.inner.hold();
         let shard = held.bank.shards.get_mut(index).ok_or(ShardIndexError {
             index,
-            shards: self.inner.shard_count,
+            shards: self.inner.shards.count,
         })?;
         Ok(f(shard))
     }
@@ -538,7 +588,7 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
         let mut held = self.inner.hold();
         let shard = held.bank.shards.get_mut(index).ok_or(ShardIndexError {
             index,
-            shards: self.inner.shard_count,
+            shards: self.inner.shards.count,
         })?;
         *shard = filter;
         Ok(())
@@ -568,7 +618,7 @@ impl<F: PacketFilter + Send + Sync + Snapshottable> ShardedFilter<F> {
     pub fn checkpoint_bytes(&self, watermark: Timestamp) -> Vec<u8> {
         let mut held = self.inner.hold();
         let mut w = ByteWriter::new();
-        w.put_u32(self.inner.shard_count as u32);
+        w.put_u32(self.inner.shards.count as u32);
         for shard in &mut held.bank.shards {
             shard.advance(watermark);
             let mut shard_w = ByteWriter::new();
@@ -618,7 +668,7 @@ impl<F: PacketFilter + Send + Sync + Snapshottable> ShardedFilter<F> {
             });
         }
         let mut r = ByteReader::new(view.payload);
-        if r.u32()? as usize != self.inner.shard_count {
+        if r.u32()? as usize != self.inner.shards.count {
             return Err(SnapshotError::ConfigMismatch("shard count"));
         }
         let stale = now.saturating_since(view.watermark) > stale_after;
@@ -1052,6 +1102,25 @@ mod tests {
                     verdicts, seq_verdicts,
                     "batch size {batch} with {shards} shards diverged"
                 );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(64))]
+
+        /// The division-free pick is the remainder, for every shard count
+        /// a bank takes in practice, at random flows and both extremes.
+        #[test]
+        fn shard_pick_is_the_remainder(flows in proptest::collection::vec(
+            proptest::strategy::any::<u64>(),
+            1..32,
+        )) {
+            for n in 1..=64usize {
+                let pick = ShardPick::new(n);
+                for flow in flows.iter().copied().chain([0, 1, u64::MAX, u64::MAX - 1]) {
+                    proptest::prop_assert_eq!(pick.of(flow), (flow % n as u64) as usize);
+                }
             }
         }
     }

@@ -164,14 +164,23 @@ impl<R: Read> PacketSource for PcapSource<R> {
 /// capture into an indefinite traffic generator.
 ///
 /// [`next_batch`](PacketSource::next_batch) hands packets over in runs,
-/// not one at a time: a run of the first pass is one `extend_from_slice`,
-/// and a run of a looped pass one `extend` that restamps as it copies.
-/// A run ends at the poll's `max` or at the end of a pass, so the
-/// packets, their timestamps and the `Batch`/`End` sequence are those of
-/// a packet-by-packet copy.
+/// not one at a time. A source that is not looped plays its one pass by
+/// move: the first poll turns the buffer into an owning iterator, and
+/// each run is moved out of it, so no packet is copied. A looped source
+/// replays, so it copies: a run of the first pass is one
+/// `extend_from_slice`, and a run of a later pass one `extend` that
+/// restamps as it copies. A run ends at the poll's `max` or at the end
+/// of a pass, so the packets, their timestamps and the `Batch`/`End`
+/// sequence are those of a packet-by-packet copy.
 #[derive(Debug, Clone)]
 pub struct BufferedSource {
+    /// The stream as buffered; emptied by the first poll of a source
+    /// that is not looped, which moves it into `once`.
     packets: Vec<(Packet, Direction)>,
+    /// What is left of the one pass of a source that is not looped.
+    once: Option<std::vec::IntoIter<(Packet, Direction)>>,
+    /// Packets per pass, kept while `packets` is moved out.
+    len: usize,
     stats: IngestStats,
     pos: usize,
     cycle: u64,
@@ -184,19 +193,15 @@ impl BufferedSource {
     /// accounting of wherever the packets came from
     /// ([`IngestStats::default()`] for synthetic streams).
     pub fn new(packets: Vec<(Packet, Direction)>, stats: IngestStats) -> Self {
-        let span = match (packets.first(), packets.last()) {
-            (Some((first, _)), Some((last, _))) => last.ts().saturating_since(first.ts()),
-            _ => TimeDelta::ZERO,
-        };
         Self {
+            len: packets.len(),
             packets,
+            once: None,
             stats,
             pos: 0,
             cycle: 0,
             looped: false,
-            // One microsecond of guard keeps restamped cycles strictly
-            // monotone even for single-packet streams.
-            period: TimeDelta::from_micros(span.as_micros() + 1),
+            period: TimeDelta::ZERO,
         }
     }
 
@@ -229,22 +234,39 @@ impl BufferedSource {
         Ok(Self::new(packets, source.stats()))
     }
 
-    /// Replays the buffer in a loop instead of ending: each pass is
-    /// restamped one whole trace-span later, so timestamps stay
-    /// monotone and rotation/expiry machinery keeps ticking forever.
+    /// Replays the buffer in a loop instead of ending. Each pass is
+    /// restamped one whole trace span later, the span running from the
+    /// earliest timestamp to the latest, so every packet of a pass is
+    /// later than every packet of the pass before it even when the
+    /// capture is out of order, and rotation/expiry machinery keeps
+    /// ticking forever.
+    ///
+    /// Choose before the first poll: a source that is not looped hands
+    /// its buffer over by move on that poll.
     pub fn looped(mut self, looped: bool) -> Self {
+        debug_assert!(self.once.is_none(), "looped chosen after the first poll");
         self.looped = looped;
+        if looped {
+            let stamps = self.packets.iter().map(|(p, _)| p.ts().as_micros());
+            let span = match (stamps.clone().min(), stamps.max()) {
+                (Some(earliest), Some(latest)) => latest - earliest,
+                _ => 0,
+            };
+            // One microsecond of guard keeps restamped passes strictly
+            // monotone even for single-packet streams.
+            self.period = TimeDelta::from_micros(span + 1);
+        }
         self
     }
 
     /// Number of buffered packets per cycle.
     pub fn len(&self) -> usize {
-        self.packets.len()
+        self.len
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
+        self.len == 0
     }
 }
 
@@ -254,16 +276,25 @@ impl PacketSource for BufferedSource {
         out: &mut Vec<(Packet, Direction)>,
         max: usize,
     ) -> Result<SourcePoll, NetError> {
+        let want = max.max(1);
+        if !self.looped {
+            // The one pass: move the next run out of the buffer.
+            let once = self
+                .once
+                .get_or_insert_with(|| std::mem::take(&mut self.packets).into_iter());
+            let before = out.len();
+            out.extend(once.by_ref().take(want));
+            return Ok(match out.len() - before {
+                0 => SourcePoll::End,
+                appended => SourcePoll::Batch(appended),
+            });
+        }
         if self.packets.is_empty() {
             return Ok(SourcePoll::End);
         }
-        let want = max.max(1);
         let mut appended = 0;
         while appended < want {
             if self.pos >= self.packets.len() {
-                if !self.looped {
-                    break;
-                }
                 self.pos = 0;
                 self.cycle += 1;
             }
@@ -283,11 +314,7 @@ impl PacketSource for BufferedSource {
             self.pos += take;
             appended += take;
         }
-        if appended == 0 {
-            Ok(SourcePoll::End)
-        } else {
-            Ok(SourcePoll::Batch(appended))
-        }
+        Ok(SourcePoll::Batch(appended))
     }
 
     fn stats(&self) -> IngestStats {
@@ -836,6 +863,36 @@ mod tests {
         assert!(out[10].0.ts() > out[9].0.ts());
     }
 
+    /// A capture whose last record is not its latest still loops
+    /// forward: each pass is shifted by the earliest-to-latest span, so
+    /// every packet of pass c+1 is later than every packet of pass c.
+    #[test]
+    fn looped_source_restamps_out_of_order_captures_past_the_latest() {
+        let net: Cidr = "10.0.0.0/16".parse().unwrap();
+        let packets: Vec<Packet> = [10, 50, 20]
+            .iter()
+            .map(|&us| {
+                packet(0.0, "10.0.0.1:4000", "198.51.100.9:6881")
+                    .with_ts(Timestamp::from_micros(us))
+            })
+            .collect();
+        let mut source = BufferedSource::labeled(packets, net).looped(true);
+        let mut out = Vec::new();
+        assert_eq!(
+            source.next_batch(&mut out, 9).unwrap(),
+            SourcePoll::Batch(9)
+        );
+        let stamps: Vec<u64> = out.iter().map(|(p, _)| p.ts().as_micros()).collect();
+        assert_eq!(stamps, [10, 50, 20, 51, 91, 61, 92, 132, 102]);
+        for (earlier, later) in stamps.chunks(3).zip(stamps.chunks(3).skip(1)) {
+            let latest = earlier.iter().max().unwrap();
+            assert!(
+                later.iter().all(|ts| ts > latest),
+                "{earlier:?} then {later:?}"
+            );
+        }
+    }
+
     /// What `polls` calls of `next_batch(out, max)` must produce: each
     /// packet cloned on its own and restamped by `cycle × period`.
     fn per_packet_reference(
@@ -844,10 +901,9 @@ mod tests {
         max: usize,
         polls: usize,
     ) -> (Vec<(Packet, Direction)>, Vec<SourcePoll>) {
-        let period = match (packets.first(), packets.last()) {
-            (Some((first, _)), Some((last, _))) => {
-                last.ts().saturating_since(first.ts()).as_micros() + 1
-            }
+        let stamps = || packets.iter().map(|(p, _)| p.ts().as_micros());
+        let period = match (stamps().min(), stamps().max()) {
+            (Some(earliest), Some(latest)) => latest - earliest + 1,
             _ => 1,
         };
         let (mut out, mut seen) = (Vec::new(), Vec::new());
@@ -880,13 +936,21 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::Config::with_cases(256))]
 
-        /// Runs handed over in bulk are exactly the packets, timestamps
-        /// and poll results of a packet-by-packet copy, through several
-        /// wraps of a looped source and past the end of a finite one.
+        /// Runs handed over in bulk are exactly the packets, payloads,
+        /// timestamps and poll results of a packet-by-packet copy,
+        /// through several wraps of a looped source (whose first pass
+        /// copies and later passes restamp) and past the end of a finite
+        /// one (whose one pass moves), on streams that may run back in
+        /// time.
         #[test]
         fn buffered_source_matches_a_per_packet_copy(
             gaps in proptest::collection::vec(
-                (0u64..3_000_000, proptest::strategy::any::<bool>()),
+                (
+                    0u64..3_000_000,
+                    0u64..1_000_000,
+                    proptest::strategy::any::<bool>(),
+                    0usize..48,
+                ),
                 0..201,
             ),
             max in 0usize..131,
@@ -896,11 +960,19 @@ mod tests {
             let packets: Vec<(Packet, Direction)> = gaps
                 .iter()
                 .enumerate()
-                .map(|(i, &(gap, outbound))| {
+                .map(|(i, &(gap, back, outbound, payload))| {
                     ts += gap;
-                    let src = format!("10.0.0.{}:4000", i % 200 + 1);
-                    let p = packet(0.0, &src, "198.51.100.9:6881")
-                        .with_ts(Timestamp::from_micros(ts));
+                    let tuple = FiveTuple::new(
+                        Protocol::Tcp,
+                        format!("10.0.0.{}:4000", i % 200 + 1).parse().unwrap(),
+                        "198.51.100.9:6881".parse().unwrap(),
+                    );
+                    let p = Packet::tcp(
+                        Timestamp::from_micros(ts - back),
+                        tuple,
+                        TcpFlags::ACK,
+                        vec![i as u8; payload],
+                    );
                     (p, if outbound { Direction::Outbound } else { Direction::Inbound })
                 })
                 .collect();

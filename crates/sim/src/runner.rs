@@ -1060,19 +1060,17 @@ where
         let _t = self.obs.tracer.as_ref().map(|t| t.scope(Stage::Emit));
         let mut tally = self.tally;
         tally.watermark = watermark;
+        // Branch-free: only an inbound drop counts as dropped, and an
+        // outbound packet's bits are offered, and kept when it passes.
         for ((packet, direction), verdict) in run.iter().zip(&self.verdicts) {
-            match (*direction, *verdict) {
-                (Direction::Inbound, Verdict::Drop) => tally.dropped += 1,
-                (Direction::Inbound, Verdict::Pass) => tally.passed += 1,
-                (Direction::Outbound, verdict) => {
-                    tally.passed += 1;
-                    let bits = packet.wire_bits();
-                    tally.uplink_offered_bits += bits;
-                    if verdict == Verdict::Pass {
-                        tally.uplink_kept_bits += bits;
-                    }
-                }
-            }
+            let outbound = u64::from(*direction == Direction::Outbound);
+            let passes = u64::from(*verdict == Verdict::Pass);
+            let dropped = (1 - outbound) & (1 - passes);
+            tally.dropped += dropped;
+            tally.passed += 1 - dropped;
+            let bits = packet.wire_bits() * outbound;
+            tally.uplink_offered_bits += bits;
+            tally.uplink_kept_bits += bits * passes;
         }
         self.tally = tally;
         if let Some(store) = self.blocked.as_mut() {

@@ -337,71 +337,74 @@ fn serve_one(
     let path = path.split('?').next().unwrap_or(path).to_string();
 
     if method == "POST" {
-        if let Some(handler) = control {
-            let content_length = request
-                .lines()
-                .filter_map(|l| l.split_once(':'))
-                .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-                .and_then(|(_, v)| v.trim().parse::<usize>().ok())
-                .unwrap_or(0);
-            if content_length > MAX_BODY_BYTES {
-                respond(
-                    &mut stream,
-                    "413 Content Too Large",
-                    "text/plain; charset=utf-8",
-                    "body too large\n",
-                )?;
-                // As with 431: drain what the client already sent so
-                // closing doesn't RST the response out of its buffer.
-                drain_bounded(&mut stream);
-                return Ok(());
-            }
-            // Whatever followed the header terminator in the first
-            // reads is already body; pull the rest off the socket.
-            let mut body = buf[header_end..read].to_vec();
-            while body.len() < content_length {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return respond(
-                        &mut stream,
-                        "408 Request Timeout",
-                        "text/plain; charset=utf-8",
-                        "request timed out\n",
-                    );
-                }
-                stream.set_read_timeout(Some(remaining.min(Duration::from_millis(500))))?;
-                let mut chunk = [0u8; 1024];
-                match stream.read(&mut chunk) {
-                    Ok(0) => break,
-                    Ok(n) => body.extend_from_slice(&chunk[..n]),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => continue,
-                    Err(e) if e.kind() == std::io::ErrorKind::TimedOut => continue,
-                    Err(e) => return Err(e),
-                }
-            }
-            body.truncate(content_length);
-            let body = String::from_utf8_lossy(&body);
-            let reply = handler(&path, &body);
-            let status = match reply.status {
-                200 => "200 OK".to_string(),
-                202 => "202 Accepted".to_string(),
-                400 => "400 Bad Request".to_string(),
-                404 => "404 Not Found".to_string(),
-                409 => "409 Conflict".to_string(),
-                other => format!("{other} Control"),
-            };
-            let mut doc = reply.body;
-            if !doc.ends_with('\n') {
-                doc.push('\n');
-            }
-            return respond(&mut stream, &status, "application/json", &doc);
+        let content_length = request
+            .lines()
+            .filter_map(|l| l.split_once(':'))
+            .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
+            .and_then(|(_, v)| v.trim().parse::<usize>().ok())
+            .unwrap_or(0);
+        if content_length > MAX_BODY_BYTES {
+            respond(
+                &mut stream,
+                "413 Content Too Large",
+                "text/plain; charset=utf-8",
+                "body too large\n",
+            )?;
+            // As with 431: drain what the client already sent so
+            // closing doesn't RST the response out of its buffer.
+            drain_bounded(&mut stream);
+            return Ok(());
         }
-        return respond(
-            &mut stream,
-            "405 Method Not Allowed",
-            "text/plain; charset=utf-8",
-            "method not allowed\n",
-        );
+        // Read the whole declared body, with or without a handler to
+        // take it: a reply sent before the body lands would leave it
+        // unread at close, and the RST that sends can wipe the reply.
+        // Whatever followed the header terminator in the first reads is
+        // already body; pull the rest off the socket.
+        let mut body = buf[header_end..read].to_vec();
+        while body.len() < content_length {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return respond(
+                    &mut stream,
+                    "408 Request Timeout",
+                    "text/plain; charset=utf-8",
+                    "request timed out\n",
+                );
+            }
+            stream.set_read_timeout(Some(remaining.min(Duration::from_millis(500))))?;
+            let mut chunk = [0u8; 1024];
+            match stream.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => body.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => continue,
+                Err(e) if e.kind() == std::io::ErrorKind::TimedOut => continue,
+                Err(e) => return Err(e),
+            }
+        }
+        let Some(handler) = control else {
+            return respond(
+                &mut stream,
+                "405 Method Not Allowed",
+                "text/plain; charset=utf-8",
+                "method not allowed\n",
+            );
+        };
+        body.truncate(content_length);
+        let body = String::from_utf8_lossy(&body);
+        let reply = handler(&path, &body);
+        let status = match reply.status {
+            200 => "200 OK".to_string(),
+            202 => "202 Accepted".to_string(),
+            400 => "400 Bad Request".to_string(),
+            404 => "404 Not Found".to_string(),
+            409 => "409 Conflict".to_string(),
+            other => format!("{other} Control"),
+        };
+        let mut doc = reply.body;
+        if !doc.ends_with('\n') {
+            doc.push('\n');
+        }
+        return respond(&mut stream, &status, "application/json", &doc);
     }
 
     let (status, content_type, body) = if method != "GET" {
@@ -464,6 +467,7 @@ fn respond(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::ErrorKind;
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).expect("connect");
@@ -533,6 +537,36 @@ mod tests {
             .expect("bind ephemeral");
         let (head, _) = post(server.local_addr(), "/config", "batch_size=8");
         assert!(head.starts_with("HTTP/1.1 405"), "{head}");
+        server.shutdown();
+    }
+
+    /// Without a handler, a `POST` still reads its declared body before
+    /// the `405`: nothing comes back while the body is outstanding.
+    #[test]
+    fn post_without_a_handler_reads_its_body_before_the_405() {
+        let server = MetricsServer::start("127.0.0.1:0", Registry::new(), HealthState::new())
+            .expect("bind ephemeral");
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        let body = "batch_size=8";
+        write!(
+            stream,
+            "POST /config HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .expect("write headers");
+        stream
+            .set_read_timeout(Some(Duration::from_millis(30)))
+            .expect("read timeout");
+        let mut early = [0u8; 64];
+        match stream.read(&mut early) {
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            other => panic!("replied before the body was sent: {other:?}"),
+        }
+        stream.write_all(body.as_bytes()).expect("write body");
+        stream.set_read_timeout(None).expect("blocking read");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read");
+        assert!(response.starts_with("HTTP/1.1 405"), "{response}");
         server.shutdown();
     }
 

@@ -19,9 +19,11 @@ use upbound::sim::{PipelineConfig, PipelineRunner, ReplayConfig, ReplayEngine, S
 use upbound::spi::{SpiConfig, SpiFilter};
 
 /// Batch sizes under test: the degenerate per-packet case, a prime that
-/// never divides the workload evenly, the CLI/pipeline default, and one
-/// larger than any generated workload (a single all-in batch).
-const BATCH_SIZES: [usize; 4] = [1, 7, 64, 4096];
+/// never divides the workload evenly, one just past the 16 packets
+/// `process_batch` hashes ahead (a full chunk, then a remainder of one),
+/// the CLI/pipeline default, and one larger than any generated workload
+/// (a single all-in batch).
+const BATCH_SIZES: [usize; 5] = [1, 7, 17, 64, 4096];
 
 /// Client-side connections: a small pool so inbound events frequently
 /// match an earlier outbound mark (both verdict branches are exercised).
