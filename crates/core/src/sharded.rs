@@ -8,6 +8,8 @@
 //! `&mut`, so bitmap, counter and clock updates are plain loads and
 //! stores. `serve` decides on one thread, so the lock is uncontended
 //! there; concurrent callers stay correct but serialize on the bank.
+//! The bank checkpoints through [`Snapshottable`] like every other
+//! filter: its image is the shard count, then each shard's payload.
 //!
 //! Three invariants make the sharded filter behave exactly like one big
 //! sequential filter:
@@ -32,19 +34,16 @@ use crate::observe::FilterObserver;
 use crate::pfilter::{MergeStats, PacketFilter};
 use crate::runtime::RuntimeOverrides;
 use crate::snapshot::{
-    self, ByteReader, ByteWriter, RestoreMode, RestoreOutcome, SnapshotError, Snapshottable,
-    SHARDED_KIND_FLAG,
+    ByteReader, ByteWriter, RestoreMode, SnapshotError, Snapshottable, SHARDED_KIND_FLAG,
 };
 use crate::{
-    BitmapFilter, BitmapFilterConfig, ConfigError, DropPolicy, OverloadPolicy, ThroughputMonitor,
-    Verdict,
+    BitmapFilter, BitmapFilterConfig, ConfigError, OverloadPolicy, ThroughputMonitor, Verdict,
 };
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard};
 use std::fmt;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use upbound_net::{Direction, FiveTuple, Packet, TimeDelta, Timestamp};
+use upbound_net::{Direction, FiveTuple, Packet, Timestamp};
 
 /// The direction-symmetric flow hash that assigns packets to shards.
 ///
@@ -169,17 +168,10 @@ struct Inner<F> {
     shards: ShardPick,
     flow: FlowHash,
     uplink: Arc<ThroughputMonitor>,
-    /// The RED curve every shard applies, cached here so telemetry reads
-    /// of the global `P_d` derive it straight from the aggregate uplink
-    /// monitor without taking the bank's lock. `None` for
-    /// [`ShardedFilter::from_shards`] assemblies, whose shards' policies
-    /// the container cannot see — those fall back to asking shard 0.
-    /// Behind its own lock (never the bank's) so runtime
-    /// reconfiguration can swap the curve through a shared handle.
-    drop_policy: RwLock<Option<DropPolicy>>,
     name: String,
     /// The largest shard [`PacketFilter::ticks`] at the end of the last
-    /// call that held the bank (see [`ShardedFilter::ticks_seen`]).
+    /// call that held the bank: what the bank's own
+    /// [`PacketFilter::ticks`] returns, without the lock.
     ticks: AtomicU64,
 }
 
@@ -195,8 +187,9 @@ impl<F: PacketFilter> Inner<F> {
 
 /// The bank, held for one call. When the call ends — on return or while
 /// unwinding out of a panicking decision — the largest shard tick count
-/// is stored for [`ShardedFilter::ticks_seen`]. The vendored lock
-/// recovers from poisoning, so a panic never wedges the next call.
+/// is stored for the bank's [`PacketFilter::ticks`]. Every call that can
+/// tick a shard holds the bank this way. The vendored lock recovers from
+/// poisoning, so a panic never wedges the next call.
 struct Held<'a, F: PacketFilter> {
     bank: MutexGuard<'a, Bank<F>>,
     ticks: &'a AtomicU64,
@@ -276,20 +269,10 @@ impl ShardedFilter<BitmapFilter> {
 
 impl<O: FilterObserver + Send + Sync> ShardedFilter<BitmapFilter<O>> {
     /// Applies a [`RuntimeOverrides`] to every shard (see
-    /// [`BitmapFilter::apply_overrides`]) and to the cached telemetry
-    /// `P_d` curve, through a shared handle. Every shard switches under
-    /// one hold of the bank, so no decision runs while some shards are
-    /// on the old overrides and some on the new.
+    /// [`BitmapFilter::apply_overrides`]) through a shared handle. Every
+    /// shard switches under one hold of the bank, so no decision runs
+    /// while some shards are on the old overrides and some on the new.
     pub fn apply_overrides(&self, overrides: &RuntimeOverrides) {
-        if let Some(policy) = overrides.drop_policy {
-            let mut cached = self.inner.drop_policy.write();
-            // from_shards assemblies keep `None`: the container still
-            // cannot vouch for shard construction, but each shard now
-            // carries the override, so the shard-0 fallback stays right.
-            if cached.is_some() {
-                *cached = Some(policy);
-            }
-        }
         for shard in &mut self.inner.hold().bank.shards {
             shard.apply_overrides(overrides);
         }
@@ -350,12 +333,7 @@ impl ShardedFilterBuilder {
                     .with_overload_policy(self.overload.clone())
             })
             .collect();
-        Ok(ShardedFilter::assemble(
-            flow,
-            uplink,
-            Some(self.config.drop_policy()),
-            filters,
-        ))
+        Ok(ShardedFilter::from_shards(flow, uplink, filters))
     }
 }
 
@@ -371,17 +349,9 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
     ///
     /// Panics if `filters` is empty.
     pub fn from_shards(flow: FlowHash, uplink: Arc<ThroughputMonitor>, filters: Vec<F>) -> Self {
-        Self::assemble(flow, uplink, None, filters)
-    }
-
-    fn assemble(
-        flow: FlowHash,
-        uplink: Arc<ThroughputMonitor>,
-        drop_policy: Option<DropPolicy>,
-        filters: Vec<F>,
-    ) -> Self {
         assert!(!filters.is_empty(), "need at least one shard");
         let name = format!("sharded-{}x{}", filters[0].name(), filters.len());
+        let ticks = filters.iter().map(F::ticks).max().unwrap_or(0);
         Self {
             inner: Arc::new(Inner {
                 shards: ShardPick::new(filters.len()),
@@ -392,9 +362,8 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
                 }),
                 flow,
                 uplink,
-                drop_policy: RwLock::new(drop_policy),
                 name,
-                ticks: AtomicU64::new(0),
+                ticks: AtomicU64::new(ticks),
             }),
         }
     }
@@ -506,19 +475,12 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
 
     /// Applies every timer event due at or before `now` on **all**
     /// shards, bringing them to a common tick phase (e.g. before reading
-    /// [`stats`](Self::stats) at a trace boundary).
+    /// [`stats`](Self::stats) at a trace boundary, or before a
+    /// checkpoint, so that every shard's image is cut at one instant).
     pub fn advance(&self, now: Timestamp) {
         for shard in &mut self.inner.hold().bank.shards {
             shard.advance(now);
         }
-    }
-
-    /// The largest shard tick count (bitmap rotations) at the end of the
-    /// last call that held the bank, read without the lock. A caller that
-    /// owns the batching thread polls it between batches instead of
-    /// merging [`stats`](Self::stats).
-    pub fn ticks_seen(&self) -> u64 {
-        self.inner.ticks.load(Ordering::Relaxed)
     }
 
     /// Merged statistics across all shards (see [`MergeStats::merge`]
@@ -538,19 +500,10 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
     }
 
     /// The drop probability derived from the shared aggregate uplink
-    /// rate — identical for every shard by construction.
-    ///
-    /// Builder-assembled filters cache the RED curve and apply it to the
-    /// shared monitor directly, so this telemetry read touches no shard
-    /// lock, and reads the monitor only when the curve can depend on
-    /// it ([`DropPolicy::drop_probability_lazy`]);
-    /// [`from_shards`](Self::from_shards) assemblies (whose policies the
-    /// container cannot see) fall back to asking shard 0.
+    /// rate — identical for every shard by construction, so shard 0
+    /// answers it, under the bank's lock.
     pub fn drop_probability(&self, now: Timestamp) -> f64 {
-        match *self.inner.drop_policy.read() {
-            Some(policy) => policy.drop_probability_lazy(|| self.inner.uplink.rate_bps(now)),
-            None => self.inner.hold().bank.shards[0].drop_probability(now),
-        }
+        self.inner.hold().bank.shards[0].drop_probability(now)
     }
 
     /// Runs `f` with exclusive access to shard `index`, under the bank's
@@ -600,126 +553,54 @@ impl<F: PacketFilter + Send + Sync> ShardedFilter<F> {
     }
 }
 
-impl<F: PacketFilter + Send + Sync + Snapshottable> ShardedFilter<F> {
-    /// The container kind a sharded checkpoint of this filter type uses:
-    /// the shard kind with [`SHARDED_KIND_FLAG`] set.
-    pub fn snapshot_kind() -> u32 {
-        F::SNAPSHOT_KIND | SHARDED_KIND_FLAG
-    }
+/// The bank checkpoints as one container of kind
+/// `F::SNAPSHOT_KIND | SHARDED_KIND_FLAG`. A caller that wants a
+/// consistent cut [`advance`](ShardedFilter::advance)s the bank to the
+/// watermark first, so every shard's timer phase and bitmap state
+/// correspond to the same instant, as a sequential filter's would.
+impl<F: PacketFilter + Send + Sync + Snapshottable> Snapshottable for ShardedFilter<F> {
+    const SNAPSHOT_KIND: u32 = F::SNAPSHOT_KIND | SHARDED_KIND_FLAG;
 
-    /// Serializes every shard into one container valid at trace time
-    /// `watermark`.
-    ///
-    /// The bank is held while encoding, and each shard is first
-    /// advanced to `watermark`, so the checkpoint is a
-    /// *consistent cut*: every shard's timer phase and bitmap state
-    /// correspond to the same instant, exactly as a sequential filter
-    /// would have been at `watermark`.
-    pub fn checkpoint_bytes(&self, watermark: Timestamp) -> Vec<u8> {
-        let mut held = self.inner.hold();
-        let mut w = ByteWriter::new();
+    /// The shard count, then each shard's payload behind its `u64`
+    /// length, under one hold of the bank.
+    fn encode_snapshot(&self, w: &mut ByteWriter) {
+        let held = self.inner.hold();
         w.put_u32(self.inner.shards.count as u32);
-        for shard in &mut held.bank.shards {
-            shard.advance(watermark);
+        for shard in &held.bank.shards {
             let mut shard_w = ByteWriter::new();
             shard.encode_snapshot(&mut shard_w);
             let bytes = shard_w.into_bytes();
             w.put_u64(bytes.len() as u64);
             w.put_slice(&bytes);
         }
-        drop(held);
-        snapshot::encode_container(Self::snapshot_kind(), watermark, w.as_slice())
     }
 
-    /// Writes a [`checkpoint_bytes`](Self::checkpoint_bytes) image to
-    /// `path` atomically (temp file + fsync + rename).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures as [`SnapshotError::Io`].
-    pub fn checkpoint_to(&self, path: &Path, watermark: Timestamp) -> Result<(), SnapshotError> {
-        snapshot::write_atomic(path, &self.checkpoint_bytes(watermark))
-    }
-
-    /// Validates `bytes` and restores every shard from it, holding the
-    /// bank for the duration. A snapshot whose watermark is more
-    /// than `stale_after` behind `now` restores statistics only and
-    /// restarts every shard cold at `now` (returning
-    /// [`RestoreOutcome::Cold`]).
-    ///
-    /// # Errors
-    ///
-    /// Container defects, kind mismatches, shard-count mismatches, and
-    /// per-shard configuration mismatches map to the corresponding
-    /// [`SnapshotError`]. On error some shards may already hold restored
-    /// state; callers should treat the filter as unusable and either
-    /// retry with a good snapshot or [`start_cold_at`](Self::start_cold_at).
-    pub fn restore_bytes(
-        &self,
-        bytes: &[u8],
-        now: Timestamp,
-        stale_after: TimeDelta,
-    ) -> Result<RestoreOutcome, SnapshotError> {
-        let view = snapshot::decode_container(bytes)?;
-        if view.kind != Self::snapshot_kind() {
-            return Err(SnapshotError::KindMismatch {
-                expected: Self::snapshot_kind(),
-                found: view.kind,
-            });
-        }
-        let mut r = ByteReader::new(view.payload);
+    /// Restores every shard under one hold of the bank. A different
+    /// shard count is a [`SnapshotError::ConfigMismatch`]; on any error
+    /// some shards may already hold restored state.
+    fn restore_snapshot(
+        &mut self,
+        r: &mut ByteReader<'_>,
+        mode: RestoreMode,
+    ) -> Result<(), SnapshotError> {
         if r.u32()? as usize != self.inner.shards.count {
             return Err(SnapshotError::ConfigMismatch("shard count"));
         }
-        let stale = now.saturating_since(view.watermark) > stale_after;
-        let mode = if stale {
-            RestoreMode::StatsOnly
-        } else {
-            RestoreMode::Full
-        };
-        let mut held = self.inner.hold();
-        for shard in &mut held.bank.shards {
+        for shard in &mut self.inner.hold().bank.shards {
             let len = r.u64()? as usize;
-            let payload = r.take(len)?;
-            let mut shard_r = ByteReader::new(payload);
+            let mut shard_r = ByteReader::new(r.take(len)?);
             shard.restore_snapshot(&mut shard_r, mode)?;
             if !shard_r.is_empty() {
                 return Err(SnapshotError::Malformed("shard payload has trailing bytes"));
             }
         }
-        if !r.is_empty() {
-            return Err(SnapshotError::Malformed("payload has trailing bytes"));
-        }
-        if stale {
-            for shard in &mut held.bank.shards {
-                shard.start_cold_at(now);
-            }
-            Ok(RestoreOutcome::Cold)
-        } else {
-            Ok(RestoreOutcome::Warm)
-        }
+        Ok(())
     }
 
-    /// Reads and restores a checkpoint file written by
-    /// [`checkpoint_to`](Self::checkpoint_to).
-    ///
-    /// # Errors
-    ///
-    /// See [`restore_bytes`](Self::restore_bytes); file reads fail as
-    /// [`SnapshotError::Io`].
-    pub fn restore_from(
-        &self,
-        path: &Path,
-        now: Timestamp,
-        stale_after: TimeDelta,
-    ) -> Result<RestoreOutcome, SnapshotError> {
-        self.restore_bytes(&snapshot::read_file(path)?, now, stale_after)
-    }
-
-    /// Restarts every shard cold with its warm-up clock anchored at
-    /// `epoch` — the uniform anchor that keeps sharded fail-open
-    /// verdicts identical to a sequential filter's.
-    pub fn start_cold_at(&self, epoch: Timestamp) {
+    /// Restarts every shard cold at `epoch` — the uniform anchor that
+    /// keeps sharded fail-open verdicts identical to a sequential
+    /// filter's.
+    fn start_cold_at(&mut self, epoch: Timestamp) {
         for shard in &mut self.inner.hold().bank.shards {
             shard.start_cold_at(epoch);
         }
@@ -745,9 +626,10 @@ impl<F: PacketFilter + Send + Sync> PacketFilter for ShardedFilter<F> {
         ShardedFilter::stats(self)
     }
 
+    /// The largest shard tick count, as stored when the last call that
+    /// held the bank let go: one relaxed load, no lock.
     fn ticks(&self) -> u64 {
-        let held = self.inner.hold();
-        held.bank.shards.iter().map(F::ticks).max().unwrap_or(0)
+        self.inner.ticks.load(Ordering::Relaxed)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -766,6 +648,7 @@ impl<F: PacketFilter + Send + Sync> PacketFilter for ShardedFilter<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{self, RestoreOutcome};
     use crate::FilterStats;
     use upbound_net::{Protocol, TcpFlags};
 
@@ -976,6 +859,55 @@ mod tests {
     }
 
     #[test]
+    fn overrides_reach_every_shard_and_the_bank_p_d() {
+        use crate::DropPolicy;
+        let config = BitmapFilterConfig::builder()
+            .drop_policy(DropPolicy::new(1_000.0, 1e12).unwrap())
+            .build()
+            .unwrap();
+        let uplink = Arc::new(config.uplink_monitor());
+        let shards = (0..4)
+            .map(|_| BitmapFilter::new(config.clone()).with_shared_uplink(Arc::clone(&uplink)))
+            .collect();
+        let banks = [
+            ("builder", sharded(config.clone(), 4)),
+            (
+                "from_shards",
+                ShardedFilter::from_shards(FlowHash::new(config.hole_punching()), uplink, shards),
+            ),
+        ];
+        for (label, f) in banks {
+            for port in 0..200u16 {
+                let pkt = Packet::tcp(
+                    Timestamp::from_secs(1.0),
+                    out_tuple(10_000 + port),
+                    TcpFlags::ACK,
+                    vec![0u8; 1000],
+                );
+                f.process_packet(&pkt, Direction::Outbound);
+            }
+            let now = Timestamp::from_secs(2.0);
+            let rate = f.uplink().rate_bps(now);
+            let policy = DropPolicy::new(rate / 2.0, rate * 2.0).unwrap();
+            let expected = policy.drop_probability(rate);
+            assert!(expected > 0.0 && expected < 1.0, "{label}: {expected}");
+            assert!(
+                (f.drop_probability(now) - expected).abs() > 0.1,
+                "{label}: the configured curve already gives {expected}"
+            );
+            f.apply_overrides(&RuntimeOverrides {
+                drop_policy: Some(policy),
+                ..RuntimeOverrides::default()
+            });
+            assert_eq!(f.drop_probability(now), expected, "{label}");
+            for i in 0..4 {
+                let p = f.with_shard(i, |s| s.drop_probability(now)).unwrap();
+                assert_eq!(p, expected, "{label}: shard {i}");
+            }
+        }
+    }
+
+    #[test]
     fn merged_stats_equal_sequential_filter() {
         let config = BitmapFilterConfig::paper_evaluation();
         let mut seq = BitmapFilter::new(config.clone());
@@ -1014,9 +946,10 @@ mod tests {
     }
 
     #[test]
-    fn ticks_seen_follows_the_merged_rotations_without_a_lock() {
+    fn ticks_follow_the_merged_rotations_without_a_lock() {
         let sharded = handle(4);
-        assert_eq!(sharded.ticks_seen(), 0);
+        let ticks = |f: &ShardedFilter| PacketFilter::ticks(f);
+        assert_eq!(ticks(&sharded), 0);
         // Paper timing rotates every 5 s; 40 s of outbound packets
         // rotate the shards that see them.
         let packets: Vec<_> = (0..400u16)
@@ -1030,12 +963,11 @@ mod tests {
         let mut verdicts = Vec::new();
         for batch in packets.chunks(64) {
             sharded.process_batch(batch, &mut verdicts);
-            assert_eq!(sharded.ticks_seen(), sharded.stats().rotations);
+            assert_eq!(ticks(&sharded), sharded.stats().rotations);
         }
-        assert!(sharded.ticks_seen() > 0);
+        assert!(ticks(&sharded) > 0);
         sharded.advance(Timestamp::from_secs(100.0));
-        assert_eq!(sharded.ticks_seen(), sharded.stats().rotations);
-        assert_eq!(PacketFilter::ticks(&sharded), sharded.stats().rotations);
+        assert_eq!(ticks(&sharded), sharded.stats().rotations);
     }
 
     #[test]
@@ -1171,7 +1103,7 @@ mod tests {
         }));
         assert!(unwound.is_err());
         assert_eq!(verdicts, [Verdict::Pass, Verdict::Drop]);
-        let seen = f.ticks_seen();
+        let seen = PacketFilter::ticks(&f);
         let rotations = f.with_shard(fatal_shard, |s| s.ticks()).unwrap();
         assert_eq!(seen, rotations);
         assert_eq!(seen, 20, "100 s of 5 s rotations");
@@ -1237,9 +1169,10 @@ mod tests {
             );
         }
         let watermark = Timestamp::from_secs(3.0);
-        let bytes = original.checkpoint_bytes(watermark);
+        original.advance(watermark);
+        let bytes = original.snapshot_bytes(watermark);
 
-        let restored = sharded(config.clone(), 4);
+        let mut restored = sharded(config.clone(), 4);
         let outcome = restored
             .restore_bytes(&bytes, watermark, config.expiry_timer())
             .unwrap();
@@ -1266,8 +1199,8 @@ mod tests {
     #[test]
     fn sharded_restore_rejects_shard_count_mismatch() {
         let config = BitmapFilterConfig::paper_evaluation();
-        let bytes = sharded(config.clone(), 4).checkpoint_bytes(Timestamp::ZERO);
-        let other = sharded(config.clone(), 2);
+        let bytes = sharded(config.clone(), 4).snapshot_bytes(Timestamp::ZERO);
+        let mut other = sharded(config.clone(), 2);
         assert!(matches!(
             other.restore_bytes(&bytes, Timestamp::ZERO, config.expiry_timer()),
             Err(SnapshotError::ConfigMismatch("shard count"))
@@ -1278,7 +1211,7 @@ mod tests {
     fn sharded_restore_rejects_single_filter_snapshot() {
         let config = BitmapFilterConfig::paper_evaluation();
         let single = BitmapFilter::new(config.clone()).snapshot_bytes(Timestamp::ZERO);
-        let sharded = sharded(config.clone(), 2);
+        let mut sharded = sharded(config.clone(), 2);
         assert!(matches!(
             sharded.restore_bytes(&single, Timestamp::ZERO, config.expiry_timer()),
             Err(SnapshotError::KindMismatch { .. })
@@ -1295,8 +1228,8 @@ mod tests {
         for i in 0..60u16 {
             original.process_packet(&outbound_packet(1024 + i, 1.0), Direction::Outbound);
         }
-        let bytes = original.checkpoint_bytes(Timestamp::from_secs(1.0));
-        let restored = sharded(config.clone(), 3);
+        let bytes = original.snapshot_bytes(Timestamp::from_secs(1.0));
+        let mut restored = sharded(config.clone(), 3);
         let late = Timestamp::from_secs(500.0);
         let outcome = restored
             .restore_bytes(&bytes, late, config.expiry_timer())
@@ -1329,12 +1262,13 @@ mod tests {
         let original = sharded(config.clone(), 2);
         original.process_packet(&outbound_packet(2000, 1.0), Direction::Outbound);
         let watermark = Timestamp::from_secs(1.0);
-        original.checkpoint_to(&path, watermark).unwrap();
+        snapshot::write_atomic(&path, &original.snapshot_bytes(watermark)).unwrap();
         assert!(!dir.join("filter.snap.tmp").exists());
-        let restored = sharded(config.clone(), 2);
+        let mut restored = sharded(config.clone(), 2);
+        let bytes = snapshot::read_file(&path).unwrap();
         assert_eq!(
             restored
-                .restore_from(&path, watermark, config.expiry_timer())
+                .restore_bytes(&bytes, watermark, config.expiry_timer())
                 .unwrap(),
             RestoreOutcome::Warm
         );

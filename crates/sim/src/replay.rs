@@ -372,7 +372,7 @@ impl ReplayEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use upbound_core::{BitmapFilter, BitmapFilterConfig, ShardedFilter};
+    use upbound_core::{BitmapFilter, BitmapFilterConfig, ShardedFilter, Snapshottable};
     use upbound_spi::{SpiConfig, SpiFilter};
     use upbound_traffic::{generate, TraceConfig};
 
@@ -516,11 +516,12 @@ mod tests {
         );
 
         // The final checkpoint restores to the engine's end-of-trace state.
-        let restored = ShardedFilter::builder(BitmapFilterConfig::paper_evaluation())
+        let mut restored = ShardedFilter::builder(BitmapFilterConfig::paper_evaluation())
             .build()
             .unwrap();
+        let bytes = upbound_core::snapshot::read_file(&path).unwrap();
         let outcome = restored
-            .restore_from(&path, report.watermark, TimeDelta::from_secs(3600.0))
+            .restore_bytes(&bytes, report.watermark, TimeDelta::from_secs(3600.0))
             .unwrap();
         assert_eq!(outcome, upbound_core::RestoreOutcome::Warm);
         assert_eq!(restored.stats(), bitmap_reference_stats(&trace));

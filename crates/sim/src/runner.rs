@@ -732,7 +732,8 @@ pub trait ServeBank {
     /// overrides wait for it to grow, and telemetry exports it.
     fn rotations(&self) -> u64;
 
-    /// A checkpoint image valid at trace time `watermark`.
+    /// A checkpoint image valid at trace time `watermark`, taken after
+    /// advancing the bank to it, so every filter is cut at that instant.
     fn checkpoint_bytes(&self, watermark: Timestamp) -> Vec<u8>;
 
     /// Restores from a checkpoint image, judging staleness against `now`.
@@ -837,11 +838,12 @@ where
     }
 
     fn rotations(&self) -> u64 {
-        self.bank.ticks_seen()
+        PacketFilter::ticks(&self.bank)
     }
 
     fn checkpoint_bytes(&self, watermark: Timestamp) -> Vec<u8> {
-        self.bank.checkpoint_bytes(watermark)
+        self.bank.advance(watermark);
+        self.bank.snapshot_bytes(watermark)
     }
 
     fn restore(&mut self, bytes: &[u8], now: Timestamp) -> Result<RestoreOutcome, SnapshotError> {
@@ -1217,6 +1219,54 @@ mod tests {
     }
 
     #[test]
+    fn shard_bank_checkpoints_a_consistent_cut() {
+        // Every packet lands on shard 0, yet the image carries shard 1
+        // advanced to the watermark too: two 5 s rotations by 11 s.
+        let config = BitmapFilterConfig::paper_evaluation();
+        let sharded = ShardedFilter::builder(config.clone())
+            .shards(2)
+            .build()
+            .expect("bank");
+        let tuple = |port: u16| {
+            upbound_net::FiveTuple::new(
+                upbound_net::Protocol::Tcp,
+                format!("10.0.0.5:{port}").parse().expect("addr"),
+                "203.0.113.9:80".parse().expect("addr"),
+            )
+        };
+        let run: Vec<_> = (1024..)
+            .map(tuple)
+            .filter(|t| sharded.shard_of(t, Direction::Outbound) == 0)
+            .zip(0..12u32)
+            .map(|(t, i)| {
+                let ts = Timestamp::from_secs(f64::from(i));
+                let packet = Packet::tcp(ts, t, upbound_net::TcpFlags::ACK, &[][..]);
+                (packet, Direction::Outbound)
+            })
+            .collect();
+        let watermark = Timestamp::from_secs(11.0);
+        let mut bank = ShardBank::new(
+            sharded,
+            config.clone(),
+            BitmapFilter::new,
+            &FaultPlan::none(),
+        );
+        bank.decide(&run, watermark, &mut Vec::new());
+        let image = bank.checkpoint_bytes(watermark);
+
+        let mut restored = ShardedFilter::builder(config.clone())
+            .shards(2)
+            .build()
+            .expect("bank");
+        restored
+            .restore_bytes(&image, watermark, config.expiry_timer())
+            .expect("restore");
+        for i in 0..2 {
+            assert_eq!(restored.with_shard(i, |s| s.ticks()), Ok(2), "shard {i}");
+        }
+    }
+
+    #[test]
     fn serve_writes_a_final_checkpoint() {
         let trace = trace(37);
         let dir = std::env::temp_dir().join(format!("upbound-serve-ckpt-{}", std::process::id()));
@@ -1244,12 +1294,13 @@ mod tests {
         assert_eq!(report.filter_stats, plain.filter_stats);
 
         // The final checkpoint restores into an equally-sharded bank.
-        let restored = ShardedFilter::builder(BitmapFilterConfig::paper_evaluation())
+        let mut restored = ShardedFilter::builder(BitmapFilterConfig::paper_evaluation())
             .shards(2)
             .build()
             .expect("bank");
+        let bytes = snapshot::read_file(&path).expect("read checkpoint");
         let outcome = restored
-            .restore_from(&path, report.watermark, TimeDelta::from_secs(3600.0))
+            .restore_bytes(&bytes, report.watermark, TimeDelta::from_secs(3600.0))
             .expect("restore");
         assert_eq!(outcome, upbound_core::RestoreOutcome::Warm);
         assert_eq!(restored.stats(), report.filter_stats);

@@ -614,9 +614,10 @@ mod tests {
         registry
             .gauge("upbound_test_drop_probability", "Live P_d")
             .set(0.375);
-        let h = registry.histogram("upbound_test_delay_seconds", "Delays", &[0.001, 0.01, 0.1]);
-        for v in [0.0005, 0.002, 0.05, 0.5] {
-            h.observe(v);
+        let h = registry.latency("upbound_test_delay_seconds", "Delays");
+        // The last one lies past the largest finite bound (2^38 ns).
+        for nanos in [500, 2_000, 50_000, 300_000_000_000] {
+            h.record_nanos(nanos);
         }
         registry
     }
@@ -636,7 +637,13 @@ mod tests {
         assert!(text.contains("upbound_test_packets_total 12345"));
         assert!(text.contains("# TYPE upbound_test_drop_probability gauge"));
         assert!(text.contains("upbound_test_drop_probability 0.375"));
-        assert!(text.contains("upbound_test_delay_seconds_bucket{le=\"0.01\"} 2"));
+        // 500 ns and 2 µs lie under 2^12 ns; 300 s only under +Inf.
+        let bucket = |exp: u32, cumulative: u64| {
+            let le = fmt_f64((1u64 << exp) as f64 * 1e-9);
+            format!("upbound_test_delay_seconds_bucket{{le=\"{le}\"}} {cumulative}\n")
+        };
+        assert!(text.contains(&bucket(12, 2)));
+        assert!(text.contains(&bucket(38, 3)));
         assert!(text.contains("upbound_test_delay_seconds_bucket{le=\"+Inf\"} 4"));
         assert!(text.contains("upbound_test_delay_seconds_count 4"));
     }
@@ -799,7 +806,8 @@ upbound_x{a=\"1\"} 3
         assert!(out.contains("\"name\":\"upbound_test_packets_total\""));
         assert!(out.contains("\"type\":\"counter\",\"value\":12345"));
         assert!(out.contains("\"type\":\"gauge\",\"value\":0.375"));
-        assert!(out.contains("\"bounds\":[0.001,0.01,0.1]"));
+        assert!(out.contains("\"type\":\"histogram\",\"bounds\":["));
+        assert!(out.contains("\"count\":4,"));
         assert!(out.ends_with("]}"));
     }
 

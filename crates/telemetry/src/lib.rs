@@ -4,9 +4,10 @@
 //! The crate is deliberately standalone (std only, no dependency on the
 //! networking crates) so any layer can publish into it:
 //!
-//! - [`metrics`]: atomic [`Counter`], [`Gauge`], and [`Histogram`]
-//!   whose hot-path updates are single atomic ops — cheap enough for
-//!   per-packet instrumentation.
+//! - [`metrics`]: atomic [`Counter`] and [`Gauge`] whose hot-path
+//!   updates are single atomic ops — cheap enough for per-packet
+//!   instrumentation — and [`HistogramSnapshot`], the exported form of
+//!   a histogram.
 //! - [`registry`]: a named [`Registry`] handing out `Arc` handles and
 //!   producing point-in-time [`Snapshot`]s.
 //! - [`journal`]: [`EventJournal`], a fixed-capacity ring buffer that
@@ -51,6 +52,6 @@ pub use events::{
 pub use http::{ControlHandler, ControlResponse, HealthState, MetricsServer};
 pub use journal::EventJournal;
 pub use latency::{LatencyRecorder, LatencySnapshot, ScopeTimer, Stage, StageTracer};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+pub use metrics::{Counter, Gauge, HistogramSnapshot};
 pub use recorder::{DumpTrigger, FlightDump, FlightRecorder, ShardStatus};
 pub use registry::{MetricSample, MetricValue, Registry, Snapshot};

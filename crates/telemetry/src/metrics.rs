@@ -1,11 +1,13 @@
 //! Lock-free metric primitives.
 //!
-//! All three instruments are plain atomics: hot-path updates are a
-//! single `fetch_add` / `store` (plus one CAS loop for histogram sums),
-//! so they can sit inside the per-packet filter path without locks.
-//! Reads (`get`, [`Histogram::load`]) are relaxed point-in-time views;
-//! exact cross-metric consistency is not promised, which is the usual
-//! contract for scrape-style telemetry.
+//! Both instruments are plain atomics: hot-path updates are a single
+//! `fetch_add` / `store` (plus one CAS loop for [`Gauge::add`]), so they
+//! can sit inside the per-packet filter path without locks. Reads
+//! (`get`) are relaxed point-in-time views; exact cross-metric
+//! consistency is not promised, which is the usual contract for
+//! scrape-style telemetry. The one histogram is
+//! [`LatencyRecorder`](crate::LatencyRecorder); it exports as a
+//! [`HistogramSnapshot`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -99,97 +101,9 @@ impl Gauge {
     }
 }
 
-/// A fixed-bucket histogram with lock-free `observe`.
-///
-/// Bucket bounds are upper edges (`value <= bound` lands in that
-/// bucket); values above the last bound are only counted in the
-/// implicit `+Inf` bucket, i.e. in `count` but no finite bucket —
-/// exactly Prometheus histogram semantics.
-#[derive(Debug)]
-pub struct Histogram {
-    bounds: Vec<f64>,
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum_bits: AtomicU64,
-}
-
-impl Histogram {
-    /// A histogram over the given ascending upper bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is empty or not strictly ascending.
-    pub fn new(bounds: &[f64]) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        Histogram {
-            bounds: bounds.to_vec(),
-            buckets: bounds.iter().map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0),
-        }
-    }
-
-    /// Evenly log-spaced bounds: `base * factor^i` for `i in 0..n`.
-    pub fn exponential(base: f64, factor: f64, n: usize) -> Self {
-        assert!(base > 0.0 && factor > 1.0 && n > 0);
-        let mut bounds = Vec::with_capacity(n);
-        let mut b = base;
-        for _ in 0..n {
-            bounds.push(b);
-            b *= factor;
-        }
-        Histogram::new(&bounds)
-    }
-
-    /// Records one observation.
-    #[inline]
-    pub fn observe(&self, value: f64) {
-        // partition_point: first bucket whose upper bound admits `value`.
-        let idx = self.bounds.partition_point(|&b| b < value);
-        if let Some(bucket) = self.buckets.get(idx) {
-            bucket.fetch_add(1, Ordering::Relaxed);
-        }
-        self.count.fetch_add(1, Ordering::Relaxed);
-        let mut current = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + value).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => current = seen,
-            }
-        }
-    }
-
-    /// The configured upper bounds.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// A point-in-time copy of the histogram's state.
-    pub fn load(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            counts: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum: f64::from_bits(self.sum_bits.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// Plain-data copy of a [`Histogram`] at one instant.
+/// Plain-data copy of a histogram at one instant: the form
+/// [`LatencyRecorder`](crate::LatencyRecorder) exports in and
+/// [`prometheus::parse`](crate::export::prometheus::parse) returns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Upper bucket bounds.
@@ -261,36 +175,17 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_by_upper_bound() {
-        let h = Histogram::new(&[1.0, 10.0, 100.0]);
-        for v in [0.5, 1.0, 5.0, 99.0, 1000.0] {
-            h.observe(v);
-        }
-        let s = h.load();
-        assert_eq!(s.counts, vec![2, 1, 1]); // 0.5 and 1.0; 5.0; 99.0
-        assert_eq!(s.count, 5); // 1000.0 only in +Inf
-        assert_eq!(s.cumulative(), vec![2, 3, 4]);
-        assert!((s.sum - (0.5 + 1.0 + 5.0 + 99.0 + 1000.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_exponential_bounds() {
-        let h = Histogram::exponential(1.0, 10.0, 4);
-        assert_eq!(h.bounds(), &[1.0, 10.0, 100.0, 1000.0]);
-    }
-
-    #[test]
     fn concurrent_updates_lose_nothing() {
         let c = Arc::new(Counter::new());
-        let h = Arc::new(Histogram::new(&[0.5, 1.5]));
+        let g = Arc::new(Gauge::new());
         let mut handles = Vec::new();
         for _ in 0..4 {
             let c = Arc::clone(&c);
-            let h = Arc::clone(&h);
+            let g = Arc::clone(&g);
             handles.push(std::thread::spawn(move || {
                 for i in 0..10_000 {
                     c.inc();
-                    h.observe((i % 2) as f64);
+                    g.add((i % 2) as f64);
                 }
             }));
         }
@@ -298,9 +193,6 @@ mod tests {
             handle.join().unwrap();
         }
         assert_eq!(c.get(), 40_000);
-        let s = h.load();
-        assert_eq!(s.count, 40_000);
-        assert_eq!(s.counts, vec![20_000, 20_000]);
-        assert!((s.sum - 20_000.0).abs() < 1e-6);
+        assert_eq!(g.get(), 20_000.0);
     }
 }

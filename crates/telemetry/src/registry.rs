@@ -13,7 +13,7 @@
 //! pays nothing per update for exporting it.
 
 use crate::latency::LatencyRecorder;
-use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+use crate::metrics::{Counter, Gauge, HistogramSnapshot};
 use std::sync::{Arc, Mutex};
 
 /// The value kinds a registry can hold.
@@ -77,7 +77,6 @@ type Read<T> = Box<dyn Fn() -> T + Send + Sync>;
 enum Instrument {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
     Latency(Arc<LatencyRecorder>),
     CounterFn(Read<u64>),
     GaugeFn(Read<f64>),
@@ -89,8 +88,7 @@ impl Instrument {
         match self {
             Instrument::Counter(_) | Instrument::CounterFn(_) => "counter",
             Instrument::Gauge(_) | Instrument::GaugeFn(_) => "gauge",
-            Instrument::Histogram(_) => "histogram",
-            Instrument::Latency(_) => "latency",
+            Instrument::Latency(_) => "histogram",
         }
     }
 
@@ -98,7 +96,6 @@ impl Instrument {
         match self {
             Instrument::Counter(c) => MetricValue::Counter(c.get()),
             Instrument::Gauge(g) => MetricValue::Gauge(g.get()),
-            Instrument::Histogram(h) => MetricValue::Histogram(h.load()),
             Instrument::Latency(r) => MetricValue::Histogram(r.load().to_histogram_snapshot()),
             Instrument::CounterFn(read) => MetricValue::Counter(read()),
             Instrument::GaugeFn(read) => MetricValue::Gauge(read()),
@@ -228,19 +225,6 @@ impl Registry {
                 _ => None,
             },
             || Instrument::Gauge(Arc::new(Gauge::new())),
-        )
-    }
-
-    /// Registers (or retrieves) a histogram with the given bucket bounds.
-    pub fn histogram(&self, name: &str, help: &str, bounds: &[f64]) -> Arc<Histogram> {
-        self.register(
-            name,
-            help,
-            |i| match i {
-                Instrument::Histogram(h) => Some(Arc::clone(h)),
-                _ => None,
-            },
-            || Instrument::Histogram(Arc::new(Histogram::new(bounds))),
         )
     }
 
@@ -404,15 +388,15 @@ mod tests {
         registry.gauge("upbound_test_z_gauge", "z").set(2.5);
         registry.counter("upbound_test_a_counter", "a").add(7);
         registry
-            .histogram("upbound_test_m_hist", "m", &[1.0, 2.0])
-            .observe(1.5);
+            .latency("upbound_test_m_seconds", "m")
+            .record_nanos(1_500);
         let snap = registry.snapshot();
         let names: Vec<&str> = snap.samples.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
             names,
             vec![
                 "upbound_test_a_counter",
-                "upbound_test_m_hist",
+                "upbound_test_m_seconds",
                 "upbound_test_z_gauge"
             ]
         );

@@ -772,13 +772,13 @@ fn new_registry() -> Registry {
 
 /// Prints `filter`'s end-of-run summary: `[packets, dropped, blocked
 /// connections]` and the uplink bits offered and kept over the trace
-/// span ending at `last_ts`.
+/// `span`, first packet to watermark.
 fn print_summary(
     [packets, dropped, blocked]: [u64; 3],
     (offered, kept): (u64, u64),
-    last_ts: Timestamp,
+    span: TimeDelta,
 ) {
-    let span = last_ts.as_secs_f64().max(1e-9);
+    let span = span.as_secs_f64().max(1e-9);
     let percent = dropped as f64 / packets.max(1) as f64 * 100.0;
     println!("{packets} packets; dropped {dropped} ({percent:.2}%); blocked {blocked} connections");
     println!(
@@ -1077,10 +1077,15 @@ fn dump_on_signal(flight: &FlightRecorder) {
 /// included). With `--metrics-interval` it ends a batch before the first
 /// packet at or past the next boundary and prints the report at the
 /// next poll, when `serve` has decided exactly the packets before it.
+/// Boundaries are multiples of the interval, the first one after the
+/// first packet, as for `serve`'s checkpoints.
 struct FilterSource<'a> {
     inner: Box<dyn PacketSource>,
     ahead: Vec<(Packet, Direction)>,
-    interval: TimeDelta,
+    /// `--metrics-interval`, when reports are on.
+    interval: Option<TimeDelta>,
+    /// The first packet's timestamp, once one is read.
+    first: Option<Timestamp>,
     next_report: Option<Timestamp>,
     prev_snapshot: Snapshot,
     registry: &'a Registry,
@@ -1108,22 +1113,21 @@ impl TenantView<'_> {
 }
 
 impl FilterSource<'_> {
-    fn report(&mut self, boundary: Timestamp, t: Timestamp) {
+    fn report(&mut self, boundary: Timestamp, t: Timestamp, every: TimeDelta) {
         if let Some(tenants) = &mut self.tenants {
             tenants.publish();
         }
         let snapshot = self.registry.snapshot();
         println!("--- metrics @ t={:.1}s ---", boundary.as_secs_f64());
-        let interval = self.interval.as_secs_f64();
         print!(
             "{}",
-            export::human::render(&snapshot, Some((&self.prev_snapshot, interval)))
+            export::human::render(&snapshot, Some((&self.prev_snapshot, every.as_secs_f64())))
         );
         if let Some(tenants) = &self.tenants {
             print_tenant_table(&tenants.bank.table());
         }
         self.prev_snapshot = snapshot;
-        self.next_report = Some(next_boundary(boundary, t, self.interval));
+        self.next_report = Some(next_boundary(boundary, t, every));
     }
 }
 
@@ -1154,13 +1158,20 @@ impl PacketSource for FilterSource<'_> {
                     *direction = tenants.classifier.direction_of(packet);
                 }
             }
+            if self.first.is_none() {
+                self.first = self.ahead.first().map(|(packet, _)| packet.ts());
+                self.next_report = self
+                    .first
+                    .zip(self.interval)
+                    .map(|(first, every)| next_boundary(Timestamp::ZERO, first, every));
+            }
         }
         let mut n = 0;
         while n < self.ahead.len().min(max) {
             let t = self.ahead[n].0.ts();
-            match self.next_report {
-                Some(boundary) if t >= boundary && n > 0 => break,
-                Some(boundary) if t >= boundary => self.report(boundary, t),
+            match self.next_report.zip(self.interval) {
+                Some((boundary, _)) if t >= boundary && n > 0 => break,
+                Some((boundary, every)) if t >= boundary => self.report(boundary, t, every),
                 _ => n += 1,
             }
         }
@@ -1285,8 +1296,9 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
     let mut source = FilterSource {
         inner: dataplane.open_capture(in_path, policy, false)?,
         ahead: Vec::new(),
-        interval: TimeDelta::from_secs(metrics_interval),
-        next_report: (metrics_interval > 0.0).then(|| Timestamp::from_secs(metrics_interval)),
+        interval: (metrics_interval > 0.0).then(|| TimeDelta::from_secs(metrics_interval)),
+        first: None,
+        next_report: None,
         prev_snapshot: registry.snapshot(),
         registry: &registry,
         flight: &flight,
@@ -1346,7 +1358,9 @@ fn cmd_filter(args: &Args) -> Result<Outcome, CliError> {
     print_summary(
         [report.packets, report.dropped, report.blocked_connections],
         (report.uplink_offered_bits, report.uplink_kept_bits),
-        report.watermark,
+        report
+            .watermark
+            .saturating_since(source.first.unwrap_or(report.watermark)),
     );
     if let Some(table) = &table {
         let (reuses, fresh) = table.arena_counters();

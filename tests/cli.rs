@@ -586,14 +586,75 @@ fn filter_matches_recorded_golden_outputs() {
 
 /// Recorded from the per-packet `filter` loop (one line per case).
 const GOLDEN_FILTER: &[&str] = &[
-    "default: 64836 packets; dropped 40410 (62.33%); blocked 871 connections | uplink: 32.00 Mbps offered -> 4.90 Mbps after filtering | out 68de3fabbdbbda58 | pass 12010 red 0 unsolicited 871 out 12416 | reports 12",
-    "thresholds: 64836 packets; dropped 39872 (61.50%); blocked 866 connections | uplink: 32.00 Mbps offered -> 5.63 Mbps after filtering | out 60cd90a3287ca785 | pass 12283 red 1 unsolicited 865 out 12681 | reports 12",
-    "no-block: 64836 packets; dropped 873 (1.35%); blocked 0 connections | uplink: 32.00 Mbps offered -> 32.00 Mbps after filtering | out 81e4c81de26ecd60 | pass 31623 red 1 unsolicited 872 out 32340 | reports 12",
-    "shards-4: 64836 packets; dropped 39872 (61.50%); blocked 866 connections | uplink: 32.00 Mbps offered -> 5.63 Mbps after filtering | out 60cd90a3287ca785 | pass 12283 red 1 unsolicited 865 out 12681 | reports 12",
-    "batch-1: 64836 packets; dropped 39872 (61.50%); blocked 866 connections | uplink: 32.00 Mbps offered -> 5.63 Mbps after filtering | out 60cd90a3287ca785 | pass 12283 red 1 unsolicited 865 out 12681 | reports 12",
-    "balanced: 64836 packets; dropped 39872 (61.50%); blocked 866 connections | uplink: 32.00 Mbps offered -> 5.63 Mbps after filtering | out 60cd90a3287ca785 | pass 12283 red 1 unsolicited 865 out 12681 | reports 12",
-    "fault-plan: 64836 packets; dropped 39707 (61.24%); blocked 1520 connections | uplink: 32.00 Mbps offered -> 6.76 Mbps after filtering | out fe00c5046f73fbd7 | pass 12043 red 1 unsolicited 1519 out 13086 | reports 12",
+    "default: 64836 packets; dropped 40410 (62.33%); blocked 871 connections | uplink: 32.01 Mbps offered -> 4.90 Mbps after filtering | out 68de3fabbdbbda58 | pass 12010 red 0 unsolicited 871 out 12416 | reports 12",
+    "thresholds: 64836 packets; dropped 39872 (61.50%); blocked 866 connections | uplink: 32.01 Mbps offered -> 5.63 Mbps after filtering | out 60cd90a3287ca785 | pass 12283 red 1 unsolicited 865 out 12681 | reports 12",
+    "no-block: 64836 packets; dropped 873 (1.35%); blocked 0 connections | uplink: 32.01 Mbps offered -> 32.01 Mbps after filtering | out 81e4c81de26ecd60 | pass 31623 red 1 unsolicited 872 out 32340 | reports 12",
+    "shards-4: 64836 packets; dropped 39872 (61.50%); blocked 866 connections | uplink: 32.01 Mbps offered -> 5.63 Mbps after filtering | out 60cd90a3287ca785 | pass 12283 red 1 unsolicited 865 out 12681 | reports 12",
+    "batch-1: 64836 packets; dropped 39872 (61.50%); blocked 866 connections | uplink: 32.01 Mbps offered -> 5.63 Mbps after filtering | out 60cd90a3287ca785 | pass 12283 red 1 unsolicited 865 out 12681 | reports 12",
+    "balanced: 64836 packets; dropped 39872 (61.50%); blocked 866 connections | uplink: 32.01 Mbps offered -> 5.63 Mbps after filtering | out 60cd90a3287ca785 | pass 12283 red 1 unsolicited 865 out 12681 | reports 12",
+    "fault-plan: 64836 packets; dropped 39707 (61.24%); blocked 1520 connections | uplink: 32.01 Mbps offered -> 6.76 Mbps after filtering | out fe00c5046f73fbd7 | pass 12043 red 1 unsolicited 1519 out 13086 | reports 12",
 ];
+
+/// A real capture carries epoch timestamps. Shifted by 1.7e9 s, the
+/// default-configuration golden trace gives the unshifted run's summary
+/// and report count: the uplink rates divide by the span from the first
+/// packet, and the first report falls at the first interval boundary
+/// after it. The default configuration drops every unsolicited packet,
+/// so no drop draw depends on the timestamp.
+#[test]
+fn filter_reports_an_epoch_stamped_capture_like_one_stamped_from_zero() {
+    let trace = tmp("epoch-trace.pcap");
+    let shifted = tmp("epoch-shifted.pcap");
+    let out = run(&[
+        "generate",
+        "--out",
+        trace.to_str().expect("utf8 path"),
+        "--duration",
+        "60",
+        "--rate",
+        "30",
+        "--seed",
+        "7",
+    ]);
+    assert!(out.status.success());
+    let shift = upbound::net::TimeDelta::from_secs(1_700_000_000.0);
+    let packets: Vec<_> =
+        upbound::net::pcap::from_bytes(&std::fs::read(&trace).expect("read trace"))
+            .expect("valid pcap")
+            .into_iter()
+            .map(|p| {
+                let ts = p.ts() + shift;
+                p.with_ts(ts)
+            })
+            .collect();
+    let bytes = upbound::net::pcap::to_bytes(&packets, 65_535).expect("serialize");
+    std::fs::write(&shifted, bytes).expect("write shifted trace");
+
+    let summary = |path: &PathBuf| {
+        let out = run(&[
+            "filter",
+            "--in",
+            path.to_str().expect("utf8 path"),
+            "--metrics-interval",
+            "5",
+        ]);
+        assert!(out.status.success());
+        let text = stdout(&out);
+        let lines: Vec<String> = text
+            .lines()
+            .filter(|l| l.contains(" packets; dropped ") || l.starts_with("uplink: "))
+            .map(str::to_owned)
+            .collect();
+        (lines, text.matches("--- metrics @ t=").count())
+    };
+    let (lines, reports) = summary(&trace);
+    assert_eq!(reports, 12);
+    assert!(!lines[1].contains(" 0.00 Mbps offered"), "{lines:?}");
+    assert_eq!(summary(&shifted), (lines, reports));
+
+    let _ = std::fs::remove_file(&trace);
+    let _ = std::fs::remove_file(&shifted);
+}
 
 /// `filter --fault-plan panics=N` runs under the shard supervisor: each
 /// injected panic is caught and its shard restarted, and every packet
@@ -782,22 +843,22 @@ fn filter_subscribers_matches_recorded_golden_outputs() {
 /// Recorded from the multi-tenant `filter` loop (header line, then the
 /// `subscribers:` line and one row per tenant, per case).
 const GOLDEN_SUBSCRIBERS: &[&str] = &[
-    "tenants: 64836 packets; dropped 39620 (61.11%); blocked 860 connections | uplink: 32.00 Mbps offered -> 5.94 Mbps after filtering | wrote final checkpoint to CKPT (7 checkpoint(s), 2 tenant(s) serialized) | out aac9838c17a91721 | reports 6",
+    "tenants: 64836 packets; dropped 39620 (61.11%); blocked 860 connections | uplink: 32.01 Mbps offered -> 5.94 Mbps after filtering | wrote final checkpoint to CKPT (7 checkpoint(s), 2 tenant(s) serialized) | out aac9838c17a91721 | reports 6",
     "tenants: subscribers: 2 active / 3 provisioned; 557056 B resident, 0 B pooled (arena: 0 reuse(s), 8 fresh); 0 outbound drop anomaly(ies)",
     "tenants: res-a 10.0.0.0/25 active 8346 8625 545 512",
     "tenants: res-b 10.0.0.128/25 active 4458 4647 315 32",
     "tenants: idle 10.9.0.0/16 dormant 0 0 0 0",
-    "batch-1: 64836 packets; dropped 39620 (61.11%); blocked 860 connections | uplink: 32.00 Mbps offered -> 5.94 Mbps after filtering | wrote final checkpoint to CKPT (7 checkpoint(s), 2 tenant(s) serialized) | out aac9838c17a91721 | reports 6",
+    "batch-1: 64836 packets; dropped 39620 (61.11%); blocked 860 connections | uplink: 32.01 Mbps offered -> 5.94 Mbps after filtering | wrote final checkpoint to CKPT (7 checkpoint(s), 2 tenant(s) serialized) | out aac9838c17a91721 | reports 6",
     "batch-1: subscribers: 2 active / 3 provisioned; 557056 B resident, 0 B pooled (arena: 0 reuse(s), 8 fresh); 0 outbound drop anomaly(ies)",
     "batch-1: res-a 10.0.0.0/25 active 8346 8625 545 512",
     "batch-1: res-b 10.0.0.128/25 active 4458 4647 315 32",
     "batch-1: idle 10.9.0.0/16 dormant 0 0 0 0",
-    "no-block: 64836 packets; dropped 867 (1.34%); blocked 0 connections | uplink: 32.00 Mbps offered -> 32.00 Mbps after filtering | wrote final checkpoint to CKPT (7 checkpoint(s), 2 tenant(s) serialized) | out 879fd78f59da887b | reports 6",
+    "no-block: 64836 packets; dropped 867 (1.34%); blocked 0 connections | uplink: 32.01 Mbps offered -> 32.01 Mbps after filtering | wrote final checkpoint to CKPT (7 checkpoint(s), 2 tenant(s) serialized) | out 879fd78f59da887b | reports 6",
     "no-block: subscribers: 2 active / 3 provisioned; 557056 B resident, 0 B pooled (arena: 0 reuse(s), 8 fresh); 0 outbound drop anomaly(ies)",
     "no-block: res-a 10.0.0.0/25 active 21303 21402 550 512",
     "no-block: res-b 10.0.0.128/25 active 11037 11094 317 32",
     "no-block: idle 10.9.0.0/16 dormant 0 0 0 0",
-    "restart: 64836 packets; dropped 15814 (24.39%); blocked 498 connections | uplink: 32.00 Mbps offered -> 25.65 Mbps after filtering | wrote final checkpoint to CKPT (7 checkpoint(s), 2 tenant(s) serialized) | out 0ab07112bb293d63 | reports 6",
+    "restart: 64836 packets; dropped 15814 (24.39%); blocked 498 connections | uplink: 32.01 Mbps offered -> 25.66 Mbps after filtering | wrote final checkpoint to CKPT (7 checkpoint(s), 2 tenant(s) serialized) | out 0ab07112bb293d63 | reports 6",
     "restart: subscribers: 2 active / 3 provisioned; 557056 B resident, 0 B pooled (arena: 0 reuse(s), 0 fresh); 0 outbound drop anomaly(ies)",
     "restart: res-a 10.0.0.0/25 active 37768 38105 859 512",
     "restart: res-b 10.0.0.128/25 active 19140 19343 506 32",

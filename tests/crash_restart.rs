@@ -15,7 +15,7 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 use upbound::core::{
-    BitmapFilter, BitmapFilterConfig, DropPolicy, FailMode, PacketFilter, RestoreOutcome,
+    snapshot, BitmapFilter, BitmapFilterConfig, DropPolicy, FailMode, PacketFilter, RestoreOutcome,
     ShardedFilter, SnapshotError, Snapshottable, Verdict,
 };
 use upbound::net::{pcap, Direction, FiveTuple, Packet, Protocol, TimeDelta, Timestamp};
@@ -397,16 +397,16 @@ fn sharded_checkpoint_file_roundtrip_is_warm_and_exact() {
     let dir = std::env::temp_dir().join(format!("upbound-crash-restart-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("sharded.ckpt");
-    sharded
-        .checkpoint_to(&path, watermark)
-        .expect("checkpoint writes");
+    sharded.advance(watermark);
+    snapshot::write_atomic(&path, &sharded.snapshot_bytes(watermark)).expect("checkpoint writes");
 
-    let fresh = ShardedFilter::builder(cfg.clone())
+    let mut fresh = ShardedFilter::builder(cfg.clone())
         .shards(4)
         .build()
         .expect("shard count is positive");
+    let bytes = snapshot::read_file(&path).expect("checkpoint reads");
     let outcome = fresh
-        .restore_from(&path, watermark, cfg.expiry_timer())
+        .restore_bytes(&bytes, watermark, cfg.expiry_timer())
         .expect("checkpoint restores");
     assert_eq!(outcome, RestoreOutcome::Warm);
     assert_eq!(fresh.stats(), sharded.stats());
@@ -423,4 +423,64 @@ fn sharded_checkpoint_file_roundtrip_is_warm_and_exact() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// FNV-1a over a checkpoint image.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The image a 4-shard bank with a live `P_d` curve writes, pinned: the
+/// bank is fed a seeded trace in 64-packet batches, advanced to a
+/// watermark past its last packet and encoded. The length and digest
+/// were recorded from the inherent `checkpoint_bytes` that encoded
+/// sharded checkpoints before the bank became `Snapshottable`, so
+/// checkpoint files written then restore now, and re-encode byte for
+/// byte.
+#[test]
+fn sharded_checkpoint_image_is_pinned() {
+    let cfg = BitmapFilterConfig::builder()
+        .vector_bits(16)
+        .vectors(4)
+        .hash_functions(3)
+        .rotate_every_secs(5.0)
+        .drop_policy(DropPolicy::new(8e6, 40e6).expect("valid policy"))
+        .rng_seed(0xC0FFEE)
+        .build()
+        .expect("valid config");
+    let bank = || {
+        ShardedFilter::builder(cfg.clone())
+            .shards(4)
+            .build()
+            .expect("shard count is positive")
+    };
+    let original = bank();
+    let packets = labeled_packets(31, 40.0);
+    let mut verdicts = Vec::new();
+    for chunk in packets.chunks(64) {
+        original.process_batch(chunk, &mut verdicts);
+    }
+    let last = packets.last().expect("non-empty trace").0.ts();
+    let p_d = original.drop_probability(last);
+    assert!(p_d > 0.0 && p_d < 1.0, "the curve is not live: P_d = {p_d}");
+    assert!(verdicts.contains(&Verdict::Drop));
+
+    let watermark = Timestamp::from_secs(47.0);
+    original.advance(watermark);
+    let image = original.snapshot_bytes(watermark);
+    assert_eq!(
+        (image.len(), fnv1a(&image)),
+        (133_172, 0xdf9e_3cd1_15a4_3758)
+    );
+
+    let mut restored = bank();
+    let outcome = restored
+        .restore_bytes(&image, watermark, cfg.expiry_timer())
+        .expect("pinned image restores");
+    assert_eq!(outcome, RestoreOutcome::Warm);
+    assert_eq!(restored.stats(), original.stats());
+    // `assert!`, not `assert_eq!`: a mismatch would print both images.
+    assert!(restored.snapshot_bytes(watermark) == image);
 }
